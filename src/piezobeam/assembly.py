@@ -6,9 +6,10 @@ functionals defined in forms.py, evaluated with the same quadrature rules, so
 round-off.  B collects the gradient of the voltage work, one column per
 voltage signal.
 
-Element contributions are accumulated with np.add.at in a fixed element
-order, so assembled matrices are bit-identical run to run regardless of
-thread environment.
+M and K are scipy.sparse CSR arrays.  Element contributions are collected as
+(row, col, value) triplets in a fixed element order and duplicates are summed
+sequentially in that order, so every entry is bit-identical run to run
+regardless of thread environment (and to a dense np.add.at accumulation).
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
 
-from .errors import MeshSpecMismatch, SingularElectricBlock
+from .errors import MeshSpecMismatch, NotPositiveDefinite, SingularElectricBlock
 from .fem import GAUSS_FULL, GAUSS_REDUCED, endpoint_values, shape_table
 from .forms import FormSet, build_forms, _term_elements
 from .layout import CHARGE_FIELDS, DofLayout, FieldState, build_layout
 from .materials import BoundaryCondition, Regime, ValidatedModelSpec
 from .mesh import Mesh
+from .solvers import FactorizedOperator
 
 
 @dataclass
@@ -37,8 +39,8 @@ class SemiDiscreteSystem:
     vspec: ValidatedModelSpec
     mesh: Mesh
     layout: DofLayout
-    M: np.ndarray
-    K: np.ndarray
+    M: scipy.sparse.csr_array
+    K: scipy.sparse.csr_array
     B: np.ndarray
     free_dofs: np.ndarray
     bc: BoundaryCondition | None = None
@@ -76,8 +78,17 @@ class SemiDiscreteSystem:
         return np.array([sig(t) for sig in self.vspec.voltages])
 
 
-def _assemble_terms(layout: DofLayout, terms, n: int) -> np.ndarray:
-    A = np.zeros((n, n))
+def _summed_csr(rows, cols, vals, n: int) -> scipy.sparse.csr_array:
+    """CSR array of the triplets, duplicates summed in triplet order from 0.0."""
+    keys, inverse = np.unique(rows * n + cols, return_inverse=True)
+    data = np.bincount(inverse, weights=vals, minlength=len(keys))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return scipy.sparse.csr_array((data, keys % n, indptr), shape=(n, n))
+
+
+def _assemble_terms(layout: DofLayout, terms, n: int) -> scipy.sparse.csr_array:
+    rows, cols, vals = [], [], []
     for term in terms:
         elems, lengths = _term_elements(layout, term.region)
         if len(elems) == 0:
@@ -104,20 +115,17 @@ def _assemble_terms(layout: DofLayout, terms, n: int) -> np.ndarray:
                     # einsum's contraction order is not symmetric in (a, b);
                     # averaging restores bitwise-symmetric element blocks
                     block = 0.5 * (block + np.swapaxes(block, 1, 2))
-                rows = dof_tabs[i]
-                cols = dof_tabs[j]
-                np.add.at(
-                    A,
-                    (rows[:, :, None], cols[:, None, :]),
-                    block,
-                )
+                pairs = [(dof_tabs[i], dof_tabs[j], block)]
                 if i != j:
-                    np.add.at(
-                        A,
-                        (cols[:, :, None], rows[:, None, :]),
-                        np.swapaxes(block, 1, 2),
-                    )
-    return A
+                    pairs.append((dof_tabs[j], dof_tabs[i], np.swapaxes(block, 1, 2)))
+                for r, cidx, blk in pairs:
+                    r, cidx = np.broadcast_arrays(r[:, :, None], cidx[:, None, :])
+                    rows.append(r.ravel())
+                    cols.append(cidx.ravel())
+                    vals.append(blk.ravel())
+    return _summed_csr(np.concatenate(rows).astype(np.int64),
+                       np.concatenate(cols).astype(np.int64),
+                       np.concatenate(vals), n)
 
 
 def _assemble_loads(layout: DofLayout, loads, n: int, n_sig: int) -> np.ndarray:
@@ -174,8 +182,8 @@ def apply_mechanical_bc(system: SemiDiscreteSystem, bc: BoundaryCondition) -> Se
     keep = np.where(~np.isin(system.free_dofs, fixed_full))[0]
     return replace(
         system,
-        M=system.M[np.ix_(keep, keep)],
-        K=system.K[np.ix_(keep, keep)],
+        M=system.M[keep][:, keep],
+        K=system.K[keep][:, keep],
         B=system.B[keep],
         free_dofs=system.free_dofs[keep],
         bc=bc,
@@ -212,23 +220,26 @@ def reduce_electrostatic(system: SemiDiscreteSystem) -> SemiDiscreteSystem:
     if system.vspec.regime != Regime.FULL_MAGNETIC or system.charge_reduced:
         raise SingularElectricBlock("reduce_electrostatic needs a fully dynamic system")
     mech, charge = _grounded_charge_split(system)
-    K_mm = system.K[np.ix_(mech, mech)]
-    K_mq = system.K[np.ix_(mech, charge)]
-    K_qq = system.K[np.ix_(charge, charge)]
+    K_mm = system.K[mech][:, mech]
+    K_mq = system.K[mech][:, charge]
+    K_qq = system.K[charge][:, charge]
     B_q = system.B[charge]
     try:
-        cho = scipy.linalg.cho_factor(K_qq, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        op = FactorizedOperator.build(K_qq)
+    except NotPositiveDefinite as exc:
         raise SingularElectricBlock(
             "charge-charge stiffness block is singular after grounding"
         ) from exc
-    K_red = K_mm - K_mq @ scipy.linalg.cho_solve(cho, K_mq.T)
-    B_red = -K_mq @ scipy.linalg.cho_solve(cho, B_q)
+    # The Schur complement of a charge chain is structurally dense over the
+    # mechanical dofs it touches; it cancels back to a banded matrix only in
+    # exact arithmetic, so it is stored with its round-off entries.
+    K_red = K_mm.toarray() - K_mq @ op.solve(K_mq.T.toarray())
+    B_red = -K_mq @ op.solve(B_q)
     K_red = 0.5 * (K_red + K_red.T)  # symmetrize round-off
     return replace(
         system,
-        M=system.M[np.ix_(mech, mech)],
-        K=K_red,
+        M=system.M[mech][:, mech],
+        K=scipy.sparse.csr_array(K_red),
         B=B_red,
         free_dofs=system.free_dofs[mech],
         charge_reduced=True,
@@ -261,4 +272,4 @@ def magnetic_energy_of(system: SemiDiscreteSystem, xdot: np.ndarray) -> float:
     if len(q) == 0:
         return 0.0
     vq = xdot[q]
-    return 0.5 * float(vq @ (system.M[np.ix_(q, q)] @ vq))
+    return 0.5 * float(vq @ (system.M[q][:, q] @ vq))

@@ -17,7 +17,7 @@ from . import __version__
 from .assembly import build_system
 from .config import RunConfig, config_digest, parse_config, resolved_dt
 from .errors import ConfigError, IllegalRegime, PiezobeamError
-from .forms import eval_field_at
+from .forms import interpolation_row
 from .kernels import backend_name
 from .layout import CHARGE_FIELDS
 from .scenarios import (
@@ -48,10 +48,6 @@ def _provenance(config: RunConfig, system) -> list:
     ]
 
 
-def _arrays_of(layout, full_vec):
-    return {name: full_vec[layout.dof_slice(name)] for name in layout.fields}
-
-
 def _probe_position(layout, field: str, probe: float) -> float:
     """Clamp the probe into the field's support (charge fields live on the patch)."""
     elems = layout.field_elements(field)
@@ -69,15 +65,16 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
 
     layout = system.layout
     probe = config.probe if config.probe is not None else vspec.geometry.length
+    # One interpolation row per field, restricted to the surviving dofs
+    # (constrained dofs are zero), so every probe value comes from one product.
+    rows = np.column_stack([
+        interpolation_row(layout, field, _probe_position(layout, field, probe))
+        for field in layout.fields])
+    probes = traj.X @ rows[system.free_dofs]
     names, columns = ["t"], [traj.t]
-    for field in layout.fields:
-        px = _probe_position(layout, field, probe)
-        vals = np.empty(len(traj))
-        for i in range(len(traj)):
-            arrays = _arrays_of(layout, system.embed(traj.X[i]))
-            vals[i] = eval_field_at(layout, arrays, field, px)
+    for j, field in enumerate(layout.fields):
         names.append(f"{field}_probe")
-        columns.append(vals)
+        columns.append(probes[:, j])
         value_idx = system.value_dofs_of(field)
         names.append(f"{field}_max")
         columns.append(np.max(np.abs(traj.X[:, value_idx]), axis=1)

@@ -16,6 +16,7 @@ form that parses back to an equal RunConfig.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -109,6 +110,14 @@ def _tokenize(text: str):
     return entries
 
 
+def _real(raw: str) -> float:
+    """A finite float; nan and +-inf are rejected like any malformed number."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _typed(entries, section, key, conv, default=None):
     if section not in entries or key not in entries[section]:
         return default
@@ -127,7 +136,7 @@ _BCS = {b.value: b for b in BoundaryCondition}
 def _material(entries, section) -> MaterialParams | None:
     if section not in entries:
         return None
-    kwargs = {k: _typed(entries, section, k, float, 0.0) for k in _MATERIAL_KEYS}
+    kwargs = {k: _typed(entries, section, k, _real, 0.0) for k in _MATERIAL_KEYS}
     return MaterialParams(**kwargs)
 
 
@@ -136,9 +145,9 @@ def _voltage(entries, section) -> VoltageSignal:
         return VoltageSignal.zero()
     return VoltageSignal(
         kind=_typed(entries, section, "kind", str, "zero"),
-        amplitude=_typed(entries, section, "amplitude", float, 0.0),
-        frequency=_typed(entries, section, "frequency", float, 0.0),
-        step_time=_typed(entries, section, "step_time", float, 0.0),
+        amplitude=_typed(entries, section, "amplitude", _real, 0.0),
+        frequency=_typed(entries, section, "frequency", _real, 0.0),
+        step_time=_typed(entries, section, "step_time", _real, 0.0),
     )
 
 
@@ -164,12 +173,12 @@ def parse_config(text: str) -> RunConfig:
         beam = _material(entries, "material.beam")
         patch = _material(entries, "material.patch")
         geometry = BeamGeometry(
-            length=_typed(entries, "geometry", "length", float, 1.0),
-            thickness=_typed(entries, "geometry", "thickness", float),
-            core_half_thickness=_typed(entries, "geometry", "core_half_thickness", float),
-            patch_thickness=_typed(entries, "geometry", "patch_thickness", float),
-            patch_start=_typed(entries, "geometry", "patch_start", float),
-            patch_end=_typed(entries, "geometry", "patch_end", float),
+            length=_typed(entries, "geometry", "length", _real, 1.0),
+            thickness=_typed(entries, "geometry", "thickness", _real),
+            core_half_thickness=_typed(entries, "geometry", "core_half_thickness", _real),
+            patch_thickness=_typed(entries, "geometry", "patch_thickness", _real),
+            patch_start=_typed(entries, "geometry", "patch_start", _real),
+            patch_end=_typed(entries, "geometry", "patch_end", _real),
         )
         if variant.is_patch:
             voltage = (_voltage(entries, "voltage.top"), _voltage(entries, "voltage.bottom"))
@@ -196,10 +205,10 @@ def parse_config(text: str) -> RunConfig:
     config = RunConfig(
         spec=spec,
         n_elements=_typed(entries, "solver", "elements", int, 32),
-        dt=_typed(entries, "solver", "dt", float),
-        t_end=_typed(entries, "solver", "t_end", float, 1.0),
+        dt=_typed(entries, "solver", "dt", _real),
+        t_end=_typed(entries, "solver", "t_end", _real, 1.0),
         stride=_typed(entries, "solver", "stride", int, 1),
-        probe=_typed(entries, "solver", "probe", float),
+        probe=_typed(entries, "solver", "probe", _real),
     )
     if config.n_elements < 1 or config.stride < 1 or not config.t_end > 0.0 \
             or (config.dt is not None and not config.dt > 0.0):

@@ -279,8 +279,8 @@ def energy_breakdown(state: FieldState) -> EnergyBreakdown:
     return EnergyBreakdown(kinetic=kin, stored=stored_energy(state), magnetic=mag)
 
 
-def eval_field_at(layout: DofLayout, arrays, field: str, x: float, deriv: int = 0) -> float:
-    """Evaluate D^deriv of a field at position x from its nodal array."""
+def _shape_weights(layout: DofLayout, field: str, x: float, deriv: int):
+    """Full-numbering dofs and weights w with D^deriv field(x) = w @ flat[dofs]."""
     fd = layout.fields[field]
     elems = layout.field_elements(field)
     nodes = layout.mesh.nodes
@@ -291,10 +291,21 @@ def eval_field_at(layout: DofLayout, arrays, field: str, x: float, deriv: int = 
     le = nodes[e + 1] - nodes[e]
     xi = np.array([(x - nodes[e]) / le])
     table = shape_table(fd.basis, deriv, xi, np.array([le]))[0, 0]
-    pos = e - elems[0]
-    dofs = layout.element_dofs(field)[pos]
-    flat = _flat(arrays, layout)
-    return float(table @ flat[dofs])
+    return layout.element_dofs(field)[e - elems[0]], table
+
+
+def eval_field_at(layout: DofLayout, arrays, field: str, x: float, deriv: int = 0) -> float:
+    """Evaluate D^deriv of a field at position x from its nodal array."""
+    dofs, weights = _shape_weights(layout, field, x, deriv)
+    return float(weights @ _flat(arrays, layout)[dofs])
+
+
+def interpolation_row(layout: DofLayout, field: str, x: float, deriv: int = 0) -> np.ndarray:
+    """Row r over the full dof numbering with r @ flat = D^deriv field(x)."""
+    dofs, weights = _shape_weights(layout, field, x, deriv)
+    row = np.zeros(layout.n_dofs)
+    row[dofs] = weights
+    return row
 
 
 def work_rate(state: FieldState, t: float) -> float:

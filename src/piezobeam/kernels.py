@@ -1,68 +1,46 @@
-"""Time-stepping kernels: numba-compiled hot loop with a numpy fallback.
+"""Time-stepping kernel: the implicit midpoint sweep.
 
-The implicit midpoint sweep is the only performance-critical piece of the
-package: thousands of steps of dense matvecs and triangular solves on a
-factorized step matrix.  The compiled kernel uses hand-rolled sequential
-loops (no BLAS, no threading), so its output is bitwise reproducible
-regardless of thread count.
-
-Backend selection: environment variable PIEZOBEAM_NUMBA
-    "1"    require numba (raise if unavailable)
-    "0"    force the pure-numpy path
-    unset  use numba when importable
-
-Both backends implement the same recurrence; they may differ in the last
-bits (different summation orders) but each is deterministic on its own.
+Each step costs two sparse matvecs and one banded triangular solve pair, so
+a step is linear in the number of dofs.  The matvecs run in scipy's
+sequential CSR kernel and the solve in LAPACK's banded routine, neither of
+which is threaded, so reruns are bitwise reproducible regardless of the BLAS
+thread count.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-from scipy.linalg import solve_triangular
-
-try:
-    import numba as nb
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    nb = None
-    HAS_NUMBA = False
-
-_FLAG = os.environ.get("PIEZOBEAM_NUMBA", "auto").strip().lower()
-if _FLAG in ("1", "true", "yes", "on"):
-    if not HAS_NUMBA:
-        raise ImportError("PIEZOBEAM_NUMBA=1 but numba is not importable")
-    USE_NUMBA = True
-elif _FLAG in ("0", "false", "no", "off"):
-    USE_NUMBA = False
-else:
-    USE_NUMBA = HAS_NUMBA
+from scipy.linalg import get_lapack_funcs
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the time-stepping path, recorded in run reports."""
+    return "sparse-banded"
 
 
-def _sweep_numpy(L, M, K, bvolts, x0, v0, dt, rec_steps):
-    """Implicit midpoint sweep, numpy fallback.
+def midpoint_sweep(L, M, K, bvolts, x0, v0, dt, rec_steps, perm):
+    """Implicit midpoint sweep of  M xdd + K x = load.
 
-    L is the lower Cholesky factor of S = M + (dt^2/4) K.  bvolts holds the
-    per-step load B @ V(t_mid), shape (n_steps, n).  rec_steps are the step
-    indices (ascending, starting at 0) at which the state is recorded.
-    Returns (X, V, work) at the recorded steps; work is the cumulative
+    L is the lower banded Cholesky factor (LAPACK storage, shape (p+1, n))
+    of S[perm][:, perm], S = M + (dt^2/4) K; M and K are sparse (or dense)
+    n x n operators in the original numbering.  bvolts holds the per-step
+    load B @ V(t_mid), shape (n_steps, n).  rec_steps are the step indices
+    (ascending, starting at 0) at which the state is recorded.  Returns
+    (X, V, work) at the recorded steps; work is the cumulative
     midpoint-quadrature work integral, accumulated every step.
     """
+    rec_steps = np.asarray(rec_steps, dtype=np.int64)
+    dt = float(dt)
     n = len(x0)
     n_steps = bvolts.shape[0]
     n_rec = len(rec_steps)
     X = np.zeros((n_rec, n))
     Vel = np.zeros((n_rec, n))
     work = np.zeros(n_rec)
+    pbtrs, = get_lapack_funcs(("pbtrs",), (L,))
 
-    x = x0.copy()
-    v = v0.copy()
+    x = np.array(x0, dtype=float)
+    v = np.array(v0, dtype=float)
     w = 0.0
     rec = 0
     if rec_steps[0] == 0:
@@ -71,9 +49,12 @@ def _sweep_numpy(L, M, K, bvolts, x0, v0, dt, rec_steps):
         rec = 1
     q = 0.25 * dt * dt
     for step in range(n_steps):
-        rhs = M @ v - q * (K @ v) - dt * (K @ x) + dt * bvolts[step]
-        y = solve_triangular(L, rhs, lower=True, check_finite=False)
-        v_new = solve_triangular(L.T, y, lower=False, check_finite=False)
+        # (M - q K) v - dt K x, with K read once
+        rhs = M @ v - K @ (q * v + dt * x)
+        rhs += dt * bvolts[step]
+        sol, _ = pbtrs(L, rhs[perm], lower=1)
+        v_new = np.empty(n)
+        v_new[perm] = sol
         vbar = 0.5 * (v + v_new)
         x = x + dt * vbar
         v = v_new
@@ -84,78 +65,3 @@ def _sweep_numpy(L, M, K, bvolts, x0, v0, dt, rec_steps):
             work[rec] = w
             rec += 1
     return X, Vel, work
-
-
-def _sweep_loops(L, M, K, bvolts, x0, v0, dt, rec_steps):
-    # Same recurrence as _sweep_numpy, written with explicit loops so numba
-    # compiles it to sequential scalar code (deterministic across threads).
-    n = x0.shape[0]
-    n_steps = bvolts.shape[0]
-    n_rec = rec_steps.shape[0]
-    X = np.zeros((n_rec, n))
-    Vel = np.zeros((n_rec, n))
-    work = np.zeros(n_rec)
-
-    x = x0.copy()
-    v = v0.copy()
-    rhs = np.zeros(n)
-    y = np.zeros(n)
-    v_new = np.zeros(n)
-    w = 0.0
-    rec = 0
-    if rec_steps[0] == 0:
-        for i in range(n):
-            X[0, i] = x[i]
-            Vel[0, i] = v[i]
-        rec = 1
-    q = 0.25 * dt * dt
-    for step in range(n_steps):
-        for i in range(n):
-            acc = dt * bvolts[step, i]
-            for j in range(n):
-                acc += M[i, j] * v[j] - q * K[i, j] * v[j] - dt * K[i, j] * x[j]
-            rhs[i] = acc
-        # forward substitution L y = rhs
-        for i in range(n):
-            acc = rhs[i]
-            for j in range(i):
-                acc -= L[i, j] * y[j]
-            y[i] = acc / L[i, i]
-        # back substitution L^T v_new = y
-        for i in range(n - 1, -1, -1):
-            acc = y[i]
-            for j in range(i + 1, n):
-                acc -= L[j, i] * v_new[j]
-            v_new[i] = acc / L[i, i]
-        wdot = 0.0
-        for i in range(n):
-            vbar = 0.5 * (v[i] + v_new[i])
-            x[i] = x[i] + dt * vbar
-            v[i] = v_new[i]
-            wdot += vbar * bvolts[step, i]
-        w += dt * wdot
-        if rec < n_rec and rec_steps[rec] == step + 1:
-            for i in range(n):
-                X[rec, i] = x[i]
-                Vel[rec, i] = v[i]
-            work[rec] = w
-            rec += 1
-    return X, Vel, work
-
-
-if HAS_NUMBA:
-    _sweep_numba = nb.njit(cache=True)(_sweep_loops)
-else:  # pragma: no cover
-    _sweep_numba = None
-
-
-def midpoint_sweep(L, M, K, bvolts, x0, v0, dt, rec_steps, backend=None):
-    """Run the midpoint recurrence on the selected backend."""
-    rec_steps = np.asarray(rec_steps, dtype=np.int64)
-    if backend is None:
-        backend = backend_name()
-    if backend == "numba":
-        if _sweep_numba is None:
-            raise ImportError("numba backend requested but numba is unavailable")
-        return _sweep_numba(L, M, K, bvolts, x0, v0, float(dt), rec_steps)
-    return _sweep_numpy(L, M, K, bvolts, x0, v0, float(dt), rec_steps)

@@ -316,44 +316,3 @@ def validate_spec(spec: ModelSpec) -> ValidatedModelSpec:
         voltages=voltages,
     )
 
-
-class CoefficientFields:
-    """Piecewise-constant composite coefficients of the patched beam.
-
-    With chi(x) the indicator of the patch interval:
-
-        rho(x)       = h1 rho_p chi + h0 rho_b
-        alpha(x)     = h1 alpha1_p chi + h0 alpha1_b
-        rho_tilde(x) = h1 h0^2 rho_p chi + rho_b h0^3 / 3
-        A(x)         = h1 h0^2 alpha1_p chi + alpha1_b h0^3 / 3
-    """
-
-    def __init__(self, vspec: ValidatedModelSpec):
-        if not vspec.is_patch:
-            raise InvalidGeometry("coefficient fields are defined for patch variants")
-        self.vspec = vspec
-        g = vspec.geometry
-        self.h0 = g.core_half_thickness
-        self.h1 = g.patch_thickness
-        self.span = (g.patch_start, g.patch_end)
-
-    def _chi(self, x):
-        a, b = self.span
-        x = np.asarray(x, dtype=float)
-        return ((x >= a) & (x <= b)).astype(float)
-
-    def rho(self, x):
-        b, p = self.vspec.beam, self.vspec.patch
-        return self.h1 * p.rho * self._chi(x) + self.h0 * b.rho
-
-    def alpha(self, x):
-        b, p = self.vspec.beam, self.vspec.patch
-        return self.h1 * p.alpha1 * self._chi(x) + self.h0 * b.alpha1
-
-    def rho_tilde(self, x):
-        b, p = self.vspec.beam, self.vspec.patch
-        return self.h1 * self.h0 ** 2 * p.rho * self._chi(x) + b.rho * self.h0 ** 3 / 3.0
-
-    def bending(self, x):
-        b, p = self.vspec.beam, self.vspec.patch
-        return self.h1 * self.h0 ** 2 * p.alpha1 * self._chi(x) + b.alpha1 * self.h0 ** 3 / 3.0

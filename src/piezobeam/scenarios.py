@@ -178,11 +178,14 @@ def _mirror_map(system: SemiDiscreteSystem):
     return perm, sign
 
 
-def _mirror_gap(A: np.ndarray, perm: np.ndarray, sign: np.ndarray) -> float:
-    mirrored = (sign[:, None] * sign[None, :]) * A[np.ix_(perm, perm)]
-    if np.array_equal(mirrored, A):
+def _mirror_gap(A, perm: np.ndarray, sign: np.ndarray) -> float:
+    """Largest entry of |D A[perm][:, perm] D - A|, D = diag(sign); exact."""
+    mirrored = A[perm][:, perm].tocoo()
+    mirrored.data *= sign[mirrored.row] * sign[mirrored.col]
+    mirrored = mirrored.tocsr()
+    if (mirrored != A).nnz == 0:
         return 0.0
-    return float(np.max(np.abs(mirrored - A)))
+    return float(abs(mirrored - A).max())
 
 
 def _negated(sig: VoltageSignal) -> VoltageSignal:
@@ -196,8 +199,11 @@ def _corrupt_coupling(system: SemiDiscreteSystem) -> SemiDiscreteSystem:
     B = system.B.copy()
     if "qB" in system.layout.fields:
         qb = system.dofs_of("qB")
-        K[np.ix_(bend, qb)] *= -1.0
-        K[np.ix_(qb, bend)] *= -1.0
+        rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+        cols = K.indices
+        flip = (np.isin(rows, bend) & np.isin(cols, qb)) | \
+            (np.isin(rows, qb) & np.isin(cols, bend))
+        K.data[flip] *= -1.0
     else:
         B[bend, 1] *= -1.0
     return replace(system, K=K, B=B, _caches={})
@@ -296,7 +302,7 @@ def static_solution(system: SemiDiscreteSystem, volts) -> np.ndarray:
     mech, charge = _grounded_charge_split(system)
     keep = np.sort(np.concatenate([mech, charge]))
     x = np.zeros(system.n_dofs)
-    x[keep] = solve_spd(system.K[np.ix_(keep, keep)], rhs[keep])
+    x[keep] = solve_spd(system.K[keep][:, keep], rhs[keep])
     return x
 
 
@@ -456,8 +462,8 @@ def pulse_time_of_flight(vspec: ValidatedModelSpec, n_elements: int = 512,
     L = vspec.geometry.length
 
     idx = np.concatenate([system.dofs_of("v"), system.dofs_of("q")])
-    m = system.M[np.ix_(idx, idx)]
-    k = system.K[np.ix_(idx, idx)]
+    m = system.M[idx][:, idx]
+    k = system.K[idx][:, idx]
     nodes = system.layout.node_positions("v")
     n_v = len(nodes)
 
@@ -474,7 +480,7 @@ def pulse_time_of_flight(vspec: ValidatedModelSpec, n_elements: int = 512,
     op = FactorizedOperator.build(m + (dt * dt / 4.0) * k)
     rec = np.arange(n_steps + 1, dtype=np.int64)
     _, Vel, _ = midpoint_sweep(op.L, m, k, np.zeros((n_steps, len(idx))),
-                               np.zeros(len(idx)), v0, dt, rec)
+                               np.zeros(len(idx)), v0, dt, rec, op.perm)
 
     t = rec * dt
     arrivals = []

@@ -60,7 +60,7 @@ class TestGoldenElementMatrices:
 
     def _block(self, A, name):
         idx = self.sys.dofs_of(name)
-        return A[np.ix_(idx, idx)]
+        return A.toarray()[np.ix_(idx, idx)]
 
     def test_axial_mass_and_stiffness(self):
         le = self.le
@@ -124,22 +124,22 @@ class TestGoldenElementMatrices:
     def test_decoupled_blocks_have_no_cross_terms(self):
         for a, b in (("v", "w"), ("v", "q"), ("w", "q")):
             ia, ib = self.sys.dofs_of(a), self.sys.dofs_of(b)
-            assert np.all(self.sys.K[np.ix_(ia, ib)] == 0.0)
-            assert np.all(self.sys.M[np.ix_(ia, ib)] == 0.0)
+            assert np.all(self.sys.K.toarray()[np.ix_(ia, ib)] == 0.0)
+            assert np.all(self.sys.M.toarray()[np.ix_(ia, ib)] == 0.0)
 
 
 class TestMatrixStructure:
     @pytest.mark.parametrize("variant,regime", ALL_COMBOS)
     def test_bitwise_symmetry(self, variant, regime):
         sysm = system_for(variant, regime, n=8)
-        assert np.array_equal(sysm.M, sysm.M.T)
-        assert np.array_equal(sysm.K, sysm.K.T)
+        assert np.array_equal(sysm.M.toarray(), sysm.M.T.toarray())
+        assert np.array_equal(sysm.K.toarray(), sysm.K.T.toarray())
 
     @pytest.mark.parametrize("variant,regime", ALL_COMBOS)
     def test_mass_positive_definite_stiffness_psd(self, variant, regime):
         sysm = system_for(variant, regime, n=8)
-        np.linalg.cholesky(sysm.M)  # raises if not PD
-        vals = np.linalg.eigvalsh(sysm.K)
+        np.linalg.cholesky(sysm.M.toarray())  # raises if not PD
+        vals = np.linalg.eigvalsh(sysm.K.toarray())
         assert vals.min() > -1e-12 * vals.max()
 
     def test_free_free_rigid_and_gauge_nullspace(self):
@@ -215,10 +215,10 @@ class TestBoundaryConditions:
                 variant, Regime.ELECTROSTATIC, n=8, bc=BoundaryCondition.CLAMPED_FREE
             )
             assert clamped.n_dofs == free.n_dofs - 3
-            np.linalg.cholesky(clamped.K)  # no rigid modes left
+            np.linalg.cholesky(clamped.K.toarray())  # no rigid modes left
             keep = clamped.free_dofs
-            assert np.array_equal(clamped.K, free.K[np.ix_(keep, keep)])
-            assert np.array_equal(clamped.M, free.M[np.ix_(keep, keep)])
+            assert np.array_equal(clamped.K.toarray(), free.K.toarray()[np.ix_(keep, keep)])
+            assert np.array_equal(clamped.M.toarray(), free.M.toarray()[np.ix_(keep, keep)])
             assert np.array_equal(clamped.B, free.B[keep])
 
     def test_embed_inverts_the_reduction(self, rng):

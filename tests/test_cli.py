@@ -1,15 +1,38 @@
 """End-to-end checks of the command line driver (in-process and subprocess)."""
 
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from piezobeam import __version__
-from piezobeam.cli import main
+from piezobeam.assembly import build_system
+from piezobeam.cli import _probe_position, main
+from piezobeam.config import parse_config, resolved_dt
+from piezobeam.forms import eval_field_at
 from piezobeam.output import read_csv
+from piezobeam.solvers import simulate
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHIPPED = [os.path.join(CONFIGS, name) for name in ("single_beam.ini", "patch_bimorph.ini")]
+
+
+def shipped_with(tmp_path, name, **solver):
+    """A shipped config with some [solver] keys rewritten."""
+    with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    for i, line in enumerate(lines):
+        key = line.partition("=")[0].strip()
+        if key in solver:
+            lines[i] = f"{key} = {solver[key]}"
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 SINGLE_INI = """\
 [model]
@@ -123,7 +146,7 @@ class TestSimulate:
         report = json.loads((out / "simulate_report.json").read_text())
         assert report["n_steps"] == 500
         assert report["dt"] == 0.001
-        assert report["backend"] in ("numpy", "numba")
+        assert report["backend"] == "sparse-banded"
         assert len(report["config_sha256"]) == 64
 
     def test_reruns_are_byte_identical(self, single_cfg, tmp_path):
@@ -139,6 +162,49 @@ class TestSimulate:
         for name in ("trajectory.svg", "energy.svg"):
             root = ET.fromstring((out / name).read_text())
             assert root.tag.endswith("svg")
+
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+    def test_probe_columns_match_pointwise_evaluation(self, path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", path, "--out", str(out)]) == 0
+        _, _, cols = read_csv(str(out / "trajectory.csv"))
+        with open(path, encoding="utf-8") as fh:
+            config = parse_config(fh.read())
+        system = build_system(config.validated(), config.n_elements)
+        zero = np.zeros(system.n_dofs)
+        traj = simulate(system, zero, zero, resolved_dt(config), config.t_end,
+                        stride=config.stride)
+        layout = system.layout
+        for field in layout.fields:
+            px = _probe_position(layout, field, config.probe)
+            ref = []
+            for x in traj.X:
+                full = system.embed(x)
+                arrays = {name: full[layout.dof_slice(name)] for name in layout.fields}
+                ref.append(eval_field_at(layout, arrays, field, px))
+            ref = np.array(ref)
+            got = cols[f"{field}_probe"]
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), field
+            if not config.validated().is_patch and field in ("w", "psi"):
+                assert np.all(got == 0.0), field
+
+    def test_large_patch_run_builds_no_dense_operator(self, tmp_path):
+        cfg = shipped_with(tmp_path, "patch_bimorph.ini", elements=2048, t_end=0.02,
+                           stride=1)
+        out = tmp_path / "run"
+        tracemalloc.start()
+        try:
+            assert main(["simulate", cfg, "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        report = json.loads((out / "simulate_report.json").read_text())
+        n = report["n_dofs"]
+        assert n > 10000
+        # one dense n x n float array would take 8 n^2 bytes (~840 MB here)
+        assert peak < 0.05 * 8 * n * n
+        assert report["max_balance_residual"] <= 1e-8 * report["max_energy"]
 
 
 class TestModes:
@@ -157,6 +223,19 @@ class TestModes:
         out = tmp_path / "run"
         assert main(["modes", single_cfg, "--out", str(out), "--svg"]) == 0
         assert (out / "modes.svg").is_file()
+
+    def test_lanczos_path_on_the_shipped_single_beam(self, tmp_path):
+        # 2052 dofs, above the dense limit: rigid modes and the charge gauge
+        # make K singular, which the negative shift must absorb.
+        cfg = shipped_with(tmp_path, "single_beam.ini", elements=512)
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["modes", cfg, "--out", str(out), "--n", "16"]) == 0
+            report = json.loads((out / "modes_report.json").read_text())
+            assert report["n_zero"] == 4
+            runs.append((out / "modes.csv").read_bytes())
+        assert runs[0] == runs[1]
 
 
 class TestCheck:
@@ -216,6 +295,14 @@ class TestErrorPaths:
         path.write_text(SINGLE_INI.replace("rho = 1.0", "rho = 1.0\nbogus = 2"))
         assert main(["simulate", str(path)]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_non_finite_value_exits_with_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(SINGLE_INI.replace("amplitude = 1.0", "amplitude = nan"))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 2
+        line = SINGLE_INI.splitlines().index("amplitude = 1.0") + 1
+        assert f"line {line}:" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "trajectory.csv").exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

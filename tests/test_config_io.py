@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from piezobeam.config import (
+    SECTION_KEYS,
     config_digest,
     heuristic_dt,
     parse_config,
@@ -133,7 +134,40 @@ class TestParsing:
         assert len(config_digest(a)) == 64
 
 
+NON_FLOAT_KEYS = {"variant", "regime", "bc", "kind", "elements", "stride"}
+FLOAT_KEYS = [(section, key) for section, keys in SECTION_KEYS.items()
+              for key in keys if key not in NON_FLOAT_KEYS]
+
+
+def with_value(text, section, key, value):
+    """text with `key = value` in [section] (replaced, or inserted right after
+    the header) and the 1-based line number of that entry."""
+    lines = text.splitlines()
+    start = lines.index(f"[{section}]")
+    end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("[")),
+               len(lines))
+    for i in range(start + 1, end):
+        if lines[i].partition("=")[0].strip() == key:
+            lines[i] = f"{key} = {value}"
+            break
+    else:
+        i = start + 1
+        lines.insert(i, f"{key} = {value}")
+    return "\n".join(lines) + "\n", i + 1
+
+
 class TestParseErrors:
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+    @pytest.mark.parametrize("section,key", FLOAT_KEYS,
+                             ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+    def test_non_finite_value_rejected_at_its_line(self, section, key, value):
+        base = SINGLE_INI if f"[{section}]" in SINGLE_INI else PATCH_INI
+        text, line = with_value(base, section, key, value)
+        with pytest.raises(ParseError) as exc:
+            parse_config(text)
+        (ln, msg), = exc.value.issues
+        assert ln == line and key in msg
+
     def test_unknown_key_reports_line_number(self):
         bad = SINGLE_INI.replace("rho = 1.0", "density = 1.0")
         with pytest.raises(UnknownKey) as exc:

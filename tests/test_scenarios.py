@@ -51,6 +51,16 @@ class TestSingleBeamDecoupling:
         # the voltage must actually do something to the stretching system
         assert report.metric("stretch_response_max").value > 0.0
 
+    @pytest.mark.parametrize("variant,regime", SINGLE_COMBOS)
+    def test_bending_stays_exactly_zero_at_512_elements(self, variant, regime):
+        vspec = make_spec(
+            variant, regime, voltage=VoltageSignal.sinusoid(2.0, 5.0)
+        )
+        report = check_single_beam_decoupling(vspec, n_elements=512, dt=1e-3, t_end=0.05)
+        assert report.metric("trajectory_bending_max").value == 0.0
+        assert report.metric("trajectory_bending_rate_max").value == 0.0
+        assert report.metric("stretch_response_max").value > 0.0
+
     def test_rejects_patch_variants(self):
         vspec = make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC)
         with pytest.raises(IllegalRegime):
@@ -85,6 +95,18 @@ class TestPatchVoltageSelectivity:
         )
         assert not report.passed
         assert report.metric("quiet_over_active_ratio").value > 1e-6
+
+    @pytest.mark.parametrize("variant,regime", PATCH_COMBOS)
+    def test_mirror_gaps_exact_at_512_elements(self, variant, regime):
+        vspec = make_spec(variant, regime, voltage=sinusoid_pair())
+        sysm = build_system(vspec, 512)
+        assert (sysm.K != sysm.K.T).nnz == 0
+        assert (sysm.M != sysm.M.T).nnz == 0
+        report = check_patch_voltage_selectivity(vspec, "symmetric", 512, 1e-3, 0.02)
+        for name in ("mass_mirror_gap", "stiffness_mirror_gap", "input_map_mirror_gap",
+                     "combined_load_on_quiet_block"):
+            assert report.metric(name).value == 0.0, name
+        assert report.passed
 
     def test_rejects_single_beam_and_unknown_mode(self):
         single = make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC)

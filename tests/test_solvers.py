@@ -1,10 +1,13 @@
 """Linear algebra helpers, eigenmodes and the implicit midpoint integrator."""
 
+import os
+
 import numpy as np
 import pytest
 
-from piezobeam import kernels
+from piezobeam import solvers
 from piezobeam.assembly import build_system
+from piezobeam.config import parse_config
 from piezobeam.errors import NotPositiveDefinite
 from piezobeam.kernels import midpoint_sweep
 from piezobeam.materials import (
@@ -24,16 +27,25 @@ from piezobeam.solvers import (
 
 from modelzoo import UNCOUPLED, make_spec
 
+SHIPPED = [os.path.join(os.path.dirname(__file__), "..", "configs", name)
+           for name in ("single_beam.ini", "patch_bimorph.ini")]
 
-def scalar_sweep(dt, n_steps, backend="numpy", k=1.0):
+
+def shipped_system(path):
+    with open(path, encoding="utf-8") as fh:
+        config = parse_config(fh.read())
+    return build_system(config.validated(), config.n_elements)
+
+
+def scalar_sweep(dt, n_steps, k=1.0):
     """Unit oscillator x'' = -k x, x(0)=1, run through midpoint_sweep."""
     M = np.eye(1)
     K = np.array([[k]])
-    L = np.linalg.cholesky(M + 0.25 * dt * dt * K)
+    op = FactorizedOperator.build(M + 0.25 * dt * dt * K)
     bvolts = np.zeros((n_steps, 1))
     rec = np.arange(n_steps + 1)
     return midpoint_sweep(
-        L, M, K, bvolts, np.array([1.0]), np.array([0.0]), dt, rec, backend=backend
+        op.L, M, K, bvolts, np.array([1.0]), np.array([0.0]), dt, rec, op.perm
     )
 
 
@@ -51,15 +63,49 @@ class TestSpdSolver:
         with pytest.raises(NotPositiveDefinite):
             FactorizedOperator.build(A)
 
-    def test_factorization_reusable_and_fingerprinted(self, rng):
+    def test_rejects_non_finite_matrix(self):
+        A = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(NotPositiveDefinite):
+            FactorizedOperator.build(A)
+
+    def test_banded_factor_keeps_decoupled_blocks_exact(self):
+        # The single beam's bending block is decoupled from stretching and
+        # charge: a load on the other fields must leave bending at exact
+        # zeros, which c05's bitwise check relies on.
+        sysm = build_system(make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC), 512)
+        op = step_operator(sysm, 1e-3)
+        assert op.L.shape[0] - 1 <= 3  # half-bandwidth after the ordering
+        bend = sysm.dofs_of("w")
+        b = np.ones(sysm.n_dofs)
+        b[bend] = 0.0
+        assert np.all(op.solve(b)[bend] == 0.0)
+
+    def test_refined_solve_is_accurate_on_a_stiff_coupled_system(self):
+        # Clamped patch model with grounded charges, condition ~1e8.  The
+        # reference is refined with extended-precision residuals until it is
+        # exact to round-off; an unrefined banded or dense solve misses it by
+        # ~1e-12 relative, the refined one by ~1e-16.
+        sysm = build_system(make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC,
+                                      bc=BoundaryCondition.CLAMPED_FREE), 32)
+        keep = np.concatenate([sysm.mechanical_dofs(), sysm.dofs_of("qT")[1:],
+                               sysm.dofs_of("qB")[1:]])
+        A = sysm.K[keep][:, keep]
+        b = (sysm.B @ np.ones(2))[keep]
+        dense = A.toarray()
+        ref = np.linalg.solve(dense, b)
+        for _ in range(3):
+            resid = b - dense.astype(np.longdouble) @ ref
+            ref = ref + np.linalg.solve(dense, resid.astype(float))
+        x = solve_spd(A, b)
+        assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_factorization_reusable(self, rng):
         R = rng.standard_normal((6, 6))
         A = R @ R.T + 6.0 * np.eye(6)
         op = FactorizedOperator.build(A)
         for _ in range(3):
             b = rng.standard_normal(6)
             assert np.allclose(A @ op.solve(b), b, rtol=1e-11, atol=1e-12)
-        assert op.fingerprint == FactorizedOperator.build(A).fingerprint
-        assert op.fingerprint != FactorizedOperator.build(A + np.eye(6)).fingerprint
 
 
 class TestEigenmodes:
@@ -97,6 +143,20 @@ class TestEigenmodes:
         gram = modes.shapes.T @ sysm.M @ modes.shapes
         assert np.allclose(gram, np.eye(modes.shapes.shape[1]), atol=1e-9)
         assert np.all(np.diff(modes.omegas) >= -1e-12)
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+    def test_shift_invert_branch_matches_dense_solve(self, path, monkeypatch):
+        sysm = shipped_system(path)
+        dense = eigenmodes(sysm.M, sysm.K, 16)
+        monkeypatch.setattr(solvers, "DENSE_LIMIT", sysm.n_dofs - 1)
+        lanczos = eigenmodes(sysm.M, sysm.K, 16)
+        assert lanczos.n_zero == dense.n_zero
+        z = dense.n_zero
+        assert np.allclose(lanczos.omegas[z:], dense.omegas[z:], rtol=1e-6, atol=0.0)
+        gram = lanczos.shapes.T @ (sysm.M @ lanczos.shapes)
+        assert np.allclose(gram, np.eye(16), atol=1e-9)
+        again = eigenmodes(sysm.M, sysm.K, 16)
+        assert np.array_equal(again.omegas, lanczos.omegas)
 
 
 class TestMidpointRecurrence:
@@ -152,49 +212,34 @@ class TestMidpointRecurrence:
         assert step_operator(sysm, 0.01) is not step_operator(sysm, 0.02)
 
 
-class TestBackends:
-    def test_numpy_and_uncompiled_loops_agree(self, rng):
-        # both spell out the same recurrence; accumulation order may shift
-        # the last bits, nothing more
-        n, steps = 7, 50
-        R = rng.standard_normal((n, n))
-        M = R @ R.T + n * np.eye(n)
-        D = rng.standard_normal((n, n))
-        K = D @ D.T
-        dt = 0.01
-        L = np.linalg.cholesky(M + 0.25 * dt * dt * K)
-        bvolts = rng.standard_normal((steps, n))
-        x0 = rng.standard_normal(n)
-        v0 = rng.standard_normal(n)
-        rec = np.arange(steps + 1, dtype=np.int64)
-        out_np = midpoint_sweep(L, M, K, bvolts, x0, v0, dt, rec, backend="numpy")
-        out_loops = kernels._sweep_loops(L, M, K, bvolts, x0, v0, dt, rec)
-        for a, b in zip(out_np, out_loops):
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-    def test_compiled_backend_matches_numpy_closely(self, rng):
-        n, steps = 7, 200
-        R = rng.standard_normal((n, n))
-        M = R @ R.T + n * np.eye(n)
-        D = rng.standard_normal((n, n))
-        K = D @ D.T
-        dt = 0.01
-        L = np.linalg.cholesky(M + 0.25 * dt * dt * K)
-        bvolts = rng.standard_normal((steps, n))
-        x0 = rng.standard_normal(n)
-        v0 = rng.standard_normal(n)
-        rec = np.arange(steps + 1, dtype=np.int64)
-        a = midpoint_sweep(L, M, K, bvolts, x0, v0, dt, rec, backend="numpy")
-        b = midpoint_sweep(L, M, K, bvolts, x0, v0, dt, rec, backend="numba")
-        scale = max(np.abs(a[0]).max(), 1.0)
-        assert np.abs(a[0] - b[0]).max() <= 1e-10 * scale
-        assert np.abs(a[1] - b[1]).max() <= 1e-10 * scale
-
-    def test_each_backend_is_deterministic(self, rng):
+class TestSweep:
+    def test_sweep_is_deterministic(self, rng):
         X1, V1, _ = scalar_sweep(0.05, 100)
         X2, V2, _ = scalar_sweep(0.05, 100)
         assert np.array_equal(X1, X2) and np.array_equal(V1, V2)
+
+    def test_matches_dense_reference_loop(self):
+        # The shipped patch model at 32 elements (165 dofs), stepped by the
+        # textbook recurrence with dense matrices and a general solver.
+        sysm = shipped_system(SHIPPED[1])
+        assert sysm.n_dofs == 165
+        dt, n_steps = 1e-3, 400
+        zero = np.zeros(sysm.n_dofs)
+        traj = simulate(sysm, zero, zero, dt=dt, t_end=n_steps * dt)
+        M, K = sysm.M.toarray(), sysm.K.toarray()
+        S = M + 0.25 * dt * dt * K
+        x, v = zero, zero
+        X, V = [x], [v]
+        for step in range(n_steps):
+            load = sysm.B @ sysm.voltages_at(dt * (step + 0.5))
+            rhs = M @ v - 0.25 * dt * dt * (K @ v) - dt * (K @ x) + dt * load
+            v_new = np.linalg.solve(S, rhs)
+            x, v = x + 0.5 * dt * (v + v_new), v_new
+            X.append(x)
+            V.append(v)
+        X, V = np.array(X), np.array(V)
+        assert np.abs(traj.X - X).max() <= 1e-12 * np.abs(X).max()
+        assert np.abs(traj.V - V).max() <= 1e-12 * np.abs(V).max()
 
 
 class TestSimulate:
@@ -239,9 +284,6 @@ class TestSimulate:
         traj = simulate(sysm, zero, zero, dt=0.01, t_end=0.05)
         w = traj.field_values("w")
         assert w.shape == (6, len(sysm.value_dofs_of("w")))
-        pt = traj.point(3)
-        assert pt.t == pytest.approx(0.03)
-        assert pt.total == pytest.approx(traj.total[3])
 
     def test_argument_validation(self):
         sysm = self._forced_system()
