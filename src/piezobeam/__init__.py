@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .errors import (
     ConfigError,
     ConvergenceFailure,
+    EnergyImbalance,
     IllegalRegime,
     InsufficientMeshes,
     InvalidGeometry,
@@ -67,7 +68,6 @@ from .solvers import (
     eigenmodes,
     simulate,
     solve_spd,
-    step_midpoint,
 )
 from .scenarios import (
     LimitStudy,

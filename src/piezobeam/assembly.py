@@ -14,7 +14,7 @@ regardless of thread environment (and to a dense np.add.at accumulation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
@@ -43,9 +43,7 @@ class SemiDiscreteSystem:
     K: scipy.sparse.csr_array
     B: np.ndarray
     free_dofs: np.ndarray
-    bc: BoundaryCondition | None = None
     charge_reduced: bool = False
-    _caches: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_dofs(self) -> int:
@@ -186,8 +184,6 @@ def apply_mechanical_bc(system: SemiDiscreteSystem, bc: BoundaryCondition) -> Se
         K=system.K[keep][:, keep],
         B=system.B[keep],
         free_dofs=system.free_dofs[keep],
-        bc=bc,
-        _caches={},
     )
 
 
@@ -243,7 +239,6 @@ def reduce_electrostatic(system: SemiDiscreteSystem) -> SemiDiscreteSystem:
         B=B_red,
         free_dofs=system.free_dofs[mech],
         charge_reduced=True,
-        _caches={},
     )
 
 
@@ -257,19 +252,3 @@ def build_system(vspec: ValidatedModelSpec, n_elements: int) -> SemiDiscreteSyst
         system = apply_mechanical_bc(system, vspec.mechanical_bc)
     return system
 
-
-def stored_energy_of(system: SemiDiscreteSystem, x: np.ndarray) -> float:
-    """0.5 x^T K x (matches forms.stored_energy on the embedded state)."""
-    return 0.5 * float(x @ (system.K @ x))
-
-
-def kinetic_energy_of(system: SemiDiscreteSystem, xdot: np.ndarray) -> float:
-    return 0.5 * float(xdot @ (system.M @ xdot))
-
-
-def magnetic_energy_of(system: SemiDiscreteSystem, xdot: np.ndarray) -> float:
-    q = system.charge_dofs()
-    if len(q) == 0:
-        return 0.0
-    vq = xdot[q]
-    return 0.5 * float(vq @ (system.M[q][:, q] @ vq))

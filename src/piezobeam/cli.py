@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .assembly import build_system
 from .config import RunConfig, config_digest, parse_config, resolved_dt
-from .errors import ConfigError, IllegalRegime, PiezobeamError
+from .errors import ConfigError, EnergyImbalance, IllegalRegime, PiezobeamError
 from .forms import interpolation_row
 from .kernels import backend_name
 from .layout import CHARGE_FIELDS
@@ -62,6 +62,12 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
     dt = resolved_dt(config)
     zero = np.zeros(system.n_dofs)
     traj = simulate(system, zero, zero, dt, config.t_end, stride=config.stride)
+    scale = float(np.max(traj.total))
+    resid = float(np.max(np.abs(traj.balance_residual)))
+    # c04's bound; NaN fails it too, so no non-finite run writes output
+    if not resid <= 1e-8 * scale:
+        raise EnergyImbalance(
+            f"energy balance residual {resid:.3e} exceeds 1e-8 * max energy {scale:.3e}")
 
     layout = system.layout
     probe = config.probe if config.probe is not None else vspec.geometry.length
@@ -91,8 +97,6 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
     write_csv(os.path.join(out, "energy.csv"), ["t"] + energy_names,
               [traj.t] + energy_cols, comments)
 
-    scale = float(np.max(traj.total)) if len(traj.t) else 0.0
-    resid = float(np.max(np.abs(traj.balance_residual)))
     write_json(os.path.join(out, "simulate_report.json"), {
         "config_sha256": config_digest(config),
         "backend": backend_name(),

@@ -63,6 +63,10 @@ class SingularStepMatrix(PiezobeamError):
     """Implicit midpoint step matrix M + (dt^2/4) K is not factorizable."""
 
 
+class EnergyImbalance(PiezobeamError):
+    """A run's energy change misses the injected work by more than round-off."""
+
+
 class ConvergenceFailure(PiezobeamError):
     """Iterative eigenvalue solve did not converge within its iteration cap."""
 

@@ -25,11 +25,11 @@ def midpoint_sweep(L, M, K, bvolts, x0, v0, dt, rec_steps, perm):
     of S[perm][:, perm], S = M + (dt^2/4) K; M and K are sparse (or dense)
     n x n operators in the original numbering.  bvolts holds the per-step
     load B @ V(t_mid), shape (n_steps, n).  rec_steps are the step indices
-    (ascending, starting at 0) at which the state is recorded.  Returns
+    at which the state is recorded: ascending, and rec_steps[0] must be 0
+    (the initial state is always recorded).  Returns
     (X, V, work) at the recorded steps; work is the cumulative
     midpoint-quadrature work integral, accumulated every step.
     """
-    rec_steps = np.asarray(rec_steps, dtype=np.int64)
     dt = float(dt)
     n = len(x0)
     n_steps = bvolts.shape[0]
@@ -42,11 +42,9 @@ def midpoint_sweep(L, M, K, bvolts, x0, v0, dt, rec_steps, perm):
     x = np.array(x0, dtype=float)
     v = np.array(v0, dtype=float)
     w = 0.0
-    rec = 0
-    if rec_steps[0] == 0:
-        X[0] = x
-        Vel[0] = v
-        rec = 1
+    X[0] = x
+    Vel[0] = v
+    rec = 1
     q = 0.25 * dt * dt
     for step in range(n_steps):
         # (M - q K) v - dt K x, with K read once

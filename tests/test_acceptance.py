@@ -24,12 +24,7 @@ from modelzoo import (
     UNCOUPLED,
     make_spec,
 )
-from piezobeam.assembly import (
-    build_system,
-    kinetic_energy_of,
-    reduce_electrostatic,
-    stored_energy_of,
-)
+from piezobeam.assembly import build_system, reduce_electrostatic
 from piezobeam.cli import main
 from piezobeam.forms import kinetic_energy, stored_energy
 from piezobeam.materials import (

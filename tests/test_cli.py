@@ -1,5 +1,7 @@
 """End-to-end checks of the command line driver (in-process and subprocess)."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,12 +11,15 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from piezobeam import __version__
+from piezobeam import __version__, scenarios
 from piezobeam.assembly import build_system
 from piezobeam.cli import _probe_position, main
 from piezobeam.config import parse_config, resolved_dt
 from piezobeam.forms import eval_field_at
+from piezobeam.materials import BoundaryCondition, Regime, Variant
 from piezobeam.output import read_csv
 from piezobeam.solvers import simulate
 
@@ -284,6 +289,88 @@ class TestLimit:
         path.write_text(PATCH_STATIC_INI)
         assert main(["limit", str(path), "--out", str(tmp_path / "r")]) == 2
 
+    @pytest.mark.parametrize("mus", ["5e-1,-1e-2", "nan,5e-1", "5e-1,inf",
+                                     "5e-1,0", "5e-2,5e-1", ""])
+    def test_rejects_bad_mu_list_before_building_a_system(
+            self, patch_cfg, tmp_path, capsys, monkeypatch, mus):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a system was built for a rejected mu list")
+
+        monkeypatch.setattr(scenarios, "build_system", unreachable)
+        out = tmp_path / "run"
+        assert main(["limit", patch_cfg, "--out", str(out), "--mu", mus]) == 2
+        assert "error: mu values" in capsys.readouterr().err
+        assert not (out / "limit.csv").exists()
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+_POSITIVE = _log_uniform(-6.0, 6.0)
+_SIGNED = st.tuples(st.sampled_from((-1.0, 1.0)), _POSITIVE).map(lambda p: p[0] * p[1])
+_GEOMETRY = {
+    False: {"length": 1.0, "thickness": 0.1},
+    True: {"length": 1.0, "core_half_thickness": 0.05, "patch_thickness": 0.03,
+           "patch_start": 0.25, "patch_end": 0.75},
+}
+
+
+@st.composite
+def config_texts(draw):
+    """INI text of a random short run: any variant, regime and boundary
+    condition, material constants spread over twelve decades."""
+    variant = draw(st.sampled_from(Variant))
+    sections = {"model": {
+        "variant": variant.value,
+        "regime": draw(st.sampled_from(Regime)).value,
+        "bc": draw(st.sampled_from(BoundaryCondition)).value,
+    }}
+    for layer in ("beam", "patch") if variant.is_patch else ("beam",):
+        sections[f"material.{layer}"] = {
+            key: draw(_SIGNED if key.startswith("gamma") else _POSITIVE)
+            for key in ("rho", "c11", "c55", "gamma31", "gamma15", "eps1", "eps3", "mu")}
+    sections["geometry"] = _GEOMETRY[variant.is_patch]
+    for name in ("voltage.top", "voltage.bottom") if variant.is_patch else ("voltage",):
+        sections[name] = {
+            "kind": draw(st.sampled_from(("zero", "constant", "step", "sinusoid"))),
+            "amplitude": draw(_SIGNED),
+            "frequency": draw(_log_uniform(-1.0, 2.0)),
+            "step_time": draw(st.floats(0.0, 0.05)),
+        }
+    sections["solver"] = {"elements": draw(st.integers(4, 8)),
+                          "dt": draw(_log_uniform(-5.0, -1.0)),
+                          "t_end": 0.05, "stride": 1}
+    return "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                     for name, keys in sections.items())
+
+
+class TestEveryConfig:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(text=config_texts())
+    def test_simulate_rejects_or_balances(self, text, tmp_path_factory):
+        # Either the run is refused with an error line, or its output is
+        # finite and meets c04's energy-balance bound.
+        base = tmp_path_factory.mktemp("prop")
+        path = base / "run.ini"
+        path.write_text(text)
+        out = base / "run"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["simulate", str(path), "--out", str(out)])
+        err = err.getvalue()
+        if code == 0:
+            _, _, traj = read_csv(str(out / "trajectory.csv"))
+            _, _, energy = read_csv(str(out / "energy.csv"))
+            for cols in (traj, energy):
+                assert all(np.all(np.isfinite(c)) for c in cols.values())
+            bound = 1e-8 * np.max(energy["E_total"])
+            assert np.max(np.abs(energy["balance_residual"])) <= bound
+        else:
+            assert code in (2, 3)
+            assert "error:" in err
+            assert not (out / "trajectory.csv").exists()
+
 
 class TestErrorPaths:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -303,6 +390,21 @@ class TestErrorPaths:
         line = SINGLE_INI.splitlines().index("amplitude = 1.0") + 1
         assert f"line {line}:" in capsys.readouterr().err
         assert not (tmp_path / "run" / "trajectory.csv").exists()
+
+    def test_unbalanced_run_exits_with_numerical_error(self, tmp_path, capsys):
+        # A piezo-stiffened core modulus of 1e16 against a mass density of
+        # 1e-4 leaves a free-free step matrix that factors, but so badly
+        # conditioned that the energy reaches ~1e78, far from the work put in.
+        path = tmp_path / "stiff.ini"
+        path.write_text(PATCH_STATIC_INI.replace(
+            "rho = 1.0\nc11 = 2.0\nc55 = 1.0\ngamma31 = 0.7\ngamma15 = 0.3\n"
+            "eps1 = 1.2\neps3 = 0.8\n",
+            "rho = 1e-4\nc11 = 100.0\nc55 = 1.0\ngamma31 = 1e5\ngamma15 = -1.0\n"
+            "eps1 = 1.0\neps3 = 1e-6\n", 1))
+        out = tmp_path / "run"
+        assert main(["simulate", str(path), "--out", str(out)]) == 3
+        assert "energy balance residual" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

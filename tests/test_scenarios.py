@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from piezobeam import solvers
 from piezobeam.assembly import build_system
-from piezobeam.errors import IllegalRegime, InsufficientMeshes
+from piezobeam.errors import ConvergenceFailure, IllegalRegime, InsufficientMeshes
 from piezobeam.materials import (
     MaterialParams,
     Regime,
@@ -158,6 +159,9 @@ class TestElectrostaticLimit:
             LimitStudy(mus=(0.1, 0.2), distances=(1.0, 2.0), static_gap=0.0, monotone=True)
         with pytest.raises(ValueError):
             LimitStudy(mus=(0.1, -0.2), distances=(1.0, 2.0), static_gap=0.0, monotone=True)
+        with pytest.raises(ValueError):
+            LimitStudy(mus=(0.1, float("nan")), distances=(1.0, 2.0), static_gap=0.0,
+                       monotone=True)
         single = LimitStudy(mus=(0.1,), distances=(1.0,), static_gap=0.0, monotone=True)
         assert single.monotone
 
@@ -203,6 +207,21 @@ class TestModalAnalysis:
             6.0 * co.alpha11 / co.rho / le**2 * (1.0 - np.cos(theta)) / (2.0 + np.cos(theta))
         )
         assert mode_frequency(vspec, n, "stretching", 1) == pytest.approx(exact, rel=1e-10)
+
+    def test_mode_frequency_above_the_dense_limit(self):
+        # 700 elements give 2103 dofs, so the modes come from shift-invert
+        # Lanczos, which cannot return every mode of the system.
+        vspec = make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC, beam=UNCOUPLED)
+        assert build_system(vspec, 700).n_dofs > solvers.DENSE_LIMIT
+        co = vspec.beam
+        for k in (1, 2, 3):
+            exact = k * np.pi * np.sqrt(co.alpha1 / co.rho)
+            assert mode_frequency(vspec, 700, "stretching", k) == pytest.approx(exact, rel=1e-3)
+
+    def test_mode_frequency_fails_once_every_mode_is_searched(self):
+        vspec = make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC)
+        with pytest.raises(ConvergenceFailure):
+            mode_frequency(vspec, 8, "charge", 1)
 
 
 class TestConvergence:

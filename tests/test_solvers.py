@@ -21,7 +21,6 @@ from piezobeam.solvers import (
     eigenmodes,
     simulate,
     solve_spd,
-    step_midpoint,
     step_operator,
 )
 
@@ -191,26 +190,6 @@ class TestMidpointRecurrence:
         assert np.abs(back.X[-1] - x0).max() <= 1e-10 * max(1.0, np.abs(x0).max())
         assert np.abs(back.V[-1] + v0).max() <= 1e-10 * max(1.0, np.abs(v0).max())
 
-    def test_single_step_helper_matches_sweep(self, rng):
-        vspec = make_spec(
-            Variant.SINGLE_EB, Regime.FULL_MAGNETIC,
-            voltage=VoltageSignal.sinusoid(1.0, 2.0),
-        )
-        sysm = build_system(vspec, 6)
-        x0 = rng.standard_normal(sysm.n_dofs)
-        v0 = rng.standard_normal(sysm.n_dofs)
-        traj = simulate(sysm, x0, v0, dt=0.01, t_end=0.03)
-        x, v = x0, v0
-        for i in range(3):
-            x, v = step_midpoint(sysm, x, v, t=0.01 * i, dt=0.01)
-        assert np.allclose(x, traj.X[-1], rtol=1e-12, atol=1e-14)
-        assert np.allclose(v, traj.V[-1], rtol=1e-12, atol=1e-14)
-
-    def test_step_operator_cached_per_dt(self):
-        sysm = build_system(make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC), 4)
-        assert step_operator(sysm, 0.01) is step_operator(sysm, 0.01)
-        assert step_operator(sysm, 0.01) is not step_operator(sysm, 0.02)
-
 
 class TestSweep:
     def test_sweep_is_deterministic(self, rng):
@@ -277,13 +256,6 @@ class TestSimulate:
         # the ledger balances: energy gained equals work injected
         scale = max(traj.total.max(), 1e-30)
         assert np.abs(traj.balance_residual).max() <= 1e-10 * scale
-
-    def test_trajectory_accessors(self, rng):
-        sysm = self._forced_system()
-        zero = np.zeros(sysm.n_dofs)
-        traj = simulate(sysm, zero, zero, dt=0.01, t_end=0.05)
-        w = traj.field_values("w")
-        assert w.shape == (6, len(sysm.value_dofs_of("w")))
 
     def test_argument_validation(self):
         sysm = self._forced_system()
