@@ -68,10 +68,6 @@ class DofLayout:
     fields: dict
     n_dofs: int
 
-    @property
-    def field_names(self) -> tuple:
-        return tuple(self.fields)
-
     def dof_slice(self, name: str) -> slice:
         f = self.fields[name]
         return slice(f.offset, f.offset + f.count)
@@ -198,14 +194,6 @@ class FieldState:
         coeffs = {n: x[layout.dof_slice(n)].copy() for n in layout.fields}
         vels = {n: xdot[layout.dof_slice(n)].copy() for n in layout.fields}
         return cls(layout, coeffs, vels)
-
-    def to_vectors(self):
-        x = np.zeros(self.layout.n_dofs)
-        xdot = np.zeros(self.layout.n_dofs)
-        for name in self.layout.fields:
-            x[self.layout.dof_slice(name)] = self.coeffs[name]
-            xdot[self.layout.dof_slice(name)] = self.velocities[name]
-        return x, xdot
 
 
 def interpolate_field(layout: DofLayout, name: str, f, df=None) -> np.ndarray:

@@ -259,11 +259,6 @@ class ValidatedModelSpec:
     def n_signals(self) -> int:
         return len(self.voltages)
 
-    @property
-    def charge_coeffs(self) -> DerivedCoefficients:
-        """Coefficients of the layer that carries the charge field(s)."""
-        return self.patch if self.is_patch else self.beam
-
 
 def validate_spec(spec: ModelSpec) -> ValidatedModelSpec:
     """Check variant/regime/geometry/voltage consistency.

@@ -43,14 +43,6 @@ class Mesh:
         ia, ib = self.patch_span
         return slice(ia, ib)
 
-    def element_mask(self, region: str) -> np.ndarray:
-        mask = np.zeros(self.n_elements, dtype=bool)
-        if region == "all":
-            mask[:] = True
-        else:
-            mask[self.patch_elements] = True
-        return mask
-
 
 def _apportion(total: int, weights) -> list:
     """Largest-remainder allocation of `total` among `weights`, >= 1 each."""

@@ -381,7 +381,7 @@ def mode_frequency(vspec: ValidatedModelSpec, n_elements: int, kind: str,
     """Frequency of the number-th nonzero mode whose energy class is `kind`.
 
     Searches the lowest 16 * number modes, doubling the count until the mode
-    turns up or every mode has been searched.
+    turns up or all n - 1 modes that eigenmodes can return have been searched.
     """
     system = build_system(vspec, n_elements)
     n_modes = 16 * number

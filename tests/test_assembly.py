@@ -184,7 +184,7 @@ class TestMatrixStructure:
         v = rng.standard_normal(sysm.n_dofs)
         for t in (0.0, 0.11, 0.37):
             expected = work_rate(sysm.state(x, v), t)
-            power = float(v @ sysm.B @ sysm.voltages_at(t))
+            power = float(v @ sysm.B @ [sig(t) for sig in sysm.vspec.voltages])
             assert power == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
 

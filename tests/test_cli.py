@@ -229,9 +229,9 @@ class TestModes:
         assert main(["modes", single_cfg, "--out", str(out), "--svg"]) == 0
         assert (out / "modes.svg").is_file()
 
-    def test_lanczos_path_on_the_shipped_single_beam(self, tmp_path):
-        # 2052 dofs, above the dense limit: rigid modes and the charge gauge
-        # make K singular, which the negative shift must absorb.
+    def test_reruns_are_byte_identical_on_the_shipped_single_beam(self, tmp_path):
+        # 2052 dofs: rigid modes and the charge gauge make K singular, which
+        # the negative shift of the Lanczos solve must absorb.
         cfg = shipped_with(tmp_path, "single_beam.ini", elements=512)
         runs = []
         for name in ("a", "b"):
@@ -241,6 +241,42 @@ class TestModes:
             assert report["n_zero"] == 4
             runs.append((out / "modes.csv").read_bytes())
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("n", ["35", "36", "100"])
+    def test_asking_for_every_mode_returns_all_but_one(self, single_cfg, tmp_path, n):
+        out = tmp_path / "run"
+        assert main(["modes", single_cfg, "--out", str(out), "--n", n]) == 0
+        comments, _, cols = read_csv(str(out / "modes.csv"))
+        assert any("dofs=36" in c for c in comments)
+        assert len(cols["index"]) == 35
+        report = json.loads((out / "modes_report.json").read_text())
+        assert report["n_modes"] == 35
+        assert report["n_zero"] == 4
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_rejects_a_mode_count_below_one(self, single_cfg, tmp_path, capsys, n):
+        out = tmp_path / "run"
+        assert main(["modes", single_cfg, "--out", str(out), "--n", n]) == 2
+        assert "number of modes must be >= 1" in capsys.readouterr().err
+        assert not (out / "modes.csv").exists()
+
+    @pytest.mark.parametrize("name, n_zero, n_dofs",
+                             [("single_beam.ini", 4, 8196), ("patch_bimorph.ini", 5, 10245)])
+    def test_large_run_builds_no_dense_operator(self, tmp_path, name, n_zero, n_dofs):
+        cfg = shipped_with(tmp_path, name, elements=2048)
+        out = tmp_path / "run"
+        tracemalloc.start()
+        try:
+            assert main(["modes", cfg, "--out", str(out), "--n", "16"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        comments, _, _ = read_csv(str(out / "modes.csv"))
+        assert any(f"dofs={n_dofs}" in c for c in comments)
+        report = json.loads((out / "modes_report.json").read_text())
+        assert report["n_zero"] == n_zero
+        # one dense n x n float array would take 8 n^2 bytes (~840 MB on the patch)
+        assert peak < 0.05 * 8 * n_dofs * n_dofs
 
 
 class TestCheck:
@@ -405,6 +441,17 @@ class TestErrorPaths:
         assert main(["simulate", str(path), "--out", str(out)]) == 3
         assert "energy balance residual" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("name", ["single_beam.ini", "patch_bimorph.ini"])
+    def test_check_with_a_vanishing_permeability_exits_with_numerical_error(
+            self, tmp_path, capsys, name):
+        # mu = 1e-18 leaves a step matrix that factors but cannot be solved
+        # to any accuracy; the energy ledger of the first run shows it.
+        cfg = shipped_with(tmp_path, name, mu="1e-18")
+        out = tmp_path / "run"
+        assert main(["check", cfg, "--out", str(out)]) == 3
+        assert "energy balance residual" in capsys.readouterr().err
+        assert not (out / "check_report.json").exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

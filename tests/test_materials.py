@@ -129,13 +129,11 @@ class TestSpecValidation:
         vspec = make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC)
         assert not vspec.is_patch and not vspec.is_mindlin
         assert vspec.n_signals == 1
-        assert vspec.charge_coeffs is vspec.beam
 
     def test_patch_spec_roundtrip(self):
         vspec = make_spec(Variant.PATCH_MT, Regime.ELECTROSTATIC)
         assert vspec.is_patch and vspec.is_mindlin
         assert vspec.n_signals == 2
-        assert vspec.charge_coeffs is vspec.patch
 
     def test_patch_variant_requires_patch_material(self):
         spec = ModelSpec(
