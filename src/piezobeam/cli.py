@@ -62,8 +62,7 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
     dt = resolved_dt(config)
     zero = np.zeros(system.n_dofs)
     traj = simulate(system, zero, zero, dt, config.t_end, stride=config.stride)
-    scale = float(np.max(traj.total))
-    resid = float(np.max(np.abs(traj.balance_residual)))
+    resid, scale = traj.balance
 
     layout = system.layout
     probe = config.probe if config.probe is not None else vspec.geometry.length

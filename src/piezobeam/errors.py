@@ -68,7 +68,7 @@ class EnergyImbalance(PiezobeamError):
 
 
 class ConvergenceFailure(PiezobeamError):
-    """Iterative eigenvalue solve did not converge within its iteration cap."""
+    """Eigenvalue solve did not converge, or found no gap at the zero modes."""
 
 
 class InsufficientMeshes(PiezobeamError):

@@ -253,6 +253,17 @@ class TestModes:
         assert report["n_modes"] == 35
         assert report["n_zero"] == 4
 
+    @pytest.mark.parametrize("path, n_zero", zip(SHIPPED, (4, 5)),
+                             ids=[os.path.basename(p) for p in SHIPPED])
+    def test_one_mode_still_counts_every_zero_mode(self, tmp_path, path, n_zero):
+        out = tmp_path / "run"
+        assert main(["modes", path, "--out", str(out), "--n", "1"]) == 0
+        report = json.loads((out / "modes_report.json").read_text())
+        assert report["n_modes"] == 1
+        assert report["n_zero"] == n_zero
+        _, _, cols = read_csv(str(out / "modes.csv"))
+        assert cols["is_zero"].tolist() == [1.0]
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_rejects_a_mode_count_below_one(self, single_cfg, tmp_path, capsys, n):
         out = tmp_path / "run"
@@ -264,19 +275,20 @@ class TestModes:
                              [("single_beam.ini", 4, 8196), ("patch_bimorph.ini", 5, 10245)])
     def test_large_run_builds_no_dense_operator(self, tmp_path, name, n_zero, n_dofs):
         cfg = shipped_with(tmp_path, name, elements=2048)
-        out = tmp_path / "run"
-        tracemalloc.start()
-        try:
-            assert main(["modes", cfg, "--out", str(out), "--n", "16"]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        comments, _, _ = read_csv(str(out / "modes.csv"))
-        assert any(f"dofs={n_dofs}" in c for c in comments)
-        report = json.loads((out / "modes_report.json").read_text())
-        assert report["n_zero"] == n_zero
-        # one dense n x n float array would take 8 n^2 bytes (~840 MB on the patch)
-        assert peak < 0.05 * 8 * n_dofs * n_dofs
+        for n in ("1", "2", "16"):
+            out = tmp_path / n
+            tracemalloc.start()
+            try:
+                assert main(["modes", cfg, "--out", str(out), "--n", n]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            comments, _, _ = read_csv(str(out / "modes.csv"))
+            assert any(f"dofs={n_dofs}" in c for c in comments)
+            report = json.loads((out / "modes_report.json").read_text())
+            assert report["n_zero"] == n_zero
+            # one dense n x n float array would take 8 n^2 bytes (~840 MB on the patch)
+            assert peak < 0.05 * 8 * n_dofs * n_dofs
 
 
 class TestCheck:

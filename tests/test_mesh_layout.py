@@ -207,6 +207,7 @@ class TestFieldState:
         x2 = np.concatenate([state.coeffs[n] for n in lay.fields])
         v2 = np.concatenate([state.velocities[n] for n in lay.fields])
         assert np.array_equal(x, x2) and np.array_equal(v, v2)
+        assert set(state.coeffs) == set(lay.fields)
 
     def test_missing_fields_zero_filled(self):
         lay = self._layout()

@@ -5,10 +5,11 @@ import os
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from piezobeam.assembly import build_system
 from piezobeam.config import parse_config
-from piezobeam.errors import NotPositiveDefinite
+from piezobeam.errors import ConvergenceFailure, NotPositiveDefinite
 from piezobeam.kernels import midpoint_sweep
 from piezobeam.materials import (
     BoundaryCondition,
@@ -131,12 +132,47 @@ class TestEigenmodes:
         # The count does not depend on how many modes are asked for.
         electro = build_system(make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC), 8)
         full = build_system(make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC), 8)
-        assert eigenmodes(electro.M, electro.K, k).n_zero == min(3, k)
-        assert eigenmodes(full.M, full.K, k).n_zero == min(4, k)
+        assert eigenmodes(electro.M, electro.K, k).n_zero == 3
+        assert eigenmodes(full.M, full.K, k).n_zero == 4
         clamped = build_system(
             make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC, bc=BoundaryCondition.CLAMPED_FREE), 8
         )
         assert eigenmodes(clamped.M, clamped.K, k).n_zero == 0
+
+    @pytest.mark.parametrize("low", [
+        [1e-11, 3.9e-10],                # a clamped beam's first two bending modes
+        [1e-17, 2e-17, 3e-17, 5e-11],    # a physical mode just above the threshold
+        [1e-17, 2e-17, 2e-11, 1e-8],     # a zero mode just below it
+    ], ids=["physical-below", "physical-near", "zero-near"])
+    def test_refuses_a_spectrum_without_a_gap_at_the_zero_threshold(self, low):
+        def pencil(low):
+            # M = I; the lowest eigenvalues of K are low * s, the rest of
+            # order s = mean(diag K) / mean(diag M).
+            bulk = np.linspace(1.0, 2.0, 40)
+            s = bulk.sum() / (len(low) + len(bulk))
+            K = scipy.sparse.diags(np.concatenate([np.array(low) * s, bulk])).tocsr()
+            return scipy.sparse.identity(K.shape[0], format="csr"), K
+
+        with pytest.raises(ConvergenceFailure, match="no clear gap"):
+            eigenmodes(*pencil(low), 16)
+        assert eigenmodes(*pencil([1e-17, 2e-17, 3e-17, 1e-9]), 16).n_zero == 3
+
+    def test_counts_zero_modes_past_the_first_solve(self):
+        # 20 zero modes, more than one solve of 16 modes returns
+        low = np.arange(1, 21) * 1e-17
+        K = scipy.sparse.diags(np.concatenate([low, np.linspace(1.0, 2.0, 40)])).tocsr()
+        modes = eigenmodes(scipy.sparse.identity(60, format="csr"), K, 1)
+        assert len(modes.omegas) == 1
+        assert modes.n_zero == 20
+
+    def test_refuses_to_count_zero_modes_on_a_too_fine_clamped_beam(self):
+        # At 8192 elements the first bending mode of a clamped beam falls to
+        # 1.6e-11 s, below the zero-mode threshold.
+        sysm = build_system(
+            make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC, bc=BoundaryCondition.CLAMPED_FREE),
+            8192)
+        with pytest.raises(ConvergenceFailure, match="no clear gap"):
+            eigenmodes(sysm.M, sysm.K, 16)
 
     def test_shapes_mass_orthonormal(self):
         sysm = build_system(make_spec(Variant.PATCH_MT, Regime.FULL_MAGNETIC), 8)
