@@ -21,6 +21,7 @@ from .forms import interpolation_row
 from .kernels import backend_name
 from .layout import CHARGE_FIELDS
 from .scenarios import (
+    _validated_mus,
     check_patch_voltage_selectivity,
     check_single_beam_decoupling,
     classify_mode,
@@ -36,7 +37,11 @@ _MOTION_FIELDS = ("v", "w", "psi")
 
 def _load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def _provenance(config: RunConfig, system) -> list:
@@ -61,7 +66,8 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
     system = build_system(vspec, config.n_elements)
     dt = resolved_dt(config)
     zero = np.zeros(system.n_dofs)
-    traj = simulate(system, zero, zero, dt, config.t_end, stride=config.stride)
+    traj = simulate(system, zero, zero, dt, config.t_end, stride=config.stride,
+                    velocities=False)
     resid, scale = traj.balance
 
     layout = system.layout
@@ -169,15 +175,12 @@ def cmd_check(config: RunConfig, out: str) -> int:
     vspec = config.validated()
     dt = resolved_dt(config)
     corrupt = os.environ.get("PIEZOBEAM_CORRUPT_COUPLING", "") == "1"
-    reports = []
     if vspec.is_patch:
-        for mode in ("symmetric", "antisymmetric"):
-            reports.append(check_patch_voltage_selectivity(
-                vspec, mode, config.n_elements, dt, config.t_end,
-                corrupt_sign=corrupt))
+        reports = check_patch_voltage_selectivity(
+            vspec, ("symmetric", "antisymmetric"), config.n_elements, dt, config.t_end,
+            corrupt_sign=corrupt)
     else:
-        reports.append(check_single_beam_decoupling(
-            vspec, config.n_elements, dt, config.t_end))
+        reports = [check_single_beam_decoupling(vspec, config.n_elements, dt, config.t_end)]
     passed = all(r.passed for r in reports)
     write_json(os.path.join(out, "check_report.json"), {
         "config_sha256": config_digest(config),
@@ -241,6 +244,16 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = _load_config(args.config)
+        # Command-line values are checked before any work, as configuration
+        # errors; any ValueError after that is a numerical failure (numpy's
+        # LinAlgError is one).
+        if args.command == "modes" and args.n < 1:
+            raise ConfigError(f"number of modes must be >= 1, got {args.n}")
+        if args.command == "limit":
+            try:
+                mus = _validated_mus(float(tok) for tok in args.mu.split(",") if tok.strip())
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         os.makedirs(args.out, exist_ok=True)
         if args.command == "simulate":
             return cmd_simulate(config, args.out, args.svg)
@@ -248,12 +261,11 @@ def main(argv=None) -> int:
             return cmd_modes(config, args.out, args.svg, args.n)
         if args.command == "check":
             return cmd_check(config, args.out)
-        mus = [float(tok) for tok in args.mu.split(",") if tok.strip()]
         return cmd_limit(config, args.out, args.svg, mus)
-    except (ConfigError, IllegalRegime, OSError, ValueError) as exc:
+    except (ConfigError, IllegalRegime, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PiezobeamError as exc:
+    except (PiezobeamError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

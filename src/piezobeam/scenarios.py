@@ -215,28 +215,13 @@ def _corrupt_coupling(system: SemiDiscreteSystem) -> SemiDiscreteSystem:
     return replace(system, K=K, B=B)
 
 
-def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, mode: str,
-                                    n_elements: int, dt: float, t_end: float,
-                                    corrupt_sign: bool = False) -> ScenarioReport:
-    """Equal voltages drive pure stretching; opposite voltages pure bending.
-
-    mode 'symmetric' applies (V, V) and requires the bending response to stay
-    below 1e-12 of the stretching scale; 'antisymmetric' applies (V, -V) and
-    requires the converse.  The underlying mirror symmetry of M, K and the
-    input map is asserted bitwise first.  corrupt_sign flips one coupling
-    block beforehand; the check must then fail (negative control).
-    """
-    if not vspec.is_patch:
-        raise IllegalRegime("voltage selectivity applies to patch variants only")
-    mode = mode.strip().lower()
-    if mode not in ("symmetric", "antisymmetric"):
-        raise ValueError(f"mode must be 'symmetric' or 'antisymmetric', got {mode!r}")
+def _selectivity_setup(vspec: ValidatedModelSpec, mode: str, n_elements: int,
+                       corrupt_sign: bool):
+    """System, structural checks, and quiet and active dofs of one drive."""
     sym = mode == "symmetric"
-
     base = vspec.voltages[0]
     pair = (base, base) if sym else (base, _negated(base))
-    vspec = replace(vspec, voltages=pair)
-    system = build_system(vspec, n_elements)
+    system = build_system(replace(vspec, voltages=pair), n_elements)
     if corrupt_sign:
         system = _corrupt_coupling(system)
 
@@ -253,13 +238,6 @@ def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, mode: str,
     quiet = _bending_dofs(system) if sym else system.dofs_of("v")
     active = system.dofs_of("v") if sym else _bending_dofs(system)
     load_quiet = float(np.max(np.abs((system.B @ u)[quiet])))
-
-    traj = simulate(system, np.zeros(system.n_dofs), np.zeros(system.n_dofs),
-                    dt, t_end)
-    scale = float(np.max(np.abs(traj.X[:, active])))
-    leak = float(np.max(np.abs(traj.X[:, quiet])))
-    ratio = leak / scale if scale > 0.0 else (0.0 if leak == 0.0 else np.inf)
-
     checks = [
         MetricCheck("mass_mirror_gap", gap_m, "kg", 0.0, "below",
                     "structural identity: top/bottom layers assemble identically"),
@@ -269,20 +247,56 @@ def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, mode: str,
                     "structural identity: mirror swaps the two voltage signals"),
         MetricCheck("combined_load_on_quiet_block", load_quiet, "N/V", 0.0, "below",
                     "structural identity: the drive lies in one symmetry class"),
-        MetricCheck("quiet_over_active_ratio", ratio, "1", 1e-12, "below",
-                    "mirror-symmetric dynamics leave the odd class unexcited"),
-        MetricCheck("active_response_max", scale, "m", basis="measured"),
     ]
-    if "qT" in system.layout.fields:
-        qt = traj.X[:, system.dofs_of("qT")]
-        qb = traj.X[:, system.dofs_of("qB")]
-        mism = qt - qb if sym else qt + qb
-        qs = float(np.max(np.abs(qt)))
-        mirror_gap = float(np.max(np.abs(mism))) / qs if qs > 0.0 else 0.0
-        checks.append(
-            MetricCheck("charge_mirror_gap", mirror_gap, "1", 1e-12, "below",
-                        "mirror-symmetric dynamics tie the two charge fields"))
-    return ScenarioReport(f"patch-selectivity-{mode}", tuple(checks))
+    return system, checks, quiet, active
+
+
+def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, mode, n_elements: int,
+                                    dt: float, t_end: float,
+                                    corrupt_sign: bool = False):
+    """Equal voltages drive pure stretching; opposite voltages pure bending.
+
+    mode 'symmetric' applies (V, V) and requires the bending response to stay
+    below 1e-12 of the stretching scale; 'antisymmetric' applies (V, -V) and
+    requires the converse.  The underlying mirror symmetry of M, K and the
+    input map is asserted bitwise first.  corrupt_sign flips one coupling
+    block beforehand; the check must then fail (negative control).  mode may
+    also be a sequence of modes: their systems then run in one batched sweep
+    and a tuple of reports comes back, in the same order.
+    """
+    if not vspec.is_patch:
+        raise IllegalRegime("voltage selectivity applies to patch variants only")
+    modes = [m.strip().lower() for m in ([mode] if isinstance(mode, str) else mode)]
+    for m in modes:
+        if m not in ("symmetric", "antisymmetric"):
+            raise ValueError(f"mode must be 'symmetric' or 'antisymmetric', got {m!r}")
+
+    setups = [_selectivity_setup(vspec, m, n_elements, corrupt_sign) for m in modes]
+    zeros = [np.zeros(system.n_dofs) for system, *_ in setups]
+    trajs = simulate([system for system, *_ in setups], zeros, zeros, dt, t_end,
+                     velocities=False)
+
+    reports = []
+    for m, (system, checks, quiet, active), traj in zip(modes, setups, trajs):
+        scale = float(np.max(np.abs(traj.X[:, active])))
+        leak = float(np.max(np.abs(traj.X[:, quiet])))
+        ratio = leak / scale if scale > 0.0 else (0.0 if leak == 0.0 else np.inf)
+        checks = checks + [
+            MetricCheck("quiet_over_active_ratio", ratio, "1", 1e-12, "below",
+                        "mirror-symmetric dynamics leave the odd class unexcited"),
+            MetricCheck("active_response_max", scale, "m", basis="measured"),
+        ]
+        if "qT" in system.layout.fields:
+            qt = traj.X[:, system.dofs_of("qT")]
+            qb = traj.X[:, system.dofs_of("qB")]
+            mism = qt - qb if m == "symmetric" else qt + qb
+            qs = float(np.max(np.abs(qt)))
+            mirror_gap = float(np.max(np.abs(mism))) / qs if qs > 0.0 else 0.0
+            checks.append(
+                MetricCheck("charge_mirror_gap", mirror_gap, "1", 1e-12, "below",
+                            "mirror-symmetric dynamics tie the two charge fields"))
+        reports.append(ScenarioReport(f"patch-selectivity-{m}", tuple(checks)))
+    return reports[0] if isinstance(mode, str) else tuple(reports)
 
 
 # --- electrostatic limit --------------------------------------------------------
@@ -317,25 +331,23 @@ def run_electrostatic_limit(vspec: ValidatedModelSpec, mus, n_elements: int,
     """Distance between the fully dynamic model and its charge-eliminated twin.
 
     For each mu (descending) both models run from rest under the spec's
-    voltages; the distance is the relative L2-in-time gap of the mechanical
-    displacement dofs.  The static gap compares the two equilibria under
-    constant unit voltages with the left end clamped (rigid motion removed).
+    voltages, all in one batched sweep; the distance is the relative
+    L2-in-time gap of the mechanical displacement dofs.  The static gap
+    compares the two equilibria under constant unit voltages with the left
+    end clamped (rigid motion removed).
     """
     if vspec.regime != Regime.FULL_MAGNETIC:
         raise IllegalRegime("the limit study starts from the fully dynamic regime")
     mus = _validated_mus(mus)
 
-    red_spec = replace(vspec, regime=Regime.ELECTROSTATIC)
-    red = build_system(red_spec, n_elements)
-    zero = np.zeros(red.n_dofs)
-    traj_red = simulate(red, zero, zero, dt, t_end)
+    systems = [build_system(replace(vspec, regime=Regime.ELECTROSTATIC), n_elements)]
+    systems += [build_system(_with_mu(vspec, mu), n_elements) for mu in mus]
+    zeros = [np.zeros(s.n_dofs) for s in systems]
+    traj_red, *trajs = simulate(systems, zeros, zeros, dt, t_end, velocities=False)
     den = float(np.sqrt(np.sum(traj_red.X ** 2)))
 
     distances = []
-    for mu in mus:
-        system = build_system(_with_mu(vspec, mu), n_elements)
-        z = np.zeros(system.n_dofs)
-        traj = simulate(system, z, z, dt, t_end)
+    for system, traj in zip(systems[1:], trajs):
         diff = traj.X[:, system.mechanical_dofs()] - traj_red.X
         num = float(np.sqrt(np.sum(diff ** 2)))
         distances.append(num / den if den > 0.0 else num)

@@ -29,7 +29,7 @@ import scipy.sparse.linalg
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConvergenceFailure, EnergyImbalance, NotPositiveDefinite, SingularStepMatrix
-from .kernels import midpoint_sweep
+from .kernels import Loads, midpoint_sweep
 
 if TYPE_CHECKING:
     from .assembly import SemiDiscreteSystem
@@ -70,6 +70,23 @@ class FactorizedOperator:
         if not np.all(np.isfinite(L[0])):
             raise NotPositiveDefinite("Cholesky factorization produced a non-finite pivot")
         return cls(L=L, perm=perm)
+
+    @classmethod
+    def stack(cls, ops) -> "FactorizedOperator":
+        """The factor of block_diag(A_1, A_2, ...) from the factors of its
+        blocks: each block keeps its own ordering and band, padded with
+        exact zeros to the widest one, so it solves bitwise as it does alone
+        as long as every half-bandwidth is below 16 (the tail length of the
+        BLAS dot product in the transposed banded solve; 3 on the single
+        beam, 12 on the patch model)."""
+        sizes = [op.L.shape[1] for op in ops]
+        offsets = np.cumsum([0] + sizes[:-1])
+        # Fortran order, as LAPACK returns it: pbtrs would copy anything else
+        # on every call.
+        L = np.zeros((max(op.L.shape[0] for op in ops), sum(sizes)), order="F")
+        for op, a in zip(ops, offsets):
+            L[:op.L.shape[0], a:a + op.L.shape[1]] = op.L
+        return cls(L=L, perm=np.concatenate([op.perm + a for op, a in zip(ops, offsets)]))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^-1 b for one right-hand side (n,) or several (n, k)."""
@@ -177,11 +194,14 @@ def step_operator(system: SemiDiscreteSystem, dt: float) -> FactorizedOperator:
 
 @dataclass
 class Trajectory:
-    """Recorded states plus the energy ledger of a simulation run."""
+    """Recorded states plus the energy ledger of a simulation run.
+
+    V is None when the run was asked not to keep velocities.
+    """
 
     t: np.ndarray
     X: np.ndarray
-    V: np.ndarray
+    V: np.ndarray | None
     kinetic: np.ndarray
     stored: np.ndarray
     magnetic: np.ndarray
@@ -208,68 +228,89 @@ class Trajectory:
 def _row_energies(A, Z: np.ndarray) -> np.ndarray:
     """0.5 z^T A z for every row z of Z, A sparse symmetric.
 
-    Rows go through in blocks, so the temporaries stay small next to the
-    recorded states themselves.
+    The products are summed strictly left to right, so a row's energy does
+    not depend on which rows share its chunk (einsum sums a lone contiguous
+    row in SIMD order, but several rows sequentially).  Z is one chunk of
+    recorded rows, so the temporaries stay as small as the sweep's.
     """
-    block = 256
-    out = np.empty(len(Z))
-    for i in range(0, len(Z), block):
-        z = Z[i:i + block]
-        out[i:i + block] = 0.5 * np.einsum("ri,ri->r", z, (A @ z.T).T)
-    return out
+    terms = Z * (A @ Z.T).T
+    return 0.5 * np.cumsum(terms, axis=1)[:, -1] if terms.shape[1] else np.zeros(len(Z))
 
 
-def simulate(system: SemiDiscreteSystem, x0, v0, dt: float, t_end: float,
-             stride: int = 1) -> Trajectory:
+def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
+             velocities: bool = True):
     """Integrate with the implicit midpoint rule and record every `stride` steps.
 
-    The only caller of the sweep; it factors the step matrix once per call.
-    The cumulative work integral is accumulated at every step (not just the
-    recorded ones) with the same midpoint quadrature the stepper uses, so the
-    energy-balance residual stays at round-off level for any stride.
-    Raises EnergyImbalance when the residual exceeds 1e-8 * max energy or is
-    not finite (criterion 4): such runs come from step matrices that factor
-    but are too ill-conditioned to solve.
+    `system` may also be a list of systems, with x0 and v0 lists of their
+    initial states: one sweep then advances all of them as the blocks of one
+    block-diagonal system, and a list of Trajectories comes back.  Each
+    block is bitwise the run it would be alone (see FactorizedOperator.stack
+    for the bandwidth condition), and one system is the one-block case.
+
+    The only caller of the sweep; it factors every block's step matrix once
+    per call.  The cumulative work integral is accumulated at every step (not
+    just the recorded ones) with the same midpoint quadrature the stepper
+    uses, so the energy-balance residual stays at round-off level for any
+    stride.  The ledger is computed a chunk of recorded rows at a time, so
+    with velocities=False (Trajectory.V is then None) no recorded velocity
+    outlives its chunk.  Raises EnergyImbalance, naming the block, when a
+    block's residual exceeds 1e-8 * its max energy or is not finite
+    (criterion 4): such runs come from step matrices that factor but are too
+    ill-conditioned to solve.
     """
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    n = system.n_dofs
-    if x0.shape != (n,) or v0.shape != (n,):
-        raise ValueError(f"initial state must have shape ({n},)")
+    many = isinstance(system, (list, tuple))
+    systems, x0s, v0s = (system, x0, v0) if many else ([system], [x0], [v0])
+    x0s = [np.asarray(x, dtype=float) for x in x0s]
+    v0s = [np.asarray(v, dtype=float) for v in v0s]
+    for s, x, v in zip(systems, x0s, v0s, strict=True):
+        if x.shape != (s.n_dofs,) or v.shape != (s.n_dofs,):
+            raise ValueError(f"initial state must have shape ({s.n_dofs},)")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
     n_steps = max(0, int(round(t_end / dt)))
-    op = step_operator(system, dt)
+    op = FactorizedOperator.stack([step_operator(s, dt) for s in systems])
 
     t_mid = dt * (np.arange(n_steps) + 0.5)
-    volts = np.column_stack([sig(t_mid) for sig in system.vspec.voltages])
-    bvolts = volts @ system.B.T
+    loads = Loads(
+        volts=tuple(np.column_stack([sig(t_mid) for sig in s.vspec.voltages]) for s in systems),
+        B=tuple(s.B for s in systems))
+    rec_steps = np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
 
-    rec_steps = list(range(0, n_steps + 1, stride))
-    if rec_steps[-1] != n_steps:
-        rec_steps.append(n_steps)
-    rec_steps = np.asarray(rec_steps, dtype=np.int64)
+    n_rec = len(rec_steps)
+    trajs = [Trajectory(t=rec_steps * dt, X=np.empty((n_rec, s.n_dofs)),
+                        V=np.empty((n_rec, s.n_dofs)) if velocities else None,
+                        kinetic=np.empty(n_rec), stored=np.empty(n_rec),
+                        magnetic=np.empty(n_rec), work=np.empty(n_rec)) for s in systems]
+    charge = [s.charge_dofs() for s in systems]
+    parts = [(b, s, traj, qd, s.M[qd][:, qd])
+             for b, s, traj, qd in zip(loads.blocks, systems, trajs, charge)]
 
-    X, V, work = midpoint_sweep(op.L, system.M, system.K, bvolts, x0, v0, dt,
-                                rec_steps, op.perm)
+    def record(i, X, V, work):
+        rows = slice(i, i + len(X))
+        for k, (b, s, traj, qd, Mqq) in enumerate(parts):
+            Xb, Vb = X[:, b], V[:, b]
+            traj.X[rows] = Xb
+            if velocities:
+                traj.V[rows] = Vb
+            traj.work[rows] = work[:, k]
+            traj.magnetic[rows] = _row_energies(Mqq, Vb[:, qd])
+            traj.kinetic[rows] = _row_energies(s.M, Vb) - traj.magnetic[rows]
+            traj.stored[rows] = _row_energies(s.K, Xb)
 
-    kin = _row_energies(system.M, V)
-    sto = _row_energies(system.K, X)
-    qd = system.charge_dofs()
-    mag = _row_energies(system.M[qd][:, qd], V[:, qd])
-    traj = Trajectory(
-        t=rec_steps * dt,
-        X=X,
-        V=V,
-        kinetic=kin - mag,
-        stored=sto,
-        magnetic=mag,
-        work=work,
-    )
-    resid, scale = traj.balance
-    if not resid <= 1e-8 * scale:  # NaN fails too
-        raise EnergyImbalance(
-            f"energy balance residual {resid:.3e} exceeds 1e-8 * max energy {scale:.3e}")
-    return traj
+    M, K = systems[0].M, systems[0].K  # one system needs no block_diag copy
+    if len(systems) > 1:
+        M = scipy.sparse.block_diag([s.M for s in systems], format="csr")
+        K = scipy.sparse.block_diag([s.K for s in systems], format="csr")
+    midpoint_sweep(op.L, M, K, loads, np.concatenate(x0s), np.concatenate(v0s), dt,
+                   rec_steps, op.perm, record)
+
+    for k, traj in enumerate(trajs):
+        resid, scale = traj.balance
+        if not resid <= 1e-8 * scale:  # NaN fails too
+            where = f"system {k} of {len(trajs)}: " if many else ""
+            raise EnergyImbalance(
+                f"{where}energy balance residual {resid:.3e} exceeds 1e-8 * max energy "
+                f"{scale:.3e}")
+    return trajs if many else trajs[0]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piezobeam import __version__, scenarios
+from piezobeam import __version__, cli, scenarios
 from piezobeam.assembly import build_system
 from piezobeam.cli import _probe_position, main
 from piezobeam.config import parse_config, resolved_dt
@@ -393,20 +393,31 @@ def config_texts(draw):
                      for name, keys in sections.items())
 
 
+def _run_cli(command, text, tmp_path_factory):
+    """(exit code, stderr, output directory) of one command on config text."""
+    base = tmp_path_factory.mktemp("prop")
+    path = base / "run.ini"
+    path.write_text(text)
+    out = base / "run"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, str(path), "--out", str(out)])
+    return code, err.getvalue(), out
+
+
+def _assert_refused(code, err, out, outputs):
+    assert code in (2, 3)
+    assert "error:" in err
+    assert not any((out / name).exists() for name in outputs)
+
+
 class TestEveryConfig:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(text=config_texts())
     def test_simulate_rejects_or_balances(self, text, tmp_path_factory):
         # Either the run is refused with an error line, or its output is
         # finite and meets c04's energy-balance bound.
-        base = tmp_path_factory.mktemp("prop")
-        path = base / "run.ini"
-        path.write_text(text)
-        out = base / "run"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(["simulate", str(path), "--out", str(out)])
-        err = err.getvalue()
+        code, err, out = _run_cli("simulate", text, tmp_path_factory)
         if code == 0:
             _, _, traj = read_csv(str(out / "trajectory.csv"))
             _, _, energy = read_csv(str(out / "energy.csv"))
@@ -415,9 +426,37 @@ class TestEveryConfig:
             bound = 1e-8 * np.max(energy["E_total"])
             assert np.max(np.abs(energy["balance_residual"])) <= bound
         else:
-            assert code in (2, 3)
-            assert "error:" in err
-            assert not (out / "trajectory.csv").exists()
+            _assert_refused(code, err, out, ("trajectory.csv", "energy.csv"))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(text=config_texts())
+    def test_check_rejects_or_reports(self, text, tmp_path_factory):
+        # Both patch drives run in one batched sweep.  A passing check writes
+        # a finite report; a failing one (exit 4) still writes its report.
+        code, err, out = _run_cli("check", text, tmp_path_factory)
+        if code in (0, 4):
+            report = json.loads((out / "check_report.json").read_text())
+            assert report["passed"] is (code == 0)
+            if code == 0:
+                values = [c["value"] for s in report["scenarios"] for c in s["checks"]]
+                assert np.all(np.isfinite(values))
+        else:
+            _assert_refused(code, err, out, ("check_report.json",))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(text=config_texts())
+    def test_limit_rejects_or_reports(self, text, tmp_path_factory):
+        # Five systems in one batched sweep; configs outside the fully
+        # dynamic regime are refused.  Exit 4 (not monotone) writes finite
+        # reports too: a zero drive leaves every distance at exactly 0.
+        code, err, out = _run_cli("limit", text, tmp_path_factory)
+        if code in (0, 4):
+            _, _, cols = read_csv(str(out / "limit.csv"))
+            report = json.loads((out / "limit_report.json").read_text())
+            assert report["monotone_decreasing"] is (code == 0)
+            assert np.all(np.isfinite(cols["distance"])) and np.isfinite(report["static_gap"])
+        else:
+            _assert_refused(code, err, out, ("limit.csv", "limit_report.json"))
 
 
 class TestErrorPaths:
@@ -464,6 +503,29 @@ class TestErrorPaths:
         assert main(["check", cfg, "--out", str(out)]) == 3
         assert "energy balance residual" in capsys.readouterr().err
         assert not (out / "check_report.json").exists()
+
+    def test_linear_algebra_failure_exits_with_numerical_error(
+            self, single_cfg, tmp_path, capsys, monkeypatch):
+        # numpy's LinAlgError is a ValueError; past the argument checks it
+        # must not pass for a configuration error.
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalue solver broke down")
+
+        monkeypatch.setattr(cli, "eigenmodes", broken)
+        out = tmp_path / "run"
+        assert main(["modes", single_cfg, "--out", str(out), "--n", "4"]) == 3
+        assert "error: eigenvalue solver broke down" in capsys.readouterr().err
+        assert not (out / "modes.csv").exists()
+
+    def test_undecodable_config_exits_with_config_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.ini"
+        path.write_bytes(b"[model]\nvariant = \xff\xfe\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert "is not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_numeric_mu_exits_with_config_error(self, patch_cfg, tmp_path, capsys):
+        assert main(["limit", patch_cfg, "--out", str(tmp_path / "r"), "--mu", "5e-1,x"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
 """Linear algebra helpers, eigenmodes and the implicit midpoint integrator."""
 
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ import scipy.sparse
 
 from piezobeam.assembly import build_system
 from piezobeam.config import parse_config
-from piezobeam.errors import ConvergenceFailure, NotPositiveDefinite
-from piezobeam.kernels import midpoint_sweep
+from piezobeam import kernels, scenarios
+from piezobeam.errors import ConvergenceFailure, EnergyImbalance, NotPositiveDefinite
+from piezobeam.kernels import Loads, midpoint_sweep
 from piezobeam.materials import (
     BoundaryCondition,
     Regime,
@@ -42,11 +45,16 @@ def scalar_sweep(dt, n_steps, k=1.0):
     M = np.eye(1)
     K = np.array([[k]])
     op = FactorizedOperator.build(M + 0.25 * dt * dt * K)
-    bvolts = np.zeros((n_steps, 1))
+    loads = Loads(volts=(np.zeros((n_steps, 1)),), B=(np.zeros((1, 1)),))
     rec = np.arange(n_steps + 1)
-    return midpoint_sweep(
-        op.L, M, K, bvolts, np.array([1.0]), np.array([0.0]), dt, rec, op.perm
-    )
+    X, V, work = np.empty((n_steps + 1, 1)), np.empty((n_steps + 1, 1)), np.empty(n_steps + 1)
+
+    def record(i, Xc, Vc, Wc):
+        X[i:i + len(Xc)], V[i:i + len(Xc)], work[i:i + len(Xc)] = Xc, Vc, Wc[:, 0]
+
+    midpoint_sweep(op.L, M, K, loads, np.array([1.0]), np.array([0.0]), dt, rec,
+                   op.perm, record)
+    return X, V, work
 
 
 class TestSpdSolver:
@@ -307,3 +315,102 @@ class TestSimulate:
             simulate(sysm, zero, zero, dt=0.01, t_end=0.1, stride=0)
         with pytest.raises(ValueError):
             simulate(sysm, zero, zero, dt=-0.01, t_end=0.1)
+
+
+def shipped_spec(path):
+    with open(path, encoding="utf-8") as fh:
+        config = parse_config(fh.read())
+    return config.validated(), config
+
+
+def assert_batch_is_separate_runs(systems, x0s, v0s, dt, t_end, stride=1):
+    """Every block of one batched sweep equals its own run, bit for bit."""
+    batch = simulate(systems, x0s, v0s, dt, t_end, stride=stride)
+    assert len(batch) == len(systems)
+    for k, (system, x0, v0, traj) in enumerate(zip(systems, x0s, v0s, batch)):
+        alone = simulate(system, x0, v0, dt, t_end, stride=stride)
+        for name in ("t", "X", "V", "kinetic", "stored", "magnetic", "work"):
+            assert np.array_equal(getattr(traj, name), getattr(alone, name)), (k, name)
+
+
+class TestBatch:
+    def test_limit_systems_run_as_one_sweep(self):
+        vspec, config = shipped_spec(SHIPPED[1])
+        systems = [build_system(replace(vspec, regime=Regime.ELECTROSTATIC), config.n_elements)]
+        systems += [build_system(scenarios._with_mu(vspec, mu), config.n_elements)
+                    for mu in (5e-1, 5e-2, 5e-3, 5e-4)]
+        zeros = [np.zeros(s.n_dofs) for s in systems]
+        assert_batch_is_separate_runs(systems, zeros, zeros, config.dt, config.t_end)
+
+    def test_patch_check_drives_run_as_one_sweep(self):
+        vspec, config = shipped_spec(SHIPPED[1])
+        systems = [scenarios._selectivity_setup(vspec, mode, config.n_elements, False)[0]
+                   for mode in ("symmetric", "antisymmetric")]
+        zeros = [np.zeros(s.n_dofs) for s in systems]
+        assert_batch_is_separate_runs(systems, zeros, zeros, config.dt, config.t_end)
+
+    @pytest.mark.parametrize("t_end", [0.5, 0.0])
+    def test_mixed_bandwidths_at_a_stride(self, rng, t_end):
+        systems = [shipped_system(SHIPPED[0]), shipped_system(SHIPPED[1]),
+                   shipped_system(SHIPPED[0])]
+        assert [step_operator(s, 1e-3).L.shape[0] - 1 for s in systems] == [3, 12, 3]
+        x0s = [1e-3 * rng.standard_normal(s.n_dofs) for s in systems]
+        v0s = [1e-3 * rng.standard_normal(s.n_dofs) for s in systems]
+        assert_batch_is_separate_runs(systems, x0s, v0s, 1e-3, t_end, stride=7)
+
+    @pytest.mark.parametrize("steps_per_chunk", [1, 5])
+    def test_chunk_size_changes_no_bit(self, rng, monkeypatch, steps_per_chunk):
+        # Loads, work and ledger are formed per chunk of steps; a chunk of
+        # one step records lone rows, whose energies must sum as in a block.
+        systems = [shipped_system(SHIPPED[1]), shipped_system(SHIPPED[0])]
+        x0s = [1e-3 * rng.standard_normal(s.n_dofs) for s in systems]
+        v0s = [1e-3 * rng.standard_normal(s.n_dofs) for s in systems]
+        default = simulate(systems, x0s, v0s, 1e-3, 0.3, stride=2)
+        n = sum(s.n_dofs for s in systems)
+        monkeypatch.setattr(kernels, "CHUNK_ENTRIES", steps_per_chunk * n)
+        small = simulate(systems, x0s, v0s, 1e-3, 0.3, stride=2)
+        for a, b in zip(default, small):
+            for name in ("X", "V", "kinetic", "stored", "magnetic", "work"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_without_velocities(self):
+        sysm = shipped_system(SHIPPED[1])
+        zero = np.zeros(sysm.n_dofs)
+        kept = simulate(sysm, zero, zero, 1e-3, 0.3)
+        dropped = simulate(sysm, zero, zero, 1e-3, 0.3, velocities=False)
+        assert dropped.V is None
+        for name in ("X", "kinetic", "stored", "magnetic", "work"):
+            assert np.array_equal(getattr(kept, name), getattr(dropped, name)), name
+
+    def test_unbalanced_block_is_named(self):
+        vspec, config = shipped_spec(SHIPPED[0])
+        systems = [build_system(scenarios._with_mu(vspec, mu), config.n_elements)
+                   for mu in (0.5, 1e-18, 0.05)]
+        zeros = [np.zeros(s.n_dofs) for s in systems]
+        with pytest.raises(EnergyImbalance, match="^system 1 of 3: energy balance residual"):
+            simulate(systems, zeros, zeros, config.dt, config.t_end)
+
+    def test_limit_study_memory(self):
+        # All five recorded trajectories live at once, without velocities and
+        # without an n_steps x n load: keeping either would exceed the bound.
+        vspec, config = shipped_spec(SHIPPED[1])
+        n_rec = int(round(config.t_end / config.dt)) + 1
+        n = sum(build_system(v, config.n_elements).n_dofs for v in
+                [replace(vspec, regime=Regime.ELECTROSTATIC)] + 4 * [vspec])
+        tracemalloc.start()
+        try:
+            scenarios.run_electrostatic_limit(vspec, (5e-1, 5e-2, 5e-3, 5e-4),
+                                              config.n_elements, config.dt, config.t_end)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n_rec * n * 8
+
+    def test_stacked_factor_solves_each_block(self, rng):
+        systems = [shipped_system(SHIPPED[0]), shipped_system(SHIPPED[1])]
+        ops = [step_operator(s, 1e-3) for s in systems]
+        stacked = FactorizedOperator.stack(ops)
+        assert stacked.L.flags.f_contiguous  # else every banded solve copies it
+        b = [rng.standard_normal(s.n_dofs) for s in systems]
+        x = stacked.solve(np.concatenate(b))
+        assert np.array_equal(x, np.concatenate([op.solve(bk) for op, bk in zip(ops, b)]))
