@@ -334,7 +334,8 @@ def run_electrostatic_limit(vspec: ValidatedModelSpec, mus, n_elements: int,
     voltages, all in one batched sweep; the distance is the relative
     L2-in-time gap of the mechanical displacement dofs.  The static gap
     compares the two equilibria under constant unit voltages with the left
-    end clamped (rigid motion removed).
+    end clamped (rigid motion removed).  IllegalRegime when the
+    electrostatic model never moves (zero drive or no steps): nothing to measure.
     """
     if vspec.regime != Regime.FULL_MAGNETIC:
         raise IllegalRegime("the limit study starts from the fully dynamic regime")
@@ -345,12 +346,13 @@ def run_electrostatic_limit(vspec: ValidatedModelSpec, mus, n_elements: int,
     zeros = [np.zeros(s.n_dofs) for s in systems]
     traj_red, *trajs = simulate(systems, zeros, zeros, dt, t_end, velocities=False)
     den = float(np.sqrt(np.sum(traj_red.X ** 2)))
+    if den == 0.0:
+        raise IllegalRegime("the electrostatic model never moves (zero drive or no steps)")
 
     distances = []
     for system, traj in zip(systems[1:], trajs):
         diff = traj.X[:, system.mechanical_dofs()] - traj_red.X
-        num = float(np.sqrt(np.sum(diff ** 2)))
-        distances.append(num / den if den > 0.0 else num)
+        distances.append(float(np.sqrt(np.sum(diff ** 2))) / den)
 
     ones = np.ones(vspec.n_signals)
     clamped = replace(vspec, mechanical_bc=BoundaryCondition.CLAMPED_FREE)

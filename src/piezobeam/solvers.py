@@ -29,7 +29,7 @@ import scipy.sparse.linalg
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConvergenceFailure, EnergyImbalance, NotPositiveDefinite, SingularStepMatrix
-from .kernels import Loads, midpoint_sweep
+from .kernels import midpoint_sweep
 
 if TYPE_CHECKING:
     from .assembly import SemiDiscreteSystem
@@ -40,6 +40,10 @@ if TYPE_CHECKING:
 # ones above 2.4e-10 s.  The two meet on finer meshes (2.2e-11 s and 6.2e-11 s
 # at 4096 elements): zero modes grow with K's conditioning, physical ones fall.
 ZERO_MODE_TOL = 3e-11
+
+# Entries of each per-chunk array of simulate (load, midpoint velocities,
+# recorded rows): a chunk holds CHUNK_ENTRIES // n steps, 512 KiB per array.
+CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -248,15 +252,16 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     for the bandwidth condition), and one system is the one-block case.
 
     The only caller of the sweep; it factors every block's step matrix once
-    per call.  The cumulative work integral is accumulated at every step (not
-    just the recorded ones) with the same midpoint quadrature the stepper
-    uses, so the energy-balance residual stays at round-off level for any
-    stride.  The ledger is computed a chunk of recorded rows at a time, so
-    with velocities=False (Trajectory.V is then None) no recorded velocity
-    outlives its chunk.  Raises EnergyImbalance, naming the block, when a
-    block's residual exceeds 1e-8 * its max energy or is not finite
-    (criterion 4): such runs come from step matrices that factor but are too
-    ill-conditioned to solve.
+    per call.  It feeds the sweep CHUNK_ENTRIES // n steps at a time, each
+    call continuing from the state the last one returned, and per chunk and
+    block forms the load B V(t_mid), the work integral (at every step, with
+    the stepper's midpoint quadrature, so the energy-balance residual stays
+    at round-off level for any stride) and the ledger of the recorded rows:
+    no n_steps x n array is formed, and with velocities=False
+    (Trajectory.V is then None) no recorded velocity outlives its chunk.
+    Raises EnergyImbalance, naming the block, when a block's residual
+    exceeds 1e-8 * its max energy or is not finite (criterion 4): such runs
+    come from step matrices that factor but are too ill-conditioned to solve.
     """
     many = isinstance(system, (list, tuple))
     systems, x0s, v0s = (system, x0, v0) if many else ([system], [x0], [v0])
@@ -273,9 +278,9 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     op = FactorizedOperator.stack([step_operator(s, dt) for s in systems])
 
     t_mid = dt * (np.arange(n_steps) + 0.5)
-    loads = Loads(
-        volts=tuple(np.column_stack([sig(t_mid) for sig in s.vspec.voltages]) for s in systems),
-        B=tuple(s.B for s in systems))
+    volts = [np.column_stack([sig(t_mid) for sig in s.vspec.voltages]) for s in systems]
+    ends = np.cumsum([s.n_dofs for s in systems]).tolist()
+    blocks = [slice(a, b) for a, b in zip([0] + ends, ends)]
     rec_steps = np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
 
     n_rec = len(rec_steps)
@@ -283,12 +288,22 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
                         V=np.empty((n_rec, s.n_dofs)) if velocities else None,
                         kinetic=np.empty(n_rec), stored=np.empty(n_rec),
                         magnetic=np.empty(n_rec), work=np.empty(n_rec)) for s in systems]
-    charge = [s.charge_dofs() for s in systems]
-    parts = [(b, s, traj, qd, s.M[qd][:, qd])
-             for b, s, traj, qd in zip(loads.blocks, systems, trajs, charge)]
+    parts = [(b, s, traj, qd, s.M[qd][:, qd]) for b, s, traj, qd in
+             zip(blocks, systems, trajs, [s.charge_dofs() for s in systems])]
 
-    def record(i, X, V, work):
-        rows = slice(i, i + len(X))
+    M, K = systems[0].M, systems[0].K  # one system needs no block_diag copy
+    if len(systems) > 1:
+        M = scipy.sparse.block_diag([s.M for s in systems], format="csr")
+        K = scipy.sparse.block_diag([s.K for s in systems], format="csr")
+    chunk = max(1, CHUNK_ENTRIES // ends[-1])
+    load = np.empty((min(chunk, n_steps), ends[-1]))
+    x, v = np.concatenate(x0s), np.concatenate(v0s)
+    total = np.zeros(len(systems))  # every block's work up to step a
+    # Row 0 is the initial state; each later pass records one chunk's rows.
+    X, V, work = x[None], v[None], total[None]
+    done = a = 0
+    while True:
+        rows = slice(done, done + len(X))
         for k, (b, s, traj, qd, Mqq) in enumerate(parts):
             Xb, Vb = X[:, b], V[:, b]
             traj.X[rows] = Xb
@@ -298,13 +313,26 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
             traj.magnetic[rows] = _row_energies(Mqq, Vb[:, qd])
             traj.kinetic[rows] = _row_energies(s.M, Vb) - traj.magnetic[rows]
             traj.stored[rows] = _row_energies(s.K, Xb)
-
-    M, K = systems[0].M, systems[0].K  # one system needs no block_diag copy
-    if len(systems) > 1:
-        M = scipy.sparse.block_diag([s.M for s in systems], format="csr")
-        K = scipy.sparse.block_diag([s.K for s in systems], format="csr")
-    midpoint_sweep(op.L, M, K, loads, np.concatenate(x0s), np.concatenate(v0s), dt,
-                   rec_steps, op.perm, record)
+        done = rows.stop
+        del X, V, Xb, Vb  # no chunk's rows outlive its ledger
+        if a == n_steps:
+            break
+        m = min(chunk, n_steps - a)
+        for volts_s, s, b in zip(volts, systems, blocks):
+            np.matmul(volts_s[a:a + m], s.B.T, out=load[:m, b])
+        rec = rec_steps[done:np.searchsorted(rec_steps, a + m, side="right")] - a
+        x, v, X, V, vbar = midpoint_sweep(op.L, M, K, load[:m], x, v, dt, rec, op.perm)
+        # Work increments dt * vbar . load, one dot product per step and
+        # block, summed in step order after the previous total.
+        inc = np.empty((m + 1, len(systems)))
+        inc[0] = total
+        for k, b in enumerate(blocks):
+            inc[1:, k] = np.matmul(vbar[:, None, b], load[:m, b, None])[:, 0, 0]
+        del vbar
+        inc[1:] *= dt
+        cum = np.cumsum(inc, axis=0)
+        total, work = cum[-1], cum[rec]
+        a += m
 
     for k, traj in enumerate(trajs):
         resid, scale = traj.balance

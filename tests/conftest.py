@@ -5,6 +5,7 @@ run, the hook below prints one pass/fail line per criterion so the overall
 gate can be read at a glance.
 """
 
+import os
 import re
 
 import numpy as np
@@ -25,6 +26,14 @@ CRITERIA = {
 }
 
 _PATTERN = re.compile(r"test_acceptance\.py::test_(c\d\d)_")
+
+
+def pytest_configure(config):
+    # pyproject's pythonpath setting puts src/ on sys.path of this process
+    # only; the subprocess tests (c11, the console entry point) import the
+    # package from the same src/ through PYTHONPATH.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

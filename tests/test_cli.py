@@ -28,7 +28,7 @@ SHIPPED = [os.path.join(CONFIGS, name) for name in ("single_beam.ini", "patch_bi
 
 
 def shipped_with(tmp_path, name, **solver):
-    """A shipped config with some [solver] keys rewritten."""
+    """A shipped config with some keys rewritten, in every section that has them."""
     with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     for i, line in enumerate(lines):
@@ -332,6 +332,16 @@ class TestLimit:
         assert header == ["mu", "distance"]
         assert cols["distance"][0] > cols["distance"][1] > 0.0
 
+    @pytest.mark.parametrize("keys", [{"kind": "zero"}, {"t_end": 0.0004}])
+    def test_refuses_a_run_that_never_moves(self, tmp_path, capsys, keys):
+        # A zero drive, or t_end < dt/2 (no steps), leaves the electrostatic
+        # model at rest: every distance would be 0, a study of nothing.
+        out = tmp_path / "run"
+        cfg = shipped_with(tmp_path, "patch_bimorph.ini", **keys)
+        assert main(["limit", cfg, "--out", str(out)]) == 2
+        assert "error: the electrostatic model never moves" in capsys.readouterr().err
+        assert not (out / "limit.csv").exists() and not (out / "limit_report.json").exists()
+
     def test_rejects_electrostatic_config(self, tmp_path):
         path = tmp_path / "static.ini"
         path.write_text(PATCH_STATIC_INI)
@@ -447,8 +457,9 @@ class TestEveryConfig:
     @given(text=config_texts())
     def test_limit_rejects_or_reports(self, text, tmp_path_factory):
         # Five systems in one batched sweep; configs outside the fully
-        # dynamic regime are refused.  Exit 4 (not monotone) writes finite
-        # reports too: a zero drive leaves every distance at exactly 0.
+        # dynamic regime, and runs whose electrostatic model never moves
+        # (zero drive, no steps), are refused.  Exit 4 (not monotone) writes
+        # finite reports too.
         code, err, out = _run_cli("limit", text, tmp_path_factory)
         if code in (0, 4):
             _, _, cols = read_csv(str(out / "limit.csv"))

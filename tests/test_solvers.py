@@ -11,9 +11,9 @@ import scipy.sparse
 
 from piezobeam.assembly import build_system
 from piezobeam.config import parse_config
-from piezobeam import kernels, scenarios
+from piezobeam import scenarios, solvers
 from piezobeam.errors import ConvergenceFailure, EnergyImbalance, NotPositiveDefinite
-from piezobeam.kernels import Loads, midpoint_sweep
+from piezobeam.kernels import midpoint_sweep
 from piezobeam.materials import (
     BoundaryCondition,
     Regime,
@@ -45,16 +45,11 @@ def scalar_sweep(dt, n_steps, k=1.0):
     M = np.eye(1)
     K = np.array([[k]])
     op = FactorizedOperator.build(M + 0.25 * dt * dt * K)
-    loads = Loads(volts=(np.zeros((n_steps, 1)),), B=(np.zeros((1, 1)),))
-    rec = np.arange(n_steps + 1)
-    X, V, work = np.empty((n_steps + 1, 1)), np.empty((n_steps + 1, 1)), np.empty(n_steps + 1)
-
-    def record(i, Xc, Vc, Wc):
-        X[i:i + len(Xc)], V[i:i + len(Xc)], work[i:i + len(Xc)] = Xc, Vc, Wc[:, 0]
-
-    midpoint_sweep(op.L, M, K, loads, np.array([1.0]), np.array([0.0]), dt, rec,
-                   op.perm, record)
-    return X, V, work
+    x0, v0, load = np.array([1.0]), np.array([0.0]), np.zeros((n_steps, 1))
+    _, _, X, V, vbar = midpoint_sweep(op.L, M, K, load, x0, v0, dt,
+                                      np.arange(1, n_steps + 1), op.perm)
+    work = np.cumsum(np.append(0.0, dt * (vbar * load).sum(axis=1)))
+    return np.vstack([x0, X]), np.vstack([v0, V]), work
 
 
 class TestSpdSolver:
@@ -269,6 +264,29 @@ class TestSweep:
         assert np.abs(traj.X - X).max() <= 1e-12 * np.abs(X).max()
         assert np.abs(traj.V - V).max() <= 1e-12 * np.abs(V).max()
 
+    @pytest.mark.parametrize("split", [1, 112, 299])
+    def test_two_calls_continue_as_one(self, rng, split):
+        # A forced patch run cut at any step, the second call starting from
+        # the state the first returned, is bitwise the run made in one call.
+        sysm = shipped_system(SHIPPED[1])
+        dt, n_steps = 1e-3, 300
+        op = step_operator(sysm, dt)
+        t_mid = dt * (np.arange(n_steps) + 0.5)
+        load = np.column_stack([sig(t_mid) for sig in sysm.vspec.voltages]) @ sysm.B.T
+        x0 = 1e-3 * rng.standard_normal(sysm.n_dofs)
+        v0 = 1e-3 * rng.standard_normal(sysm.n_dofs)
+        rec = np.arange(7, n_steps + 1, 7)
+        L, M, K = op.L, sysm.M, sysm.K
+        whole = midpoint_sweep(L, M, K, load, x0, v0, dt, rec, op.perm)
+        x1, v1, X1, V1, vbar1 = midpoint_sweep(L, M, K, load[:split], x0, v0, dt,
+                                               rec[rec <= split], op.perm)
+        x2, v2, X2, V2, vbar2 = midpoint_sweep(L, M, K, load[split:], x1, v1, dt,
+                                               rec[rec > split] - split, op.perm)
+        for got, want in zip((x2, v2, np.vstack([X1, X2]), np.vstack([V1, V2]),
+                              np.vstack([vbar1, vbar2])), whole):
+            assert np.array_equal(got, want)
+        assert len(whole[2]) == len(rec) and len(whole[4]) == n_steps
+
 
 class TestSimulate:
     def _forced_system(self):
@@ -367,7 +385,7 @@ class TestBatch:
         v0s = [1e-3 * rng.standard_normal(s.n_dofs) for s in systems]
         default = simulate(systems, x0s, v0s, 1e-3, 0.3, stride=2)
         n = sum(s.n_dofs for s in systems)
-        monkeypatch.setattr(kernels, "CHUNK_ENTRIES", steps_per_chunk * n)
+        monkeypatch.setattr(solvers, "CHUNK_ENTRIES", steps_per_chunk * n)
         small = simulate(systems, x0s, v0s, 1e-3, 0.3, stride=2)
         for a, b in zip(default, small):
             for name in ("X", "V", "kinetic", "stored", "magnetic", "work"):
@@ -405,6 +423,23 @@ class TestBatch:
         finally:
             tracemalloc.stop()
         assert peak < 2 * n_rec * n * 8
+
+    def test_one_system_memory(self):
+        # One system at stride 1 without velocities holds its recorded states
+        # plus a few chunk-sized arrays: keeping a chunk's recorded rows and
+        # midpoint velocities alive through the next sweep exceeds the bound.
+        vspec, config = shipped_spec(SHIPPED[0])
+        sysm = build_system(vspec, config.n_elements)
+        zero = np.zeros(sysm.n_dofs)
+        tracemalloc.start()
+        try:
+            traj = simulate(sysm, zero, zero, config.dt, 8.0, stride=1, velocities=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_rec, n = traj.X.shape
+        assert (n_rec, n) == (8001, 132)
+        assert peak < n_rec * n * 8 + 8 * solvers.CHUNK_ENTRIES * 8
 
     def test_stacked_factor_solves_each_block(self, rng):
         systems = [shipped_system(SHIPPED[0]), shipped_system(SHIPPED[1])]
