@@ -14,11 +14,6 @@ import math
 import numpy as np
 
 
-def fmt(x: float) -> str:
-    """Locale-independent full-precision decimal text for one float."""
-    return format(float(x), ".17g")
-
-
 def write_csv(path, header, columns, comments=()) -> None:
     """Write named columns; '#' comment lines carry provenance."""
     cols = [np.asarray(c, dtype=float) for c in columns]
@@ -29,8 +24,8 @@ def write_csv(path, header, columns, comments=()) -> None:
         raise ValueError("columns must share one length")
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    for i in range(n):
-        lines.append(",".join(fmt(c[i]) for c in cols))
+    row = ",".join(["%.17g"] * len(cols))
+    lines.extend(row % values for values in zip(*(c.tolist() for c in cols)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -137,7 +137,9 @@ def check_single_beam_decoupling(vspec: ValidatedModelSpec, n_elements: int,
     The bending rows of the input map are structurally zero for single-beam
     variants, and the bending block of the step matrix factors independently,
     so from zero initial data the bending dofs remain bitwise zero; both
-    facts are checked, the second on a simulated trajectory.
+    facts are checked, the second on a simulated trajectory.  IllegalRegime
+    when the beam never stretches (zero drive or no steps): a bending
+    response of zero would then show nothing.
     """
     if vspec.is_patch:
         raise IllegalRegime("decoupling check applies to single-beam variants only")
@@ -150,6 +152,8 @@ def check_single_beam_decoupling(vspec: ValidatedModelSpec, n_elements: int,
     x_bend = float(np.max(np.abs(traj.X[:, bend]))) if len(bend) else 0.0
     v_bend = float(np.max(np.abs(traj.V[:, bend]))) if len(bend) else 0.0
     stretch = float(np.max(np.abs(traj.X[:, system.dofs_of("v")])))
+    if stretch == 0.0:
+        raise IllegalRegime("the beam never stretches (zero drive or no steps)")
 
     checks = (
         MetricCheck("input_map_bending_rows_max", b_rows, "N/V", 0.0, "below",
@@ -262,7 +266,9 @@ def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, mode, n_elements:
     input map is asserted bitwise first.  corrupt_sign flips one coupling
     block beforehand; the check must then fail (negative control).  mode may
     also be a sequence of modes: their systems then run in one batched sweep
-    and a tuple of reports comes back, in the same order.
+    and a tuple of reports comes back, in the same order.  IllegalRegime
+    when a drive never moves its active class (zero drive or no steps):
+    there is no scale to measure the leak against.
     """
     if not vspec.is_patch:
         raise IllegalRegime("voltage selectivity applies to patch variants only")
@@ -279,10 +285,11 @@ def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, mode, n_elements:
     reports = []
     for m, (system, checks, quiet, active), traj in zip(modes, setups, trajs):
         scale = float(np.max(np.abs(traj.X[:, active])))
+        if scale == 0.0:
+            raise IllegalRegime(f"the {m} drive never moves the beam (zero drive or no steps)")
         leak = float(np.max(np.abs(traj.X[:, quiet])))
-        ratio = leak / scale if scale > 0.0 else (0.0 if leak == 0.0 else np.inf)
         checks = checks + [
-            MetricCheck("quiet_over_active_ratio", ratio, "1", 1e-12, "below",
+            MetricCheck("quiet_over_active_ratio", leak / scale, "1", 1e-12, "below",
                         "mirror-symmetric dynamics leave the odd class unexcited"),
             MetricCheck("active_response_max", scale, "m", basis="measured"),
         ]

@@ -19,7 +19,7 @@ factorization serves every solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,7 +29,7 @@ import scipy.sparse.linalg
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConvergenceFailure, EnergyImbalance, NotPositiveDefinite, SingularStepMatrix
-from .kernels import midpoint_sweep
+from .kernels import cholesky_solve, midpoint_sweep
 
 if TYPE_CHECKING:
     from .assembly import SemiDiscreteSystem
@@ -52,12 +52,22 @@ class FactorizedOperator:
 
     perm is a reverse Cuthill-McKee ordering of A's sparsity graph and L the
     lower banded factor (LAPACK storage, shape (p+1, n), p the half-bandwidth)
-    of A[perm][:, perm].  Exact zeros of A between decoupled blocks stay exact
-    zeros in L, so a block without load solves to bitwise zero.
+    of A[perm][:, perm].  U = L^T in upper band storage is formed once, on
+    construction, so that both triangular solves run forward.  L and U are
+    Fortran ordered: BLAS would copy anything else on every solve.  Exact
+    zeros of A between decoupled blocks stay exact zeros in L, so a block
+    without load solves to bitwise zero.
     """
 
     L: np.ndarray
     perm: np.ndarray
+    U: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p, n = self.L.shape[0] - 1, self.L.shape[1]
+        self.U = np.zeros(self.L.shape, order="F")
+        for d in range(p + 1):  # band row p - d of U is row d of L, d columns on
+            self.U[p - d, d:] = self.L[d, :n - d]
 
     @classmethod
     def build(cls, A) -> "FactorizedOperator":
@@ -79,24 +89,26 @@ class FactorizedOperator:
     def stack(cls, ops) -> "FactorizedOperator":
         """The factor of block_diag(A_1, A_2, ...) from the factors of its
         blocks: each block keeps its own ordering and band, padded with
-        exact zeros to the widest one, so it solves bitwise as it does alone
-        as long as every half-bandwidth is below 16 (the tail length of the
-        BLAS dot product in the transposed banded solve; 3 on the single
-        beam, 12 on the patch model)."""
+        exact zeros to the widest one.  Both solves update the solution by
+        axpy, one column at a time, and a padded zero adds an exact zero,
+        so each block solves bitwise as it does alone at any bandwidth."""
         sizes = [op.L.shape[1] for op in ops]
         offsets = np.cumsum([0] + sizes[:-1])
-        # Fortran order, as LAPACK returns it: pbtrs would copy anything else
-        # on every call.
         L = np.zeros((max(op.L.shape[0] for op in ops), sum(sizes)), order="F")
         for op, a in zip(ops, offsets):
             L[:op.L.shape[0], a:a + op.L.shape[1]] = op.L
         return cls(L=L, perm=np.concatenate([op.perm + a for op, a in zip(ops, offsets)]))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^-1 b for one right-hand side (n,) or several (n, k)."""
-        x = np.empty(np.shape(b))
-        x[self.perm] = scipy.linalg.cho_solve_banded(
-            (self.L, True), np.asarray(b, dtype=float)[self.perm], check_finite=False)
+        """A^-1 b for one right-hand side (n,) or several (n, k), solved one
+        column at a time."""
+        b = np.asarray(b, dtype=float)
+        x = np.empty(b.shape)
+        if b.ndim == 1:
+            x[self.perm] = cholesky_solve(self.L, self.U, b[self.perm])
+        else:
+            for j in range(b.shape[1]):
+                x[self.perm, j] = cholesky_solve(self.L, self.U, b[self.perm, j])
         return x
 
 
@@ -248,8 +260,8 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     `system` may also be a list of systems, with x0 and v0 lists of their
     initial states: one sweep then advances all of them as the blocks of one
     block-diagonal system, and a list of Trajectories comes back.  Each
-    block is bitwise the run it would be alone (see FactorizedOperator.stack
-    for the bandwidth condition), and one system is the one-block case.
+    block is bitwise the run it would be alone (see FactorizedOperator.stack),
+    and one system is the one-block case.
 
     The only caller of the sweep; it factors every block's step matrix once
     per call.  It feeds the sweep CHUNK_ENTRIES // n steps at a time, each
@@ -321,7 +333,8 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
         for volts_s, s, b in zip(volts, systems, blocks):
             np.matmul(volts_s[a:a + m], s.B.T, out=load[:m, b])
         rec = rec_steps[done:np.searchsorted(rec_steps, a + m, side="right")] - a
-        x, v, X, V, vbar = midpoint_sweep(op.L, M, K, load[:m], x, v, dt, rec, op.perm)
+        x, v, X, V, vbar = midpoint_sweep(op.L, op.U, M, K, load[:m], x, v, dt, rec,
+                                          op.perm)
         # Work increments dt * vbar . load, one dot product per step and
         # block, summed in step order after the previous total.
         inc = np.empty((m + 1, len(systems)))

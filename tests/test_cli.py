@@ -320,6 +320,20 @@ class TestCheck:
         monkeypatch.setenv("PIEZOBEAM_CORRUPT_COUPLING", "1")
         assert main(["check", single_cfg, "--out", str(tmp_path / "r")]) == 0
 
+    @pytest.mark.parametrize("name", ["single_beam.ini", "patch_bimorph.ini"])
+    @pytest.mark.parametrize("keys", [{"kind": "zero"}, {"t_end": 0.0004}])
+    def test_refuses_a_run_that_measured_nothing(self, tmp_path, capsys, name, keys):
+        # A zero drive, or t_end < dt/2 (no steps), leaves the active
+        # response at exactly 0: a zero leak or bending response then shows
+        # nothing, and no passing report may be written.
+        out = tmp_path / "run"
+        cfg = shipped_with(tmp_path, name, **keys)
+        assert main(["check", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "zero drive or no steps" in captured.err
+        assert "pass" not in captured.out
+        assert not (out / "check_report.json").exists()
+
 
 class TestLimit:
     def test_reports_monotone_shrinkage(self, patch_cfg, tmp_path, capsys):

@@ -254,6 +254,18 @@ class TestTabularOutput:
         write_csv(p2, ["a", "b"], cols)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_csv_text_is_17_digit_format(self, tmp_path):
+        # Each value reads as format(x, ".17g"), special values and integer
+        # columns included.
+        specials = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e308, 2.0 / 3.0, 0.1]
+        ints = np.array([0, -3, 7, 2**53 + 1, -(2**60), 12, 1, 10**17])
+        path = tmp_path / "special.csv"
+        write_csv(path, ["x", "n"], [specials, ints])
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert rows == [[format(float(x), ".17g"), format(float(k), ".17g")]
+                        for x, k in zip(specials, ints)]
+        assert rows[:4] == [["inf", "0"], ["-inf", "-3"], ["nan", "7"], ["-0", "9007199254740992"]]
+
     def test_json_sorted_and_newline_terminated(self, tmp_path):
         path = tmp_path / "report.json"
         write_json(path, {"zeta": 1, "alpha": [1.5, None], "nested": {"b": 2, "a": 1}})

@@ -40,13 +40,35 @@ def shipped_system(path):
     return build_system(config.validated(), config.n_elements)
 
 
+def band_to_dense(ab, lower):
+    """Dense matrix of a band in LAPACK storage, shape (p+1, n)."""
+    p, n = ab.shape[0] - 1, ab.shape[1]
+    D = np.zeros((n, n))
+    for d in range(p + 1):
+        i = np.arange(n - d)
+        if lower:
+            D[i + d, i] = ab[d, i]
+        else:
+            D[i, i + d] = ab[p - d, i + d]
+    return D
+
+
+def banded_spd(rng, n, p):
+    """Random diagonally dominant SPD matrix with every diagonal up to p filled."""
+    A = np.zeros((n, n))
+    for d in range(1, p + 1):
+        off = rng.standard_normal(n - d)
+        A += np.diag(off, d) + np.diag(off, -d)
+    return A + np.diag(np.abs(A).sum(axis=1) + 1.0 + rng.random(n))
+
+
 def scalar_sweep(dt, n_steps, k=1.0):
     """Unit oscillator x'' = -k x, x(0)=1, run through midpoint_sweep."""
     M = np.eye(1)
     K = np.array([[k]])
     op = FactorizedOperator.build(M + 0.25 * dt * dt * K)
     x0, v0, load = np.array([1.0]), np.array([0.0]), np.zeros((n_steps, 1))
-    _, _, X, V, vbar = midpoint_sweep(op.L, M, K, load, x0, v0, dt,
+    _, _, X, V, vbar = midpoint_sweep(op.L, op.U, M, K, load, x0, v0, dt,
                                       np.arange(1, n_steps + 1), op.perm)
     work = np.cumsum(np.append(0.0, dt * (vbar * load).sum(axis=1)))
     return np.vstack([x0, X]), np.vstack([v0, V]), work
@@ -109,6 +131,24 @@ class TestSpdSolver:
         for _ in range(3):
             b = rng.standard_normal(6)
             assert np.allclose(A @ op.solve(b), b, rtol=1e-11, atol=1e-12)
+
+    @pytest.mark.parametrize("path", SHIPPED)
+    def test_forward_sweeps_solve_the_step_matrix(self, path, rng):
+        # U is L^T in upper band storage; both are Fortran ordered, as BLAS
+        # would copy anything else on every solve.  The two sweeps match a
+        # dense solve, for one right-hand side or several.
+        sysm = shipped_system(path)
+        dt = 1e-3
+        op = step_operator(sysm, dt)
+        assert op.L.flags.f_contiguous and op.U.flags.f_contiguous
+        assert np.array_equal(band_to_dense(op.U, lower=False),
+                              band_to_dense(op.L, lower=True).T)
+        S = (sysm.M + (dt * dt / 4.0) * sysm.K).toarray()
+        b = rng.standard_normal((sysm.n_dofs, 3))
+        want = np.linalg.solve(S, b)
+        got = op.solve(b)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.array_equal(op.solve(b[:, 1]), got[:, 1])
 
 
 class TestEigenmodes:
@@ -276,11 +316,11 @@ class TestSweep:
         x0 = 1e-3 * rng.standard_normal(sysm.n_dofs)
         v0 = 1e-3 * rng.standard_normal(sysm.n_dofs)
         rec = np.arange(7, n_steps + 1, 7)
-        L, M, K = op.L, sysm.M, sysm.K
-        whole = midpoint_sweep(L, M, K, load, x0, v0, dt, rec, op.perm)
-        x1, v1, X1, V1, vbar1 = midpoint_sweep(L, M, K, load[:split], x0, v0, dt,
+        L, U, M, K = op.L, op.U, sysm.M, sysm.K
+        whole = midpoint_sweep(L, U, M, K, load, x0, v0, dt, rec, op.perm)
+        x1, v1, X1, V1, vbar1 = midpoint_sweep(L, U, M, K, load[:split], x0, v0, dt,
                                                rec[rec <= split], op.perm)
-        x2, v2, X2, V2, vbar2 = midpoint_sweep(L, M, K, load[split:], x1, v1, dt,
+        x2, v2, X2, V2, vbar2 = midpoint_sweep(L, U, M, K, load[split:], x1, v1, dt,
                                                rec[rec > split] - split, op.perm)
         for got, want in zip((x2, v2, np.vstack([X1, X2]), np.vstack([V1, V2]),
                               np.vstack([vbar1, vbar2])), whole):
@@ -441,11 +481,20 @@ class TestBatch:
         assert (n_rec, n) == (8001, 132)
         assert peak < n_rec * n * 8 + 8 * solvers.CHUNK_ENTRIES * 8
 
-    def test_stacked_factor_solves_each_block(self, rng):
-        systems = [shipped_system(SHIPPED[0]), shipped_system(SHIPPED[1])]
-        ops = [step_operator(s, 1e-3) for s in systems]
+    @pytest.mark.parametrize("blocks", ["shipped", "synthetic"])
+    def test_stacked_factor_solves_each_block(self, rng, blocks):
+        # Half-bandwidths 3 and 12 on the shipped models; 3 and 20 on the
+        # synthetic blocks, past the 16-entry tail of a dot-product solve.
+        if blocks == "shipped":
+            ops = [step_operator(shipped_system(path), 1e-3) for path in SHIPPED]
+        else:
+            ops = [FactorizedOperator.build(banded_spd(rng, n, p))
+                   for n, p in ((60, 3), (90, 20), (40, 3))]
+            assert [op.L.shape[0] - 1 for op in ops] == [3, 20, 3]
         stacked = FactorizedOperator.stack(ops)
-        assert stacked.L.flags.f_contiguous  # else every banded solve copies it
-        b = [rng.standard_normal(s.n_dofs) for s in systems]
-        x = stacked.solve(np.concatenate(b))
-        assert np.array_equal(x, np.concatenate([op.solve(bk) for op, bk in zip(ops, b)]))
+        # else every banded solve copies them
+        assert stacked.L.flags.f_contiguous and stacked.U.flags.f_contiguous
+        for _ in range(5):
+            b = [rng.standard_normal(op.L.shape[1]) for op in ops]
+            x = stacked.solve(np.concatenate(b))
+            assert np.array_equal(x, np.concatenate([op.solve(bk) for op, bk in zip(ops, b)]))
