@@ -40,6 +40,7 @@ from .materials import (
     Variant,
     VoltageSignal,
     derive_coefficients,
+    stretching_wave_speeds,
     validate_spec,
 )
 from .mesh import Mesh, build_mesh
@@ -80,7 +81,6 @@ from .scenarios import (
     run_convergence_study,
     run_electrostatic_limit,
     static_solution,
-    stretching_wave_speeds,
 )
 from .config import (
     RunConfig,

@@ -21,8 +21,8 @@ import scipy.sparse
 
 from .errors import MeshSpecMismatch, NotPositiveDefinite, SingularElectricBlock
 from .fem import GAUSS_FULL, GAUSS_REDUCED, endpoint_values, shape_table
-from .forms import FormSet, build_forms, _term_elements
-from .layout import CHARGE_FIELDS, DofLayout, FieldState, build_layout
+from .forms import build_forms
+from .layout import FIELD_CLASS, DofLayout, FieldState, build_layout
 from .materials import BoundaryCondition, Regime, ValidatedModelSpec
 from .mesh import Mesh
 from .solvers import FactorizedOperator
@@ -58,19 +58,20 @@ class SemiDiscreteSystem:
     def state(self, x: np.ndarray, xdot: np.ndarray) -> FieldState:
         return FieldState.from_vectors(self.layout, self.embed(x), self.embed(xdot))
 
+    def current_dofs(self, full: np.ndarray) -> np.ndarray:
+        """Current-numbering indices, ascending, of the surviving dofs among
+        the given full-numbering ones."""
+        return np.flatnonzero(np.isin(self.free_dofs, full))
+
     def dofs_of(self, name: str) -> np.ndarray:
         """Current-numbering indices of a field's surviving dofs."""
         sl = self.layout.dof_slice(name)
-        return np.where((self.free_dofs >= sl.start) & (self.free_dofs < sl.stop))[0]
+        return self.current_dofs(np.arange(sl.start, sl.stop))
 
-    def value_dofs_of(self, name: str) -> np.ndarray:
-        return np.where(np.isin(self.free_dofs, self.layout.value_dofs(name)))[0]
-
-    def charge_dofs(self) -> np.ndarray:
-        return np.where(np.isin(self.free_dofs, self.layout.charge_dofs()))[0]
-
-    def mechanical_dofs(self) -> np.ndarray:
-        return np.where(~np.isin(self.free_dofs, self.layout.charge_dofs()))[0]
+    def class_dofs(self, *kinds: str) -> np.ndarray:
+        """Current-numbering indices of the surviving dofs of every field in
+        the given motion classes (see layout.FIELD_CLASS)."""
+        return self.current_dofs(self.layout.class_dofs(*kinds))
 
 
 def _summed_csr(rows, cols, vals, n: int) -> scipy.sparse.csr_array:
@@ -85,16 +86,16 @@ def _summed_csr(rows, cols, vals, n: int) -> scipy.sparse.csr_array:
 def _assemble_terms(layout: DofLayout, terms, n: int) -> scipy.sparse.csr_array:
     rows, cols, vals = [], [], []
     for term in terms:
-        elems, lengths = _term_elements(layout, term.region)
+        elems, _ = layout.mesh.region(term.region)
         if len(elems) == 0:
             continue
+        lengths = layout.mesh.lengths[elems]
         xi, wq = GAUSS_REDUCED if term.reduced_quad else GAUSS_FULL
         tables = []
         dof_tabs = []
         for fname, deriv in term.channels:
             fd = layout.fields[fname]
-            pos = elems - layout.field_elements(fname)[0]
-            dof_tabs.append(layout.element_dofs(fname)[pos])
+            dof_tabs.append(layout.element_dofs(fname, elems))
             tables.append(shape_table(fd.basis, deriv, xi, lengths))
         k = len(term.channels)
         for i in range(k):
@@ -131,10 +132,10 @@ def _assemble_loads(layout: DofLayout, loads, n: int, n_sig: int) -> np.ndarray:
     """
     B = np.zeros((n, n_sig))
     for lt in loads:
-        elems, lengths = _term_elements(layout, lt.region)
+        elems, _ = layout.mesh.region(lt.region)
+        lengths = layout.mesh.lengths[elems]
         fd = layout.fields[lt.field]
-        pos = elems - layout.field_elements(lt.field)[0]
-        dof_tab = layout.element_dofs(lt.field)[pos]
+        dof_tab = layout.element_dofs(lt.field, elems)
         left = endpoint_values(fd.basis, lt.deriv - 1, False, lengths[0])
         right = endpoint_values(fd.basis, lt.deriv - 1, True, lengths[-1])
         np.add.at(B[:, lt.signal], dof_tab[-1], lt.coeff * right)
@@ -147,9 +148,9 @@ def assemble(vspec: ValidatedModelSpec, mesh: Mesh) -> SemiDiscreteSystem:
     if vspec.is_patch:
         if mesh.patch_span is None:
             raise MeshSpecMismatch("patch variant requires a mesh with a patch span")
-        ia, ib = mesh.patch_span
+        left, right = mesh.region("patch")[1]
         a, b = vspec.geometry.patch_start, vspec.geometry.patch_end
-        if abs(mesh.nodes[ia] - a) > 1e-12 or abs(mesh.nodes[ib] - b) > 1e-12:
+        if abs(left - a) > 1e-12 or abs(right - b) > 1e-12:
             raise MeshSpecMismatch("mesh patch span does not match the spec geometry")
     if abs(mesh.length - vspec.geometry.length) > 1e-12:
         raise MeshSpecMismatch("mesh length does not match the spec geometry")
@@ -192,14 +193,11 @@ def _grounded_charge_split(system: SemiDiscreteSystem):
     against constants, so the constant charge offsets are pure gauge and the
     reduction does not depend on which dof is pinned.
     """
-    mech = system.mechanical_dofs()
-    charge = []
-    for name in system.layout.fields:
-        if name in CHARGE_FIELDS:
-            dofs = system.dofs_of(name)
-            charge.append(dofs[1:])  # pin the first dof of each charge field
-    charge = np.concatenate(charge)
-    return mech, charge
+    mech = system.class_dofs("stretching", "bending")
+    # pin the first dof of each charge field
+    charge = [system.dofs_of(name)[1:] for name in system.layout.fields
+              if FIELD_CLASS[name] == "charge"]
+    return mech, np.concatenate(charge)
 
 
 def reduce_electrostatic(system: SemiDiscreteSystem) -> SemiDiscreteSystem:

@@ -19,11 +19,12 @@ from .config import RunConfig, config_digest, parse_config, resolved_dt
 from .errors import ConfigError, IllegalRegime, PiezobeamError
 from .forms import interpolation_row
 from .kernels import backend_name
-from .layout import CHARGE_FIELDS
+from .layout import FIELD_CLASS
 from .scenarios import (
     _validated_mus,
     check_patch_voltage_selectivity,
     check_single_beam_decoupling,
+    class_fractions,
     classify_mode,
     mode_energy_fractions,
     run_electrostatic_limit,
@@ -32,7 +33,6 @@ from .solvers import eigenmodes, simulate
 from .output import svg_line_plot, write_csv, write_json
 
 _CLASS_CODE = {"stretching": 0.0, "bending": 1.0, "charge": 2.0}
-_MOTION_FIELDS = ("v", "w", "psi")
 
 
 def _load_config(path: str) -> RunConfig:
@@ -55,9 +55,7 @@ def _provenance(config: RunConfig, system) -> list:
 
 def _probe_position(layout, field: str, probe: float) -> float:
     """Clamp the probe into the field's support (charge fields live on the patch)."""
-    elems = layout.field_elements(field)
-    nodes = layout.mesh.nodes
-    lo, hi = float(nodes[elems[0]]), float(nodes[elems[-1] + 1])
+    _, (lo, hi) = layout.mesh.region(layout.fields[field].region)
     return min(max(probe, lo), hi)
 
 
@@ -82,7 +80,7 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
     for j, field in enumerate(layout.fields):
         names.append(f"{field}_probe")
         columns.append(probes[:, j])
-        value_idx = system.value_dofs_of(field)
+        value_idx = system.current_dofs(layout.value_dofs(field))
         names.append(f"{field}_max")
         columns.append(np.max(np.abs(traj.X[:, value_idx]), axis=1)
                        if len(value_idx) else np.zeros(len(traj)))
@@ -110,7 +108,7 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
     })
     if svg:
         motion = [(f"{f}_probe", traj.t, columns[names.index(f"{f}_probe")])
-                  for f in _MOTION_FIELDS if f in layout.fields]
+                  for f in layout.fields if FIELD_CLASS[f] != "charge"]
         svg_line_plot(os.path.join(out, "trajectory.svg"), motion,
                       title="probe displacements", xlabel="t", ylabel="value")
         svg_line_plot(os.path.join(out, "energy.svg"),
@@ -127,10 +125,7 @@ def cmd_modes(config: RunConfig, out: str, svg: bool, n_modes: int) -> int:
 
     fractions = [mode_energy_fractions(system, ms.shapes[:, i]) for i in range(k)]
     classes = [classify_mode(fr) for fr in fractions]
-    frac_stretch = [fr.get("v", 0.0) for fr in fractions]
-    frac_bend = [sum(fr.get(f, 0.0) for f in ("w", "psi")) for fr in fractions]
-    frac_charge = [sum(v for f, v in fr.items() if f in CHARGE_FIELDS)
-                   for fr in fractions]
+    by_class = [class_fractions(fr) for fr in fractions]
 
     comments = _provenance(config, system) + [
         "class codes: 0 stretching, 1 bending, 2 charge"]
@@ -140,7 +135,8 @@ def cmd_modes(config: RunConfig, out: str, svg: bool, n_modes: int) -> int:
               [np.arange(k, dtype=float), ms.omegas, ms.omegas / (2.0 * np.pi),
                (np.arange(k) < ms.n_zero).astype(float),
                [_CLASS_CODE[c] for c in classes],
-               frac_stretch, frac_bend, frac_charge],
+               [c["stretching"] for c in by_class], [c["bending"] for c in by_class],
+               [c["charge"] for c in by_class]],
               comments)
     write_json(os.path.join(out, "modes_report.json"), {
         "config_sha256": config_digest(config),
@@ -154,9 +150,7 @@ def cmd_modes(config: RunConfig, out: str, svg: bool, n_modes: int) -> int:
         layout = system.layout
         shown = 0
         for i in range(ms.n_zero, k):
-            field = {"stretching": "v", "bending": "w", "charge": "q"}[classes[i]]
-            if field == "q" and "q" not in layout.fields:
-                field = "qT"
+            field = next(f for f in layout.fields if FIELD_CLASS[f] == classes[i])
             full = system.embed(ms.shapes[:, i])
             series.append((f"mode {i} ({classes[i]})",
                            layout.node_positions(field),

@@ -37,10 +37,10 @@ from .materials import (
     ValidatedModelSpec,
     Variant,
     VoltageSignal,
+    stretching_wave_speeds,
     validate_spec,
 )
 from .mesh import build_mesh
-from .scenarios import stretching_wave_speeds
 
 _MATERIAL_KEYS = ("rho", "c11", "c55", "gamma31", "gamma15", "eps1", "eps3", "mu")
 _VOLTAGE_KEYS = ("kind", "amplitude", "frequency", "step_time")
@@ -210,9 +210,18 @@ def parse_config(text: str) -> RunConfig:
         stride=_typed(entries, "solver", "stride", int, 1),
         probe=_typed(entries, "solver", "probe", _real),
     )
-    if config.n_elements < 1 or config.stride < 1 or not config.t_end > 0.0 \
-            or (config.dt is not None and not config.dt > 0.0):
-        raise UnitViolation("solver settings must be positive")
+    min_elements = 4 if variant.is_patch else 2
+    checks = (
+        ("elements", config.n_elements >= min_elements, f">= {min_elements} for {variant.value}"),
+        ("stride", config.stride >= 1, ">= 1"),
+        ("t_end", config.t_end > 0.0, "> 0"),
+        ("dt", config.dt is None or config.dt > 0.0, "> 0"),
+    )
+    # Every default passes, so a failing value was read from [solver].
+    issues = [(entries["solver"][key][0], f"{key} must be {need}, got {entries['solver'][key][1]}")
+              for key, ok, need in checks if not ok]
+    if issues:
+        raise UnitViolation(issues)
     return config
 
 

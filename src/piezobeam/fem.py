@@ -17,8 +17,6 @@ _g4, _w4 = np.polynomial.legendre.leggauss(4)
 GAUSS_FULL = (0.5 * (_g4 + 1.0), 0.5 * _w4)
 GAUSS_REDUCED = (np.array([0.5]), np.array([1.0]))
 
-N_LOCAL = {"p1": 2, "p2": 3, "hermite": 4}
-
 
 def _p1(deriv, xi):
     if deriv == 0:

@@ -203,16 +203,6 @@ def _patch_forms(vspec, full):
 # --- evaluation on discrete fields ------------------------------------------
 
 
-def _term_elements(layout: DofLayout, term_region: str):
-    mesh = layout.mesh
-    if term_region == "all":
-        elems = np.arange(mesh.n_elements)
-    else:
-        sl = mesh.patch_elements
-        elems = np.arange(sl.start, sl.stop)
-    return elems, mesh.lengths[elems]
-
-
 def _flat(arrays, layout):
     out = np.zeros(layout.n_dofs)
     for name in layout.fields:
@@ -225,15 +215,15 @@ def eval_terms(layout: DofLayout, terms, arrays) -> float:
     flat = _flat(arrays, layout)
     total = 0.0
     for term in terms:
-        elems, lengths = _term_elements(layout, term.region)
+        elems, _ = layout.mesh.region(term.region)
         if len(elems) == 0:
             continue
+        lengths = layout.mesh.lengths[elems]
         xi, wq = GAUSS_REDUCED if term.reduced_quad else GAUSS_FULL
         U = []
         for field, deriv in term.channels:
             fd = layout.fields[field]
-            pos = elems - layout.field_elements(field)[0]
-            dof_tab = layout.element_dofs(field)[pos]
+            dof_tab = layout.element_dofs(field, elems)
             table = shape_table(fd.basis, deriv, xi, lengths)
             U.append(np.einsum("eql,el->eq", table, flat[dof_tab]))
         U = np.array(U)  # (k, n_e, n_qp)
@@ -282,16 +272,15 @@ def energy_breakdown(state: FieldState) -> EnergyBreakdown:
 def _shape_weights(layout: DofLayout, field: str, x: float, deriv: int):
     """Full-numbering dofs and weights w with D^deriv field(x) = w @ flat[dofs]."""
     fd = layout.fields[field]
-    elems = layout.field_elements(field)
+    elems, (lo, hi) = layout.mesh.region(fd.region)
     nodes = layout.mesh.nodes
-    lo, hi = nodes[elems[0]], nodes[elems[-1] + 1]
     if not (lo - 1e-12 <= x <= hi + 1e-12):
         raise OutOfDomain(f"x={x} outside support [{lo}, {hi}] of field {field!r}")
     e = int(np.clip(np.searchsorted(nodes, x, side="right") - 1, elems[0], elems[-1]))
     le = nodes[e + 1] - nodes[e]
     xi = np.array([(x - nodes[e]) / le])
     table = shape_table(fd.basis, deriv, xi, np.array([le]))[0, 0]
-    return layout.element_dofs(field)[e - elems[0]], table
+    return layout.element_dofs(field, np.array([e]))[0], table
 
 
 def eval_field_at(layout: DofLayout, arrays, field: str, x: float, deriv: int = 0) -> float:
@@ -318,14 +307,9 @@ def work_rate(state: FieldState, t: float) -> float:
     layout = state.layout
     vspec = layout.vspec
     forms = build_forms(vspec)
-    mesh = layout.mesh
     power = 0.0
     for lt in forms.loads:
-        if lt.region == "patch":
-            ia, ib = mesh.patch_span
-            left, right = mesh.nodes[ia], mesh.nodes[ib]
-        else:
-            left, right = mesh.nodes[0], mesh.nodes[-1]
+        _, (left, right) = layout.mesh.region(lt.region)
         v = vspec.voltages[lt.signal](t)
         jump = eval_field_at(layout, state.velocities, lt.field, right, lt.deriv - 1) - \
             eval_field_at(layout, state.velocities, lt.field, left, lt.deriv - 1)

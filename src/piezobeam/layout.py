@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldShapeMismatch, UnknownBc
-from .fem import N_LOCAL
 from .materials import BoundaryCondition, ValidatedModelSpec, Variant
 from .mesh import Mesh
 
@@ -56,7 +55,10 @@ def field_plan(vspec: ValidatedModelSpec) -> list:
     return plan
 
 
-CHARGE_FIELDS = ("q", "qT", "qB")
+# Motion class of each field: the paper's stretching, bending and charge
+# groups.  Clamping fixes the non-charge fields; modes are classified by them.
+FIELD_CLASS = {"v": "stretching", "w": "bending", "psi": "bending",
+               "q": "charge", "qT": "charge", "qB": "charge"}
 
 
 @dataclass(frozen=True)
@@ -72,27 +74,20 @@ class DofLayout:
         f = self.fields[name]
         return slice(f.offset, f.offset + f.count)
 
-    def charge_dofs(self) -> np.ndarray:
-        idx = [np.arange(self.n_dofs)[self.dof_slice(n)] for n in self.fields if n in CHARGE_FIELDS]
-        return np.concatenate(idx) if idx else np.array([], dtype=int)
-
-    def mechanical_dofs(self) -> np.ndarray:
-        idx = [np.arange(self.n_dofs)[self.dof_slice(n)] for n in self.fields if n not in CHARGE_FIELDS]
-        return np.concatenate(idx)
+    def class_dofs(self, *kinds: str) -> np.ndarray:
+        """Global indices, ascending, of every field whose FIELD_CLASS is in kinds."""
+        return np.concatenate([np.arange(0)] + [
+            np.arange(f.offset, f.offset + f.count)
+            for f in self.fields.values() if FIELD_CLASS[f.name] in kinds])
 
     def field_elements(self, name: str) -> np.ndarray:
         """Indices of mesh elements supporting the field."""
-        f = self.fields[name]
-        if f.region == "all":
-            return np.arange(self.mesh.n_elements)
-        sl = self.mesh.patch_elements
-        return np.arange(sl.start, sl.stop)
+        return self.mesh.region(self.fields[name].region)[0]
 
-    def element_dofs(self, name: str) -> np.ndarray:
-        """Global dof indices per supporting element, shape (n_elem, n_local)."""
+    def element_dofs(self, name: str, elems: np.ndarray) -> np.ndarray:
+        """Global dof indices on the given supporting elements, shape (len(elems), n_local)."""
         f = self.fields[name]
-        elems = self.field_elements(name)
-        local = np.arange(len(elems))  # element index within the field's submesh
+        local = elems - self.field_elements(name)[0]  # element index within the field's submesh
         if f.basis == "p1":
             tab = np.stack([local, local + 1], axis=1)
         elif f.basis == "p2":
@@ -134,22 +129,17 @@ class DofLayout:
             return np.array([], dtype=int)
         if bc != BoundaryCondition.CLAMPED_FREE:
             raise UnknownBc(f"unsupported boundary condition {bc!r}")
-        fixed = [self.fields["v"].offset, self.fields["w"].offset]
-        if self.fields["w"].basis == "hermite":
-            fixed.append(self.fields["w"].offset + 1)  # slope at x = 0
-        if "psi" in self.fields:
-            fixed.append(self.fields["psi"].offset)
-        return np.array(sorted(fixed), dtype=int)
+        # Every non-charge dof at the left end node: values, and Hermite slopes too.
+        return np.concatenate([np.arange(0)] + [
+            f.offset + np.flatnonzero(self.node_positions(f.name) == self.mesh.nodes[0])
+            for f in self.fields.values() if FIELD_CLASS[f.name] != "charge"])
 
 
 def build_layout(vspec: ValidatedModelSpec, mesh: Mesh) -> DofLayout:
     fields = {}
     offset = 0
     for name, basis, region in field_plan(vspec):
-        if region == "patch":
-            n_el = mesh.patch_elements.stop - mesh.patch_elements.start
-        else:
-            n_el = mesh.n_elements
+        n_el = len(mesh.region(region)[0])
         if basis == "p1":
             count = n_el + 1
         elif basis == "p2":

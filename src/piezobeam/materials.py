@@ -122,6 +122,21 @@ class DerivedCoefficients:
         )
 
 
+def stretching_wave_speeds(coeffs: DerivedCoefficients) -> tuple:
+    """Characteristic speeds (fast, slow) of the coupled stretching system.
+
+    Closed-form eigenvalues of diag(1/rho, 1/mu) @ [[alpha1, -g3b3],
+    [-g3b3, beta3]]; the determinant term reduces to alpha11*beta3/(rho*mu),
+    positive for every valid material, so both speeds are real and positive.
+    """
+    tr = coeffs.alpha1 / coeffs.rho + coeffs.beta3 / coeffs.mu
+    det = coeffs.alpha11 * coeffs.beta3 / (coeffs.rho * coeffs.mu)
+    disc = np.sqrt(tr * tr - 4.0 * det)
+    lam_fast = 0.5 * (tr + disc)
+    lam_slow = 0.5 * (tr - disc)
+    return float(np.sqrt(lam_fast)), float(np.sqrt(lam_slow))
+
+
 def derive_coefficients(material: MaterialParams) -> DerivedCoefficients:
     """Map raw constants to the derived coefficient set (see module docstring)."""
     beta1 = 1.0 / material.eps1

@@ -35,13 +35,12 @@ class Mesh:
     def length(self) -> float:
         return float(self.nodes[-1])
 
-    @property
-    def patch_elements(self) -> slice:
-        """Index range of elements lying inside the patch interval."""
-        if self.patch_span is None:
-            return slice(0, self.n_elements)
-        ia, ib = self.patch_span
-        return slice(ia, ib)
+    def region(self, name: str) -> tuple:
+        """(element indices, (left, right) end coordinates) of region 'all' or
+        'patch'; without a patch span the patch covers the whole mesh."""
+        span = self.patch_span if name == "patch" else None
+        ia, ib = span or (0, self.n_elements)
+        return np.arange(ia, ib), (float(self.nodes[ia]), float(self.nodes[ib]))
 
 
 def _apportion(total: int, weights) -> list:

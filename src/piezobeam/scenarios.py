@@ -16,13 +16,13 @@ import numpy as np
 
 from .assembly import SemiDiscreteSystem, _grounded_charge_split, build_system
 from .errors import ConvergenceFailure, IllegalRegime, InsufficientMeshes
-from .layout import CHARGE_FIELDS
+from .layout import FIELD_CLASS
 from .materials import (
     BoundaryCondition,
-    DerivedCoefficients,
     Regime,
     ValidatedModelSpec,
     VoltageSignal,
+    stretching_wave_speeds,
 )
 from .solvers import eigenmodes, simulate, solve_spd
 
@@ -122,14 +122,6 @@ class LimitStudy:
 # --- single-beam decoupling ---------------------------------------------------
 
 
-_BENDING_FIELDS = ("w", "psi")
-
-
-def _bending_dofs(system: SemiDiscreteSystem) -> np.ndarray:
-    idx = [system.dofs_of(f) for f in _BENDING_FIELDS if f in system.layout.fields]
-    return np.concatenate(idx)
-
-
 def check_single_beam_decoupling(vspec: ValidatedModelSpec, n_elements: int,
                                  dt: float, t_end: float) -> ScenarioReport:
     """Bending must receive no voltage forcing and stay exactly zero.
@@ -144,14 +136,14 @@ def check_single_beam_decoupling(vspec: ValidatedModelSpec, n_elements: int,
     if vspec.is_patch:
         raise IllegalRegime("decoupling check applies to single-beam variants only")
     system = build_system(vspec, n_elements)
-    bend = _bending_dofs(system)
+    bend = system.class_dofs("bending")
     b_rows = float(np.max(np.abs(system.B[bend]))) if len(bend) else 0.0
 
     traj = simulate(system, np.zeros(system.n_dofs), np.zeros(system.n_dofs),
                     dt, t_end)
     x_bend = float(np.max(np.abs(traj.X[:, bend]))) if len(bend) else 0.0
     v_bend = float(np.max(np.abs(traj.V[:, bend]))) if len(bend) else 0.0
-    stretch = float(np.max(np.abs(traj.X[:, system.dofs_of("v")])))
+    stretch = float(np.max(np.abs(traj.X[:, system.class_dofs("stretching")])))
     if stretch == 0.0:
         raise IllegalRegime("the beam never stretches (zero drive or no steps)")
 
@@ -179,9 +171,7 @@ def _mirror_map(system: SemiDiscreteSystem):
     n = system.n_dofs
     perm = np.arange(n)
     sign = np.ones(n)
-    for name in _BENDING_FIELDS:
-        if name in system.layout.fields:
-            sign[system.dofs_of(name)] = -1.0
+    sign[system.class_dofs("bending")] = -1.0
     if "qT" in system.layout.fields:
         top, bot = system.dofs_of("qT"), system.dofs_of("qB")
         perm[top], perm[bot] = bot, top
@@ -239,8 +229,8 @@ def _selectivity_setup(vspec: ValidatedModelSpec, mode: str, n_elements: int,
     # The combined load of the chosen drive must vanish on the quiet block
     # before any time stepping happens.
     u = np.array([1.0, 1.0]) if sym else np.array([1.0, -1.0])
-    quiet = _bending_dofs(system) if sym else system.dofs_of("v")
-    active = system.dofs_of("v") if sym else _bending_dofs(system)
+    stretch, bend = system.class_dofs("stretching"), system.class_dofs("bending")
+    quiet, active = (bend, stretch) if sym else (stretch, bend)
     load_quiet = float(np.max(np.abs((system.B @ u)[quiet])))
     checks = [
         MetricCheck("mass_mirror_gap", gap_m, "kg", 0.0, "below",
@@ -358,14 +348,14 @@ def run_electrostatic_limit(vspec: ValidatedModelSpec, mus, n_elements: int,
 
     distances = []
     for system, traj in zip(systems[1:], trajs):
-        diff = traj.X[:, system.mechanical_dofs()] - traj_red.X
+        diff = traj.X[:, system.class_dofs("stretching", "bending")] - traj_red.X
         distances.append(float(np.sqrt(np.sum(diff ** 2))) / den)
 
     ones = np.ones(vspec.n_signals)
     clamped = replace(vspec, mechanical_bc=BoundaryCondition.CLAMPED_FREE)
     sys_full = build_system(clamped, n_elements)
     sys_red = build_system(replace(clamped, regime=Regime.ELECTROSTATIC), n_elements)
-    x_full = static_solution(sys_full, ones)[sys_full.mechanical_dofs()]
+    x_full = static_solution(sys_full, ones)[sys_full.class_dofs("stretching", "bending")]
     x_red = static_solution(sys_red, ones)
     ref = float(np.max(np.abs(x_red)))
     static_gap = float(np.max(np.abs(x_full - x_red))) / ref if ref > 0.0 else 0.0
@@ -388,13 +378,18 @@ def mode_energy_fractions(system: SemiDiscreteSystem, shape: np.ndarray) -> dict
     }
 
 
+def class_fractions(fractions: dict) -> dict:
+    """Per-field energy fractions summed per motion class (see
+    layout.FIELD_CLASS); every class is present."""
+    out = dict.fromkeys(FIELD_CLASS.values(), 0.0)
+    for name, frac in fractions.items():
+        out[FIELD_CLASS[name]] += frac
+    return out
+
+
 def classify_mode(fractions: dict) -> str:
     """'stretching', 'bending' or 'charge' by dominant energy group."""
-    charge = sum(v for k, v in fractions.items() if k in CHARGE_FIELDS)
-    bend = sum(v for k, v in fractions.items() if k in _BENDING_FIELDS)
-    stretch = fractions.get("v", 0.0)
-    groups = [(stretch, "stretching"), (bend, "bending"), (charge, "charge")]
-    return max(groups)[1]
+    return max((frac, kind) for kind, frac in class_fractions(fractions).items())[1]
 
 
 def mode_frequency(vspec: ValidatedModelSpec, n_elements: int, kind: str,
@@ -457,25 +452,15 @@ def run_convergence_study(vspec: ValidatedModelSpec, element_counts, kind: str,
 # --- stretching wave speeds -----------------------------------------------------
 
 
-def stretching_wave_speeds(coeffs: DerivedCoefficients) -> tuple:
-    """Characteristic speeds (fast, slow) of the coupled stretching system.
-
-    Closed-form eigenvalues of diag(1/rho, 1/mu) @ [[alpha1, -g3b3],
-    [-g3b3, beta3]]; the determinant term reduces to alpha11*beta3/(rho*mu),
-    positive for every valid material, so both speeds are real and positive.
-    """
-    tr = coeffs.alpha1 / coeffs.rho + coeffs.beta3 / coeffs.mu
-    det = coeffs.alpha11 * coeffs.beta3 / (coeffs.rho * coeffs.mu)
-    disc = np.sqrt(tr * tr - 4.0 * det)
-    lam_fast = 0.5 * (tr + disc)
-    lam_slow = 0.5 * (tr - disc)
-    return float(np.sqrt(lam_fast)), float(np.sqrt(lam_slow))
+# Pulse run: step as a fraction of the finest element's fast transit time,
+# pulse centre and width, and the two probes, as fractions of the length.
+PULSE_COURANT = 0.25
+PULSE_X0_FRAC = 0.1
+PULSE_SIGMA_FRAC = 0.02
+PULSE_PROBE_FRACS = (0.55, 0.85)
 
 
-def pulse_time_of_flight(vspec: ValidatedModelSpec, n_elements: int = 512,
-                         courant: float = 0.25, x0_frac: float = 0.1,
-                         sigma_frac: float = 0.02,
-                         probe_fracs: tuple = (0.55, 0.85)) -> ScenarioReport:
+def pulse_time_of_flight(vspec: ValidatedModelSpec, n_elements: int = 512) -> ScenarioReport:
     """Measure the fast stretching-wave speed from pulse arrival times.
 
     A Gaussian velocity pulse is launched in the axial displacement; the
@@ -492,20 +477,20 @@ def pulse_time_of_flight(vspec: ValidatedModelSpec, n_elements: int = 512,
     c_fast, c_slow = stretching_wave_speeds(vspec.beam)
     L = vspec.geometry.length
 
-    idx = np.concatenate([system.dofs_of("v"), system.dofs_of("q")])
+    idx = system.class_dofs("stretching", "charge")
     axial = replace(system, M=system.M[idx][:, idx], K=system.K[idx][:, idx],
                     B=np.zeros((len(idx), system.B.shape[1])),
                     free_dofs=system.free_dofs[idx])
     nodes = system.layout.node_positions("v")
     n_v = len(nodes)
 
-    x0, sigma = x0_frac * L, sigma_frac * L
+    x0, sigma = PULSE_X0_FRAC * L, PULSE_SIGMA_FRAC * L
     v0 = np.zeros(len(idx))
     v0[:n_v] = np.exp(-0.5 * ((nodes - x0) / sigma) ** 2)
 
-    probes = [int(np.argmin(np.abs(nodes - f * L))) for f in probe_fracs]
+    probes = [int(np.argmin(np.abs(nodes - f * L))) for f in PULSE_PROBE_FRACS]
     x_probe = nodes[probes]
-    dt = courant * float(np.min(system.mesh.lengths)) / c_fast
+    dt = PULSE_COURANT * float(np.min(system.mesh.lengths)) / c_fast
     t_end = 1.1 * (x_probe[-1] - x0) / c_fast
     n_steps = int(np.ceil(t_end / dt))
     traj = simulate(axial, np.zeros(len(idx)), v0, dt, n_steps * dt)

@@ -301,7 +301,7 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
                         kinetic=np.empty(n_rec), stored=np.empty(n_rec),
                         magnetic=np.empty(n_rec), work=np.empty(n_rec)) for s in systems]
     parts = [(b, s, traj, qd, s.M[qd][:, qd]) for b, s, traj, qd in
-             zip(blocks, systems, trajs, [s.charge_dofs() for s in systems])]
+             zip(blocks, systems, trajs, [s.class_dofs("charge") for s in systems])]
 
     M, K = systems[0].M, systems[0].K  # one system needs no block_diag copy
     if len(systems) > 1:

@@ -32,6 +32,7 @@ from piezobeam.materials import (
     Variant,
     VoltageSignal,
     derive_coefficients,
+    stretching_wave_speeds,
 )
 from piezobeam.scenarios import (
     check_patch_voltage_selectivity,
@@ -40,7 +41,6 @@ from piezobeam.scenarios import (
     pulse_time_of_flight,
     run_convergence_study,
     run_electrostatic_limit,
-    stretching_wave_speeds,
 )
 from piezobeam.solvers import simulate
 

@@ -199,7 +199,7 @@ class TestEnergyConsistency:
 
         assert 0.5 * x @ sysm.K @ x == pytest.approx(stored_energy(st), rel=1e-12)
         assert 0.5 * v @ sysm.M @ v == pytest.approx(kinetic_energy(st), rel=1e-12)
-        q = sysm.charge_dofs()
+        q = sysm.class_dofs("charge")
         vq = v[q]
         assert 0.5 * vq @ sysm.M[q][:, q] @ vq == pytest.approx(magnetic_energy(st), rel=1e-12)
 

@@ -19,6 +19,7 @@ from piezobeam.assembly import build_system
 from piezobeam.cli import _probe_position, main
 from piezobeam.config import parse_config, resolved_dt
 from piezobeam.forms import eval_field_at
+from piezobeam.layout import FIELD_CLASS
 from piezobeam.materials import BoundaryCondition, Regime, Variant
 from piezobeam.output import read_csv
 from piezobeam.solvers import simulate
@@ -191,7 +192,7 @@ class TestSimulate:
             ref = np.array(ref)
             got = cols[f"{field}_probe"]
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), field
-            if not config.validated().is_patch and field in ("w", "psi"):
+            if not config.validated().is_patch and FIELD_CLASS[field] == "bending":
                 assert np.all(got == 0.0), field
 
     def test_large_patch_run_builds_no_dense_operator(self, tmp_path):
@@ -502,6 +503,17 @@ class TestErrorPaths:
         line = SINGLE_INI.splitlines().index("amplitude = 1.0") + 1
         assert f"line {line}:" in capsys.readouterr().err
         assert not (tmp_path / "run" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("name,elements", [("patch_bimorph.ini", 3),
+                                               ("single_beam.ini", 1)])
+    def test_too_few_elements_exits_with_config_error(self, tmp_path, capsys, name, elements):
+        cfg = shipped_with(tmp_path, name, elements=elements)
+        out = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out)]) == 2
+        with open(cfg, encoding="utf-8") as fh:
+            line = fh.read().splitlines().index(f"elements = {elements}") + 1
+        assert f"error: line {line}: elements must be >= " in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
 
     def test_unbalanced_run_exits_with_numerical_error(self, tmp_path, capsys):
         # A piezo-stiffened core modulus of 1e16 against a mass density of

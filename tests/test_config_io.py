@@ -212,12 +212,18 @@ class TestParseErrors:
         negative = SINGLE_INI.replace("rho = 1.0", "rho = -1.0")
         with pytest.raises(UnitViolation):
             parse_config(negative)
-        bad_solver = SINGLE_INI.replace("dt = 0.001", "dt = -0.001")
-        with pytest.raises(UnitViolation):
-            parse_config(bad_solver)
-        zero = SINGLE_INI.replace("elements = 8", "elements = 0")
-        with pytest.raises(UnitViolation):
-            parse_config(zero)
+        solver_cases = (
+            (SINGLE_INI, "dt = 0.001", "dt = -0.001"),
+            (SINGLE_INI, "elements = 8", "elements = 0"),
+            (SINGLE_INI, "elements = 8", "elements = 1"),
+            (PATCH_INI, "elements = 12", "elements = 3"),
+        )
+        for text, good, bad in solver_cases:
+            line = text.splitlines().index(good) + 1
+            with pytest.raises(UnitViolation) as exc:
+                parse_config(text.replace(good, bad))
+            [(ln, msg)] = exc.value.issues
+            assert ln == line and msg.startswith(bad.split()[0] + " must be ")
 
 
 class TestTimeStepHeuristic:

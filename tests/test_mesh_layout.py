@@ -10,11 +10,12 @@ from piezobeam.errors import (
     UnknownBc,
 )
 from piezobeam.fem import GAUSS_FULL, GAUSS_REDUCED, endpoint_values, shape_table
-from piezobeam.layout import FieldState, build_layout, interpolate_field
+from piezobeam.assembly import build_system
+from piezobeam.layout import FIELD_CLASS, FieldState, build_layout, interpolate_field
 from piezobeam.materials import BeamGeometry, BoundaryCondition, Regime, Variant
 from piezobeam.mesh import build_mesh
 
-from modelzoo import PATCH_GEO, make_spec
+from modelzoo import ALL_COMBOS, PATCH_GEO, make_spec
 
 
 class TestMesh:
@@ -25,26 +26,26 @@ class TestMesh:
         assert np.allclose(mesh.lengths, 0.25)
         assert mesh.length == 2.0
         # without a patch span the "patch" covers everything
-        assert mesh.patch_elements == slice(0, 8)
+        assert np.array_equal(mesh.region("patch")[0], np.arange(8))
 
     def test_patch_edges_become_nodes(self):
         mesh = build_mesh(PATCH_GEO, 8, patch=True)
         assert PATCH_GEO.patch_start in mesh.nodes
         assert PATCH_GEO.patch_end in mesh.nodes
-        sl = mesh.patch_elements
-        assert mesh.nodes[sl.start] == PATCH_GEO.patch_start
-        assert mesh.nodes[sl.stop] == PATCH_GEO.patch_end
+        ia, ib = mesh.patch_span
+        assert mesh.nodes[ia] == PATCH_GEO.patch_start
+        assert mesh.nodes[ib] == PATCH_GEO.patch_end
+        assert mesh.region("patch")[1] == (PATCH_GEO.patch_start, PATCH_GEO.patch_end)
 
     def test_element_apportionment_tracks_segment_lengths(self):
         # segments 0.25 / 0.5 / 0.25 of the unit beam
         mesh = build_mesh(PATCH_GEO, 8, patch=True)
-        sl = mesh.patch_elements
-        counts = (sl.start, sl.stop - sl.start, mesh.n_elements - sl.stop)
-        assert counts == (2, 4, 2)
+        ia, ib = mesh.patch_span
+        assert (ia, ib - ia, mesh.n_elements - ib) == (2, 4, 2)
         # 5 elements cannot split evenly; the longest segment gets the extra
         mesh5 = build_mesh(PATCH_GEO, 5, patch=True)
-        sl5 = mesh5.patch_elements
-        assert (sl5.start, sl5.stop - sl5.start, mesh5.n_elements - sl5.stop) == (1, 3, 1)
+        ia, ib = mesh5.patch_span
+        assert (ia, ib - ia, mesh5.n_elements - ib) == (1, 3, 1)
 
     def test_every_segment_keeps_at_least_one_element(self):
         lopsided = BeamGeometry(
@@ -52,9 +53,9 @@ class TestMesh:
             patch_start=0.49, patch_end=0.51,
         )
         mesh = build_mesh(lopsided, 4, patch=True)
-        sl = mesh.patch_elements
-        assert sl.stop - sl.start >= 1
-        assert sl.start >= 1 and mesh.n_elements - sl.stop >= 1
+        ia, ib = mesh.patch_span
+        assert ib - ia >= 1
+        assert ia >= 1 and mesh.n_elements - ib >= 1
 
     def test_too_few_elements(self):
         geo = BeamGeometry(length=1.0, thickness=0.1)
@@ -135,7 +136,7 @@ class TestDofLayout:
         vspec = make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC)
         mesh = build_mesh(vspec.geometry, 8, patch=True)
         lay = build_layout(vspec, mesh)
-        n_patch = mesh.patch_elements.stop - mesh.patch_elements.start
+        n_patch = len(mesh.region("patch")[0])
         assert lay.fields["v"].count == 9            # P1 on 8 elements
         assert lay.fields["w"].count == 18           # Hermite: 2 per node
         assert lay.fields["qT"].count == 2 * n_patch + 1   # P2 on the patch
@@ -144,14 +145,16 @@ class TestDofLayout:
         assert offsets == [0] + list(np.cumsum(counts[:-1]))
         assert lay.n_dofs == sum(counts)
 
-    def test_charge_and_mechanical_dofs_partition(self):
-        vspec = make_spec(Variant.PATCH_MT, Regime.FULL_MAGNETIC)
-        mesh = build_mesh(vspec.geometry, 8, patch=True)
-        lay = build_layout(vspec, mesh)
-        charge = lay.charge_dofs()
-        mech = lay.mechanical_dofs()
-        both = np.sort(np.concatenate([charge, mech]))
-        assert np.array_equal(both, np.arange(lay.n_dofs))
+    @pytest.mark.parametrize("bc", BoundaryCondition)
+    @pytest.mark.parametrize("variant,regime", ALL_COMBOS)
+    def test_charge_and_mechanical_dofs_partition(self, variant, regime, bc):
+        sysm = build_system(make_spec(variant, regime, bc=bc), 8)
+        assert set(sysm.layout.fields) <= set(FIELD_CLASS)
+        kinds = ("stretching", "bending", "charge")
+        for numbering, n in ((sysm.layout, sysm.layout.n_dofs), (sysm, sysm.n_dofs)):
+            parts = [numbering.class_dofs(k) for k in kinds]
+            assert all(np.all(np.diff(p) > 0) for p in parts)
+            assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(n))
 
     def test_value_dofs_skip_hermite_slopes(self):
         vspec = make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC)
@@ -170,8 +173,8 @@ class TestDofLayout:
         xw = lay.node_positions("w")
         assert np.array_equal(xw, np.repeat(mesh.nodes, 2))
         xq = lay.node_positions("qT")
-        sl = mesh.patch_elements
-        pnodes = mesh.nodes[sl.start: sl.stop + 1]
+        ia, ib = mesh.patch_span
+        pnodes = mesh.nodes[ia: ib + 1]
         assert np.array_equal(xq[0::2], pnodes)
         assert np.allclose(xq[1::2], 0.5 * (pnodes[:-1] + pnodes[1:]))
         assert len(xq) == lay.fields["qT"].count

@@ -13,6 +13,7 @@ from piezobeam.materials import (
     Variant,
     VoltageSignal,
     derive_coefficients,
+    stretching_wave_speeds,
 )
 from piezobeam.scenarios import (
     LimitStudy,
@@ -24,7 +25,6 @@ from piezobeam.scenarios import (
     run_convergence_study,
     run_electrostatic_limit,
     static_solution,
-    stretching_wave_speeds,
 )
 from piezobeam.solvers import eigenmodes
 

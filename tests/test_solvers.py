@@ -112,7 +112,7 @@ class TestSpdSolver:
         # ~1e-12 relative, the refined one by ~1e-16.
         sysm = build_system(make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC,
                                       bc=BoundaryCondition.CLAMPED_FREE), 32)
-        keep = np.concatenate([sysm.mechanical_dofs(), sysm.dofs_of("qT")[1:],
+        keep = np.concatenate([sysm.class_dofs("stretching", "bending"), sysm.dofs_of("qT")[1:],
                                sysm.dofs_of("qB")[1:]])
         A = sysm.K[keep][:, keep]
         b = (sysm.B @ np.ones(2))[keep]
@@ -354,7 +354,7 @@ class TestSimulate:
         x, v = traj.X[i], traj.V[i]
         assert traj.stored[i] == pytest.approx(0.5 * x @ sysm.K @ x, rel=1e-11, abs=1e-14)
         qv = np.zeros_like(v)
-        qd = sysm.charge_dofs()
+        qd = sysm.class_dofs("charge")
         qv[qd] = v[qd]
         assert traj.magnetic[i] == pytest.approx(0.5 * qv @ sysm.M @ qv, rel=1e-11, abs=1e-14)
         assert traj.kinetic[i] + traj.magnetic[i] == pytest.approx(
