@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import (
     IllegalRegime,
-    InvalidGeometry,
+    InvalidParameter,
     MissingPatchMaterial,
     NonPositiveParameter,
     ParseError,
@@ -133,11 +133,30 @@ _REGIMES = {r.value: r for r in Regime}
 _BCS = {b.value: b for b in BoundaryCondition}
 
 
+def _anchored(entries, section: str, exc: InvalidParameter) -> UnitViolation:
+    """exc at the line of the key it names in [section]; line 0 when the
+    file does not set that key."""
+    ln = entries.get(section, {}).get(exc.key, (0, None))[0]
+    return UnitViolation([(ln, f"{exc.key} in [{section}]: {exc}")])
+
+
 def _material(entries, section) -> MaterialParams | None:
     if section not in entries:
         return None
     kwargs = {k: _typed(entries, section, k, _real, 0.0) for k in _MATERIAL_KEYS}
-    return MaterialParams(**kwargs)
+    try:
+        return MaterialParams(**kwargs)
+    except NonPositiveParameter as exc:
+        raise _anchored(entries, section, exc) from exc
+
+
+def _geometry(entries) -> BeamGeometry:
+    try:
+        return BeamGeometry(**{key: _typed(entries, "geometry", key, _real,
+                                           1.0 if key == "length" else None)
+                               for key in SECTION_KEYS["geometry"]})
+    except NonPositiveParameter as exc:
+        raise _anchored(entries, "geometry", exc) from exc
 
 
 def _voltage(entries, section) -> VoltageSignal:
@@ -169,35 +188,33 @@ def parse_config(text: str) -> RunConfig:
     if variant is None or regime is None:
         raise ParseError("[model] must set both 'variant' and 'regime'")
 
-    try:
-        beam = _material(entries, "material.beam")
-        patch = _material(entries, "material.patch")
-        geometry = BeamGeometry(
-            length=_typed(entries, "geometry", "length", _real, 1.0),
-            thickness=_typed(entries, "geometry", "thickness", _real),
-            core_half_thickness=_typed(entries, "geometry", "core_half_thickness", _real),
-            patch_thickness=_typed(entries, "geometry", "patch_thickness", _real),
-            patch_start=_typed(entries, "geometry", "patch_start", _real),
-            patch_end=_typed(entries, "geometry", "patch_end", _real),
-        )
-        if variant.is_patch:
-            voltage = (_voltage(entries, "voltage.top"), _voltage(entries, "voltage.bottom"))
-            if "voltage" in entries:
+    beam = _material(entries, "material.beam")
+    patch = _material(entries, "material.patch")
+    geometry = _geometry(entries)
+    if variant.is_patch:
+        voltage = (_voltage(entries, "voltage.top"), _voltage(entries, "voltage.bottom"))
+        if "voltage" in entries:
+            raise UnknownKey(
+                "patch variants use [voltage.top]/[voltage.bottom], not [voltage]")
+    else:
+        voltage = _voltage(entries, "voltage")
+        for bad in ("voltage.top", "voltage.bottom"):
+            if bad in entries:
                 raise UnknownKey(
-                    "patch variants use [voltage.top]/[voltage.bottom], not [voltage]")
-        else:
-            voltage = _voltage(entries, "voltage")
-            for bad in ("voltage.top", "voltage.bottom"):
-                if bad in entries:
-                    raise UnknownKey(
-                        f"single-beam variants use [voltage], not [{bad}]")
-        spec = ModelSpec(
-            variant=variant, regime=regime, beam_material=beam,
-            geometry=geometry, mechanical_bc=bc,
-            patch_material=patch, voltage=voltage,
-        )
+                    f"single-beam variants use [voltage], not [{bad}]")
+    spec = ModelSpec(
+        variant=variant, regime=regime, beam_material=beam,
+        geometry=geometry, mechanical_bc=bc,
+        patch_material=patch, voltage=voltage,
+    )
+    try:
         validate_spec(spec)
-    except (NonPositiveParameter, InvalidGeometry, IllegalRegime) as exc:
+    except InvalidParameter as exc:
+        # validate_spec checks geometry keys, and mu on the charge-carrying layer.
+        section = "geometry" if exc.key in SECTION_KEYS["geometry"] else \
+            "material.patch" if variant.is_patch else "material.beam"
+        raise _anchored(entries, section, exc) from exc
+    except IllegalRegime as exc:
         raise UnitViolation(str(exc)) from exc
     except MissingPatchMaterial as exc:
         raise ParseError(f"missing required section [material.patch]: {exc}") from exc

@@ -11,11 +11,19 @@ class PiezobeamError(Exception):
 
 # --- model definition -------------------------------------------------------
 
-class NonPositiveParameter(PiezobeamError):
+class InvalidParameter(PiezobeamError):
+    """A model parameter fails a validity check; key names it."""
+
+    def __init__(self, message: str, key: str):
+        super().__init__(message)
+        self.key = key
+
+
+class NonPositiveParameter(InvalidParameter):
     """A material or geometry parameter that must be positive is not."""
 
 
-class InvalidGeometry(PiezobeamError):
+class InvalidGeometry(InvalidParameter):
     """Beam/patch geometry is inconsistent (e.g. patch outside the beam)."""
 
 

@@ -8,7 +8,10 @@ column by column with axpy, where the transposed sweep on L that LAPACK's
 banded Cholesky solve runs takes one dot product per column.  Neither
 kernel is threaded, so reruns are bitwise reproducible regardless of the
 BLAS thread count.  The sweep is a plain loop over the load it is given;
-solvers.simulate cuts a run into chunks, each continuing the last one.
+solvers.simulate cuts a run into chunks, each continuing the last one, and
+hands it only the blocks that move, stacked as one block-diagonal system
+(the halves of the patch model's top/bottom mirror, the single beam's
+{v, q}), so n counts the dofs that move.
 """
 
 from __future__ import annotations

@@ -86,9 +86,10 @@ class MaterialParams:
     def __post_init__(self):
         for name in ("rho", "c11", "c55", "eps1", "eps3"):
             if not getattr(self, name) > 0.0:
-                raise NonPositiveParameter(f"{name} must be > 0, got {getattr(self, name)!r}")
+                raise NonPositiveParameter(f"{name} must be > 0, got {getattr(self, name)!r}",
+                                           name)
         if self.mu < 0.0:
-            raise NonPositiveParameter(f"mu must be >= 0, got {self.mu!r}")
+            raise NonPositiveParameter(f"mu must be >= 0, got {self.mu!r}", "mu")
 
 
 @dataclass(frozen=True)
@@ -178,11 +179,11 @@ class BeamGeometry:
 
     def __post_init__(self):
         if not self.length > 0.0:
-            raise NonPositiveParameter(f"length must be > 0, got {self.length!r}")
+            raise NonPositiveParameter(f"length must be > 0, got {self.length!r}", "length")
         for name in ("thickness", "core_half_thickness", "patch_thickness"):
             val = getattr(self, name)
             if val is not None and not val > 0.0:
-                raise NonPositiveParameter(f"{name} must be > 0, got {val!r}")
+                raise NonPositiveParameter(f"{name} must be > 0, got {val!r}", name)
 
 
 @dataclass(frozen=True)
@@ -288,12 +289,12 @@ def validate_spec(spec: ModelSpec) -> ValidatedModelSpec:
             raise MissingPatchMaterial(f"{spec.variant.value} requires patch_material")
         for name in ("core_half_thickness", "patch_thickness", "patch_start", "patch_end"):
             if getattr(geo, name) is None:
-                raise InvalidGeometry(f"patch variant needs geometry field {name}")
+                raise InvalidGeometry(f"patch variant needs geometry field {name}", name)
         a, b = geo.patch_start, geo.patch_end
         if not (0.0 < a < b < geo.length):
             raise InvalidGeometry(
-                f"patch interval [{a}, {b}] must satisfy 0 < a < b < L={geo.length}"
-            )
+                f"patch interval [{a}, {b}] must satisfy 0 < a < b < L={geo.length}",
+                "patch_end" if 0.0 < a < b else "patch_start")
         if isinstance(spec.voltage, VoltageSignal):
             raise IllegalRegime("patch variants take a (top, bottom) voltage pair")
         voltages = tuple(spec.voltage)
@@ -301,7 +302,8 @@ def validate_spec(spec: ModelSpec) -> ValidatedModelSpec:
             raise IllegalRegime("patch voltage must be a pair of VoltageSignal")
     else:
         if geo.thickness is None:
-            raise InvalidGeometry("single-beam variant needs geometry field thickness")
+            raise InvalidGeometry("single-beam variant needs geometry field thickness",
+                                  "thickness")
         if not isinstance(spec.voltage, VoltageSignal):
             raise IllegalRegime("single-beam variants take exactly one voltage signal")
         voltages = (spec.voltage,)
@@ -313,8 +315,7 @@ def validate_spec(spec: ModelSpec) -> ValidatedModelSpec:
         charge_mu = (patch or beam).mu
         if not charge_mu > 0.0:
             raise NonPositiveParameter(
-                "fully dynamic regime requires mu > 0 on the charge-carrying layer"
-            )
+                "fully dynamic regime requires mu > 0 on the charge-carrying layer", "mu")
 
     return ValidatedModelSpec(
         variant=spec.variant,

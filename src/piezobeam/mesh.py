@@ -69,7 +69,8 @@ def build_mesh(geometry: BeamGeometry, n_elements: int, patch: bool = False) -> 
             raise TooFewElements(f"patch mesh needs >= 4 elements, got {n_elements}")
         a, b = geometry.patch_start, geometry.patch_end
         if a is None or b is None or not (0.0 < a < b < L):
-            raise InvalidGeometry(f"patch interval [{a}, {b}] invalid for length {L}")
+            raise InvalidGeometry(f"patch interval [{a}, {b}] invalid for length {L}",
+                                  "patch_start")
         counts = _apportion(n_elements, [a, b - a, L - b])
         pieces = [
             np.linspace(0.0, a, counts[0] + 1),

@@ -24,7 +24,7 @@ from .materials import (
     VoltageSignal,
     stretching_wave_speeds,
 )
-from .solvers import eigenmodes, simulate, solve_spd
+from .solvers import eigenmodes, mirror_gap, mirror_map, simulate, solve_spd
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,10 @@ def check_single_beam_decoupling(vspec: ValidatedModelSpec, n_elements: int,
     """Bending must receive no voltage forcing and stay exactly zero.
 
     The bending rows of the input map are structurally zero for single-beam
-    variants, and the bending block of the step matrix factors independently,
-    so from zero initial data the bending dofs remain bitwise zero; both
-    facts are checked, the second on a simulated trajectory.  IllegalRegime
+    variants, and bending shares no entry of M or K with stretching and
+    charge, so from zero initial data the bending block is at rest: simulate
+    never sweeps it, and the bending dofs remain bitwise zero.  Both facts
+    are checked, the second on a simulated trajectory.  IllegalRegime
     when the beam never stretches (zero drive or no steps): a bending
     response of zero would then show nothing.
     """
@@ -151,41 +152,15 @@ def check_single_beam_decoupling(vspec: ValidatedModelSpec, n_elements: int,
         MetricCheck("input_map_bending_rows_max", b_rows, "N/V", 0.0, "below",
                     "structural identity: voltage work involves no bending dof"),
         MetricCheck("trajectory_bending_max", x_bend, "m", 0.0, "below",
-                    "block-triangular factorization keeps unforced dofs at zero"),
+                    "an unforced block at rest is never swept: exact zeros"),
         MetricCheck("trajectory_bending_rate_max", v_bend, "m/s", 0.0, "below",
-                    "block-triangular factorization keeps unforced dofs at zero"),
+                    "an unforced block at rest is never swept: exact zeros"),
         MetricCheck("stretch_response_max", stretch, "m", basis="measured"),
     )
     return ScenarioReport("single-beam-decoupling", checks)
 
 
 # --- patch voltage selectivity --------------------------------------------------
-
-
-def _mirror_map(system: SemiDiscreteSystem):
-    """Permutation and signs of the top/bottom mirror on the current dofs.
-
-    The mirror negates transverse deflection and rotation and swaps the two
-    patch charge fields; stretching dofs are fixed.
-    """
-    n = system.n_dofs
-    perm = np.arange(n)
-    sign = np.ones(n)
-    sign[system.class_dofs("bending")] = -1.0
-    if "qT" in system.layout.fields:
-        top, bot = system.dofs_of("qT"), system.dofs_of("qB")
-        perm[top], perm[bot] = bot, top
-    return perm, sign
-
-
-def _mirror_gap(A, perm: np.ndarray, sign: np.ndarray) -> float:
-    """Largest entry of |D A[perm][:, perm] D - A|, D = diag(sign); exact."""
-    mirrored = A[perm][:, perm].tocoo()
-    mirrored.data *= sign[mirrored.row] * sign[mirrored.col]
-    mirrored = mirrored.tocsr()
-    if (mirrored != A).nnz == 0:
-        return 0.0
-    return float(abs(mirrored - A).max())
 
 
 def _negated(sig: VoltageSignal) -> VoltageSignal:
@@ -219,9 +194,9 @@ def _selectivity_setup(vspec: ValidatedModelSpec, mode: str, n_elements: int,
     if corrupt_sign:
         system = _corrupt_coupling(system)
 
-    perm, sign = _mirror_map(system)
-    gap_m = _mirror_gap(system.M, perm, sign)
-    gap_k = _mirror_gap(system.K, perm, sign)
+    perm, sign = mirror_map(system)
+    gap_m = mirror_gap(system.M, perm, sign)
+    gap_k = mirror_gap(system.K, perm, sign)
     tb = sign[:, None] * system.B[perm]
     gap_b = 0.0 if np.array_equal(tb, system.B[:, ::-1]) \
         else float(np.max(np.abs(tb - system.B[:, ::-1])))
@@ -253,7 +228,10 @@ def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, mode, n_elements:
     mode 'symmetric' applies (V, V) and requires the bending response to stay
     below 1e-12 of the stretching scale; 'antisymmetric' applies (V, -V) and
     requires the converse.  The underlying mirror symmetry of M, K and the
-    input map is asserted bitwise first.  corrupt_sign flips one coupling
+    input map is asserted bitwise first.  When it holds, simulate steps the
+    even and odd halves of the mirror apart and leaves the quiet one at
+    rest, so both dynamic ratios are exactly 0; a broken mirror steps
+    unsplit, and its leak shows.  corrupt_sign flips one coupling
     block beforehand; the check must then fail (negative control).  mode may
     also be a sequence of modes: their systems then run in one batched sweep
     and a tuple of reports comes back, in the same order.  IllegalRegime

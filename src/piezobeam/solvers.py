@@ -15,6 +15,18 @@ M and K are sparse: 1D elements couple only neighbouring nodes, so after a
 reverse Cuthill-McKee ordering the step matrix is banded (half-bandwidth 3
 on the single beam, 12 on the patch model), and one banded Cholesky
 factorization serves every solve.
+
+simulate steps only what moves.  It cuts each system into the connected
+components of |M| + |K|: {v, q} and {w} (or {w, psi}) on the single beam;
+on the patch model, written in mirror-adapted coordinates (the charge
+fields replaced by their half sum and half difference), the even half
+{v, e} and the odd half {w, psi, o} of the top/bottom mirror (Healey &
+Treacy 1991), whose step matrices have half-bandwidths 4 and 6 on the
+patch_eb model.  A block at rest (zero initial state, and a load that
+vanishes at every step: the odd half under equal voltages, the single
+beam's bending) is never swept, and its rows are exact zeros.  When the
+mirror does not hold bitwise, a patch system keeps its original
+coordinates and steps as one block.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .errors import ConvergenceFailure, EnergyImbalance, NotPositiveDefinite, SingularStepMatrix
 from .kernels import cholesky_solve, midpoint_sweep
@@ -253,27 +265,167 @@ def _row_energies(A, Z: np.ndarray) -> np.ndarray:
     return 0.5 * np.cumsum(terms, axis=1)[:, -1] if terms.shape[1] else np.zeros(len(Z))
 
 
+# --- the top/bottom mirror and the blocks of a step ---------------------------
+
+
+def mirror_map(system: SemiDiscreteSystem):
+    """Permutation and signs of the top/bottom mirror on the current dofs.
+
+    The mirror negates transverse deflection and rotation and swaps the two
+    patch charge fields; stretching dofs are fixed.
+    """
+    n = system.n_dofs
+    perm = np.arange(n)
+    sign = np.ones(n)
+    sign[system.class_dofs("bending")] = -1.0
+    if "qT" in system.layout.fields:
+        top, bot = system.dofs_of("qT"), system.dofs_of("qB")
+        perm[top], perm[bot] = bot, top
+    return perm, sign
+
+
+def mirror_gap(A, perm: np.ndarray, sign: np.ndarray) -> float:
+    """Largest entry of |D A[perm][:, perm] D - A|, D = diag(sign); exact."""
+    mirrored = A[perm][:, perm].tocoo()
+    mirrored.data *= sign[mirrored.row] * sign[mirrored.col]
+    mirrored = mirrored.tocsr()
+    if (mirrored != A).nnz == 0:
+        return 0.0
+    return float(abs(mirrored - A).max())
+
+
+def _paired(X, nm: int, nt: int):
+    """T X, T the mirror-adapted map on the numbering [nm mechanical dofs |
+    nt top charges | nt bottom charges]: the top rows become X_t + X_b, the
+    bottom rows X_t - X_b, the rest stay.  X is an array or a sparse matrix.
+    T is symmetric and T T = 2 on the charges, so T maps coordinates back
+    and T / 2 maps them in."""
+    top, bot = X[nm:nm + nt], X[nm + nt:]
+    if scipy.sparse.issparse(X):
+        return scipy.sparse.vstack([X[:nm], top + bot, top - bot], format="csr")
+    return np.concatenate([X[:nm], top + bot, top - bot])
+
+
+def _adapted(A, nm: int, nt: int):
+    """T A T for sparse A (see _paired), its columns paired first, then its rows.
+
+    An entry that couples the even class (stretching and the charge sum)
+    with the odd one (bending and the charge difference) is then the sum of
+    two terms, each pair of the form (a - c) + (c - a) or (a + c) - (c + a)
+    when A is mirror symmetric, so it is exactly 0.0 whatever the sparse
+    summation order; and every entry of the two halves equals, bitwise, its
+    value in the explicit block form (A_TT + A_BB) +- (A_TB + A_BT) and its
+    transpose.
+    """
+    return _paired(_paired(scipy.sparse.csr_array(A.T), nm, nt).T.tocsr(), nm, nt)
+
+
+@dataclass
+class _Block:
+    """One moving block of a system's step (see _split)."""
+
+    dofs: np.ndarray
+    M: object
+    K: object
+    B: np.ndarray
+    drive: np.ndarray
+    charge: np.ndarray
+    x0: np.ndarray
+    v0: np.ndarray
+
+
+def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray):
+    """(blocks, pairs): the blocks of the system's step that move.
+
+    The blocks are the connected components of the graph of |M| + |K|.  A
+    patch system is first written in mirror-adapted coordinates: the
+    mechanical dofs stay, and the top and bottom charges become
+    x_qT = e + o, x_qB = e - o, e the half sum and o the half difference;
+    the two voltages likewise become their half sum and half difference.
+    When every entry coupling the even class {v, e} with the odd one
+    {w, psi, o} is exactly 0.0 in M, K and B, the components are the two
+    halves, and pairs is (nm, nt) for _paired; otherwise (the mirror does
+    not hold bitwise) the system keeps its original coordinates and pairs
+    is None.  A single beam's components are {v, q} and {w} (or {w, psi}).
+
+    A block at rest, with zero initial state and a load that vanishes at
+    every step (the odd half under equal voltages), is left out: its rows
+    are exact zeros, bitwise what stepping it gives.  Rest is decided on
+    exact values, the input rows and the drive samples, never on a product
+    that could leave round-off.  Each _Block holds its dofs in the system's
+    coordinates, its own M and K, the input columns B that reach it with
+    their drive samples at every step midpoint (its load is drive @ B.T),
+    its block-local charge dofs and its initial state x0, v0.
+    """
+    M, K, B, drive, pairs = system.M, system.K, system.B, volts, None
+    y0, ydot0 = x0, v0
+    n, charge = system.n_dofs, system.class_dofs("charge")
+    perm, sign = mirror_map(system)
+    nt = int(np.sum(perm > np.arange(n)))
+    nm = n - 2 * nt
+    # The layout numbers the top charges, then the bottom ones, last.
+    if system.vspec.is_patch and np.array_equal(perm[nm:], np.roll(np.arange(nm, n), nt)):
+        odd = np.concatenate([sign[:nm] < 0.0, np.repeat([False, True], nt)])
+        Ma, Ka = _adapted(M, nm, nt), _adapted(K, nm, nt)
+        Ba = _paired(np.column_stack([B[:, 0] + B[:, 1], B[:, 0] - B[:, 1]]), nm, nt)
+        cross = np.any(Ba[~odd, 1]) or np.any(Ba[odd, 0])
+        for A in (Ma, Ka):
+            coo = A.tocoo()
+            cross = cross or np.any(coo.data[odd[coo.row] != odd[coo.col]])
+        if not cross:
+            M, K, B, pairs = Ma, Ka, Ba, (nm, nt)
+            drive = 0.5 * np.column_stack([volts[:, 0] + volts[:, 1],
+                                           volts[:, 0] - volts[:, 1]])
+            half = np.where(np.arange(n) < nm, 1.0, 0.5)
+            y0, ydot0 = half * _paired(x0, nm, nt), half * _paired(v0, nm, nt)
+
+    graph = abs(M) + abs(K)
+    graph.eliminate_zeros()
+    n_comp, labels = connected_components(graph, directed=False)
+    blocks = []
+    for c in range(n_comp):
+        dofs = np.flatnonzero(labels == c)
+        cols = np.flatnonzero(np.any(B[dofs] != 0.0, axis=0))
+        if not (np.any(y0[dofs]) or np.any(ydot0[dofs]) or np.any(drive[:, cols])):
+            continue
+        Mb, Kb = (M, K) if n_comp == 1 else (M[dofs][:, dofs], K[dofs][:, dofs])
+        blocks.append(_Block(dofs=dofs, M=Mb, K=Kb, B=B[dofs][:, cols], drive=drive[:, cols],
+                             charge=np.flatnonzero(np.isin(dofs, charge)),
+                             x0=y0[dofs], v0=ydot0[dofs]))
+    return blocks, pairs
+
+
 def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
              velocities: bool = True):
     """Integrate with the implicit midpoint rule and record every `stride` steps.
 
     `system` may also be a list of systems, with x0 and v0 lists of their
-    initial states: one sweep then advances all of them as the blocks of one
-    block-diagonal system, and a list of Trajectories comes back.  Each
-    block is bitwise the run it would be alone (see FactorizedOperator.stack),
-    and one system is the one-block case.
+    initial states: one sweep then advances all of them, and a list of
+    Trajectories comes back.
 
-    The only caller of the sweep; it factors every block's step matrix once
-    per call.  It feeds the sweep CHUNK_ENTRIES // n steps at a time, each
-    call continuing from the state the last one returned, and per chunk and
-    block forms the load B V(t_mid), the work integral (at every step, with
-    the stepper's midpoint quadrature, so the energy-balance residual stays
-    at round-off level for any stride) and the ledger of the recorded rows:
-    no n_steps x n array is formed, and with velocities=False
-    (Trajectory.V is then None) no recorded velocity outlives its chunk.
-    Raises EnergyImbalance, naming the block, when a block's residual
-    exceeds 1e-8 * its max energy or is not finite (criterion 4): such runs
-    come from step matrices that factor but are too ill-conditioned to solve.
+    Each system is cut into its blocks (see _split): for a patch model the
+    even and odd halves of the top/bottom mirror, for a single beam {v, q}
+    and {w}.  Every block at rest (zero initial state and a load that
+    vanishes at every step, such as the odd half under equal voltages) is
+    left out: its rows are exact zeros, bitwise what stepping it gives.
+    The blocks that move are stacked as the blocks of one block-diagonal
+    system and swept together; each is bitwise the run it would be alone
+    (see FactorizedOperator.stack), so each system is bitwise its own run.
+
+    The only caller of the sweep; it factors every moving block's step
+    matrix once per call.  It feeds the sweep CHUNK_ENTRIES // n steps at a
+    time (n the dofs that move), each call continuing from the state the
+    last one returned, and per chunk and block forms the load, the work
+    integral (at every step, with the stepper's midpoint quadrature, so the
+    energy-balance residual stays at round-off level for any stride) and
+    the ledger of the recorded rows; a system's ledger is the sum of its
+    blocks'.  The recorded rows are mapped back to the system's coordinates
+    straight into its Trajectory: no n_steps x n array is formed, and with
+    velocities=False (Trajectory.V is then None) no recorded velocity
+    outlives its chunk.  Raises EnergyImbalance, naming the system, when
+    its residual exceeds 1e-8 * its max energy or is not finite (criterion
+    4): such runs come from step matrices that factor but are too
+    ill-conditioned to solve.
     """
     many = isinstance(system, (list, tuple))
     systems, x0s, v0s = (system, x0, v0) if many else ([system], [x0], [v0])
@@ -287,65 +439,24 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
     n_steps = max(0, int(round(t_end / dt)))
-    op = FactorizedOperator.stack([step_operator(s, dt) for s in systems])
 
     t_mid = dt * (np.arange(n_steps) + 0.5)
-    volts = [np.column_stack([sig(t_mid) for sig in s.vspec.voltages]) for s in systems]
-    ends = np.cumsum([s.n_dofs for s in systems]).tolist()
-    blocks = [slice(a, b) for a, b in zip([0] + ends, ends)]
+    splits = [_split(s, x, v, np.column_stack([sig(t_mid) for sig in s.vspec.voltages]))
+              for s, x, v in zip(systems, x0s, v0s)]
     rec_steps = np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
-
     n_rec = len(rec_steps)
-    trajs = [Trajectory(t=rec_steps * dt, X=np.empty((n_rec, s.n_dofs)),
-                        V=np.empty((n_rec, s.n_dofs)) if velocities else None,
-                        kinetic=np.empty(n_rec), stored=np.empty(n_rec),
-                        magnetic=np.empty(n_rec), work=np.empty(n_rec)) for s in systems]
-    parts = [(b, s, traj, qd, s.M[qd][:, qd]) for b, s, traj, qd in
-             zip(blocks, systems, trajs, [s.class_dofs("charge") for s in systems])]
+    trajs = [Trajectory(t=rec_steps * dt, X=np.zeros((n_rec, s.n_dofs)),
+                        V=np.zeros((n_rec, s.n_dofs)) if velocities else None,
+                        kinetic=np.zeros(n_rec), stored=np.zeros(n_rec),
+                        magnetic=np.zeros(n_rec), work=np.zeros(n_rec)) for s in systems]
 
-    M, K = systems[0].M, systems[0].K  # one system needs no block_diag copy
-    if len(systems) > 1:
-        M = scipy.sparse.block_diag([s.M for s in systems], format="csr")
-        K = scipy.sparse.block_diag([s.K for s in systems], format="csr")
-    chunk = max(1, CHUNK_ENTRIES // ends[-1])
-    load = np.empty((min(chunk, n_steps), ends[-1]))
-    x, v = np.concatenate(x0s), np.concatenate(v0s)
-    total = np.zeros(len(systems))  # every block's work up to step a
-    # Row 0 is the initial state; each later pass records one chunk's rows.
-    X, V, work = x[None], v[None], total[None]
-    done = a = 0
-    while True:
-        rows = slice(done, done + len(X))
-        for k, (b, s, traj, qd, Mqq) in enumerate(parts):
-            Xb, Vb = X[:, b], V[:, b]
-            traj.X[rows] = Xb
-            if velocities:
-                traj.V[rows] = Vb
-            traj.work[rows] = work[:, k]
-            traj.magnetic[rows] = _row_energies(Mqq, Vb[:, qd])
-            traj.kinetic[rows] = _row_energies(s.M, Vb) - traj.magnetic[rows]
-            traj.stored[rows] = _row_energies(s.K, Xb)
-        done = rows.stop
-        del X, V, Xb, Vb  # no chunk's rows outlive its ledger
-        if a == n_steps:
-            break
-        m = min(chunk, n_steps - a)
-        for volts_s, s, b in zip(volts, systems, blocks):
-            np.matmul(volts_s[a:a + m], s.B.T, out=load[:m, b])
-        rec = rec_steps[done:np.searchsorted(rec_steps, a + m, side="right")] - a
-        x, v, X, V, vbar = midpoint_sweep(op.L, op.U, M, K, load[:m], x, v, dt, rec,
-                                          op.perm)
-        # Work increments dt * vbar . load, one dot product per step and
-        # block, summed in step order after the previous total.
-        inc = np.empty((m + 1, len(systems)))
-        inc[0] = total
-        for k, b in enumerate(blocks):
-            inc[1:, k] = np.matmul(vbar[:, None, b], load[:m, b, None])[:, 0, 0]
-        del vbar
-        inc[1:] *= dt
-        cum = np.cumsum(inc, axis=0)
-        total, work = cum[-1], cum[rec]
-        a += m
+    moving, parts = [], []
+    for traj, (blocks, pairs) in zip(trajs, splits):
+        parts.append((traj, pairs, [(blk, len(moving) + j, blk.M[blk.charge][:, blk.charge])
+                                    for j, blk in enumerate(blocks)]))
+        moving += blocks
+    if moving:
+        _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities)
 
     for k, traj in enumerate(trajs):
         resid, scale = traj.balance
@@ -355,3 +466,64 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
                 f"{where}energy balance residual {resid:.3e} exceeds 1e-8 * max energy "
                 f"{scale:.3e}")
     return trajs if many else trajs[0]
+
+
+def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities):
+    """simulate's chunk loop over the stacked moving blocks.
+
+    parts holds, per system, its Trajectory, its charge pairs (or None) and
+    (block, index in moving, charge mass) of each of its moving blocks.
+    """
+    op = FactorizedOperator.stack([step_operator(blk, dt) for blk in moving])
+    M, K = moving[0].M, moving[0].K  # one block needs no block_diag copy
+    if len(moving) > 1:
+        M = scipy.sparse.block_diag([blk.M for blk in moving], format="csr")
+        K = scipy.sparse.block_diag([blk.K for blk in moving], format="csr")
+    n = M.shape[0]
+    cols = [slice(a - len(blk.dofs), a) for blk, a in
+            zip(moving, np.cumsum([len(blk.dofs) for blk in moving]))]
+    chunk = max(1, CHUNK_ENTRIES // n)
+    load = np.empty((min(chunk, n_steps), n))
+    x = np.concatenate([blk.x0 for blk in moving])
+    v = np.concatenate([blk.v0 for blk in moving])
+    total = np.zeros(len(moving))  # every block's work up to step a
+    # Row 0 is the initial state; each later pass records one chunk's rows.
+    Y, V, work = x[None], v[None], total[None]
+    done = a = 0
+    while True:
+        rows = slice(done, done + len(Y))
+        for traj, pairs, own in parts:
+            for blk, j, Mqq in own:
+                Yb, Vb = Y[:, cols[j]], V[:, cols[j]]
+                traj.X[rows, blk.dofs] = Yb
+                if velocities:
+                    traj.V[rows, blk.dofs] = Vb
+                mag = _row_energies(Mqq, Vb[:, blk.charge])
+                traj.magnetic[rows] += mag
+                traj.kinetic[rows] += _row_energies(blk.M, Vb) - mag
+                traj.stored[rows] += _row_energies(blk.K, Yb)
+                traj.work[rows] += work[:, j]
+            if pairs is not None and own:
+                for arr in (traj.X, traj.V) if velocities else (traj.X,):
+                    arr[rows] = _paired(arr[rows].T, *pairs).T
+        done = rows.stop
+        del Y, V, Yb, Vb  # no chunk's rows outlive its ledger
+        if a == n_steps:
+            break
+        m = min(chunk, n_steps - a)
+        for blk, c in zip(moving, cols):
+            np.matmul(blk.drive[a:a + m], blk.B.T, out=load[:m, c])
+        rec = rec_steps[done:np.searchsorted(rec_steps, a + m, side="right")] - a
+        x, v, Y, V, vbar = midpoint_sweep(op.L, op.U, M, K, load[:m], x, v, dt, rec,
+                                          op.perm)
+        # Work increments dt * vbar . load, one dot product per step and
+        # block, summed in step order after the previous total.
+        inc = np.empty((m + 1, len(moving)))
+        inc[0] = total
+        for j, c in enumerate(cols):
+            inc[1:, j] = np.matmul(vbar[:, None, c], load[:m, c, None])[:, 0, 0]
+        del vbar
+        inc[1:] *= dt
+        cum = np.cumsum(inc, axis=0)
+        total, work = cum[-1], cum[rec]
+        a += m

@@ -121,6 +121,58 @@ dt = 0.001
 t_end = 0.3
 """
 
+FAR_PATCH_MT_INI = """\
+[model]
+variant = patch_mt
+regime = full_magnetic
+bc = clamped_free
+
+[material.beam]
+rho = 1.0
+c11 = 0.019998894068262548
+c55 = 101649.72390161591
+gamma31 = -1.0
+gamma15 = 147.1420783900021
+eps1 = 0.0001004227975982902
+eps3 = 0.02224421140807547
+mu = 17676.478420006817
+
+[material.patch]
+rho = 47276.02443127727
+c11 = 0.0001115294577732349
+c55 = 79.43282347242814
+gamma31 = -2741.9916647680284
+gamma15 = -2.3719685445209136e-06
+eps1 = 1.0
+eps3 = 1.000000000000002e-06
+mu = 1.0
+
+[geometry]
+length = 1.0
+core_half_thickness = 0.05
+patch_thickness = 0.03
+patch_start = 0.25
+patch_end = 0.75
+
+[voltage.top]
+kind = step
+amplitude = -0.0002659356036146779
+frequency = 0.6455401854311179
+step_time = 0.028240855731674848
+
+[voltage.bottom]
+kind = zero
+amplitude = 3.1622776601683795
+frequency = 71.67983965369936
+step_time = 0.0259617676653577
+
+[solver]
+elements = 7
+dt = 0.002642802567719284
+t_end = 0.05
+stride = 1
+"""
+
 PATCH_STATIC_INI = PATCH_FULL_INI.replace(
     "regime = full_magnetic", "regime = electrostatic")
 
@@ -315,6 +367,48 @@ class TestCheck:
         assert "FAIL" in capsys.readouterr().out
         report = json.loads((out / "check_report.json").read_text())
         assert report["passed"] is False
+
+    def test_fine_patch_mesh_keeps_parity_exact(self, tmp_path, capsys):
+        # In mirror-adapted coordinates the quiet half of either drive gets
+        # an exactly zero load and is at rest, so both ratios are exactly 0
+        # at any mesh size.  Sweeping the whole system let solve round-off
+        # leak into the quiet class, growing as n^2 (2.4e-12 at 256
+        # elements, over c06's 1e-12 bound).
+        cfg = shipped_with(tmp_path, "patch_bimorph.ini", elements=256)
+        out = tmp_path / "run"
+        assert main(["check", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "check_report.json").read_text())
+        assert len(report["scenarios"]) == 2
+        for scenario in report["scenarios"]:
+            values = {c["name"]: c["value"] for c in scenario["checks"]}
+            assert values["quiet_over_active_ratio"] == 0.0, scenario["scenario"]
+            assert values["charge_mirror_gap"] == 0.0, scenario["scenario"]
+
+    def test_fine_patch_mesh_still_catches_corrupted_coupling(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # The corrupted system breaks the mirror, so it steps unsplit, as one
+        # block in its own coordinates, and its leak shows.
+        monkeypatch.setenv("PIEZOBEAM_CORRUPT_COUPLING", "1")
+        cfg = shipped_with(tmp_path, "patch_bimorph.ini", elements=256)
+        out = tmp_path / "run"
+        assert main(["check", cfg, "--out", str(out)]) == 4
+        report = json.loads((out / "check_report.json").read_text())
+        leak = max(c["value"] for s in report["scenarios"] for c in s["checks"]
+                   if c["name"] == "quiet_over_active_ratio")
+        assert leak > 1e-3
+
+    def test_far_from_unit_patch_mt_constants_keep_parity_exact(self, tmp_path, capsys):
+        # Drawn by the TestEveryConfig generator: with the whole system swept,
+        # 3.5e-10 of the active response leaked into the quiet class (exit 4).
+        path = tmp_path / "far.ini"
+        path.write_text(FAR_PATCH_MT_INI)
+        out = tmp_path / "run"
+        assert main(["check", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "check_report.json").read_text())
+        for scenario in report["scenarios"]:
+            values = {c["name"]: c["value"] for c in scenario["checks"]}
+            assert values["quiet_over_active_ratio"] == 0.0, scenario["scenario"]
+            assert values["charge_mirror_gap"] == 0.0, scenario["scenario"]
 
     def test_corruption_hook_ignores_single_beams(self, single_cfg, tmp_path,
                                                   monkeypatch):
@@ -513,6 +607,20 @@ class TestErrorPaths:
         with open(cfg, encoding="utf-8") as fh:
             line = fh.read().splitlines().index(f"elements = {elements}") + 1
         assert f"error: line {line}: elements must be >= " in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("name,key,value,section", [
+        ("single_beam.ini", "rho", "-1.0", "material.beam"),
+        ("patch_bimorph.ini", "patch_start", "0.9", "geometry"),
+    ], ids=["negative-density", "patch-interval"])
+    def test_model_validity_error_names_key_section_and_line(
+            self, tmp_path, capsys, name, key, value, section):
+        cfg = shipped_with(tmp_path, name, **{key: value})
+        out = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out)]) == 2
+        with open(cfg, encoding="utf-8") as fh:
+            line = fh.read().splitlines().index(f"{key} = {value}") + 1
+        assert f"error: line {line}: {key} in [{section}]: " in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 
     def test_unbalanced_run_exits_with_numerical_error(self, tmp_path, capsys):

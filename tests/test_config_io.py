@@ -218,6 +218,14 @@ class TestParseErrors:
             (SINGLE_INI, "elements = 8", "elements = 1"),
             (PATCH_INI, "elements = 12", "elements = 3"),
         )
+        # The charge-carrying layer's mu is checked against the regime.
+        text, line = with_value(PATCH_INI.replace("regime = electrostatic",
+                                                  "regime = full_magnetic"),
+                                "material.patch", "mu", "0.0")
+        with pytest.raises(UnitViolation) as exc:
+            parse_config(text)
+        [(ln, msg)] = exc.value.issues
+        assert ln == line and msg.startswith("mu in [material.patch]: ")
         for text, good, bad in solver_cases:
             line = text.splitlines().index(good) + 1
             with pytest.raises(UnitViolation) as exc:

@@ -28,7 +28,7 @@ from piezobeam.solvers import (
     step_operator,
 )
 
-from modelzoo import UNCOUPLED, make_spec
+from modelzoo import PATCH_COMBOS, UNCOUPLED, make_spec
 
 SHIPPED = [os.path.join(os.path.dirname(__file__), "..", "configs", name)
            for name in ("single_beam.ini", "patch_bimorph.ini")]
@@ -498,3 +498,126 @@ class TestBatch:
             b = [rng.standard_normal(op.L.shape[1]) for op in ops]
             x = stacked.solve(np.concatenate(b))
             assert np.array_equal(x, np.concatenate([op.solve(bk) for op, bk in zip(ops, b)]))
+
+
+def unsplit_run(system, x0, v0, dt, n_steps):
+    """States, velocities and ledger of one direct sweep of the whole system
+    in its own coordinates, recorded at every step."""
+    op = step_operator(system, dt)
+    t_mid = dt * (np.arange(n_steps) + 0.5)
+    load = np.column_stack([sig(t_mid) for sig in system.vspec.voltages]) @ system.B.T
+    _, _, X, V, vbar = midpoint_sweep(op.L, op.U, system.M, system.K, load, x0, v0, dt,
+                                      np.arange(1, n_steps + 1), op.perm)
+    X, V = np.vstack([x0, X]), np.vstack([v0, V])
+    qd = system.class_dofs("charge")
+
+    def energy(A, Z):
+        return 0.5 * np.sum(Z * (A @ Z.T).T, axis=1)
+
+    magnetic = energy(system.M[qd][:, qd], V[:, qd])
+    return {"X": X, "V": V, "magnetic": magnetic, "kinetic": energy(system.M, V) - magnetic,
+            "stored": energy(system.K, X),
+            "work": np.cumsum(np.append(0.0, dt * np.sum(vbar * load, axis=1)))}
+
+
+def counting_sweeps(monkeypatch):
+    """The number of dofs of every sweep simulate runs from now on."""
+    swept = []
+
+    def counting(L, U, M, K, bvolts, x0, *args):
+        swept.append(len(x0))
+        return midpoint_sweep(L, U, M, K, bvolts, x0, *args)
+
+    monkeypatch.setattr(solvers, "midpoint_sweep", counting)
+    return swept
+
+
+class TestMirrorHalves:
+    @pytest.mark.parametrize("n", [32, 512])
+    @pytest.mark.parametrize("variant,regime", PATCH_COMBOS)
+    def test_cross_blocks_are_exact_zeros(self, variant, regime, n):
+        # In mirror-adapted coordinates the top-charge slots carry the half
+        # sum (even, with stretching) and the bottom-charge slots the half
+        # difference (odd, with bending); nothing couples the two halves.
+        sysm = build_system(make_spec(variant, regime), n)
+        nt = len(sysm.class_dofs("charge")) // 2
+        nm = sysm.n_dofs - 2 * nt
+        odd = np.zeros(sysm.n_dofs, dtype=bool)
+        odd[sysm.class_dofs("bending")] = True
+        odd[nm + nt:] = True
+        for A in (sysm.M, sysm.K):
+            Ay = solvers._adapted(A, nm, nt)
+            assert (Ay != Ay.T).nnz == 0  # bitwise symmetric
+            for rows, cols in ((~odd, odd), (odd, ~odd)):
+                assert np.all(Ay[rows][:, cols].data == 0.0)
+            assert Ay[~odd][:, ~odd].count_nonzero() and Ay[odd][:, odd].count_nonzero()
+        B = sysm.B
+        By = solvers._paired(np.column_stack([B[:, 0] + B[:, 1], B[:, 0] - B[:, 1]]), nm, nt)
+        assert np.all(By[~odd, 1] == 0.0) and np.all(By[odd, 0] == 0.0)
+        assert np.any(By[~odd, 0]) and np.any(By[odd, 1])
+
+    @pytest.mark.parametrize("variant,regime", PATCH_COMBOS)
+    def test_both_halves_map_back_to_the_unsplit_sweep(self, rng, monkeypatch,
+                                                       variant, regime):
+        # Unequal drives and a random initial state move both halves.
+        vspec = make_spec(variant, regime, voltage=(VoltageSignal.sinusoid(1.0, 3.0),
+                                                    VoltageSignal.sinusoid(-0.5, 2.0)))
+        sysm = build_system(vspec, 16)
+        x0 = 1e-3 * rng.standard_normal(sysm.n_dofs)
+        v0 = 1e-3 * rng.standard_normal(sysm.n_dofs)
+        blocks, pairs = solvers._split(sysm, x0, v0, np.ones((1, 2)))
+        assert pairs is not None and len(blocks) == 2
+        swept = counting_sweeps(monkeypatch)
+        traj = simulate(sysm, x0, v0, 1e-3, 0.3)
+        assert set(swept) == {sysm.n_dofs}
+        want = unsplit_run(sysm, x0, v0, 1e-3, 300)
+        for name, ref in want.items():
+            got = getattr(traj, name)
+            assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max(), name
+
+    def test_equal_voltages_sweep_only_the_even_half(self, monkeypatch):
+        # The shipped drive leaves the odd half at rest: it is never swept,
+        # and bending and the charge difference stay exact zeros.
+        vspec, config = shipped_spec(SHIPPED[1])
+        sysm = build_system(vspec, 512)
+        swept = counting_sweeps(monkeypatch)
+        zero = np.zeros(sysm.n_dofs)
+        traj = simulate(sysm, zero, zero, config.dt, 0.05, velocities=False)
+        assert sysm.n_dofs == 2565
+        assert set(swept) == {1026}
+        assert 1026 == len(sysm.class_dofs("stretching")) + len(sysm.dofs_of("qT"))
+        assert np.all(traj.X[:, sysm.class_dofs("bending")] == 0.0)
+        assert np.array_equal(traj.X[:, sysm.dofs_of("qT")], traj.X[:, sysm.dofs_of("qB")])
+        assert np.abs(traj.X[:, sysm.class_dofs("stretching")]).max() > 0.0
+
+    def test_single_beam_sweeps_stretching_and_charge_only(self, monkeypatch):
+        sysm = shipped_system(SHIPPED[0])
+        swept = counting_sweeps(monkeypatch)
+        zero = np.zeros(sysm.n_dofs)
+        traj = simulate(sysm, zero, zero, 1e-3, 0.1)
+        assert set(swept) == {len(sysm.class_dofs("stretching", "charge"))} == {66}
+        bend = sysm.class_dofs("bending")
+        assert np.all(traj.X[:, bend] == 0.0) and np.all(traj.V[:, bend] == 0.0)
+
+    def test_nothing_moves_nothing_is_swept(self, monkeypatch):
+        sysm = build_system(make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC), 8)
+        swept = counting_sweeps(monkeypatch)
+        zero = np.zeros(sysm.n_dofs)
+        traj = simulate(sysm, zero, zero, 1e-3, 0.1)
+        assert swept == []
+        for name in ("X", "V", "kinetic", "stored", "magnetic", "work"):
+            assert not np.any(getattr(traj, name)), name
+
+    def test_broken_mirror_steps_unsplit(self, rng, monkeypatch):
+        # A corrupted coupling breaks the mirror: the system steps as one
+        # block in its own coordinates, bitwise the direct sweep.
+        vspec, config = shipped_spec(SHIPPED[1])
+        sysm = scenarios._corrupt_coupling(build_system(vspec, config.n_elements))
+        zero = np.zeros(sysm.n_dofs)
+        blocks, pairs = solvers._split(sysm, zero, zero, np.ones((1, 2)))
+        assert pairs is None and len(blocks) == 1 and blocks[0].M is sysm.M
+        swept = counting_sweeps(monkeypatch)
+        traj = simulate(sysm, zero, zero, 1e-3, 0.2)
+        assert set(swept) == {sysm.n_dofs}
+        want = unsplit_run(sysm, zero, zero, 1e-3, 200)
+        assert np.array_equal(traj.X, want["X"]) and np.array_equal(traj.V, want["V"])
