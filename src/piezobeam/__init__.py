@@ -18,6 +18,7 @@ from .errors import (
     InvalidGeometry,
     MeshSpecMismatch,
     MissingPatchMaterial,
+    NonFiniteState,
     NonPositiveParameter,
     NotPositiveDefinite,
     OutOfDomain,

@@ -75,6 +75,10 @@ class EnergyImbalance(PiezobeamError):
     """A run's energy change misses the injected work by more than round-off."""
 
 
+class NonFiniteState(PiezobeamError):
+    """A run's state overflowed to a non-finite value."""
+
+
 class ConvergenceFailure(PiezobeamError):
     """Eigenvalue solve did not converge, or found no gap at the zero modes."""
 

@@ -1,10 +1,17 @@
 """Linear algebra and time integration for the semi-discrete system.
 
 The implicit midpoint rule (trapezoidal/Newmark with beta=1/4, gamma=1/2)
-advances  M xdd + K x = B V(t)  via
+advances  M xdd + K x = f = B V(t)  via
 
-    (M + dt^2/4 K) v_{n+1} = (M - dt^2/4 K) v_n - dt K x_n + dt B V(t_n + dt/2)
-    x_{n+1} = x_n + dt (v_n + v_{n+1}) / 2
+    (M + dt^2/4 K) vbar = M v_n - dt/2 K x_n + dt/2 f(t_n + dt/2)
+    x_{n+1} = x_n + dt vbar,   v_{n+1} = 2 vbar - v_n
+
+vbar being the midpoint velocity.  The sweep carries the momenta
+a = M v - dt/2 K x and b = M v + dt/2 K x, which it steps with one product
+by K (see kernels.midpoint_sweep):
+
+    b_{n+1} = 2 r - a_n,   a_{n+1} = 2 r - b_n - dt^2 K vbar,
+    r = a_n + dt/2 f(t_n + dt/2) the right-hand side above.
 
 It is unconditionally stable, second order, time reversible, and conserves
 every quadratic invariant of the flow; with forcing, the discrete energy
@@ -31,7 +38,7 @@ coordinates and steps as one block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,7 +47,13 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
-from .errors import ConvergenceFailure, EnergyImbalance, NotPositiveDefinite, SingularStepMatrix
+from .errors import (
+    ConvergenceFailure,
+    EnergyImbalance,
+    NonFiniteState,
+    NotPositiveDefinite,
+    SingularStepMatrix,
+)
 from .kernels import cholesky_solve, midpoint_sweep
 
 if TYPE_CHECKING:
@@ -333,6 +346,19 @@ class _Block:
     x0: np.ndarray
     v0: np.ndarray
 
+    def renumbered(self, perm: np.ndarray) -> "_Block":
+        """The block in the numbering perm: its dof i is this block's dof
+        perm[i].  M and K keep their column indices sorted, so a row sums
+        in the same order whether the block is swept alone or stacked."""
+        def renumber(A):
+            A = A[perm][:, perm]
+            A.sort_indices()
+            return A
+
+        return replace(self, dofs=self.dofs[perm], M=renumber(self.M), K=renumber(self.K),
+                       B=self.B[perm], charge=np.flatnonzero(np.isin(perm, self.charge)),
+                       x0=self.x0[perm], v0=self.v0[perm])
+
 
 def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray):
     """(blocks, pairs): the blocks of the system's step that move.
@@ -413,18 +439,22 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     (see FactorizedOperator.stack), so each system is bitwise its own run.
 
     The only caller of the sweep; it factors every moving block's step
-    matrix once per call.  It feeds the sweep CHUNK_ENTRIES // n steps at a
-    time (n the dofs that move), each call continuing from the state the
-    last one returned, and per chunk and block forms the load, the work
-    integral (at every step, with the stepper's midpoint quadrature, so the
-    energy-balance residual stays at round-off level for any stride) and
-    the ledger of the recorded rows; a system's ledger is the sum of its
-    blocks'.  The recorded rows are mapped back to the system's coordinates
-    straight into its Trajectory: no n_steps x n array is formed, and with
-    velocities=False (Trajectory.V is then None) no recorded velocity
-    outlives its chunk.  Raises EnergyImbalance, naming the system, when
-    its residual exceeds 1e-8 * its max energy or is not finite (criterion
-    4): such runs come from step matrices that factor but are too
+    matrix once per call and renumbers the block (M, K, the rows of B and
+    the initial state) into the band numbering of its factor, where the
+    sweep runs.  It feeds the sweep CHUNK_ENTRIES // n steps at a time (n
+    the dofs that move), each call continuing from the state (x, v and the
+    momenta a, b) the last one returned, and per chunk and block forms the
+    load, the work integral (at every step, with the stepper's midpoint
+    quadrature, so the energy-balance residual stays at round-off level for
+    any stride) and the ledger of the recorded rows; a system's ledger is
+    the sum of its blocks'.  The recorded rows are mapped back to the
+    system's coordinates straight into its Trajectory: no n_steps x n array
+    is formed, and with velocities=False (Trajectory.V is then None) no
+    recorded velocity outlives its chunk.  Raises NonFiniteState, naming
+    the system and the steps, after the first chunk that leaves a
+    non-finite state, and EnergyImbalance, naming the system, when its
+    residual exceeds 1e-8 * its max energy or is not finite (criterion 4):
+    such runs come from step matrices that factor but are too
     ill-conditioned to solve.
     """
     many = isinstance(system, (list, tuple))
@@ -450,18 +480,17 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
                         kinetic=np.zeros(n_rec), stored=np.zeros(n_rec),
                         magnetic=np.zeros(n_rec), work=np.zeros(n_rec)) for s in systems]
 
+    names = [f"system {k} of {len(trajs)}: " if many else "" for k in range(len(trajs))]
     moving, parts = [], []
-    for traj, (blocks, pairs) in zip(trajs, splits):
-        parts.append((traj, pairs, [(blk, len(moving) + j, blk.M[blk.charge][:, blk.charge])
-                                    for j, blk in enumerate(blocks)]))
+    for traj, (blocks, pairs), where in zip(trajs, splits, names):
+        parts.append((traj, pairs, range(len(moving), len(moving) + len(blocks)), where))
         moving += blocks
     if moving:
         _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities)
 
-    for k, traj in enumerate(trajs):
+    for traj, where in zip(trajs, names):
         resid, scale = traj.balance
         if not resid <= 1e-8 * scale:  # NaN fails too
-            where = f"system {k} of {len(trajs)}: " if many else ""
             raise EnergyImbalance(
                 f"{where}energy balance residual {resid:.3e} exceeds 1e-8 * max energy "
                 f"{scale:.3e}")
@@ -471,34 +500,39 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
 def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities):
     """simulate's chunk loop over the stacked moving blocks.
 
-    parts holds, per system, its Trajectory, its charge pairs (or None) and
-    (block, index in moving, charge mass) of each of its moving blocks.
+    parts holds, per system, its Trajectory, its charge pairs (or None),
+    the indices in moving of its blocks and its name in error messages.
     """
-    op = FactorizedOperator.stack([step_operator(blk, dt) for blk in moving])
+    ops = [step_operator(blk, dt) for blk in moving]
+    op = FactorizedOperator.stack(ops)
+    moving = [blk.renumbered(o.perm) for blk, o in zip(moving, ops)]
+    Mqq = [blk.M[blk.charge][:, blk.charge] for blk in moving]
     M, K = moving[0].M, moving[0].K  # one block needs no block_diag copy
     if len(moving) > 1:
         M = scipy.sparse.block_diag([blk.M for blk in moving], format="csr")
         K = scipy.sparse.block_diag([blk.K for blk in moving], format="csr")
     n = M.shape[0]
-    cols = [slice(a - len(blk.dofs), a) for blk, a in
-            zip(moving, np.cumsum([len(blk.dofs) for blk in moving]))]
+    ends = np.cumsum([len(blk.dofs) for blk in moving])
+    cols = [slice(e - len(blk.dofs), e) for blk, e in zip(moving, ends)]
     chunk = max(1, CHUNK_ENTRIES // n)
     load = np.empty((min(chunk, n_steps), n))
     x = np.concatenate([blk.x0 for blk in moving])
     v = np.concatenate([blk.v0 for blk in moving])
+    ab = None  # the sweep forms the momenta from x and v on its first call
     total = np.zeros(len(moving))  # every block's work up to step a
     # Row 0 is the initial state; each later pass records one chunk's rows.
     Y, V, work = x[None], v[None], total[None]
     done = a = 0
     while True:
         rows = slice(done, done + len(Y))
-        for traj, pairs, own in parts:
-            for blk, j, Mqq in own:
+        for traj, pairs, own, _ in parts:
+            for j in own:
+                blk = moving[j]
                 Yb, Vb = Y[:, cols[j]], V[:, cols[j]]
                 traj.X[rows, blk.dofs] = Yb
                 if velocities:
                     traj.V[rows, blk.dofs] = Vb
-                mag = _row_energies(Mqq, Vb[:, blk.charge])
+                mag = _row_energies(Mqq[j], Vb[:, blk.charge])
                 traj.magnetic[rows] += mag
                 traj.kinetic[rows] += _row_energies(blk.M, Vb) - mag
                 traj.stored[rows] += _row_energies(blk.K, Yb)
@@ -514,8 +548,13 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities):
         for blk, c in zip(moving, cols):
             np.matmul(blk.drive[a:a + m], blk.B.T, out=load[:m, c])
         rec = rec_steps[done:np.searchsorted(rec_steps, a + m, side="right")] - a
-        x, v, Y, V, vbar = midpoint_sweep(op.L, op.U, M, K, load[:m], x, v, dt, rec,
-                                          op.perm)
+        x, v, ab, Y, V, vbar = midpoint_sweep(op.L, op.U, M, K, load[:m], x, v, dt, rec, ab)
+        finite = np.isfinite(x) & np.isfinite(v) & np.isfinite(ab[0]) & np.isfinite(ab[1])
+        if not finite.all():
+            j = np.searchsorted(ends, np.argmin(finite), side="right")
+            name = next(name for _, _, own, name in parts if j in own)
+            raise NonFiniteState(
+                f"{name}state not finite after steps {a + 1}-{a + m} of {n_steps}")
         # Work increments dt * vbar . load, one dot product per step and
         # block, summed in step order after the previous total.
         inc = np.empty((m + 1, len(moving)))

@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per release criterion (c01-c11).
+"""Acceptance gate: one test per release criterion (c01-c11), and c11's
+thread-count check repeated at a realistic mesh size.
 
 Each test freezes its tolerances and oracle values inline; the conftest
 terminal summary prints a per-criterion pass/fail line.  These tests favour
@@ -288,3 +289,30 @@ def test_c11_simulate_cli_is_byte_reproducible(tmp_path):
         assert proc.returncode == 0, proc.stderr
         payloads[threads] = tuple((out / name).read_bytes() for name in names)
     assert payloads["1"] == payloads["4"]
+
+
+def test_patch_simulate_at_512_elements_is_thread_count_independent(tmp_path):
+    """c11's thread-count check on the shipped patch config at 512 elements
+    (2565 dofs, 1026 of them swept): identical CSV bytes under one and two
+    BLAS threads."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", "patch_bimorph.ini"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    assert "\nelements = 32\n" in text
+    cfg = tmp_path / "patch512.ini"
+    cfg.write_text(text.replace("\nelements = 32\n", "\nelements = 512\n"))
+    names = ("trajectory.csv", "energy.csv")
+    payloads = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ)
+        env.update(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "piezobeam.cli",
+             "simulate", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "dofs=2565" in (out / "trajectory.csv").read_text()
+        payloads[threads] = tuple((out / name).read_bytes() for name in names)
+    assert payloads["1"] == payloads["2"]

@@ -638,7 +638,7 @@ class TestErrorPaths:
         assert "energy balance residual" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 
-    @pytest.mark.parametrize("name", ["single_beam.ini", "patch_bimorph.ini"])
+    @pytest.mark.parametrize("name", ["single_beam.ini"])
     def test_check_with_a_vanishing_permeability_exits_with_numerical_error(
             self, tmp_path, capsys, name):
         # mu = 1e-18 leaves a step matrix that factors but cannot be solved
@@ -648,6 +648,36 @@ class TestErrorPaths:
         assert main(["check", cfg, "--out", str(out)]) == 3
         assert "energy balance residual" in capsys.readouterr().err
         assert not (out / "check_report.json").exists()
+
+    def test_check_on_the_patch_with_a_vanishing_permeability_tracks_the_electrostatic_model(
+            self, tmp_path, capsys):
+        # The patch model steps mu = 1e-18 stably: check balances both
+        # drives (the gate is 1e-8 of max energy; both measure near 4e-14)
+        # and passes, and the run stays within round-off of the
+        # charge-eliminated model, which mu -> 0 approaches (distance
+        # about 3.5 mu above the floor, 2.3e-12 measured here).
+        cfg = shipped_with(tmp_path, "patch_bimorph.ini", mu="1e-18")
+        out = tmp_path / "run"
+        assert main(["check", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "check_report.json").read_text())["passed"] is True
+        config = cli._load_config(cfg)
+        study = scenarios.run_electrostatic_limit(config.validated(), (1e-18,),
+                                                  config.n_elements, config.dt, config.t_end)
+        assert study.distances[0] <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_state_stops_the_run_after_its_chunk(self, tmp_path, capsys):
+        # A drive of 1e308 overflows in the first steps: the run stops after
+        # the first chunk of steps, naming them, instead of stepping NaNs to
+        # the end and failing the energy balance.
+        cfg = shipped_with(tmp_path, "single_beam.ini", amplitude="1e308")
+        out = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "error: state not finite after steps 1-992 of 2000" in err
+        assert "energy balance" not in err
+        assert not (out / "trajectory.csv").exists()
 
     def test_linear_algebra_failure_exits_with_numerical_error(
             self, single_cfg, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Linear algebra helpers, eigenmodes and the implicit midpoint integrator."""
 
+import importlib.util
 import os
 import tracemalloc
 from dataclasses import replace
@@ -12,7 +13,12 @@ import scipy.sparse
 from piezobeam.assembly import build_system
 from piezobeam.config import parse_config
 from piezobeam import scenarios, solvers
-from piezobeam.errors import ConvergenceFailure, EnergyImbalance, NotPositiveDefinite
+from piezobeam.errors import (
+    ConvergenceFailure,
+    EnergyImbalance,
+    NonFiniteState,
+    NotPositiveDefinite,
+)
 from piezobeam.kernels import midpoint_sweep
 from piezobeam.materials import (
     BoundaryCondition,
@@ -68,8 +74,8 @@ def scalar_sweep(dt, n_steps, k=1.0):
     K = np.array([[k]])
     op = FactorizedOperator.build(M + 0.25 * dt * dt * K)
     x0, v0, load = np.array([1.0]), np.array([0.0]), np.zeros((n_steps, 1))
-    _, _, X, V, vbar = midpoint_sweep(op.L, op.U, M, K, load, x0, v0, dt,
-                                      np.arange(1, n_steps + 1), op.perm)
+    _, _, _, X, V, vbar = midpoint_sweep(op.L, op.U, M, K, load, x0, v0, dt,
+                                         np.arange(1, n_steps + 1))
     work = np.cumsum(np.append(0.0, dt * (vbar * load).sum(axis=1)))
     return np.vstack([x0, X]), np.vstack([v0, V]), work
 
@@ -242,6 +248,23 @@ class TestEigenmodes:
         assert np.array_equal(again.shapes, modes.shapes)
 
 
+def band_block(system, dt, x0, v0):
+    """The whole system as one block in the band numbering of its step
+    factor, renumbered as simulate renumbers the blocks it sweeps, and the
+    factor."""
+    op = step_operator(system, dt)
+    blk = solvers._Block(dofs=np.arange(system.n_dofs), M=system.M, K=system.K, B=system.B,
+                         drive=None, charge=system.class_dofs("charge"), x0=x0, v0=v0)
+    return blk.renumbered(op.perm), op
+
+
+def drive_load(system, dt, n_steps, B):
+    """The system's load B V(t_mid) at every step midpoint, B's rows in any
+    numbering."""
+    t_mid = dt * (np.arange(n_steps) + 0.5)
+    return np.column_stack([sig(t_mid) for sig in system.vspec.voltages]) @ B.T
+
+
 class TestMidpointRecurrence:
     def test_first_two_steps_exact_rational(self):
         # dt = 0.1, m = k = 1: the recurrence gives x1 = 399/401,
@@ -307,25 +330,98 @@ class TestSweep:
     @pytest.mark.parametrize("split", [1, 112, 299])
     def test_two_calls_continue_as_one(self, rng, split):
         # A forced patch run cut at any step, the second call starting from
-        # the state the first returned, is bitwise the run made in one call.
+        # the state (x, v and the momenta) the first returned, is bitwise the
+        # run made in one call.
         sysm = shipped_system(SHIPPED[1])
         dt, n_steps = 1e-3, 300
-        op = step_operator(sysm, dt)
-        t_mid = dt * (np.arange(n_steps) + 0.5)
-        load = np.column_stack([sig(t_mid) for sig in sysm.vspec.voltages]) @ sysm.B.T
-        x0 = 1e-3 * rng.standard_normal(sysm.n_dofs)
-        v0 = 1e-3 * rng.standard_normal(sysm.n_dofs)
+        blk, op = band_block(sysm, dt, 1e-3 * rng.standard_normal(sysm.n_dofs),
+                             1e-3 * rng.standard_normal(sysm.n_dofs))
+        load = drive_load(sysm, dt, n_steps, blk.B)
         rec = np.arange(7, n_steps + 1, 7)
-        L, U, M, K = op.L, op.U, sysm.M, sysm.K
-        whole = midpoint_sweep(L, U, M, K, load, x0, v0, dt, rec, op.perm)
-        x1, v1, X1, V1, vbar1 = midpoint_sweep(L, U, M, K, load[:split], x0, v0, dt,
-                                               rec[rec <= split], op.perm)
-        x2, v2, X2, V2, vbar2 = midpoint_sweep(L, U, M, K, load[split:], x1, v1, dt,
-                                               rec[rec > split] - split, op.perm)
-        for got, want in zip((x2, v2, np.vstack([X1, X2]), np.vstack([V1, V2]),
-                              np.vstack([vbar1, vbar2])), whole):
+        L, U, M, K = op.L, op.U, blk.M, blk.K
+        whole = midpoint_sweep(L, U, M, K, load, blk.x0, blk.v0, dt, rec)
+        x1, v1, ab1, X1, V1, vbar1 = midpoint_sweep(L, U, M, K, load[:split], blk.x0, blk.v0,
+                                                    dt, rec[rec <= split])
+        x2, v2, ab2, X2, V2, vbar2 = midpoint_sweep(L, U, M, K, load[split:], x1, v1, dt,
+                                                    rec[rec > split] - split, ab1)
+        for got, want in zip((x2, v2, ab2[0], ab2[1], np.vstack([X1, X2]), np.vstack([V1, V2]),
+                              np.vstack([vbar1, vbar2])), whole[:2] + whole[2] + whole[3:]):
             assert np.array_equal(got, want)
-        assert len(whole[2]) == len(rec) and len(whole[4]) == n_steps
+        assert len(whole[3]) == len(rec) and len(whole[5]) == n_steps
+
+    def test_momenta_track_the_state(self, rng):
+        # The carried a = M v - dt/2 K x and b = M v + dt/2 K x stay those of
+        # the stepped x and v, to round-off.
+        sysm = shipped_system(SHIPPED[1])
+        dt, n_steps = 1e-3, 500
+        blk, op = band_block(sysm, dt, 1e-3 * rng.standard_normal(sysm.n_dofs),
+                             1e-3 * rng.standard_normal(sysm.n_dofs))
+        load = drive_load(sysm, dt, n_steps, blk.B)
+        x, v, (a, b), *_ = midpoint_sweep(op.L, op.U, blk.M, blk.K, load, blk.x0, blk.v0, dt,
+                                          np.arange(0))
+        mv, kx = blk.M @ v, 0.5 * dt * (blk.K @ x)
+        scale = np.abs(mv).max() + np.abs(kx).max()
+        assert np.abs(a - (mv - kx)).max() <= 1e-11 * scale
+        assert np.abs(b - (mv + kx)).max() <= 1e-11 * scale
+
+    def test_one_sparse_product_per_step(self, rng):
+        # Continuing from carried momenta, a step multiplies by K once and
+        # never by M; a first call forms the momenta with one product each.
+        class Counted(scipy.sparse.csr_array):
+            calls = []
+
+            def __matmul__(self, other):
+                self.calls.append(self.name)
+                return super().__matmul__(other)
+
+        sysm = shipped_system(SHIPPED[0])
+        dt, n_steps = 1e-3, 50
+        blk, op = band_block(sysm, dt, 1e-3 * rng.standard_normal(sysm.n_dofs),
+                             1e-3 * rng.standard_normal(sysm.n_dofs))
+        M, K = Counted(blk.M), Counted(blk.K)
+        M.name, K.name = "M", "K"
+        load = drive_load(sysm, dt, n_steps, blk.B)
+        rec = np.arange(1, n_steps + 1)
+        x, v, ab, *_ = midpoint_sweep(op.L, op.U, M, K, load, blk.x0, blk.v0, dt, rec)
+        assert Counted.calls == ["M", "K"] + n_steps * ["K"]
+        Counted.calls.clear()
+        midpoint_sweep(op.L, op.U, M, K, load, x, v, dt, rec, ab)
+        assert Counted.calls == n_steps * ["K"]
+
+    @pytest.mark.parametrize("bands", [(3, 20, 16, 5), (17, 1)])
+    def test_stacked_blocks_sweep_as_alone(self, rng, bands):
+        # Blocks of mixed half-bandwidths, up to 20, stacked block-diagonally
+        # in one sweep: each block's states, momenta and midpoint velocities
+        # are bitwise those of its sweep alone.
+        dt, n_steps = 1e-2, 40
+        alone, parts = [], []
+        for p in bands:
+            n = 30 + 7 * p
+            M = scipy.sparse.csr_array(banded_spd(rng, n, 1))
+            K = scipy.sparse.csr_array(banded_spd(rng, n, p))
+            op = FactorizedOperator.build(M + 0.25 * dt * dt * K)
+            blk = solvers._Block(dofs=np.arange(n), M=M, K=K, B=np.zeros((n, 0)), drive=None,
+                                 charge=np.arange(0), x0=rng.standard_normal(n),
+                                 v0=rng.standard_normal(n)).renumbered(op.perm)
+            load = rng.standard_normal((n_steps, n))
+            rec = np.arange(3, n_steps + 1, 3)
+            alone.append(midpoint_sweep(op.L, op.U, blk.M, blk.K, load, blk.x0, blk.v0, dt, rec))
+            parts.append((op, blk, load))
+        assert max(op.L.shape[0] for op, _, _ in parts) - 1 >= 16
+        op = FactorizedOperator.stack([op for op, _, _ in parts])
+        M = scipy.sparse.block_diag([blk.M for _, blk, _ in parts], format="csr")
+        K = scipy.sparse.block_diag([blk.K for _, blk, _ in parts], format="csr")
+        stacked = midpoint_sweep(op.L, op.U, M, K, np.hstack([ld for _, _, ld in parts]),
+                                 np.concatenate([blk.x0 for _, blk, _ in parts]),
+                                 np.concatenate([blk.v0 for _, blk, _ in parts]), dt, rec)
+        start = 0
+        for want in alone:
+            c = slice(start, start + len(want[0]))
+            start = c.stop
+            got = (stacked[0][c], stacked[1][c], stacked[2][0][c], stacked[2][1][c],
+                   stacked[3][:, c], stacked[4][:, c], stacked[5][:, c])
+            for g, w in zip(got, want[:2] + want[2] + want[3:]):
+                assert np.array_equal(g, w)
 
 
 class TestSimulate:
@@ -448,6 +544,22 @@ class TestBatch:
         with pytest.raises(EnergyImbalance, match="^system 1 of 3: energy balance residual"):
             simulate(systems, zeros, zeros, config.dt, config.t_end)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_state_is_named_after_its_chunk(self, monkeypatch):
+        # The middle system's drive overflows: the sweep stops after the
+        # first chunk, naming that system and the chunk's steps.
+        vspec, config = shipped_spec(SHIPPED[0])
+        huge = replace(vspec, voltages=(VoltageSignal.sinusoid(1e308, 3.0),))
+        systems = [build_system(v, config.n_elements) for v in (vspec, huge, vspec)]
+        zeros = [np.zeros(s.n_dofs) for s in systems]
+        monkeypatch.setattr(solvers, "CHUNK_ENTRIES", 5 * 3 * 66)
+        swept = counting_sweeps(monkeypatch)
+        with pytest.raises(NonFiniteState, match="^system 1 of 3: state not finite after "
+                                                 "steps 1-5 of 2000$"):
+            simulate(systems, zeros, zeros, config.dt, config.t_end)
+        assert swept == [3 * 66]
+
     def test_limit_study_memory(self):
         # All five recorded trajectories live at once, without velocities and
         # without an n_steps x n load: keeping either would exceed the bound.
@@ -503,12 +615,12 @@ class TestBatch:
 def unsplit_run(system, x0, v0, dt, n_steps):
     """States, velocities and ledger of one direct sweep of the whole system
     in its own coordinates, recorded at every step."""
-    op = step_operator(system, dt)
-    t_mid = dt * (np.arange(n_steps) + 0.5)
-    load = np.column_stack([sig(t_mid) for sig in system.vspec.voltages]) @ system.B.T
-    _, _, X, V, vbar = midpoint_sweep(op.L, op.U, system.M, system.K, load, x0, v0, dt,
-                                      np.arange(1, n_steps + 1), op.perm)
-    X, V = np.vstack([x0, X]), np.vstack([v0, V])
+    blk, op = band_block(system, dt, x0, v0)
+    load = drive_load(system, dt, n_steps, blk.B)
+    _, _, _, Xb, Vb, vbar = midpoint_sweep(op.L, op.U, blk.M, blk.K, load, blk.x0, blk.v0, dt,
+                                           np.arange(1, n_steps + 1))
+    X, V = np.empty((2, n_steps + 1, system.n_dofs))
+    X[:, blk.dofs], V[:, blk.dofs] = np.vstack([blk.x0, Xb]), np.vstack([blk.v0, Vb])
     qd = system.class_dofs("charge")
 
     def energy(A, Z):
@@ -621,3 +733,39 @@ class TestMirrorHalves:
         assert set(swept) == {sysm.n_dofs}
         want = unsplit_run(sysm, zero, zero, 1e-3, 200)
         assert np.array_equal(traj.X, want["X"]) and np.array_equal(traj.V, want["V"])
+
+
+class TestBenchmarkContract:
+    """What perfbench takes from the package by name: a change here makes
+    every benchmark run exit 2, or every traced one lose its sweep layer."""
+
+    def test_backend_name_is_importable(self):
+        from piezobeam.kernels import backend_name
+
+        assert isinstance(backend_name(), str) and backend_name()
+
+    def test_tracer_binds_the_sweep_arguments(self):
+        # perfbench/tracer.py wraps kernels.midpoint_sweep on every name it
+        # is bound to and counts from its arguments L, M, K, bvolts, x0 and
+        # rec_steps, bound by name; M and K arrive in band numbering.
+        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        sysm = shipped_system(SHIPPED[0])
+        zero = np.zeros(sysm.n_dofs)
+        t = tracer.Tracer()
+        t.install()
+        try:
+            simulate(sysm, zero, zero, 1e-3, 0.3)
+        finally:
+            t.remove()
+        assert t.missing == []
+        assert solvers.midpoint_sweep is midpoint_sweep
+        m = tracer.layer_metrics(t.take())
+        assert m["kernels.steps"] == 300 and m["kernels.recorded_rows"] == 300
+        (blk,), _ = solvers._split(sysm, zero, zero, np.ones((1, 1)))  # {v, q}
+        op = step_operator(blk, 1e-3)
+        blk = blk.renumbered(op.perm)
+        assert m["kernels.operator_entries"] == op.L.size + blk.M.nnz + blk.K.nnz
+        assert m["kernels.sweep_s"] > 0.0 and m["solvers.factor_builds"] == 1
