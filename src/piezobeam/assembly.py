@@ -22,7 +22,7 @@ import scipy.sparse
 from .errors import MeshSpecMismatch, NotPositiveDefinite, SingularElectricBlock
 from .fem import GAUSS_FULL, GAUSS_REDUCED, endpoint_values, shape_table
 from .forms import build_forms
-from .layout import FIELD_CLASS, DofLayout, FieldState, build_layout
+from .layout import FIELD_CLASS, DofLayout, FieldState, build_layout, interpolate_field
 from .materials import BoundaryCondition, Regime, ValidatedModelSpec
 from .mesh import Mesh
 from .solvers import FactorizedOperator
@@ -72,6 +72,23 @@ class SemiDiscreteSystem:
         """Current-numbering indices of the surviving dofs of every field in
         the given motion classes (see layout.FIELD_CLASS)."""
         return self.current_dofs(self.layout.class_dofs(*kinds))
+
+    def null_space(self) -> np.ndarray:
+        """K's known kernel (n_dofs, k): the rigid motions v = 1, w = 1 and
+        w = x (with psi = -1 under Mindlin-Timoshenko, whose shear is
+        (w' + psi)^2), and each charge field's constant gauge.  A column is
+        kept when it vanishes on every eliminated dof: a clamped end fixes
+        the rigid motions, the electrostatic reduction the gauges."""
+        layout, one = self.layout, (lambda s: 1.0)
+        motions = [{"v": (one,)}, {"w": (one, lambda s: 0.0)},
+                   {"w": (lambda s: s, one), "psi": (lambda s: -1.0,)}]
+        motions += [{name: (one,)} for name in layout.fields if FIELD_CLASS[name] == "charge"]
+        Z = np.zeros((layout.n_dofs, len(motions)))
+        for j, motion in enumerate(motions):
+            for name in motion.keys() & layout.fields.keys():  # no psi under E-B
+                Z[layout.dof_slice(name), j] = interpolate_field(layout, name, *motion[name])
+        kept = ~np.any(np.delete(Z, self.free_dofs, axis=0), axis=0)
+        return Z[self.free_dofs][:, kept]
 
 
 def _summed_csr(rows, cols, vals, n: int) -> scipy.sparse.csr_array:

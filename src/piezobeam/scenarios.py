@@ -378,9 +378,9 @@ def mode_frequency(vspec: ValidatedModelSpec, n_elements: int, kind: str,
     turns up or all n - 1 modes that eigenmodes can return have been searched.
     """
     system = build_system(vspec, n_elements)
-    n_modes = 16 * number
+    null, n_modes = system.null_space(), 16 * number
     while True:
-        ms = eigenmodes(system.M, system.K, n_modes)
+        ms = eigenmodes(system.M, system.K, n_modes, null)
         hits = [w for w, shape in zip(ms.omegas[ms.n_zero:], ms.shapes[:, ms.n_zero:].T)
                 if classify_mode(mode_energy_fractions(system, shape)) == kind]
         if len(hits) >= number:
@@ -446,8 +446,8 @@ def pulse_time_of_flight(vspec: ValidatedModelSpec, n_elements: int = 512) -> Sc
     1% of its peak there.  Differencing the two arrivals cancels the
     threshold-crossing offset of the pulse tail; the pulse must be wide
     enough that the consistent-mass dispersion (fast high-k precursor) stays
-    under the threshold.  The run covers the axial and charge dofs only:
-    bending is exactly decoupled from axial pulses.
+    under the threshold.  No voltage drives the run, so simulate sweeps the
+    axial and charge block alone and leaves bending at rest.
     """
     if vspec.is_patch or vspec.regime != Regime.FULL_MAGNETIC:
         raise IllegalRegime("time of flight runs on a single fully dynamic beam")
@@ -455,27 +455,24 @@ def pulse_time_of_flight(vspec: ValidatedModelSpec, n_elements: int = 512) -> Sc
     c_fast, c_slow = stretching_wave_speeds(vspec.beam)
     L = vspec.geometry.length
 
-    idx = system.class_dofs("stretching", "charge")
-    axial = replace(system, M=system.M[idx][:, idx], K=system.K[idx][:, idx],
-                    B=np.zeros((len(idx), system.B.shape[1])),
-                    free_dofs=system.free_dofs[idx])
+    v_dofs = system.dofs_of("v")
     nodes = system.layout.node_positions("v")
-    n_v = len(nodes)
 
     x0, sigma = PULSE_X0_FRAC * L, PULSE_SIGMA_FRAC * L
-    v0 = np.zeros(len(idx))
-    v0[:n_v] = np.exp(-0.5 * ((nodes - x0) / sigma) ** 2)
+    v0 = np.zeros(system.n_dofs)
+    v0[v_dofs] = np.exp(-0.5 * ((nodes - x0) / sigma) ** 2)
 
     probes = [int(np.argmin(np.abs(nodes - f * L))) for f in PULSE_PROBE_FRACS]
     x_probe = nodes[probes]
     dt = PULSE_COURANT * float(np.min(system.mesh.lengths)) / c_fast
     t_end = 1.1 * (x_probe[-1] - x0) / c_fast
     n_steps = int(np.ceil(t_end / dt))
-    traj = simulate(axial, np.zeros(len(idx)), v0, dt, n_steps * dt)
+    unloaded = replace(system, B=np.zeros_like(system.B))
+    traj = simulate(unloaded, np.zeros(system.n_dofs), v0, dt, n_steps * dt)
 
     arrivals = []
     for p in probes:
-        series = np.abs(traj.V[:, p])
+        series = np.abs(traj.V[:, v_dofs[p]])
         thresh = 0.01 * float(series.max())
         arrivals.append(traj.t[int(np.argmax(series >= thresh))])
     span = arrivals[-1] - arrivals[0]

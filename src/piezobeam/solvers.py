@@ -59,13 +59,6 @@ from .kernels import cholesky_solve, midpoint_sweep
 if TYPE_CHECKING:
     from .assembly import SemiDiscreteSystem
 
-# A mode is rigid or gauge (zero) when |omega^2| < ZERO_MODE_TOL * s, with
-# s = mean(diag K) / mean(diag M).  Up to 2048 elements, zero modes of every
-# variant, regime and boundary condition measure below 4.3e-12 s and physical
-# ones above 2.4e-10 s.  The two meet on finer meshes (2.2e-11 s and 6.2e-11 s
-# at 4096 elements): zero modes grow with K's conditioning, physical ones fall.
-ZERO_MODE_TOL = 3e-11
-
 # Entries of each per-chunk array of simulate (load, midpoint velocities,
 # recorded rows): a chunk holds CHUNK_ENTRIES // n steps, 512 KiB per array.
 CHUNK_ENTRIES = 1 << 16
@@ -163,10 +156,8 @@ def solve_spd(A, b: np.ndarray) -> np.ndarray:
 class ModeSet:
     """Generalized eigenpairs K phi = omega^2 M phi, ascending frequencies.
 
-    shapes is (n_dofs, n_modes), M-orthonormal.  n_zero counts the rigid and
-    gauge modes of the pencil, those with |omega^2| < ZERO_MODE_TOL *
-    mean(diag K) / mean(diag M); the rule depends neither on the mesh size
-    nor on how many modes were asked for, so n_zero may exceed n_modes.
+    shapes is (n_dofs, n_modes), M-orthonormal.  The first n_zero are the
+    model's rigid and gauge modes at omega = 0.0; n_zero may exceed n_modes.
     """
 
     omegas: np.ndarray
@@ -174,52 +165,51 @@ class ModeSet:
     n_zero: int
 
 
-def eigenmodes(M, K, n_modes: int) -> ModeSet:
-    """Lowest n_modes of the pencil (K, M), M and K sparse symmetric.
+def eigenmodes(M, K, n_modes: int, null: np.ndarray) -> ModeSet:
+    """Lowest n_modes of the pencil (K, M), M and K sparse symmetric, and
+    null (n, n_zero) a basis of K's kernel (SemiDiscreteSystem.null_space).
 
-    Shift-invert Lanczos (Ericsson & Ruhe 1980, through ARPACK) at a small
-    negative shift sigma = -1e-6 s, s = mean(diag K) / mean(diag M): K - sigma M
-    is SPD for sigma < 0 even when K is singular (rigid motions, charge
-    gauge), so it factors like any step matrix.  At most n - 1 modes come
-    back, ARPACK's limit.  The solve takes at least 16 modes (ARPACK crawls
-    when k splits the cluster of zero eigenvalues: over 100 s for k = 2 on
-    the shipped patch model at 2048 elements) and 16 more until it finds a
-    physical one, so n_zero counts zero modes past those returned.  A fixed
-    start vector keeps the result byte-stable.  ConvergenceFailure when the
-    iteration cap is hit, or when no clear gap separates zero from physical
-    modes: a |omega^2| / s within 3x of ZERO_MODE_TOL, or less than 100x
-    between the last zero and first physical.
+    The first n_zero modes are null M-orthonormalised, at omega = 0.0.  The
+    rest, at most n - n_zero - 1, come from one shift-invert Lanczos solve
+    (Ericsson & Ruhe 1980, through ARPACK), deflated as for floating
+    structures (Farhat & Geradin 1998): its inverse operator and its fixed
+    start vector (which keeps the result byte-stable) are projected
+    M-orthogonally off span(null).  The shift sigma = -1e-6 mean(diag K) /
+    mean(diag M) makes K - sigma M SPD although K is singular.
+    ConvergenceFailure when a column z of null has max|K z| > 64 eps max|K|
+    max|z| (a wrong model), or when ARPACK hits its iteration cap.
     """
     if n_modes < 1:
         raise ValueError(f"number of modes must be >= 1, got {n_modes}")
-    n = M.shape[0]
-    scale = float(K.diagonal().mean()) / float(M.diagonal().mean())
-    sigma = -1e-6 * scale
+    n, n_zero = null.shape
+    bound = 64 * np.finfo(float).eps * abs(K).max() * np.abs(null).max(axis=0)
+    if np.any(np.abs(K @ null).max(axis=0) > bound):
+        raise ConvergenceFailure("a rigid or gauge mode of the model is not in K's kernel")
+    R = scipy.linalg.cholesky(null.T @ (M @ null))
+    Z = scipy.linalg.solve_triangular(R, null.T, trans="T").T
+    k = min(n_modes, n - 1) - n_zero
+    if k < 1:
+        return ModeSet(np.zeros(min(n_modes, n_zero)), Z[:, :n_modes], n_zero)
+
+    MZ = M @ Z
+
+    def deflated(y):
+        return y - Z @ (MZ.T @ y)
+
+    sigma = -1e-6 * float(K.diagonal().mean()) / float(M.diagonal().mean())
     op = FactorizedOperator.build(K - sigma * M)
-    opinv = scipy.sparse.linalg.LinearOperator((n, n), matvec=op.solve, dtype=float)
-    keep, k = min(n_modes, n - 1), min(max(n_modes, 16), n - 1)
-    while True:
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                K, k=k, M=M, sigma=sigma, which="LM", OPinv=opinv,
-                v0=np.random.default_rng(0).standard_normal(n))
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise ConvergenceFailure(f"eigenvalue iteration did not converge: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        ratio = np.abs(vals) / scale
-        zero = ratio < ZERO_MODE_TOL
-        if not zero.all() or k == n - 1:
-            break
-        k = min(k + 16, n - 1)
-    last_zero, first_physical = ratio[zero].max(initial=0.0), ratio[~zero].min(initial=np.inf)
-    if not (last_zero <= ZERO_MODE_TOL / 3
-            and first_physical >= max(3 * ZERO_MODE_TOL, 100 * last_zero)):
-        raise ConvergenceFailure(
-            f"no clear gap between zero modes (|omega^2| / s up to {last_zero:.2e}) and physical "
-            f"ones (from {first_physical:.2e}) at {ZERO_MODE_TOL:.0e}; use fewer elements")
-    return ModeSet(omegas=np.sqrt(np.clip(vals[:keep], 0.0, None)), shapes=vecs[:, :keep],
-                   n_zero=int(zero.sum()))
+    opinv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda b: deflated(op.solve(b)),
+                                               dtype=float)
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            K, k=k, M=M, sigma=sigma, which="LM", OPinv=opinv,
+            v0=deflated(np.random.default_rng(0).standard_normal(n)))
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise ConvergenceFailure(f"eigenvalue iteration did not converge: {exc}") from exc
+    order = np.argsort(vals)
+    omegas = np.sqrt(np.clip(vals[order], 0.0, None))
+    return ModeSet(omegas=np.concatenate([np.zeros(n_zero), omegas]),
+                   shapes=np.hstack([Z, vecs[:, order]]), n_zero=n_zero)
 
 
 def step_operator(system: SemiDiscreteSystem, dt: float) -> FactorizedOperator:
@@ -429,11 +419,7 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     initial states: one sweep then advances all of them, and a list of
     Trajectories comes back.
 
-    Each system is cut into its blocks (see _split): for a patch model the
-    even and odd halves of the top/bottom mirror, for a single beam {v, q}
-    and {w}.  Every block at rest (zero initial state and a load that
-    vanishes at every step, such as the odd half under equal voltages) is
-    left out: its rows are exact zeros, bitwise what stepping it gives.
+    Each system is cut into its blocks, those at rest left out (see _split).
     The blocks that move are stacked as the blocks of one block-diagonal
     system and swept together; each is bitwise the run it would be alone
     (see FactorizedOperator.stack), so each system is bitwise its own run.
@@ -452,7 +438,8 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     is formed, and with velocities=False (Trajectory.V is then None) no
     recorded velocity outlives its chunk.  Raises NonFiniteState, naming
     the system and the steps, after the first chunk that leaves a
-    non-finite state, and EnergyImbalance, naming the system, when its
+    non-finite state (numpy's overflow warnings are silenced: the error
+    reports such a run), and EnergyImbalance, naming the system, when its
     residual exceeds 1e-8 * its max energy or is not finite (criterion 4):
     such runs come from step matrices that factor but are too
     ill-conditioned to solve.
@@ -486,7 +473,8 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
         parts.append((traj, pairs, range(len(moving), len(moving) + len(blocks)), where))
         moving += blocks
     if moving:
-        _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities)
 
     for traj, where in zip(trajs, names):
         resid, scale = traj.balance

@@ -158,6 +158,24 @@ class TestMatrixStructure:
             vec[sysm.dofs_of(fields[label])] = coeffs
             assert np.abs(sysm.K @ vec).max() <= 1e-12 * scale, label
 
+    @pytest.mark.parametrize("variant,regime", ALL_COMBOS)
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    def test_null_space_holds_the_rigid_and_gauge_modes(self, variant, regime, bc):
+        # Columns per case, in the order full-free, full-clamped,
+        # electro-free, electro-clamped: three rigid motions free-free only,
+        # one gauge per charge field under every boundary condition.
+        counts = (5, 2, 3, 0) if variant.is_patch else (4, 1, 3, 0)
+        case = 2 * (regime == Regime.ELECTROSTATIC) + (bc == BoundaryCondition.CLAMPED_FREE)
+        systems = [(system_for(variant, regime, n=32, bc=bc), counts[case])]
+        if regime == Regime.FULL_MAGNETIC:  # the reduction drops the gauges
+            systems.append((reduce_electrostatic(systems[0][0]), counts[case + 2]))
+        for sysm, count in systems:
+            Z = sysm.null_space()
+            assert Z.shape == (sysm.n_dofs, count)
+            # the bound eigenmodes applies to every column
+            bound = 64 * np.finfo(float).eps * np.abs(sysm.K).max() * np.abs(Z).max(axis=0)
+            assert np.all(np.abs(sysm.K @ Z).max(axis=0) <= bound)
+
     def test_voltage_load_hits_charge_ends_only(self):
         sysm = system_for(Variant.SINGLE_EB, Regime.FULL_MAGNETIC, n=4)
         q = sysm.dofs_of("q")

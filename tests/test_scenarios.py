@@ -183,7 +183,7 @@ class TestElectrostaticLimit:
 class TestModalAnalysis:
     def test_mode_energy_fractions_sum_to_one(self, rng):
         sysm = build_system(make_spec(Variant.PATCH_MT, Regime.FULL_MAGNETIC), 8)
-        modes = eigenmodes(sysm.M, sysm.K, 8)
+        modes = eigenmodes(sysm.M, sysm.K, 8, sysm.null_space())
         for j in range(modes.shapes.shape[1]):
             frac = mode_energy_fractions(sysm, modes.shapes[:, j])
             assert sum(frac.values()) == pytest.approx(1.0, rel=1e-10)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from piezobeam.assembly import build_system
 from piezobeam.config import parse_config
@@ -34,7 +35,7 @@ from piezobeam.solvers import (
     step_operator,
 )
 
-from modelzoo import PATCH_COMBOS, UNCOUPLED, make_spec
+from modelzoo import ALL_COMBOS, PATCH_COMBOS, UNCOUPLED, make_spec
 
 SHIPPED = [os.path.join(os.path.dirname(__file__), "..", "configs", name)
            for name in ("single_beam.ini", "patch_bimorph.ini")]
@@ -170,7 +171,7 @@ class TestEigenmodes:
         c2 = co.alpha11 / co.rho
         theta = np.arange(1, n + 1) * np.pi / n
         rod = np.sqrt(6.0 * c2 / le**2 * (1.0 - np.cos(theta)) / (2.0 + np.cos(theta)))
-        modes = eigenmodes(sysm.M, sysm.K, n_modes=sysm.n_dofs)
+        modes = eigenmodes(sysm.M, sysm.K, sysm.n_dofs, sysm.null_space())
         for target in rod:
             assert np.min(np.abs(modes.omegas - target)) <= 1e-9 * target
 
@@ -181,51 +182,61 @@ class TestEigenmodes:
         # The count does not depend on how many modes are asked for.
         electro = build_system(make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC), 8)
         full = build_system(make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC), 8)
-        assert eigenmodes(electro.M, electro.K, k).n_zero == 3
-        assert eigenmodes(full.M, full.K, k).n_zero == 4
+        assert eigenmodes(electro.M, electro.K, k, electro.null_space()).n_zero == 3
+        assert eigenmodes(full.M, full.K, k, full.null_space()).n_zero == 4
         clamped = build_system(
             make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC, bc=BoundaryCondition.CLAMPED_FREE), 8
         )
-        assert eigenmodes(clamped.M, clamped.K, k).n_zero == 0
+        assert eigenmodes(clamped.M, clamped.K, k, clamped.null_space()).n_zero == 0
 
-    @pytest.mark.parametrize("low", [
-        [1e-11, 3.9e-10],                # a clamped beam's first two bending modes
-        [1e-17, 2e-17, 3e-17, 5e-11],    # a physical mode just above the threshold
-        [1e-17, 2e-17, 2e-11, 1e-8],     # a zero mode just below it
-    ], ids=["physical-below", "physical-near", "zero-near"])
-    def test_refuses_a_spectrum_without_a_gap_at_the_zero_threshold(self, low):
-        def pencil(low):
-            # M = I; the lowest eigenvalues of K are low * s, the rest of
-            # order s = mean(diag K) / mean(diag M).
-            bulk = np.linspace(1.0, 2.0, 40)
-            s = bulk.sum() / (len(low) + len(bulk))
-            K = scipy.sparse.diags(np.concatenate([np.array(low) * s, bulk])).tocsr()
-            return scipy.sparse.identity(K.shape[0], format="csr"), K
-
-        with pytest.raises(ConvergenceFailure, match="no clear gap"):
-            eigenmodes(*pencil(low), 16)
-        assert eigenmodes(*pencil([1e-17, 2e-17, 3e-17, 1e-9]), 16).n_zero == 3
-
-    def test_counts_zero_modes_past_the_first_solve(self):
-        # 20 zero modes, more than one solve of 16 modes returns
-        low = np.arange(1, 21) * 1e-17
-        K = scipy.sparse.diags(np.concatenate([low, np.linspace(1.0, 2.0, 40)])).tocsr()
-        modes = eigenmodes(scipy.sparse.identity(60, format="csr"), K, 1)
-        assert len(modes.omegas) == 1
-        assert modes.n_zero == 20
-
-    def test_refuses_to_count_zero_modes_on_a_too_fine_clamped_beam(self):
+    def test_returns_the_modes_of_a_fine_clamped_beam(self):
         # At 8192 elements the first bending mode of a clamped beam falls to
-        # 1.6e-11 s, below the zero-mode threshold.
+        # 1.6e-11 s: no threshold could tell it from a zero mode, but the
+        # clamped model has none.
         sysm = build_system(
             make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC, bc=BoundaryCondition.CLAMPED_FREE),
             8192)
-        with pytest.raises(ConvergenceFailure, match="no clear gap"):
-            eigenmodes(sysm.M, sysm.K, 16)
+        modes = eigenmodes(sysm.M, sysm.K, 16, sysm.null_space())
+        assert modes.n_zero == 0
+        assert len(modes.omegas) == 16 and np.all(modes.omegas > 0.0)
+
+    @pytest.mark.parametrize("variant, regime", ALL_COMBOS)
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    def test_every_case_returns_orthonormal_modes_at_4096_elements(self, variant, regime, bc):
+        sysm = build_system(make_spec(variant, regime, bc=bc), 4096)
+        modes = eigenmodes(sysm.M, sysm.K, 16, sysm.null_space())
+        assert len(modes.omegas) == 16 and np.all(np.diff(modes.omegas) >= 0.0)
+        assert np.all(modes.omegas[:modes.n_zero] == 0.0)
+        assert np.all(modes.omegas[modes.n_zero:] > 0.0)
+        gram = modes.shapes.T @ (sysm.M @ modes.shapes)
+        assert np.abs(gram - np.eye(16)).max() <= 1e-9
+
+    @pytest.mark.parametrize("n_modes", [1, 4])
+    def test_zero_modes_alone_need_no_lanczos_solve(self, monkeypatch, n_modes):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigsh called")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+        sysm = build_system(make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC), 8)
+        modes = eigenmodes(sysm.M, sysm.K, n_modes, sysm.null_space())
+        assert modes.n_zero == 4
+        assert np.array_equal(modes.omegas, np.zeros(n_modes))
+        gram = modes.shapes.T @ (sysm.M @ modes.shapes)
+        assert np.abs(gram - np.eye(n_modes)).max() <= 1e-12
+
+    def test_refuses_a_basis_vector_outside_the_kernel(self):
+        # v = 1 stores energy once the end is clamped: a wrong model.
+        sysm = build_system(
+            make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC,
+                      bc=BoundaryCondition.CLAMPED_FREE), 8)
+        null = np.zeros((sysm.n_dofs, 1))
+        null[sysm.dofs_of("v"), 0] = 1.0
+        with pytest.raises(ConvergenceFailure, match="not in K's kernel"):
+            eigenmodes(sysm.M, sysm.K, 4, null)
 
     def test_shapes_mass_orthonormal(self):
         sysm = build_system(make_spec(Variant.PATCH_MT, Regime.FULL_MAGNETIC), 8)
-        modes = eigenmodes(sysm.M, sysm.K, n_modes=10)
+        modes = eigenmodes(sysm.M, sysm.K, 10, sysm.null_space())
         gram = modes.shapes.T @ sysm.M @ modes.shapes
         assert np.allclose(gram, np.eye(modes.shapes.shape[1]), atol=1e-9)
         assert np.all(np.diff(modes.omegas) >= -1e-12)
@@ -238,12 +249,13 @@ class TestEigenmodes:
         sysm = shipped_system(path)
         ref = scipy.linalg.eigh(sysm.K.toarray(), sysm.M.toarray(), eigvals_only=True)
         assert np.abs(ref[:n_zero]).max() <= 1e-6 * ref[n_zero]
-        modes = eigenmodes(sysm.M, sysm.K, 16)
+        modes = eigenmodes(sysm.M, sysm.K, 16, sysm.null_space())
         assert modes.n_zero == n_zero
+        assert np.all(modes.omegas[:n_zero] == 0.0)
         assert np.allclose(modes.omegas[n_zero:], np.sqrt(ref[n_zero:16]), rtol=1e-7, atol=0.0)
         gram = modes.shapes.T @ (sysm.M @ modes.shapes)
         assert np.allclose(gram, np.eye(16), atol=1e-9)
-        again = eigenmodes(sysm.M, sysm.K, 16)
+        again = eigenmodes(sysm.M, sysm.K, 16, sysm.null_space())
         assert np.array_equal(again.omegas, modes.omegas)
         assert np.array_equal(again.shapes, modes.shapes)
 
