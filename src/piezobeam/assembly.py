@@ -92,8 +92,19 @@ class SemiDiscreteSystem:
 
 
 def _summed_csr(rows, cols, vals, n: int) -> scipy.sparse.csr_array:
-    """CSR array of the triplets, duplicates summed in triplet order from 0.0."""
-    keys, inverse = np.unique(rows * n + cols, return_inverse=True)
+    """CSR array of the triplets, duplicates summed in triplet order from 0.0.
+
+    One stable sort finds the distinct keys: a key is new where it differs
+    from its sorted predecessor, and a running count of the new ones numbers
+    every triplet's key.
+    """
+    flat = rows * n + cols
+    order = np.argsort(flat, kind="stable")
+    first = np.ones(len(flat), dtype=bool)
+    first[1:] = flat[order[1:]] != flat[order[:-1]]
+    keys = flat[order[first]]
+    inverse = np.empty(len(flat), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
     data = np.bincount(inverse, weights=vals, minlength=len(keys))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])

@@ -78,7 +78,15 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
         interpolation_row(layout, field, _probe_position(layout, field, probe))
         for field in layout.fields])
     probes = traj.X @ rows[system.free_dofs]
-    names, columns = ["t"], [traj.t]
+    energy_names = ["E_kin", "E_stored", "E_mag", "E_total", "work_in",
+                    "balance_residual"]
+    energy_cols = [traj.kinetic, traj.stored, traj.magnetic, traj.total,
+                   traj.work, traj.balance_residual]
+    comments = _provenance(config, system) + [f"dt {dt!r}"]
+    # t and the ledger go to both CSVs: the second takes the first's text.
+    t_text, *energy_text = write_csv(os.path.join(out, "energy.csv"), ["t"] + energy_names,
+                                     [traj.t] + energy_cols, comments)
+    names, columns = ["t"], [t_text]
     for j, field in enumerate(layout.fields):
         names.append(f"{field}_probe")
         columns.append(probes[:, j])
@@ -86,17 +94,9 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
         names.append(f"{field}_max")
         columns.append(np.max(np.abs(traj.X[:, value_idx]), axis=1)
                        if len(value_idx) else np.zeros(len(traj)))
-    energy_names = ["E_kin", "E_stored", "E_mag", "E_total", "work_in",
-                    "balance_residual"]
-    energy_cols = [traj.kinetic, traj.stored, traj.magnetic, traj.total,
-                   traj.work, traj.balance_residual]
     names.extend(energy_names)
-    columns.extend(energy_cols)
-
-    comments = _provenance(config, system) + [f"dt {dt!r}"]
+    columns.extend(energy_text)
     write_csv(os.path.join(out, "trajectory.csv"), names, columns, comments)
-    write_csv(os.path.join(out, "energy.csv"), ["t"] + energy_names,
-              [traj.t] + energy_cols, comments)
 
     write_json(os.path.join(out, "simulate_report.json"), {
         "config_sha256": config_digest(config),

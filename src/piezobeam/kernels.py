@@ -2,23 +2,28 @@
 
 The sweep carries momenta (see midpoint_sweep), so each step costs one
 sparse matvec and one banded Cholesky solve, and a step is linear in the
-number of dofs.  The matvec runs in scipy's sequential CSR kernel.  The
-solve is two no-transpose BLAS tbsv sweeps, one on the lower factor L and
-one on U = L^T in upper band storage; both update the solution column by
-column with axpy, where the transposed sweep on L that LAPACK's banded
-Cholesky solve runs takes one dot product per column.  No kernel is
-threaded, so reruns are bitwise reproducible regardless of the BLAS thread
-count.  The sweep is a plain loop over the load it is given, in the band
-numbering of the factor; solvers.simulate cuts a run into chunks, each
-continuing the last one, and hands it only the blocks that move, stacked
-as one block-diagonal system (the halves of the patch model's top/bottom
-mirror, the single beam's {v, q}), so n counts the dofs that move.
+number of dofs.  The matvec calls scipy's sequential CSR kernel directly
+(csr_matvec, the kernel that K @ v runs) into a buffer zeroed every step:
+the product is bitwise that of K @ v, without the dispatch that costs
+three times the kernel at 66-165 moving dofs.  The solve is two
+no-transpose BLAS tbsv sweeps, one on the lower factor L and one on
+U = L^T in upper band storage; both update the solution column by column
+with axpy, where the transposed sweep on L that LAPACK's banded Cholesky
+solve runs takes one dot product per column.  No kernel is threaded, so
+reruns are bitwise reproducible regardless of the BLAS thread count.  The
+sweep is a plain loop over the load it is given, in the band numbering of
+the factor; solvers.simulate cuts a run into chunks, each continuing the
+last one, and hands it only the blocks that move, stacked as one
+block-diagonal system (the halves of the patch model's top/bottom mirror,
+the single beam's {v, q}), so n counts the dofs that move.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dscal, dtbsv
+import scipy.sparse
+from scipy.linalg.blas import daxpy, dtbsv
+from scipy.sparse._sparsetools import csr_matvec
 
 
 def backend_name() -> str:
@@ -26,12 +31,18 @@ def backend_name() -> str:
     return "sparse-banded"
 
 
+# The BLAS wrappers take their arguments by position: f2py's keyword parsing
+# costs about a third of a call at the sweep's sizes.  The orders are
+# daxpy(x, y, n, a), y += a x, and
+# dtbsv(k, a, x, incx, offx, lower, trans, diag, overwrite_x).
+
+
 def cholesky_solve(L, U, b):
     """x with L L^T x = b, L the lower banded Cholesky factor (shape (p+1, n))
     and U = L^T in upper band storage, both Fortran ordered.  Overwrites b,
     a float64 vector."""
     p = L.shape[0] - 1
-    return dtbsv(p, U, dtbsv(p, L, b, lower=1, overwrite_x=1), overwrite_x=1)
+    return dtbsv(p, U, dtbsv(p, L, b, 1, 0, 1, 0, 0, 1), 1, 0, 0, 0, 0, 1)
 
 
 def midpoint_sweep(L, U, M, K, bvolts, x0, v0, dt, rec_steps, ab=None):
@@ -53,6 +64,14 @@ def midpoint_sweep(L, U, M, K, bvolts, x0, v0, dt, rec_steps, ab=None):
     recorded, ascending.  Returns (x, v, ab, X, V, vbar): the final state,
     the (a, b) to continue from, the states at rec_steps and every step's
     midpoint velocity, shape (n_steps, n).
+
+    The loop runs in a signed frame: after step i it holds s a, s b and
+    s v, and during step i + 1 the solve gives s vbar, with s = (-1)^i.
+    Each update above is then one axpy whose result is the negation of the
+    old one when s = -1 (2 vbar and 2 (a + (dt/2) f) are exact, and
+    rounding is symmetric in sign), so every value is bitwise that of the
+    recurrence, up to the sign of an exact zero; signs are restored at
+    recorded rows and on return.
     """
     dt = float(dt)
     half, dt2 = 0.5 * dt, dt * dt
@@ -61,27 +80,36 @@ def midpoint_sweep(L, U, M, K, bvolts, x0, v0, dt, rec_steps, ab=None):
     Vel = np.empty_like(X)
     vbars = np.empty((bvolts.shape[0], n))
 
+    if getattr(K, "format", None) != "csr" or K.dtype != np.float64:
+        K = scipy.sparse.csr_array(K, dtype=float)  # once per call, for the kernel
     x, v = np.array(x0, dtype=float), np.array(v0, dtype=float)
     if ab is None:
         mv, kx = M @ v, K @ x
         a, b = mv - half * kx, mv + half * kx
     else:
         a, b = (np.array(c, dtype=float) for c in ab)
-    rhs2 = np.empty(n)
-    rec = 0
+    kv = np.empty(n)
+    at = np.asarray(rec_steps).tolist() + [0]  # the steps to record; 0 is none
+    sign, rec = 1.0, 0
     for i, load in enumerate(bvolts):
         vbar = vbars[i]
         np.copyto(vbar, a)
-        daxpy(load, vbar, a=half)  # the right-hand side a + (dt/2) f
-        np.add(vbar, vbar, out=rhs2)
-        cholesky_solve(L, U, vbar)
-        np.subtract(rhs2, a, out=a)  # b'
-        np.subtract(rhs2, b, out=b)
-        daxpy(K @ vbar, b, a=-dt2)  # a'
+        daxpy(load, vbar, n, sign * half)  # s (a + (dt/2) f)
+        daxpy(vbar, a, n, -2.0)  # -s b'
+        daxpy(vbar, b, n, -2.0)
+        cholesky_solve(L, U, vbar)  # s vbar
+        kv.fill(0.0)  # csr_matvec adds into its output
+        csr_matvec(n, n, K.indptr, K.indices, K.data, vbar, kv)
+        daxpy(kv, b, n, dt2)  # -s a'
         a, b = b, a
-        daxpy(vbar, x, a=dt)
-        daxpy(vbar, dscal(-1.0, v), a=2.0)
-        if rec < len(X) and rec_steps[rec] == i + 1:
-            X[rec], Vel[rec] = x, v
+        daxpy(vbar, x, n, sign * dt)
+        daxpy(vbar, v, n, -2.0)  # -s v'
+        sign = -sign
+        if i + 1 == at[rec]:
+            X[rec] = x
+            np.multiply(v, sign, out=Vel[rec])
             rec += 1
+    vbars[1::2] *= -1.0
+    if sign < 0.0:
+        v, a, b = -v, -a, -b
     return x, v, (a, b), X, Vel, vbars

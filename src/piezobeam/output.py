@@ -14,9 +14,21 @@ import math
 import numpy as np
 
 
-def write_csv(path, header, columns, comments=()) -> None:
-    """Write named columns; '#' comment lines carry provenance."""
-    cols = [np.asarray(c, dtype=float) for c in columns]
+def _format_column(column) -> list:
+    """The CSV text of a column of numbers, one string per entry, made by
+    one % over the whole column: cheaper than one per entry."""
+    values = tuple(np.asarray(column, dtype=float).tolist())
+    return ("%.17g\n" * len(values) % values).split("\n")[:-1]
+
+
+def write_csv(path, header, columns, comments=()) -> list:
+    """Write named columns; '#' comment lines carry provenance.
+
+    A column is numbers, or the text of one that write_csv returned: it
+    returns every column's text, so a column written to several files is
+    formatted once.
+    """
+    cols = [c if len(c) and isinstance(c[0], str) else _format_column(c) for c in columns]
     if len(cols) != len(header):
         raise ValueError("header and column counts differ")
     n = len(cols[0]) if cols else 0
@@ -24,10 +36,10 @@ def write_csv(path, header, columns, comments=()) -> None:
         raise ValueError("columns must share one length")
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    row = ",".join(["%.17g"] * len(cols))
-    lines.extend(row % values for values in zip(*(c.tolist() for c in cols)))
+    lines.extend(map(",".join, zip(*cols)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+    return cols
 
 
 def read_csv(path):

@@ -456,7 +456,9 @@ def pulse_time_of_flight(vspec: ValidatedModelSpec, n_elements: int = 512) -> Sc
     L = vspec.geometry.length
 
     v_dofs = system.dofs_of("v")
-    nodes = system.layout.node_positions("v")
+    # The positions of the surviving v dofs: a clamped root has none.
+    nodes = system.layout.node_positions("v")[
+        system.free_dofs[v_dofs] - system.layout.dof_slice("v").start]
 
     x0, sigma = PULSE_X0_FRAC * L, PULSE_SIGMA_FRAC * L
     v0 = np.zeros(system.n_dofs)

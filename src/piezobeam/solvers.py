@@ -260,12 +260,17 @@ def _row_energies(A, Z: np.ndarray) -> np.ndarray:
     """0.5 z^T A z for every row z of Z, A sparse symmetric.
 
     The products are summed strictly left to right, so a row's energy does
-    not depend on which rows share its chunk (einsum sums a lone contiguous
-    row in SIMD order, but several rows sequentially).  Z is one chunk of
-    recorded rows, so the temporaries stay as small as the sweep's.
+    not depend on which rows share its chunk: one reduction over axis 0 of
+    the C-ordered (n, m) product adds it row by row, but numpy sums a lone
+    contiguous column pairwise, so a lone row takes a cumulative sum.  Z is
+    one chunk of recorded rows, so the temporaries stay as small as the
+    sweep's.
     """
-    terms = Z * (A @ Z.T).T
-    return 0.5 * np.cumsum(terms, axis=1)[:, -1] if terms.shape[1] else np.zeros(len(Z))
+    terms = A @ Z.T
+    terms *= Z.T
+    if len(Z) == 1 and len(terms):
+        return 0.5 * np.cumsum(terms[:, 0])[-1:]
+    return 0.5 * np.add.reduce(terms, axis=0)
 
 
 # --- the top/bottom mirror and the blocks of a step ---------------------------

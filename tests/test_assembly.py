@@ -4,6 +4,7 @@ boundary conditions and the electrostatic charge elimination."""
 import numpy as np
 import pytest
 
+from piezobeam import assembly
 from piezobeam.assembly import (
     apply_mechanical_bc,
     assemble,
@@ -289,3 +290,36 @@ class TestChargeElimination:
         plain = build_mesh(BeamGeometry(length=1.0, thickness=0.1), 8)
         with pytest.raises(MeshSpecMismatch):
             assemble(vspec, plain)
+
+
+def unique_summed_csr(rows, cols, vals, n):
+    """_summed_csr's first form: np.unique numbers the distinct keys."""
+    keys, inverse = np.unique(rows * n + cols, return_inverse=True)
+    data = np.bincount(inverse, weights=vals, minlength=len(keys))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return keys % n, indptr, data
+
+
+@pytest.mark.parametrize("variant,regime", ALL_COMBOS)
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+def test_summed_triplets_match_a_unique_reference(monkeypatch, variant, regime, bc):
+    # Every triplet set an assembly sums, at 32 and 512 elements, gives
+    # bitwise the CSR arrays of the np.unique form, duplicates summed in
+    # triplet order.
+    calls = []
+    summed = assembly._summed_csr
+
+    def recording(rows, cols, vals, n):
+        calls.append((rows, cols, vals, n))
+        return summed(rows, cols, vals, n)
+
+    monkeypatch.setattr(assembly, "_summed_csr", recording)
+    for n_elements in (32, 512):
+        build_system(make_spec(variant, regime, bc=bc), n_elements)
+    assert len(calls) == 4
+    for rows, cols, vals, n in calls:
+        got = summed(rows, cols, vals, n)
+        assert len(np.unique(rows * n + cols)) < len(rows)  # duplicates to sum
+        for g, w in zip((got.indices, got.indptr, got.data), unique_summed_csr(rows, cols, vals, n)):
+            assert np.array_equal(g, w)

@@ -270,11 +270,13 @@ class TestTabularOutput:
 
     def test_csv_text_is_17_digit_format(self, tmp_path):
         # Each value reads as format(x, ".17g"), special values and integer
-        # columns included.
+        # columns included; the text write_csv returns writes the same.
         specials = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e308, 2.0 / 3.0, 0.1]
         ints = np.array([0, -3, 7, 2**53 + 1, -(2**60), 12, 1, 10**17])
         path = tmp_path / "special.csv"
-        write_csv(path, ["x", "n"], [specials, ints])
+        text = write_csv(path, ["x", "n"], [specials, ints])
+        write_csv(tmp_path / "again.csv", ["x", "n"], [text[0], ints])
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         assert rows == [[format(float(x), ".17g"), format(float(k), ".17g")]
                         for x, k in zip(specials, ints)]

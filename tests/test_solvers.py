@@ -9,18 +9,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse._sparsetools
 import scipy.sparse.linalg
+from scipy.linalg.blas import daxpy, dscal
 
 from piezobeam.assembly import build_system
 from piezobeam.config import parse_config
-from piezobeam import scenarios, solvers
+from piezobeam import cli, kernels, scenarios, solvers
 from piezobeam.errors import (
     ConvergenceFailure,
     EnergyImbalance,
     NonFiniteState,
     NotPositiveDefinite,
 )
-from piezobeam.kernels import midpoint_sweep
+from piezobeam.kernels import cholesky_solve, midpoint_sweep
 from piezobeam.materials import (
     BoundaryCondition,
     Regime,
@@ -310,6 +312,68 @@ class TestMidpointRecurrence:
         assert np.abs(back.V[-1] + v0).max() <= 1e-10 * max(1.0, np.abs(v0).max())
 
 
+def reference_sweep(L, U, M, K, bvolts, x0, v0, dt, rec_steps, ab=None):
+    """midpoint_sweep's loop before it called the CSR kernel directly and ran
+    in a signed frame: K @ vbar, a doubled right-hand side, and
+    v' = 2 vbar - v by negating v in place.  The sweep must return these
+    bits."""
+    half, dt2 = 0.5 * dt, dt * dt
+    X, Vel = np.empty((2, len(rec_steps), len(x0)))
+    vbars = np.empty((len(bvolts), len(x0)))
+    x, v = np.array(x0, dtype=float), np.array(v0, dtype=float)
+    a, b = ((M @ v - half * (K @ x), M @ v + half * (K @ x)) if ab is None else
+            (np.array(c, dtype=float) for c in ab))
+    rec = 0
+    for i, load in enumerate(bvolts):
+        vbar = vbars[i]
+        np.copyto(vbar, a)
+        daxpy(load, vbar, a=half)
+        rhs2 = vbar + vbar
+        cholesky_solve(L, U, vbar)
+        a, b = rhs2 - a, rhs2 - b
+        daxpy(K @ vbar, b, a=-dt2)
+        a, b = b, a
+        daxpy(vbar, x, a=dt)
+        daxpy(vbar, dscal(-1.0, v), a=2.0)
+        if rec < len(rec_steps) and rec_steps[rec] == i + 1:
+            X[rec], Vel[rec] = x, v
+            rec += 1
+    return x, v, (a, b), X, Vel, vbars
+
+
+def sweep_inputs(case, rng, dt, n_steps):
+    """(L, U, M, K, load, x0, v0) of a sweep in band numbering: the shipped
+    single beam's {v, q} block, the shipped patch's even half, or the whole
+    single, patch and single systems stacked (half-bandwidths 3, 12, 3)."""
+    if case == "stacked":
+        systems = [shipped_system(SHIPPED[k]) for k in (0, 1, 0)]
+        parts = [band_block(s, dt, 1e-3 * rng.standard_normal(s.n_dofs),
+                            1e-3 * rng.standard_normal(s.n_dofs)) for s in systems]
+        assert [op.L.shape[0] - 1 for _, op in parts] == [3, 12, 3]
+        op = FactorizedOperator.stack([op for _, op in parts])
+        blocks = [blk for blk, _ in parts]
+        load = np.hstack([drive_load(s, dt, n_steps, blk.B) for s, blk in zip(systems, blocks)])
+        return (op.L, op.U, scipy.sparse.block_diag([b.M for b in blocks], format="csr"),
+                scipy.sparse.block_diag([b.K for b in blocks], format="csr"), load,
+                np.concatenate([b.x0 for b in blocks]), np.concatenate([b.v0 for b in blocks]))
+    sysm = shipped_system(SHIPPED[["single", "patch"].index(case)])
+    t_mid = dt * (np.arange(n_steps) + 0.5)
+    volts = np.column_stack([sig(t_mid) for sig in sysm.vspec.voltages])
+    zero = np.zeros(sysm.n_dofs)
+    (blk,), _ = solvers._split(sysm, zero, zero, volts)  # {v, q}, or the even half
+    blk = replace(blk, x0=1e-3 * rng.standard_normal(len(blk.dofs)),
+                  v0=1e-3 * rng.standard_normal(len(blk.dofs)))
+    op = step_operator(blk, dt)
+    blk = blk.renumbered(op.perm)
+    return op.L, op.U, blk.M, blk.K, blk.drive @ blk.B.T, blk.x0, blk.v0
+
+
+def with_index_dtype(A, dtype):
+    A = scipy.sparse.csr_array(A)
+    A.indices, A.indptr = A.indices.astype(dtype), A.indptr.astype(dtype)
+    return A
+
+
 class TestSweep:
     def test_sweep_is_deterministic(self, rng):
         X1, V1, _ = scalar_sweep(0.05, 100)
@@ -338,6 +402,29 @@ class TestSweep:
         X, V = np.array(X), np.array(V)
         assert np.abs(traj.X - X).max() <= 1e-12 * np.abs(X).max()
         assert np.abs(traj.V - V).max() <= 1e-12 * np.abs(V).max()
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("n_steps", [40, 41])
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("case", ["single", "patch", "stacked"])
+    def test_returns_the_bits_of_the_reference_loop(self, rng, case, stride, n_steps,
+                                                    index_dtype):
+        # Every array of both calls, the first forming the momenta and the
+        # second continuing from them, is bitwise (signed zeros included) the
+        # reference loop's.
+        dt = 1e-3
+        L, U, M, K, load, x0, v0 = sweep_inputs(case, rng, dt, 2 * n_steps)
+        M, K = with_index_dtype(M, index_dtype), with_index_dtype(K, index_dtype)
+        assert K.indices.dtype == index_dtype and K.indptr.dtype == index_dtype
+        rec = np.arange(stride, n_steps + 1, stride)
+        got = [midpoint_sweep(L, U, M, K, load[:n_steps], x0, v0, dt, rec)]
+        want = [reference_sweep(L, U, M, K, load[:n_steps], x0, v0, dt, rec)]
+        for out, sweep in ((got, midpoint_sweep), (want, reference_sweep)):
+            x, v, ab = out[0][:3]
+            out.append(sweep(L, U, M, K, load[n_steps:], x, v, dt, rec, ab))
+        for g, w in zip(got, want):
+            for a, b in zip(g[:2] + g[2] + g[3:], w[:2] + w[2] + w[3:]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("split", [1, 112, 299])
     def test_two_calls_continue_as_one(self, rng, split):
@@ -376,29 +463,31 @@ class TestSweep:
         assert np.abs(a - (mv - kx)).max() <= 1e-11 * scale
         assert np.abs(b - (mv + kx)).max() <= 1e-11 * scale
 
-    def test_one_sparse_product_per_step(self, rng):
+    def test_one_sparse_product_per_step(self, rng, monkeypatch):
         # Continuing from carried momenta, a step multiplies by K once and
         # never by M; a first call forms the momenta with one product each.
-        class Counted(scipy.sparse.csr_array):
-            calls = []
-
-            def __matmul__(self, other):
-                self.calls.append(self.name)
-                return super().__matmul__(other)
-
+        # Products are counted in scipy's CSR kernel, which A @ v runs and
+        # the sweep calls directly.
         sysm = shipped_system(SHIPPED[0])
         dt, n_steps = 1e-3, 50
         blk, op = band_block(sysm, dt, 1e-3 * rng.standard_normal(sysm.n_dofs),
                              1e-3 * rng.standard_normal(sysm.n_dofs))
-        M, K = Counted(blk.M), Counted(blk.K)
-        M.name, K.name = "M", "K"
+        M, K = blk.M, blk.K
+        calls, kernel = [], scipy.sparse._sparsetools.csr_matvec
+
+        def counted(n_row, n_col, indptr, indices, data, *vectors):
+            calls.append("M" if data is M.data else "K" if data is K.data else "?")
+            return kernel(n_row, n_col, indptr, indices, data, *vectors)
+
+        monkeypatch.setattr(scipy.sparse._sparsetools, "csr_matvec", counted)
+        monkeypatch.setattr(kernels, "csr_matvec", counted)
         load = drive_load(sysm, dt, n_steps, blk.B)
         rec = np.arange(1, n_steps + 1)
         x, v, ab, *_ = midpoint_sweep(op.L, op.U, M, K, load, blk.x0, blk.v0, dt, rec)
-        assert Counted.calls == ["M", "K"] + n_steps * ["K"]
-        Counted.calls.clear()
+        assert calls == ["M", "K"] + n_steps * ["K"]
+        calls.clear()
         midpoint_sweep(op.L, op.U, M, K, load, x, v, dt, rec, ab)
-        assert Counted.calls == n_steps * ["K"]
+        assert calls == n_steps * ["K"]
 
     @pytest.mark.parametrize("bands", [(3, 20, 16, 5), (17, 1)])
     def test_stacked_blocks_sweep_as_alone(self, rng, bands):
@@ -471,6 +560,22 @@ class TestSimulate:
         # the ledger balances: energy gained equals work injected
         scale = max(traj.total.max(), 1e-30)
         assert np.abs(traj.balance_residual).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 397])
+    def test_row_energies_sum_left_to_right(self, rng, m):
+        # Each row's 0.5 z^T A z is bitwise the strictly sequential sum,
+        # whatever the number of rows; entries spanning 12 decades make any
+        # other order show.  Z is a column slice, as the recorded rows are.
+        A = shipped_system(SHIPPED[1]).K
+        n = A.shape[0]
+        Z = (rng.standard_normal((m, n + 4)) * 10.0 ** rng.integers(-6, 6, n + 4))[:, 2:-2]
+        AZ = A @ Z.T
+        got = solvers._row_energies(A, Z)
+        for r in range(m):
+            total = 0.0
+            for z, az in zip(Z[r].tolist(), AZ[:, r].tolist()):
+                total += z * az
+            assert got[r] == 0.5 * total
 
     def test_argument_validation(self):
         sysm = self._forced_system()
@@ -756,14 +861,19 @@ class TestBenchmarkContract:
 
         assert isinstance(backend_name(), str) and backend_name()
 
-    def test_tracer_binds_the_sweep_arguments(self):
-        # perfbench/tracer.py wraps kernels.midpoint_sweep on every name it
-        # is bound to and counts from its arguments L, M, K, bvolts, x0 and
-        # rec_steps, bound by name; M and K arrive in band numbering.
+    @staticmethod
+    def tracer():
         path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
         spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
+        return tracer
+
+    def test_tracer_binds_the_sweep_arguments(self):
+        # perfbench/tracer.py wraps kernels.midpoint_sweep on every name it
+        # is bound to and counts from its arguments L, M, K, bvolts, x0 and
+        # rec_steps, bound by name; M and K arrive in band numbering.
+        tracer = self.tracer()
         sysm = shipped_system(SHIPPED[0])
         zero = np.zeros(sysm.n_dofs)
         t = tracer.Tracer()
@@ -781,3 +891,26 @@ class TestBenchmarkContract:
         blk = blk.renumbered(op.perm)
         assert m["kernels.operator_entries"] == op.L.size + blk.M.nnz + blk.K.nnz
         assert m["kernels.sweep_s"] > 0.0 and m["solvers.factor_builds"] == 1
+
+    def test_tracer_sees_every_write_of_a_simulate(self, tmp_path):
+        # The tracer wraps output.write_csv by name and counts the bytes of
+        # the file at its path argument: simulate writes each CSV in one call
+        # (the trajectory reuses the text of t and the ledger that writing
+        # energy.csv returned), so every byte written shows in output.bytes,
+        # and the sweep in kernels.sweep_s.
+        tracer = self.tracer()
+        t = tracer.Tracer()
+        t.install()
+        try:
+            assert cli.main(["simulate", SHIPPED[0], "--out", str(tmp_path)]) == 0
+        finally:
+            t.remove()
+        assert t.missing == []
+        spans = t.take()
+        csvs = [s for s in spans if s.name == "output.write_csv"]
+        sizes = {f: os.path.getsize(tmp_path / f) for f in ("trajectory.csv", "energy.csv")}
+        assert sorted(s.counts["bytes"] for s in csvs) == sorted(sizes.values())
+        m = tracer.layer_metrics(spans)
+        assert m["output.bytes"] == sum(os.path.getsize(p) for p in tmp_path.iterdir())
+        assert m["output.write_s"] > 0.0 and m["kernels.sweep_s"] > 0.0
+        assert m["kernels.steps"] == 2000
