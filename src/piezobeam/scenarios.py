@@ -346,14 +346,15 @@ def run_electrostatic_limit(vspec: ValidatedModelSpec, mus, n_elements: int,
 # --- modal classification and convergence --------------------------------------
 
 
-def mode_energy_fractions(system: SemiDiscreteSystem, shape: np.ndarray) -> dict:
-    """Mass-energy fraction of each field in one mode shape (sums to 1)."""
-    mshape = system.M @ shape
-    total = float(shape @ mshape)
-    return {
-        name: float(shape[idx] @ mshape[idx]) / total
-        for name, idx in ((n, system.dofs_of(n)) for n in system.layout.fields)
-    }
+def mode_energy_fractions(system: SemiDiscreteSystem, shapes: np.ndarray) -> list:
+    """Mass-energy fraction of each field in each column of shapes (n, k):
+    k dicts, each summing to 1, from one product shapes * (M @ shapes)."""
+    terms = shapes * (system.M @ shapes)
+    sums = {name: np.add.reduce(terms[system.dofs_of(name)], axis=0)
+            for name in system.layout.fields}
+    total = sum(sums.values())
+    return [{name: float(s[j] / total[j]) for name, s in sums.items()}
+            for j in range(shapes.shape[1])]
 
 
 def class_fractions(fractions: dict) -> dict:
@@ -381,8 +382,8 @@ def mode_frequency(vspec: ValidatedModelSpec, n_elements: int, kind: str,
     null, n_modes = system.null_space(), 16 * number
     while True:
         ms = eigenmodes(system.M, system.K, n_modes, null)
-        hits = [w for w, shape in zip(ms.omegas[ms.n_zero:], ms.shapes[:, ms.n_zero:].T)
-                if classify_mode(mode_energy_fractions(system, shape)) == kind]
+        fractions = mode_energy_fractions(system, ms.shapes[:, ms.n_zero:])
+        hits = [w for w, fr in zip(ms.omegas[ms.n_zero:], fractions) if classify_mode(fr) == kind]
         if len(hits) >= number:
             return float(hits[number - 1])
         if n_modes >= system.n_dofs:

@@ -23,17 +23,10 @@ reverse Cuthill-McKee ordering the step matrix is banded (half-bandwidth 3
 on the single beam, 12 on the patch model), and one banded Cholesky
 factorization serves every solve.
 
-simulate steps only what moves.  It cuts each system into the connected
-components of |M| + |K|: {v, q} and {w} (or {w, psi}) on the single beam;
-on the patch model, written in mirror-adapted coordinates (the charge
-fields replaced by their half sum and half difference), the even half
-{v, e} and the odd half {w, psi, o} of the top/bottom mirror (Healey &
-Treacy 1991), whose step matrices have half-bandwidths 4 and 6 on the
-patch_eb model.  A block at rest (zero initial state, and a load that
-vanishes at every step: the odd half under equal voltages, the single
-beam's bending) is never swept, and its rows are exact zeros.  When the
-mirror does not hold bitwise, a patch system keeps its original
-coordinates and steps as one block.
+simulate steps only what moves: the even and odd halves of each system's
+top/bottom mirror (Healey & Treacy 1991), {v, q} and {w} (or {w, psi}) on
+the single beam, {v, e} and {w, psi, o} on the patch model (e and o the
+half sum and half difference of the charges), halves at rest left out.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import (
     ConvergenceFailure,
@@ -302,30 +295,35 @@ def mirror_gap(A, perm: np.ndarray, sign: np.ndarray) -> float:
     return float(abs(mirrored - A).max())
 
 
-def _paired(X, nm: int, nt: int):
-    """T X, T the mirror-adapted map on the numbering [nm mechanical dofs |
-    nt top charges | nt bottom charges]: the top rows become X_t + X_b, the
-    bottom rows X_t - X_b, the rest stay.  X is an array or a sparse matrix.
-    T is symmetric and T T = 2 on the charges, so T maps coordinates back
-    and T / 2 maps them in."""
-    top, bot = X[nm:nm + nt], X[nm + nt:]
-    if scipy.sparse.issparse(X):
-        return scipy.sparse.vstack([X[:nm], top + bot, top - bot], format="csr")
-    return np.concatenate([X[:nm], top + bot, top - bot])
+def _paired(X: np.ndarray, pairs) -> np.ndarray:
+    """Apply T in place to the last axis of X and return X: for each pair
+    (lo, hi) the mirror swaps, slot lo becomes X_lo + X_hi and slot hi
+    X_lo - X_hi, the rest stay.  T is symmetric and T T = 2 on the pairs,
+    so T maps coordinates back and T / 2 maps them in."""
+    lo, hi = pairs
+    X[..., lo], X[..., hi] = X[..., lo] + X[..., hi], X[..., lo] - X[..., hi]
+    return X
 
 
-def _adapted(A, nm: int, nt: int):
-    """T A T for sparse A (see _paired), its columns paired first, then its rows.
+def _parity(system: SemiDiscreteSystem, n_in: int):
+    """The rule that splits a step (see _split): the pairs (lo, hi) of dofs
+    and of drives the mirror swaps (it reverses the drive order), and the
+    odd ones: dofs of sign -1 and the hi dof and drive slots."""
+    perm, sign = mirror_map(system)
+    lo = np.flatnonzero(perm > np.arange(len(perm)))
+    pairs, drives = (lo, perm[lo]), (np.arange(n_in // 2), n_in - 1 - np.arange(n_in // 2))
+    odd, odd_in = sign < 0.0, np.zeros(n_in, dtype=bool)
+    odd[pairs[1]] = odd_in[drives[1]] = True
+    return pairs, drives, odd, odd_in
 
-    An entry that couples the even class (stretching and the charge sum)
-    with the odd one (bending and the charge difference) is then the sum of
-    two terms, each pair of the form (a - c) + (c - a) or (a + c) - (c + a)
-    when A is mirror symmetric, so it is exactly 0.0 whatever the sparse
-    summation order; and every entry of the two halves equals, bitwise, its
-    value in the explicit block form (A_TT + A_BB) +- (A_TB + A_BT) and its
-    transpose.
-    """
-    return _paired(_paired(scipy.sparse.csr_array(A.T), nm, nt).T.tocsr(), nm, nt)
+
+def _pair_map(n: int, pairs) -> scipy.sparse.csr_array:
+    """T of _paired on n dofs as a sparse matrix, built from the pairs."""
+    rows = np.concatenate([np.arange(n), *pairs])
+    cols = np.concatenate([np.arange(n), pairs[1], pairs[0]])
+    vals = np.ones(len(rows))
+    vals[pairs[1]] = -1.0  # T's diagonal on the hi slots
+    return scipy.sparse.csr_array((vals, (rows, cols)), shape=(n, n))
 
 
 @dataclass
@@ -358,16 +356,16 @@ class _Block:
 def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray):
     """(blocks, pairs): the blocks of the system's step that move.
 
-    The blocks are the connected components of the graph of |M| + |K|.  A
-    patch system is first written in mirror-adapted coordinates: the
-    mechanical dofs stay, and the top and bottom charges become
-    x_qT = e + o, x_qB = e - o, e the half sum and o the half difference;
-    the two voltages likewise become their half sum and half difference.
-    When every entry coupling the even class {v, e} with the odd one
-    {w, psi, o} is exactly 0.0 in M, K and B, the components are the two
-    halves, and pairs is (nm, nt) for _paired; otherwise (the mirror does
-    not hold bitwise) the system keeps its original coordinates and pairs
-    is None.  A single beam's components are {v, q} and {w} (or {w, psi}).
+    The blocks are the even and odd halves of the top/bottom mirror (see
+    _parity), in mirror-adapted coordinates: x_lo = e + o and x_hi = e - o
+    for each swapped pair, e the half sum and o the half difference, and
+    the drives likewise.  M and K change coordinates as T (A T), columns
+    first.  With A mirror symmetric, an entry coupling the halves is then a
+    sum of two exact negatives, so exactly 0.0, and each entry of a half is
+    bitwise its block form (A_TT + A_BB) +- (A_TB + A_BT).  When an entry
+    coupling the halves in M, K or the adapted B is not exactly 0.0, the
+    system keeps its own coordinates and steps as one block.  pairs maps
+    the recorded rows back (_paired), or is None when they need no map.
 
     A block at rest, with zero initial state and a load that vanishes at
     every step (the odd half under equal voltages), is left out: its rows
@@ -378,42 +376,37 @@ def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray):
     their drive samples at every step midpoint (its load is drive @ B.T),
     its block-local charge dofs and its initial state x0, v0.
     """
-    M, K, B, drive, pairs = system.M, system.K, system.B, volts, None
-    y0, ydot0 = x0, v0
-    n, charge = system.n_dofs, system.class_dofs("charge")
-    perm, sign = mirror_map(system)
-    nt = int(np.sum(perm > np.arange(n)))
-    nm = n - 2 * nt
-    # The layout numbers the top charges, then the bottom ones, last.
-    if system.vspec.is_patch and np.array_equal(perm[nm:], np.roll(np.arange(nm, n), nt)):
-        odd = np.concatenate([sign[:nm] < 0.0, np.repeat([False, True], nt)])
-        Ma, Ka = _adapted(M, nm, nt), _adapted(K, nm, nt)
-        Ba = _paired(np.column_stack([B[:, 0] + B[:, 1], B[:, 0] - B[:, 1]]), nm, nt)
-        cross = np.any(Ba[~odd, 1]) or np.any(Ba[odd, 0])
-        for A in (Ma, Ka):
-            coo = A.tocoo()
-            cross = cross or np.any(coo.data[odd[coo.row] != odd[coo.col]])
-        if not cross:
-            M, K, B, pairs = Ma, Ka, Ba, (nm, nt)
-            drive = 0.5 * np.column_stack([volts[:, 0] + volts[:, 1],
-                                           volts[:, 0] - volts[:, 1]])
-            half = np.where(np.arange(n) < nm, 1.0, 0.5)
-            y0, ydot0 = half * _paired(x0, nm, nt), half * _paired(v0, nm, nt)
-
-    graph = abs(M) + abs(K)
-    graph.eliminate_zeros()
-    n_comp, labels = connected_components(graph, directed=False)
+    n = system.n_dofs
+    pairs, drives, odd, odd_in = _parity(system, volts.shape[1])
+    B = _paired(system.B.copy(), drives)  # its columns paired first, then its rows
+    _paired(B.T, pairs)
+    drive = _paired(volts.copy(), drives)
+    drive[:, np.concatenate(drives)] *= 0.5
+    M, K, y0, ydot0 = system.M, system.K, x0, v0
+    if len(pairs[0]):
+        T = _pair_map(n, pairs)
+        M, K = T @ (M @ T), T @ (K @ T)
+        half = np.where(np.isin(np.arange(n), pairs), 0.5, 1.0)  # T / 2 maps them in
+        y0, ydot0 = half * _paired(np.array([x0, v0]), pairs)
+    cross = np.any(B[odd[:, None] != odd_in])
+    for A in (M, K):
+        coo = A.tocoo()
+        cross = cross or np.any(coo.data[odd[coo.row] != odd[coo.col]])
+    halves = [np.flatnonzero(~odd), np.flatnonzero(odd)]
+    if cross:
+        halves = [np.arange(n)]
+        M, K, B, drive, y0, ydot0 = system.M, system.K, system.B, volts, x0, v0
+    charge = system.class_dofs("charge")
     blocks = []
-    for c in range(n_comp):
-        dofs = np.flatnonzero(labels == c)
+    for dofs in halves:
         cols = np.flatnonzero(np.any(B[dofs] != 0.0, axis=0))
         if not (np.any(y0[dofs]) or np.any(ydot0[dofs]) or np.any(drive[:, cols])):
             continue
-        Mb, Kb = (M, K) if n_comp == 1 else (M[dofs][:, dofs], K[dofs][:, dofs])
+        Mb, Kb = (M, K) if len(dofs) == n else (M[dofs][:, dofs], K[dofs][:, dofs])
         blocks.append(_Block(dofs=dofs, M=Mb, K=Kb, B=B[dofs][:, cols], drive=drive[:, cols],
                              charge=np.flatnonzero(np.isin(dofs, charge)),
                              x0=y0[dofs], v0=ydot0[dofs]))
-    return blocks, pairs
+    return blocks, None if cross or not len(pairs[0]) else pairs
 
 
 def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
@@ -532,7 +525,7 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities):
                 traj.work[rows] += work[:, j]
             if pairs is not None and own:
                 for arr in (traj.X, traj.V) if velocities else (traj.X,):
-                    arr[rows] = _paired(arr[rows].T, *pairs).T
+                    _paired(arr[rows], pairs)
         done = rows.stop
         del Y, V, Yb, Vb  # no chunk's rows outlive its ledger
         if a == n_steps:
@@ -549,11 +542,12 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities):
             raise NonFiniteState(
                 f"{name}state not finite after steps {a + 1}-{a + m} of {n_steps}")
         # Work increments dt * vbar . load, one dot product per step and
-        # block, summed in step order after the previous total.
+        # block, summed in step order after the previous total.  einsum
+        # sums in a fixed order; a BLAS dot would depend on the thread count.
         inc = np.empty((m + 1, len(moving)))
         inc[0] = total
         for j, c in enumerate(cols):
-            inc[1:, j] = np.matmul(vbar[:, None, c], load[:m, c, None])[:, 0, 0]
+            inc[1:, j] = np.einsum("ij,ij->i", vbar[:, c], load[:m, c])
         del vbar
         inc[1:] *= dt
         cum = np.cumsum(inc, axis=0)

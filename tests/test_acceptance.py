@@ -1,5 +1,5 @@
 """Acceptance gate: one test per release criterion (c01-c11), and c11's
-thread-count check repeated at a realistic mesh size.
+thread-count check repeated at realistic mesh sizes.
 
 Each test freezes its tolerances and oracle values inline; the conftest
 terminal summary prints a per-criterion pass/fail line.  These tests favour
@@ -291,16 +291,24 @@ def test_c11_simulate_cli_is_byte_reproducible(tmp_path):
     assert payloads["1"] == payloads["4"]
 
 
-def test_patch_simulate_at_512_elements_is_thread_count_independent(tmp_path):
-    """c11's thread-count check on the shipped patch config at 512 elements
-    (2565 dofs, 1026 of them swept): identical CSV bytes under one and two
-    BLAS threads."""
-    with open(os.path.join(os.path.dirname(__file__), "..", "configs", "patch_bimorph.ini"),
+@pytest.mark.parametrize("config,elements,t_end,dofs", [
+    ("patch_bimorph.ini", 512, "2.0", 2565),
+    ("single_beam.ini", 8192, "0.05", 32772),
+], ids=["patch-512", "single-8192"])
+def test_simulate_at_large_meshes_is_thread_count_independent(tmp_path, config, elements,
+                                                               t_end, dofs):
+    """c11's thread-count check at realistic mesh sizes: identical CSV bytes
+    under one and two BLAS threads on the shipped patch config at 512
+    elements (1026 of its dofs swept) and on the shipped single beam at 8192
+    elements, whose moving {v, q} block (16,386 dofs) is long enough for
+    OpenBLAS to thread a dot product over it."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", config),
               encoding="utf-8") as fh:
         text = fh.read()
-    assert "\nelements = 32\n" in text
-    cfg = tmp_path / "patch512.ini"
-    cfg.write_text(text.replace("\nelements = 32\n", "\nelements = 512\n"))
+    assert "\nelements = 32\n" in text and "\nt_end = 2.0\n" in text
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text.replace("\nelements = 32\n", f"\nelements = {elements}\n")
+                   .replace("\nt_end = 2.0\n", f"\nt_end = {t_end}\n"))
     names = ("trajectory.csv", "energy.csv")
     payloads = {}
     for threads in ("1", "2"):
@@ -313,6 +321,6 @@ def test_patch_simulate_at_512_elements_is_thread_count_independent(tmp_path):
              "simulate", str(cfg), "--out", str(out)],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert "dofs=2565" in (out / "trajectory.csv").read_text()
+        assert f"dofs={dofs}" in (out / "trajectory.csv").read_text()
         payloads[threads] = tuple((out / name).read_bytes() for name in names)
     assert payloads["1"] == payloads["2"]

@@ -277,6 +277,15 @@ class TestModes:
         assert report["n_modes"] == 5
         assert len(report["omega_rad_s"]) == 5
 
+    def test_one_parser_parses_each_call_afresh(self, single_cfg, tmp_path):
+        # The parser is built once per process; an option given to one call
+        # does not stick to the next.
+        assert cli._parser() is cli._parser()
+        for run, extra, n_modes in (("a", ["--n", "3"], 3), ("b", [], 8)):
+            out = tmp_path / run
+            assert main(["modes", single_cfg, "--out", str(out)] + extra) == 0
+            assert json.loads((out / "modes_report.json").read_text())["n_modes"] == n_modes
+
     def test_svg_flag(self, single_cfg, tmp_path):
         out = tmp_path / "run"
         assert main(["modes", single_cfg, "--out", str(out), "--svg"]) == 0

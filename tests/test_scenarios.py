@@ -186,10 +186,17 @@ class TestModalAnalysis:
     def test_mode_energy_fractions_sum_to_one(self, rng):
         sysm = build_system(make_spec(Variant.PATCH_MT, Regime.FULL_MAGNETIC), 8)
         modes = eigenmodes(sysm.M, sysm.K, 8, sysm.null_space())
-        for j in range(modes.shapes.shape[1]):
-            frac = mode_energy_fractions(sysm, modes.shapes[:, j])
+        fractions = mode_energy_fractions(sysm, modes.shapes)
+        assert len(fractions) == modes.shapes.shape[1] == 8
+        for j, frac in enumerate(fractions):
             assert sum(frac.values()) == pytest.approx(1.0, rel=1e-10)
             assert set(frac) == {"v", "w", "psi", "qT", "qB"}
+            shape = modes.shapes[:, j]  # the one-mode form, dot products per field
+            mshape = sysm.M @ shape
+            for name, value in frac.items():
+                idx = sysm.dofs_of(name)
+                assert value == pytest.approx(shape[idx] @ mshape[idx] / (shape @ mshape),
+                                              rel=1e-12, abs=1e-15), name
 
     def test_classification_picks_dominant_field_group(self):
         assert classify_mode({"v": 0.9, "w": 0.05, "q": 0.05}) == "stretching"

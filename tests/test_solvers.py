@@ -12,6 +12,7 @@ import scipy.sparse
 import scipy.sparse._sparsetools
 import scipy.sparse.linalg
 from scipy.linalg.blas import daxpy, dscal
+from scipy.sparse.csgraph import connected_components
 
 from piezobeam.assembly import build_system
 from piezobeam.config import parse_config
@@ -761,29 +762,87 @@ def counting_sweeps(monkeypatch):
     return swept
 
 
+def adapted(system):
+    """(Ma, Ka, Ba, odd, odd_in) of the system in mirror-adapted coordinates,
+    formed as _split forms them."""
+    pairs, drives, odd, odd_in = solvers._parity(system, system.B.shape[1])
+    T = solvers._pair_map(system.n_dofs, pairs)
+    B = solvers._paired(system.B.copy(), drives)
+    solvers._paired(B.T, pairs)
+    return T @ (system.M @ T), T @ (system.K @ T), B, odd, odd_in
+
+
 class TestMirrorHalves:
     @pytest.mark.parametrize("n", [32, 512])
-    @pytest.mark.parametrize("variant,regime", PATCH_COMBOS)
-    def test_cross_blocks_are_exact_zeros(self, variant, regime, n):
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    @pytest.mark.parametrize("variant,regime", ALL_COMBOS)
+    def test_cross_blocks_are_exact_zeros(self, variant, regime, bc, n):
         # In mirror-adapted coordinates the top-charge slots carry the half
         # sum (even, with stretching) and the bottom-charge slots the half
         # difference (odd, with bending); nothing couples the two halves.
-        sysm = build_system(make_spec(variant, regime), n)
-        nt = len(sysm.class_dofs("charge")) // 2
-        nm = sysm.n_dofs - 2 * nt
-        odd = np.zeros(sysm.n_dofs, dtype=bool)
-        odd[sysm.class_dofs("bending")] = True
-        odd[nm + nt:] = True
-        for A in (sysm.M, sysm.K):
-            Ay = solvers._adapted(A, nm, nt)
+        # A single beam has no pairs and one drive, which is even.
+        sysm = build_system(make_spec(variant, regime, bc=bc), n)
+        Ma, Ka, By, odd, odd_in = adapted(sysm)
+        assert odd_in.tolist() == ([False, True] if variant.is_patch else [False])
+        for Ay in (Ma, Ka):
             assert (Ay != Ay.T).nnz == 0  # bitwise symmetric
             for rows, cols in ((~odd, odd), (odd, ~odd)):
                 assert np.all(Ay[rows][:, cols].data == 0.0)
             assert Ay[~odd][:, ~odd].count_nonzero() and Ay[odd][:, odd].count_nonzero()
-        B = sysm.B
-        By = solvers._paired(np.column_stack([B[:, 0] + B[:, 1], B[:, 0] - B[:, 1]]), nm, nt)
-        assert np.all(By[~odd, 1] == 0.0) and np.all(By[odd, 0] == 0.0)
-        assert np.any(By[~odd, 0]) and np.any(By[odd, 1])
+        assert np.all(By[~odd][:, odd_in] == 0.0) and np.all(By[odd][:, ~odd_in] == 0.0)
+        assert np.any(By[~odd][:, ~odd_in])
+        assert np.any(By[odd][:, odd_in]) == variant.is_patch
+
+    @pytest.mark.parametrize("n", [4, 32, 512])
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    @pytest.mark.parametrize("variant,regime", ALL_COMBOS)
+    def test_halves_are_the_components_of_the_adapted_graph(self, rng, variant, regime, bc, n):
+        # The parity rule gives the blocks a graph search finds: the
+        # connected components of |Ma| + |Ka|.
+        sysm = build_system(make_spec(variant, regime, bc=bc), n)
+        Ma, Ka, _, _, _ = adapted(sysm)
+        graph = abs(Ma) + abs(Ka)
+        graph.eliminate_zeros()
+        n_comp, labels = connected_components(graph, directed=False)
+        components = {tuple(np.flatnonzero(labels == c)) for c in range(n_comp)}
+        x0 = rng.standard_normal(sysm.n_dofs)
+        blocks, _ = solvers._split(sysm, x0, x0, np.ones((1, sysm.B.shape[1])))
+        assert {tuple(blk.dofs) for blk in blocks} == components
+        assert len(blocks) == 2
+
+    @pytest.mark.parametrize("n", [32, 512])
+    def test_halves_sum_in_block_form(self, rng, n):
+        # Each entry of a half is, bitwise, its value in the explicit block
+        # form: with t the top and b the bottom charges and m the mechanical
+        # dofs, A_mm, A_mt +- A_mb, A_tm +- A_bm and
+        # (A_tt + A_bb) +- (A_tb + A_bt), + in the even half, - in the odd.
+        vspec, _ = shipped_spec(SHIPPED[1])
+        sysm = build_system(vspec, n)
+        t, b = sysm.dofs_of("qT"), sysm.dofs_of("qB")
+        m = np.setdiff1d(np.arange(sysm.n_dofs), np.concatenate([t, b]))
+        order = np.concatenate([m, t, b])
+        assert np.array_equal(np.sort(order), np.arange(sysm.n_dofs))
+        x0 = rng.standard_normal(sysm.n_dofs)
+        even, odd = solvers._split(sysm, x0, x0, np.ones((1, 2)))[0]
+        inv = np.argsort(order)  # from [m | t | b] back to the system's numbering
+        for name in ("M", "K"):
+            A = getattr(sysm, name)
+
+            def blk(r, c):
+                return A[r][:, c]
+
+            want = scipy.sparse.bmat([
+                [blk(m, m), blk(m, t) + blk(m, b), blk(m, t) - blk(m, b)],
+                [blk(t, m) + blk(b, m), (blk(t, t) + blk(b, b)) + (blk(t, b) + blk(b, t)), None],
+                [blk(t, m) - blk(b, m), None, (blk(t, t) + blk(b, b)) - (blk(t, b) + blk(b, t))],
+            ], format="csr")[inv][:, inv]
+            for half in (even, odd):
+                pair = [want[half.dofs][:, half.dofs].tocoo(), getattr(half, name).tocoo()]
+                for Z in pair:
+                    Z.sum_duplicates()
+                    Z.eliminate_zeros()
+                assert np.array_equal(pair[0].coords, pair[1].coords), name
+                assert np.array_equal(pair[0].data, pair[1].data), name
 
     @pytest.mark.parametrize("variant,regime", PATCH_COMBOS)
     def test_both_halves_map_back_to_the_unsplit_sweep(self, rng, monkeypatch,
@@ -794,8 +853,8 @@ class TestMirrorHalves:
         sysm = build_system(vspec, 16)
         x0 = 1e-3 * rng.standard_normal(sysm.n_dofs)
         v0 = 1e-3 * rng.standard_normal(sysm.n_dofs)
-        blocks, pairs = solvers._split(sysm, x0, v0, np.ones((1, 2)))
-        assert pairs is not None and len(blocks) == 2
+        blocks, _ = solvers._split(sysm, x0, v0, np.ones((1, 2)))
+        assert len(blocks) == 2
         swept = counting_sweeps(monkeypatch)
         traj = simulate(sysm, x0, v0, 1e-3, 0.3)
         assert set(swept) == {sysm.n_dofs}
