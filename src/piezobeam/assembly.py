@@ -117,7 +117,9 @@ def _assemble_terms(layout: DofLayout, terms, n: int) -> scipy.sparse.csr_array:
         elems, _ = layout.mesh.region(term.region)
         if len(elems) == 0:
             continue
-        lengths = layout.mesh.lengths[elems]
+        # An element block depends on the element only through its length:
+        # compute one per distinct length and gather them by element.
+        lengths, inv = np.unique(layout.mesh.lengths[elems], return_inverse=True)
         xi, wq = GAUSS_REDUCED if term.reduced_quad else GAUSS_FULL
         tables = []
         dof_tabs = []
@@ -139,6 +141,7 @@ def _assemble_terms(layout: DofLayout, terms, n: int) -> scipy.sparse.csr_array:
                     # einsum's contraction order is not symmetric in (a, b);
                     # averaging restores bitwise-symmetric element blocks
                     block = 0.5 * (block + np.swapaxes(block, 1, 2))
+                block = block[inv]
                 pairs = [(dof_tabs[i], dof_tabs[j], block)]
                 if i != j:
                     pairs.append((dof_tabs[j], dof_tabs[i], np.swapaxes(block, 1, 2)))

@@ -15,6 +15,7 @@ import os
 import sys
 
 import numpy as np
+import scipy.sparse
 
 from . import __version__
 from .assembly import build_system
@@ -66,19 +67,28 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
     vspec = config.validated()
     system = build_system(vspec, config.n_elements)
     dt = resolved_dt(config)
-    zero = np.zeros(system.n_dofs)
-    traj = simulate(system, zero, zero, dt, config.t_end, stride=config.stride,
-                    velocities=False)
-    resid, scale = traj.balance
-
     layout = system.layout
     probe = config.probe if config.probe is not None else vspec.geometry.length
     # One interpolation row per field, restricted to the surviving dofs
-    # (constrained dofs are zero), so every probe value comes from one product.
-    rows = np.column_stack([
-        interpolation_row(layout, field, _probe_position(layout, field, probe))
-        for field in layout.fields])
-    probes = traj.X @ rows[system.free_dofs]
+    # (constrained dofs are zero), as one sparse matrix: each probe value
+    # sums its few terms in a fixed order, however the rows are chunked.
+    interp = scipy.sparse.csr_array(np.vstack([
+        interpolation_row(layout, field, _probe_position(layout, field, probe))[system.free_dofs]
+        for field in layout.fields]))
+    values = [system.current_dofs(layout.value_dofs(field)) for field in layout.fields]
+    probes, peaks = [], []
+
+    def observe(rows, X, V):
+        probes.append((interp @ X.T).T)
+        peaks.append(np.column_stack([np.max(np.abs(X[:, idx]), axis=1, initial=0.0)
+                                      for idx in values]))
+
+    zero = np.zeros(system.n_dofs)
+    traj = simulate(system, zero, zero, dt, config.t_end, stride=config.stride,
+                    velocities=False, observe=observe)
+    probes, peaks = np.concatenate(probes), np.concatenate(peaks)
+    resid, scale = traj.balance
+
     energy_names = ["E_kin", "E_stored", "E_mag", "E_total", "work_in",
                     "balance_residual"]
     energy_cols = [traj.kinetic, traj.stored, traj.magnetic, traj.total,
@@ -89,12 +99,8 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
                                      [traj.t] + energy_cols, comments)
     names, columns = ["t"], [t_text]
     for j, field in enumerate(layout.fields):
-        names.append(f"{field}_probe")
-        columns.append(probes[:, j])
-        value_idx = system.current_dofs(layout.value_dofs(field))
-        names.append(f"{field}_max")
-        columns.append(np.max(np.abs(traj.X[:, value_idx]), axis=1)
-                       if len(value_idx) else np.zeros(len(traj)))
+        names += [f"{field}_probe", f"{field}_max"]
+        columns += [probes[:, j], peaks[:, j]]
     names.extend(energy_names)
     columns.extend(energy_text)
     write_csv(os.path.join(out, "trajectory.csv"), names, columns, comments)

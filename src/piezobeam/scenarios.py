@@ -119,6 +119,12 @@ class LimitStudy:
         }
 
 
+def _peak(A: np.ndarray) -> float:
+    """max |A|, 0.0 for an empty A.  Exact, so the max over chunks of rows,
+    or over per-dof maxima, is the max over all of them."""
+    return float(np.max(np.abs(A), initial=0.0))
+
+
 # --- single-beam decoupling ---------------------------------------------------
 
 
@@ -138,13 +144,18 @@ def check_single_beam_decoupling(vspec: ValidatedModelSpec, n_elements: int,
         raise IllegalRegime("decoupling check applies to single-beam variants only")
     system = build_system(vspec, n_elements)
     bend = system.class_dofs("bending")
-    b_rows = float(np.max(np.abs(system.B[bend]))) if len(bend) else 0.0
+    b_rows = _peak(system.B[bend])
 
-    traj = simulate(system, np.zeros(system.n_dofs), np.zeros(system.n_dofs),
-                    dt, t_end)
-    x_bend = float(np.max(np.abs(traj.X[:, bend]))) if len(bend) else 0.0
-    v_bend = float(np.max(np.abs(traj.V[:, bend]))) if len(bend) else 0.0
-    stretch = float(np.max(np.abs(traj.X[:, system.class_dofs("stretching")])))
+    peak_x, peak_v = np.zeros((2, system.n_dofs))  # running max |x|, |v| per dof
+
+    def observe(rows, X, V):
+        np.maximum(peak_x, np.max(np.abs(X), axis=0), out=peak_x)
+        np.maximum(peak_v, np.max(np.abs(V), axis=0), out=peak_v)
+
+    simulate(system, np.zeros(system.n_dofs), np.zeros(system.n_dofs), dt, t_end,
+             observe=observe)
+    x_bend, v_bend = _peak(peak_x[bend]), _peak(peak_v[bend])
+    stretch = _peak(peak_x[system.class_dofs("stretching")])
     if stretch == 0.0:
         raise IllegalRegime("the beam never stretches (zero drive or no steps)")
 
@@ -246,27 +257,37 @@ def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, mode, n_elements:
             raise ValueError(f"mode must be 'symmetric' or 'antisymmetric', got {m!r}")
 
     setups = [_selectivity_setup(vspec, m, n_elements, corrupt_sign) for m in modes]
+    none = np.zeros(0, dtype=int)  # a model without charge fields
+    charges = [(system.dofs_of("qT"), system.dofs_of("qB")) if "qT" in system.layout.fields
+               else (none, none) for system, *_ in setups]
+    # Per drive, the running max |x| per dof, and of the charge mirror
+    # mismatch qT -+ qB.
+    peaks = [np.zeros(system.n_dofs) for system, *_ in setups]
+    mismatch = np.zeros(len(setups))
+
+    def observe(rows, Xs, V):
+        for k, (m, (top, bot), X) in enumerate(zip(modes, charges, Xs)):
+            np.maximum(peaks[k], np.max(np.abs(X), axis=0), out=peaks[k])
+            qt, qb = X[:, top], X[:, bot]
+            mismatch[k] = max(mismatch[k], _peak(qt - qb if m == "symmetric" else qt + qb))
+
     zeros = [np.zeros(system.n_dofs) for system, *_ in setups]
-    trajs = simulate([system for system, *_ in setups], zeros, zeros, dt, t_end,
-                     velocities=False)
+    simulate([system for system, *_ in setups], zeros, zeros, dt, t_end, velocities=False,
+             observe=observe)
 
     reports = []
-    for m, (system, checks, quiet, active), traj in zip(modes, setups, trajs):
-        scale = float(np.max(np.abs(traj.X[:, active])))
+    for m, (system, checks, quiet, active), (top, _), peak, mism in zip(
+            modes, setups, charges, peaks, mismatch):
+        scale, leak, qs = _peak(peak[active]), _peak(peak[quiet]), _peak(peak[top])
         if scale == 0.0:
             raise IllegalRegime(f"the {m} drive never moves the beam (zero drive or no steps)")
-        leak = float(np.max(np.abs(traj.X[:, quiet])))
         checks = checks + [
             MetricCheck("quiet_over_active_ratio", leak / scale, "1", 1e-12, "below",
                         "mirror-symmetric dynamics leave the odd class unexcited"),
             MetricCheck("active_response_max", scale, "m", basis="measured"),
         ]
         if "qT" in system.layout.fields:
-            qt = traj.X[:, system.dofs_of("qT")]
-            qb = traj.X[:, system.dofs_of("qB")]
-            mism = qt - qb if m == "symmetric" else qt + qb
-            qs = float(np.max(np.abs(qt)))
-            mirror_gap = float(np.max(np.abs(mism))) / qs if qs > 0.0 else 0.0
+            mirror_gap = float(mism) / qs if qs > 0.0 else 0.0
             checks.append(
                 MetricCheck("charge_mirror_gap", mirror_gap, "1", 1e-12, "below",
                             "mirror-symmetric dynamics tie the two charge fields"))
@@ -318,16 +339,25 @@ def run_electrostatic_limit(vspec: ValidatedModelSpec, mus, n_elements: int,
 
     systems = [build_system(replace(vspec, regime=Regime.ELECTROSTATIC), n_elements)]
     systems += [build_system(_with_mu(vspec, mu), n_elements) for mu in mus]
+    mech = [s.class_dofs("stretching", "bending") for s in systems[1:]]
+    # Per recorded row, the sum of squares of the electrostatic state and of
+    # each fully dynamic run's gap to it: a per-row reduce, then one total,
+    # gives the same sums however the rows are chunked.
+    squares = [[] for _ in systems]
+
+    def observe(rows, Xs, V):
+        red, *full = Xs
+        squares[0].append(np.add.reduce(red * red, axis=1))
+        for sums, X, dofs in zip(squares[1:], full, mech):
+            gap = X[:, dofs] - red
+            sums.append(np.add.reduce(gap * gap, axis=1))
+
     zeros = [np.zeros(s.n_dofs) for s in systems]
-    traj_red, *trajs = simulate(systems, zeros, zeros, dt, t_end, velocities=False)
-    den = float(np.sqrt(np.sum(traj_red.X ** 2)))
+    simulate(systems, zeros, zeros, dt, t_end, velocities=False, observe=observe)
+    den, *nums = (float(np.sqrt(np.sum(np.concatenate(sums)))) for sums in squares)
     if den == 0.0:
         raise IllegalRegime("the electrostatic model never moves (zero drive or no steps)")
-
-    distances = []
-    for system, traj in zip(systems[1:], trajs):
-        diff = traj.X[:, system.class_dofs("stretching", "bending")] - traj_red.X
-        distances.append(float(np.sqrt(np.sum(diff ** 2))) / den)
+    distances = [num / den for num in nums]
 
     ones = np.ones(vspec.n_signals)
     clamped = replace(vspec, mechanical_bc=BoundaryCondition.CLAMPED_FREE)
@@ -471,11 +501,14 @@ def pulse_time_of_flight(vspec: ValidatedModelSpec, n_elements: int = 512) -> Sc
     t_end = 1.1 * (x_probe[-1] - x0) / c_fast
     n_steps = int(np.ceil(t_end / dt))
     unloaded = replace(system, B=np.zeros_like(system.B))
-    traj = simulate(unloaded, np.zeros(system.n_dofs), v0, dt, n_steps * dt)
+    at_probes = []  # the velocity at the probe dofs, the one thing the run keeps
 
+    def observe(rows, X, V):
+        at_probes.append(V[:, v_dofs[probes]])
+
+    traj = simulate(unloaded, np.zeros(system.n_dofs), v0, dt, n_steps * dt, observe=observe)
     arrivals = []
-    for p in probes:
-        series = np.abs(traj.V[:, v_dofs[p]])
+    for series in np.abs(np.concatenate(at_probes)).T:
         thresh = 0.01 * float(series.max())
         arrivals.append(traj.t[int(np.argmax(series >= thresh))])
     span = arrivals[-1] - arrivals[0]

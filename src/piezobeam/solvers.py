@@ -26,7 +26,9 @@ factorization serves every solve.
 simulate steps only what moves: the even and odd halves of each system's
 top/bottom mirror (Healey & Treacy 1991), {v, q} and {w} (or {w, psi}) on
 the single beam, {v, e} and {w, psi, o} on the patch model (e and o the
-half sum and half difference of the charges), halves at rest left out.
+half sum and half difference of the charges), halves at rest left out.  It
+keeps no recorded state: each chunk's rows go to the caller's observer, so
+memory grows with the dofs and the recorded rows, not with their product.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ if TYPE_CHECKING:
     from .assembly import SemiDiscreteSystem
 
 # Entries of each per-chunk array of simulate (load, midpoint velocities,
-# recorded rows): a chunk holds CHUNK_ENTRIES // n steps, 512 KiB per array.
+# recorded rows): a chunk holds CHUNK_ENTRIES // n steps, 512 KiB per array
+# (n the dofs that move; the observed rows span every dof of each system).
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -218,14 +221,10 @@ def step_operator(system: SemiDiscreteSystem, dt: float) -> FactorizedOperator:
 
 @dataclass
 class Trajectory:
-    """Recorded states plus the energy ledger of a simulation run.
-
-    V is None when the run was asked not to keep velocities.
-    """
+    """Recorded times and the energy ledger of a simulation run, one entry
+    per recorded row; the rows themselves went to simulate's observer."""
 
     t: np.ndarray
-    X: np.ndarray
-    V: np.ndarray | None
     kinetic: np.ndarray
     stored: np.ndarray
     magnetic: np.ndarray
@@ -410,17 +409,27 @@ def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray):
 
 
 def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
-             velocities: bool = True):
+             velocities: bool = True, observe=None):
     """Integrate with the implicit midpoint rule and record every `stride` steps.
 
     `system` may also be a list of systems, with x0 and v0 lists of their
     initial states: one sweep then advances all of them, and a list of
     Trajectories comes back.
 
-    Each system is cut into its blocks, those at rest left out (see _split).
-    The blocks that move are stacked as the blocks of one block-diagonal
-    system and swept together; each is bitwise the run it would be alone
-    (see FactorizedOperator.stack), so each system is bitwise its own run.
+    simulate keeps no recorded state.  After each chunk of steps it calls
+    observe(rows, X, V) once, rows the slice of recorded rows the chunk
+    covers (row 0, the initial state, comes first, alone), X those rows in
+    the system's own coordinates, shape (len(rows), n_dofs), and V the
+    velocities likewise, or None when velocities=False; for a list of
+    systems X and V are lists with one array per system.  The arrays are
+    valid only during the call: an observer copies what it keeps, and
+    reduces each row as it goes past.
+
+    Each system is cut into its blocks, those at rest left out (see _split):
+    their rows are exact zeros.  The blocks that move are stacked as the
+    blocks of one block-diagonal system and swept together; each is bitwise
+    the run it would be alone (see FactorizedOperator.stack), so each
+    system is bitwise its own run.
 
     The only caller of the sweep; it factors every moving block's step
     matrix once per call and renumbers the block (M, K, the rows of B and
@@ -431,16 +440,14 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     load, the work integral (at every step, with the stepper's midpoint
     quadrature, so the energy-balance residual stays at round-off level for
     any stride) and the ledger of the recorded rows; a system's ledger is
-    the sum of its blocks'.  The recorded rows are mapped back to the
-    system's coordinates straight into its Trajectory: no n_steps x n array
-    is formed, and with velocities=False (Trajectory.V is then None) no
-    recorded velocity outlives its chunk.  Raises NonFiniteState, naming
-    the system and the steps, after the first chunk that leaves a
-    non-finite state (numpy's overflow warnings are silenced: the error
-    reports such a run), and EnergyImbalance, naming the system, when its
-    residual exceeds 1e-8 * its max energy or is not finite (criterion 4):
-    such runs come from step matrices that factor but are too
-    ill-conditioned to solve.
+    the sum of its blocks'.  Only the chunk's rows are mapped back to the
+    system's coordinates, and only for an observer.  Raises NonFiniteState,
+    naming the system and the steps, after the first chunk that leaves a
+    non-finite state, before its rows are observed (numpy's overflow
+    warnings are silenced: the error reports such a run), and
+    EnergyImbalance, naming the system, when its residual exceeds 1e-8 *
+    its max energy or is not finite (criterion 4): such runs come from step
+    matrices that factor but are too ill-conditioned to solve.
     """
     many = isinstance(system, (list, tuple))
     systems, x0s, v0s = (system, x0, v0) if many else ([system], [x0], [v0])
@@ -454,25 +461,36 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
     n_steps = max(0, int(round(t_end / dt)))
+    if observe is not None and not many:
+        each = observe
+
+        def observe(rows, X, V):
+            each(rows, X[0], None if V is None else V[0])
 
     t_mid = dt * (np.arange(n_steps) + 0.5)
     splits = [_split(s, x, v, np.column_stack([sig(t_mid) for sig in s.vspec.voltages]))
               for s, x, v in zip(systems, x0s, v0s)]
     rec_steps = np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
     n_rec = len(rec_steps)
-    trajs = [Trajectory(t=rec_steps * dt, X=np.zeros((n_rec, s.n_dofs)),
-                        V=np.zeros((n_rec, s.n_dofs)) if velocities else None,
-                        kinetic=np.zeros(n_rec), stored=np.zeros(n_rec),
-                        magnetic=np.zeros(n_rec), work=np.zeros(n_rec)) for s in systems]
+    trajs = [Trajectory(t=rec_steps * dt, kinetic=np.zeros(n_rec), stored=np.zeros(n_rec),
+                        magnetic=np.zeros(n_rec), work=np.zeros(n_rec)) for _ in systems]
 
     names = [f"system {k} of {len(trajs)}: " if many else "" for k in range(len(trajs))]
     moving, parts = [], []
-    for traj, (blocks, pairs), where in zip(trajs, splits, names):
-        parts.append((traj, pairs, range(len(moving), len(moving) + len(blocks)), where))
+    for traj, s, (blocks, pairs), where in zip(trajs, systems, splits, names):
+        parts.append((traj, s.n_dofs, pairs, range(len(moving), len(moving) + len(blocks)),
+                      where))
         moving += blocks
     if moving:
         with np.errstate(over="ignore", invalid="ignore"):
-            _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities)
+            _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe)
+    elif observe is not None:  # nothing moves: every row is exact zeros
+        step = max(1, CHUNK_ENTRIES // sum(s.n_dofs for s in systems))
+        for a in range(0, n_rec, step):
+            rows = slice(a, min(a + step, n_rec))
+            zeros = np.zeros((rows.stop - a, 0))
+            observe(rows, _observed(parts, [], [], zeros),
+                    _observed(parts, [], [], zeros) if velocities else None)
 
     for traj, where in zip(trajs, names):
         resid, scale = traj.balance
@@ -483,11 +501,27 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     return trajs if many else trajs[0]
 
 
-def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities):
+def _observed(parts, moving, cols, Z):
+    """Rows Z of the stacked moving blocks (columns cols[j] of block j) in
+    each system's own coordinates: its blocks at rest exact zeros, its
+    halves mapped back with _paired."""
+    out = []
+    for _, n, pairs, own, _ in parts:
+        X = np.zeros((len(Z), n))
+        for j in own:
+            X[:, moving[j].dofs] = Z[:, cols[j]]
+        if pairs is not None and own:
+            _paired(X, pairs)
+        out.append(X)
+    return out
+
+
+def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
     """simulate's chunk loop over the stacked moving blocks.
 
-    parts holds, per system, its Trajectory, its charge pairs (or None),
-    the indices in moving of its blocks and its name in error messages.
+    parts holds, per system, its Trajectory, its dof count, its charge
+    pairs (or None), the indices in moving of its blocks and its name in
+    error messages.
     """
     ops = [step_operator(blk, dt) for blk in moving]
     op = FactorizedOperator.stack(ops)
@@ -511,23 +545,20 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities):
     done = a = 0
     while True:
         rows = slice(done, done + len(Y))
-        for traj, pairs, own, _ in parts:
+        for traj, _, _, own, _ in parts:
             for j in own:
                 blk = moving[j]
                 Yb, Vb = Y[:, cols[j]], V[:, cols[j]]
-                traj.X[rows, blk.dofs] = Yb
-                if velocities:
-                    traj.V[rows, blk.dofs] = Vb
                 mag = _row_energies(Mqq[j], Vb[:, blk.charge])
                 traj.magnetic[rows] += mag
                 traj.kinetic[rows] += _row_energies(blk.M, Vb) - mag
                 traj.stored[rows] += _row_energies(blk.K, Yb)
                 traj.work[rows] += work[:, j]
-            if pairs is not None and own:
-                for arr in (traj.X, traj.V) if velocities else (traj.X,):
-                    _paired(arr[rows], pairs)
+        if observe is not None:
+            observe(rows, _observed(parts, moving, cols, Y),
+                    _observed(parts, moving, cols, V) if velocities else None)
         done = rows.stop
-        del Y, V, Yb, Vb  # no chunk's rows outlive its ledger
+        del Y, V, Yb, Vb  # no chunk's rows outlive its ledger and observer
         if a == n_steps:
             break
         m = min(chunk, n_steps - a)
@@ -538,7 +569,7 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities):
         finite = np.isfinite(x) & np.isfinite(v) & np.isfinite(ab[0]) & np.isfinite(ab[1])
         if not finite.all():
             j = np.searchsorted(ends, np.argmin(finite), side="right")
-            name = next(name for _, _, own, name in parts if j in own)
+            name = next(name for _, _, _, own, name in parts if j in own)
             raise NonFiniteState(
                 f"{name}state not finite after steps {a + 1}-{a + m} of {n_steps}")
         # Work increments dt * vbar . load, one dot product per step and

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piezobeam import __version__, cli, scenarios
+from piezobeam import __version__, cli, scenarios, solvers
 from piezobeam.assembly import build_system
 from piezobeam.cli import _probe_position, main
 from piezobeam.config import parse_config, resolved_dt
@@ -22,7 +23,8 @@ from piezobeam.forms import eval_field_at
 from piezobeam.layout import FIELD_CLASS
 from piezobeam.materials import BoundaryCondition, Regime, Variant
 from piezobeam.output import read_csv
-from piezobeam.solvers import simulate
+
+from recording import recorded
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 SHIPPED = [os.path.join(CONFIGS, name) for name in ("single_beam.ini", "patch_bimorph.ini")]
@@ -231,7 +233,7 @@ class TestSimulate:
             config = parse_config(fh.read())
         system = build_system(config.validated(), config.n_elements)
         zero = np.zeros(system.n_dofs)
-        traj = simulate(system, zero, zero, resolved_dt(config), config.t_end,
+        traj = recorded(system, zero, zero, resolved_dt(config), config.t_end,
                         stride=config.stride)
         layout = system.layout
         for field in layout.fields:
@@ -248,8 +250,20 @@ class TestSimulate:
                 assert np.all(got == 0.0), field
 
     def test_large_patch_run_builds_no_dense_operator(self, tmp_path):
-        cfg = shipped_with(tmp_path, "patch_bimorph.ini", elements=2048, t_end=0.02,
+        # 10,245 dofs at stride 1: one dense n x n array would take 840 MB,
+        # and the recorded rows over every dof 25 MB.  The run holds what
+        # building the system takes, a few chunk-sized arrays and
+        # O(n_rec) per written column.
+        cfg = shipped_with(tmp_path, "patch_bimorph.ini", elements=2048, t_end=0.3,
                            stride=1)
+        with open(cfg, encoding="utf-8") as fh:
+            config = parse_config(fh.read())
+        tracemalloc.start()
+        try:
+            build_system(config.validated(), config.n_elements)
+            _, setup = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         out = tmp_path / "run"
         tracemalloc.start()
         try:
@@ -258,11 +272,41 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         report = json.loads((out / "simulate_report.json").read_text())
-        n = report["n_dofs"]
-        assert n > 10000
-        # one dense n x n float array would take 8 n^2 bytes (~840 MB here)
-        assert peak < 0.05 * 8 * n * n
+        n, n_rec = report["n_dofs"], report["n_steps"] + 1
+        _, header, _ = read_csv(str(out / "trajectory.csv"))
+        assert n > 10000 and n_rec == 301
+        assert peak < setup + 8 * solvers.CHUNK_ENTRIES * 8 + 8 * n_rec * len(header) * 8
         assert report["max_balance_residual"] <= 1e-8 * report["max_energy"]
+
+
+class TestChunking:
+    """simulate hands its callers the recorded rows chunk by chunk; what they
+    write must not depend on where the chunks end: the probe product, the
+    running maxima and the per-row sums of the limit study."""
+
+    @pytest.mark.parametrize("command,name,keys", [
+        ("simulate", "patch_bimorph.ini", {"stride": 1, "probe": 0.4937}),
+        ("simulate", "patch_bimorph.ini", {"stride": 7, "probe": 0.4937}),
+        ("check", "single_beam.ini", {}),
+        ("check", "patch_bimorph.ini", {}),
+        ("limit", "single_beam.ini", {}),
+        ("limit", "patch_bimorph.ini", {}),
+    ])
+    def test_files_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, command, name,
+                                                   keys):
+        # 200 entries cut the run into chunks of one to three steps; the
+        # default, into chunks of 220-992 steps.  The probe lies between
+        # nodes, so each probe value sums several terms.
+        cfg = shipped_with(tmp_path, name, **keys)
+        svg = ["--svg"] if command != "check" else []
+        written = []
+        for run, entries in (("default", solvers.CHUNK_ENTRIES), ("small", 200)):
+            monkeypatch.setattr(solvers, "CHUNK_ENTRIES", entries)
+            out = tmp_path / run
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([command, cfg, "--out", str(out)] + svg) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert written[0] == written[1] and len(written[0]) >= 1
 
 
 class TestModes:
@@ -575,6 +619,21 @@ class TestEveryConfig:
                 assert np.all(np.isfinite(values))
         else:
             _assert_refused(code, err, out, ("check_report.json",))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(text=config_texts())
+    def test_modes_rejects_or_reports(self, text, tmp_path_factory):
+        # Either a config error names its line (exit 2), or modes.csv holds
+        # finite frequencies in ascending order.
+        code, err, out = _run_cli("modes", text, tmp_path_factory)
+        if code == 0:
+            _, _, cols = read_csv(str(out / "modes.csv"))
+            omega = cols["omega_rad_s"]
+            assert len(omega) >= 1 and np.all(np.isfinite(omega))
+            assert np.all(np.diff(omega) >= 0.0)
+        else:
+            assert code == 2 and re.search(r"^error: line \d+: ", err, re.MULTILINE), err
+            assert not any((out / name).exists() for name in ("modes.csv", "modes_report.json"))
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(text=config_texts())

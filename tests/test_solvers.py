@@ -39,6 +39,7 @@ from piezobeam.solvers import (
 )
 
 from modelzoo import ALL_COMBOS, PATCH_COMBOS, UNCOUPLED, make_spec
+from recording import recorded
 
 SHIPPED = [os.path.join(os.path.dirname(__file__), "..", "configs", name)
            for name in ("single_beam.ini", "patch_bimorph.ini")]
@@ -307,8 +308,8 @@ class TestMidpointRecurrence:
         sysm = build_system(make_spec(Variant.SINGLE_MT, Regime.FULL_MAGNETIC), 6)
         x0 = rng.standard_normal(sysm.n_dofs)
         v0 = rng.standard_normal(sysm.n_dofs)
-        fwd = simulate(sysm, x0, v0, dt=1e-3, t_end=0.2)
-        back = simulate(sysm, fwd.X[-1], -fwd.V[-1], dt=1e-3, t_end=0.2)
+        fwd = recorded(sysm, x0, v0, dt=1e-3, t_end=0.2)
+        back = recorded(sysm, fwd.X[-1], -fwd.V[-1], dt=1e-3, t_end=0.2)
         assert np.abs(back.X[-1] - x0).max() <= 1e-10 * max(1.0, np.abs(x0).max())
         assert np.abs(back.V[-1] + v0).max() <= 1e-10 * max(1.0, np.abs(v0).max())
 
@@ -388,7 +389,7 @@ class TestSweep:
         assert sysm.n_dofs == 165
         dt, n_steps = 1e-3, 400
         zero = np.zeros(sysm.n_dofs)
-        traj = simulate(sysm, zero, zero, dt=dt, t_end=n_steps * dt)
+        traj = recorded(sysm, zero, zero, dt=dt, t_end=n_steps * dt)
         M, K = sysm.M.toarray(), sysm.K.toarray()
         S = M + 0.25 * dt * dt * K
         x, v = zero, zero
@@ -537,9 +538,9 @@ class TestSimulate:
     def test_recording_stride_keeps_final_step(self, rng):
         sysm = self._forced_system()
         zero = np.zeros(sysm.n_dofs)
-        traj = simulate(sysm, zero, zero, dt=0.01, t_end=0.1, stride=3)
+        traj = recorded(sysm, zero, zero, dt=0.01, t_end=0.1, stride=3)
         assert np.allclose(traj.t, [0.0, 0.03, 0.06, 0.09, 0.10])
-        dense = simulate(sysm, zero, zero, dt=0.01, t_end=0.1, stride=1)
+        dense = recorded(sysm, zero, zero, dt=0.01, t_end=0.1, stride=1)
         assert np.array_equal(traj.X[-1], dense.X[-1])
         assert np.array_equal(traj.work, dense.work[[0, 3, 6, 9, 10]])
 
@@ -547,7 +548,7 @@ class TestSimulate:
         sysm = self._forced_system()
         x0 = 0.01 * rng.standard_normal(sysm.n_dofs)
         v0 = 0.01 * rng.standard_normal(sysm.n_dofs)
-        traj = simulate(sysm, x0, v0, dt=0.005, t_end=0.25)
+        traj = recorded(sysm, x0, v0, dt=0.005, t_end=0.25)
         i = len(traj) // 2
         x, v = traj.X[i], traj.V[i]
         assert traj.stored[i] == pytest.approx(0.5 * x @ sysm.K @ x, rel=1e-11, abs=1e-14)
@@ -597,10 +598,10 @@ def shipped_spec(path):
 
 def assert_batch_is_separate_runs(systems, x0s, v0s, dt, t_end, stride=1):
     """Every block of one batched sweep equals its own run, bit for bit."""
-    batch = simulate(systems, x0s, v0s, dt, t_end, stride=stride)
+    batch = recorded(systems, x0s, v0s, dt, t_end, stride=stride)
     assert len(batch) == len(systems)
     for k, (system, x0, v0, traj) in enumerate(zip(systems, x0s, v0s, batch)):
-        alone = simulate(system, x0, v0, dt, t_end, stride=stride)
+        alone = recorded(system, x0, v0, dt, t_end, stride=stride)
         for name in ("t", "X", "V", "kinetic", "stored", "magnetic", "work"):
             assert np.array_equal(getattr(traj, name), getattr(alone, name)), (k, name)
 
@@ -637,10 +638,10 @@ class TestBatch:
         systems = [shipped_system(SHIPPED[1]), shipped_system(SHIPPED[0])]
         x0s = [1e-3 * rng.standard_normal(s.n_dofs) for s in systems]
         v0s = [1e-3 * rng.standard_normal(s.n_dofs) for s in systems]
-        default = simulate(systems, x0s, v0s, 1e-3, 0.3, stride=2)
+        default = recorded(systems, x0s, v0s, 1e-3, 0.3, stride=2)
         n = sum(s.n_dofs for s in systems)
         monkeypatch.setattr(solvers, "CHUNK_ENTRIES", steps_per_chunk * n)
-        small = simulate(systems, x0s, v0s, 1e-3, 0.3, stride=2)
+        small = recorded(systems, x0s, v0s, 1e-3, 0.3, stride=2)
         for a, b in zip(default, small):
             for name in ("X", "V", "kinetic", "stored", "magnetic", "work"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -648,8 +649,8 @@ class TestBatch:
     def test_without_velocities(self):
         sysm = shipped_system(SHIPPED[1])
         zero = np.zeros(sysm.n_dofs)
-        kept = simulate(sysm, zero, zero, 1e-3, 0.3)
-        dropped = simulate(sysm, zero, zero, 1e-3, 0.3, velocities=False)
+        kept = recorded(sysm, zero, zero, 1e-3, 0.3)
+        dropped = recorded(sysm, zero, zero, 1e-3, 0.3, velocities=False)
         assert dropped.V is None
         for name in ("X", "kinetic", "stored", "magnetic", "work"):
             assert np.array_equal(getattr(kept, name), getattr(dropped, name)), name
@@ -672,19 +673,22 @@ class TestBatch:
         systems = [build_system(v, config.n_elements) for v in (vspec, huge, vspec)]
         zeros = [np.zeros(s.n_dofs) for s in systems]
         monkeypatch.setattr(solvers, "CHUNK_ENTRIES", 5 * 3 * 66)
-        swept = counting_sweeps(monkeypatch)
+        swept, seen = counting_sweeps(monkeypatch), []
         with pytest.raises(NonFiniteState, match="^system 1 of 3: state not finite after "
                                                  "steps 1-5 of 2000$"):
-            simulate(systems, zeros, zeros, config.dt, config.t_end)
+            simulate(systems, zeros, zeros, config.dt, config.t_end,
+                     observe=lambda rows, X, V: seen.append(rows))
         assert swept == [3 * 66]
+        assert seen == [slice(0, 1)]  # the failing chunk's rows are never observed
 
     def test_limit_study_memory(self):
-        # All five recorded trajectories live at once, without velocities and
-        # without an n_steps x n load: keeping either would exceed the bound.
+        # Five systems in one sweep keep their ledgers and the per-row sums
+        # of squares, O(n_rec) each, plus a few chunk-sized arrays (the
+        # observed rows span all 759 dofs, 2.6 chunks).  Keeping the
+        # recorded rows over every dof would take n_rec x 759 floats, 23
+        # chunks, and an n_steps x n load 9 chunks.
         vspec, config = shipped_spec(SHIPPED[1])
         n_rec = int(round(config.t_end / config.dt)) + 1
-        n = sum(build_system(v, config.n_elements).n_dofs for v in
-                [replace(vspec, regime=Regime.ELECTROSTATIC)] + 4 * [vspec])
         tracemalloc.start()
         try:
             scenarios.run_electrostatic_limit(vspec, (5e-1, 5e-2, 5e-3, 5e-4),
@@ -692,24 +696,33 @@ class TestBatch:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * n_rec * n * 8
+        assert peak < 12 * solvers.CHUNK_ENTRIES * 8 + 8 * n_rec * 5 * 8
 
     def test_one_system_memory(self):
-        # One system at stride 1 without velocities holds its recorded states
-        # plus a few chunk-sized arrays: keeping a chunk's recorded rows and
-        # midpoint velocities alive through the next sweep exceeds the bound.
+        # One system at stride 1 holds its ledger, O(n_rec), plus a few
+        # chunk-sized arrays, and an observer what it keeps: n_rec more
+        # floats for one column.  Keeping the recorded rows over every dof
+        # would take n_rec x 132 floats, 16 chunks.
         vspec, config = shipped_spec(SHIPPED[0])
         sysm = build_system(vspec, config.n_elements)
         zero = np.zeros(sysm.n_dofs)
-        tracemalloc.start()
-        try:
-            traj = simulate(sysm, zero, zero, config.dt, 8.0, stride=1, velocities=False)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        n_rec, n = traj.X.shape
-        assert (n_rec, n) == (8001, 132)
-        assert peak < n_rec * n * 8 + 8 * solvers.CHUNK_ENTRIES * 8
+        kept = []
+
+        def one_column(rows, X, V):
+            kept.append(X[:, 1].copy())
+
+        for observe, columns in ((None, 0), (one_column, 1)):
+            tracemalloc.start()
+            try:
+                traj = simulate(sysm, zero, zero, config.dt, 8.0, stride=1, velocities=False,
+                                observe=observe)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            n_rec = len(traj)
+            assert (n_rec, sysm.n_dofs) == (8001, 132)
+            assert peak < 8 * solvers.CHUNK_ENTRIES * 8 + (8 + 2 * columns) * n_rec * 8
+        assert len(np.concatenate(kept)) == n_rec
 
     @pytest.mark.parametrize("blocks", ["shipped", "synthetic"])
     def test_stacked_factor_solves_each_block(self, rng, blocks):
@@ -856,7 +869,7 @@ class TestMirrorHalves:
         blocks, _ = solvers._split(sysm, x0, v0, np.ones((1, 2)))
         assert len(blocks) == 2
         swept = counting_sweeps(monkeypatch)
-        traj = simulate(sysm, x0, v0, 1e-3, 0.3)
+        traj = recorded(sysm, x0, v0, 1e-3, 0.3)
         assert set(swept) == {sysm.n_dofs}
         want = unsplit_run(sysm, x0, v0, 1e-3, 300)
         for name, ref in want.items():
@@ -870,7 +883,7 @@ class TestMirrorHalves:
         sysm = build_system(vspec, 512)
         swept = counting_sweeps(monkeypatch)
         zero = np.zeros(sysm.n_dofs)
-        traj = simulate(sysm, zero, zero, config.dt, 0.05, velocities=False)
+        traj = recorded(sysm, zero, zero, config.dt, 0.05, velocities=False)
         assert sysm.n_dofs == 2565
         assert set(swept) == {1026}
         assert 1026 == len(sysm.class_dofs("stretching")) + len(sysm.dofs_of("qT"))
@@ -882,17 +895,21 @@ class TestMirrorHalves:
         sysm = shipped_system(SHIPPED[0])
         swept = counting_sweeps(monkeypatch)
         zero = np.zeros(sysm.n_dofs)
-        traj = simulate(sysm, zero, zero, 1e-3, 0.1)
+        traj = recorded(sysm, zero, zero, 1e-3, 0.1)
         assert set(swept) == {len(sysm.class_dofs("stretching", "charge"))} == {66}
         bend = sysm.class_dofs("bending")
         assert np.all(traj.X[:, bend] == 0.0) and np.all(traj.V[:, bend] == 0.0)
 
-    def test_nothing_moves_nothing_is_swept(self, monkeypatch):
+    @pytest.mark.parametrize("rows_per_chunk", [None, 3])
+    def test_nothing_moves_nothing_is_swept(self, monkeypatch, rows_per_chunk):
+        # The observer still sees every row, as exact zeros, chunk by chunk.
         sysm = build_system(make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC), 8)
+        if rows_per_chunk:
+            monkeypatch.setattr(solvers, "CHUNK_ENTRIES", rows_per_chunk * sysm.n_dofs)
         swept = counting_sweeps(monkeypatch)
         zero = np.zeros(sysm.n_dofs)
-        traj = simulate(sysm, zero, zero, 1e-3, 0.1)
-        assert swept == []
+        traj = recorded(sysm, zero, zero, 1e-3, 0.1)
+        assert swept == [] and len(traj) == 101
         for name in ("X", "V", "kinetic", "stored", "magnetic", "work"):
             assert not np.any(getattr(traj, name)), name
 
@@ -905,7 +922,7 @@ class TestMirrorHalves:
         blocks, pairs = solvers._split(sysm, zero, zero, np.ones((1, 2)))
         assert pairs is None and len(blocks) == 1 and blocks[0].M is sysm.M
         swept = counting_sweeps(monkeypatch)
-        traj = simulate(sysm, zero, zero, 1e-3, 0.2)
+        traj = recorded(sysm, zero, zero, 1e-3, 0.2)
         assert set(swept) == {sysm.n_dofs}
         want = unsplit_run(sysm, zero, zero, 1e-3, 200)
         assert np.array_equal(traj.X, want["X"]) and np.array_equal(traj.V, want["V"])
