@@ -61,7 +61,9 @@ class SemiDiscreteSystem:
     def current_dofs(self, full: np.ndarray) -> np.ndarray:
         """Current-numbering indices, ascending, of the surviving dofs among
         the given full-numbering ones."""
-        return np.flatnonzero(np.isin(self.free_dofs, full))
+        given = np.zeros(self.layout.n_dofs, dtype=bool)
+        given[full] = True
+        return np.flatnonzero(given[self.free_dofs])
 
     def dofs_of(self, name: str) -> np.ndarray:
         """Current-numbering indices of a field's surviving dofs."""
@@ -203,10 +205,22 @@ def assemble(vspec: ValidatedModelSpec, mesh: Mesh) -> SemiDiscreteSystem:
     )
 
 
+def with_mass(system: SemiDiscreteSystem, vspec: ValidatedModelSpec) -> SemiDiscreteSystem:
+    """system with vspec and the M that vspec assembles, kept on system's
+    dofs: bitwise the system build_system(vspec) builds when vspec differs
+    from system.vspec only in what forms reads in kinetic terms alone (mu).
+    K, B and the bookkeeping are shared."""
+    M = _assemble_terms(system.layout, build_forms(vspec).kinetic, system.layout.n_dofs)
+    if system.n_dofs < system.layout.n_dofs:
+        M = M[system.free_dofs][:, system.free_dofs]
+    return replace(system, vspec=vspec, M=M)
+
+
 def apply_mechanical_bc(system: SemiDiscreteSystem, bc: BoundaryCondition) -> SemiDiscreteSystem:
     """Eliminate essential mechanical dofs (homogeneous) by row/col deletion."""
-    fixed_full = system.layout.constrained_dofs(bc)
-    keep = np.where(~np.isin(system.free_dofs, fixed_full))[0]
+    fixed = np.zeros(system.layout.n_dofs, dtype=bool)
+    fixed[system.layout.constrained_dofs(bc)] = True
+    keep = np.flatnonzero(~fixed[system.free_dofs])
     return replace(
         system,
         M=system.M[keep][:, keep],

@@ -72,10 +72,17 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
     # One interpolation row per field, restricted to the surviving dofs
     # (constrained dofs are zero), as one sparse matrix: each probe value
     # sums its few terms in a fixed order, however the rows are chunked.
-    interp = scipy.sparse.csr_array(np.vstack([
+    # The observer reads the nodal values and the columns the rows touch,
+    # ascending, so the matrix keeps its terms, in their order.
+    probe_rows = np.vstack([
         interpolation_row(layout, field, _probe_position(layout, field, probe))[system.free_dofs]
-        for field in layout.fields]))
+        for field in layout.fields])
     values = [system.current_dofs(layout.value_dofs(field)) for field in layout.fields]
+    read = np.any(probe_rows != 0.0, axis=0)
+    read[np.concatenate(values)] = True
+    read = np.flatnonzero(read)
+    interp = scipy.sparse.csr_array(probe_rows[:, read])
+    values = [np.searchsorted(read, idx) for idx in values]
     probes, peaks = [], []
 
     def observe(rows, X, V):
@@ -85,7 +92,7 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
 
     zero = np.zeros(system.n_dofs)
     traj = simulate(system, zero, zero, dt, config.t_end, stride=config.stride,
-                    velocities=False, observe=observe)
+                    velocities=False, observe=observe, observed=read)
     probes, peaks = np.concatenate(probes), np.concatenate(peaks)
     resid, scale = traj.balance
 

@@ -14,7 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import SemiDiscreteSystem, _grounded_charge_split, build_system
+from .assembly import (
+    SemiDiscreteSystem,
+    _grounded_charge_split,
+    apply_mechanical_bc,
+    build_system,
+    with_mass,
+)
 from .errors import ConvergenceFailure, IllegalRegime, InsufficientMeshes
 from .layout import FIELD_CLASS
 from .materials import (
@@ -143,19 +149,22 @@ def check_single_beam_decoupling(vspec: ValidatedModelSpec, n_elements: int,
     if vspec.is_patch:
         raise IllegalRegime("decoupling check applies to single-beam variants only")
     system = build_system(vspec, n_elements)
-    bend = system.class_dofs("bending")
-    b_rows = _peak(system.B[bend])
+    b_rows = _peak(system.B[system.class_dofs("bending")])
+    # The observer reads stretching and bending, at these positions of its rows.
+    mech = system.class_dofs("stretching", "bending")
+    at_stretch, at_bend = (np.searchsorted(mech, system.class_dofs(kind))
+                           for kind in ("stretching", "bending"))
 
-    peak_x, peak_v = np.zeros((2, system.n_dofs))  # running max |x|, |v| per dof
+    peak_x, peak_v = np.zeros((2, len(mech)))  # running max |x|, |v| per dof
 
     def observe(rows, X, V):
         np.maximum(peak_x, np.max(np.abs(X), axis=0), out=peak_x)
         np.maximum(peak_v, np.max(np.abs(V), axis=0), out=peak_v)
 
     simulate(system, np.zeros(system.n_dofs), np.zeros(system.n_dofs), dt, t_end,
-             observe=observe)
-    x_bend, v_bend = _peak(peak_x[bend]), _peak(peak_v[bend])
-    stretch = _peak(peak_x[system.class_dofs("stretching")])
+             observe=observe, observed=mech)
+    x_bend, v_bend = _peak(peak_x[at_bend]), _peak(peak_v[at_bend])
+    stretch = _peak(peak_x[at_stretch])
     if stretch == 0.0:
         raise IllegalRegime("the beam never stretches (zero drive or no steps)")
 
@@ -195,13 +204,17 @@ def _corrupt_coupling(system: SemiDiscreteSystem) -> SemiDiscreteSystem:
     return replace(system, K=K, B=B)
 
 
-def _selectivity_setup(vspec: ValidatedModelSpec, mode: str, n_elements: int,
+def _selectivity_setup(vspec: ValidatedModelSpec, modes, n_elements: int,
                        corrupt_sign: bool):
-    """System, structural checks, and quiet and active dofs of one drive."""
-    sym = mode == "symmetric"
+    """Per drive: its system, structural checks, and quiet and active dofs.
+
+    One system is built, and corrupted, for every drive: B is per unit
+    signal, so the drives differ only in vspec.voltages, and the mirror gaps
+    of M, K and B are the same for all of them.
+    """
     base = vspec.voltages[0]
-    pair = (base, base) if sym else (base, _negated(base))
-    system = build_system(replace(vspec, voltages=pair), n_elements)
+    pairs = {"symmetric": (base, base), "antisymmetric": (base, _negated(base))}
+    system = build_system(replace(vspec, voltages=pairs[modes[0]]), n_elements)
     if corrupt_sign:
         system = _corrupt_coupling(system)
 
@@ -211,24 +224,29 @@ def _selectivity_setup(vspec: ValidatedModelSpec, mode: str, n_elements: int,
     tb = sign[:, None] * system.B[perm]
     gap_b = 0.0 if np.array_equal(tb, system.B[:, ::-1]) \
         else float(np.max(np.abs(tb - system.B[:, ::-1])))
-
-    # The combined load of the chosen drive must vanish on the quiet block
-    # before any time stepping happens.
-    u = np.array([1.0, 1.0]) if sym else np.array([1.0, -1.0])
-    stretch, bend = system.class_dofs("stretching"), system.class_dofs("bending")
-    quiet, active = (bend, stretch) if sym else (stretch, bend)
-    load_quiet = float(np.max(np.abs((system.B @ u)[quiet])))
-    checks = [
+    gaps = [
         MetricCheck("mass_mirror_gap", gap_m, "kg", 0.0, "below",
                     "structural identity: top/bottom layers assemble identically"),
         MetricCheck("stiffness_mirror_gap", gap_k, "N/m", 0.0, "below",
                     "structural identity: top/bottom layers assemble identically"),
         MetricCheck("input_map_mirror_gap", gap_b, "N/V", 0.0, "below",
                     "structural identity: mirror swaps the two voltage signals"),
-        MetricCheck("combined_load_on_quiet_block", load_quiet, "N/V", 0.0, "below",
-                    "structural identity: the drive lies in one symmetry class"),
     ]
-    return system, checks, quiet, active
+    stretch, bend = system.class_dofs("stretching"), system.class_dofs("bending")
+    setups = []
+    for mode in modes:
+        sym = mode == "symmetric"
+        # The combined load of the chosen drive must vanish on the quiet
+        # block before any time stepping happens.
+        u = np.array([1.0, 1.0]) if sym else np.array([1.0, -1.0])
+        quiet, active = (bend, stretch) if sym else (stretch, bend)
+        load_quiet = float(np.max(np.abs((system.B @ u)[quiet])))
+        checks = gaps + [
+            MetricCheck("combined_load_on_quiet_block", load_quiet, "N/V", 0.0, "below",
+                        "structural identity: the drive lies in one symmetry class")]
+        drive = replace(system.vspec, voltages=pairs[mode])
+        setups.append((replace(system, vspec=drive), checks, quiet, active))
+    return setups
 
 
 def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, mode, n_elements: int,
@@ -245,7 +263,8 @@ def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, mode, n_elements:
     unsplit, and its leak shows.  corrupt_sign flips one coupling
     block beforehand; the check must then fail (negative control).  mode may
     also be a sequence of modes: their systems then run in one batched sweep
-    and a tuple of reports comes back, in the same order.  IllegalRegime
+    and a tuple of reports comes back, in the same order; they share one
+    assembled system (see _selectivity_setup).  IllegalRegime
     when a drive never moves its active class (zero drive or no steps):
     there is no scale to measure the leak against.
     """
@@ -256,7 +275,7 @@ def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, mode, n_elements:
         if m not in ("symmetric", "antisymmetric"):
             raise ValueError(f"mode must be 'symmetric' or 'antisymmetric', got {m!r}")
 
-    setups = [_selectivity_setup(vspec, m, n_elements, corrupt_sign) for m in modes]
+    setups = _selectivity_setup(vspec, modes, n_elements, corrupt_sign)
     none = np.zeros(0, dtype=int)  # a model without charge fields
     charges = [(system.dofs_of("qT"), system.dofs_of("qB")) if "qT" in system.layout.fields
                else (none, none) for system, *_ in setups]
@@ -322,24 +341,50 @@ def static_solution(system: SemiDiscreteSystem, volts) -> np.ndarray:
     return x
 
 
+def _limit_systems(vspec: ValidatedModelSpec, mus: tuple, n_elements: int):
+    """(runs, clamped): the systems of a limit study, each bitwise the one
+    build_system builds, from one assembly per regime.
+
+    runs are the electrostatic model and the fully dynamic one at each mu,
+    under vspec's boundary condition; clamped is the (fully dynamic,
+    electrostatic) pair of the static gap, at mus[0], left end clamped.  mu
+    enters M alone (forms reads it in kinetic terms only), so the fully
+    dynamic runs share K and B and only M is assembled again (with_mass).
+    Each regime is assembled free-free, and each boundary condition applied
+    to that assembly, as build_system applies it.
+    """
+    free = replace(vspec, mechanical_bc=BoundaryCondition.FREE_FREE)
+    assembled = [build_system(_with_mu(free, mus[0]), n_elements),
+                 build_system(replace(free, regime=Regime.ELECTROSTATIC), n_elements)]
+
+    def under(bc: BoundaryCondition) -> list:
+        return [replace(s if bc == BoundaryCondition.FREE_FREE else apply_mechanical_bc(s, bc),
+                        vspec=replace(s.vspec, mechanical_bc=bc)) for s in assembled]
+
+    full, red = under(vspec.mechanical_bc)
+    runs = [red, full] + [with_mass(full, _with_mu(full.vspec, mu)) for mu in mus[1:]]
+    return runs, under(BoundaryCondition.CLAMPED_FREE)
+
+
 def run_electrostatic_limit(vspec: ValidatedModelSpec, mus, n_elements: int,
                             dt: float, t_end: float) -> LimitStudy:
     """Distance between the fully dynamic model and its charge-eliminated twin.
 
     For each mu (descending) both models run from rest under the spec's
     voltages, all in one batched sweep; the distance is the relative
-    L2-in-time gap of the mechanical displacement dofs.  The static gap
-    compares the two equilibria under constant unit voltages with the left
-    end clamped (rigid motion removed).  IllegalRegime when the
-    electrostatic model never moves (zero drive or no steps): nothing to measure.
+    L2-in-time gap of the mechanical displacement dofs, the only dofs the
+    observer reads.  The static gap compares the two equilibria under
+    constant unit voltages with the left end clamped (rigid motion
+    removed).  Both regimes are assembled once (see _limit_systems).
+    IllegalRegime when the electrostatic model never moves (zero drive or
+    no steps): nothing to measure.
     """
     if vspec.regime != Regime.FULL_MAGNETIC:
         raise IllegalRegime("the limit study starts from the fully dynamic regime")
     mus = _validated_mus(mus)
 
-    systems = [build_system(replace(vspec, regime=Regime.ELECTROSTATIC), n_elements)]
-    systems += [build_system(_with_mu(vspec, mu), n_elements) for mu in mus]
-    mech = [s.class_dofs("stretching", "bending") for s in systems[1:]]
+    systems, (sys_full, sys_red) = _limit_systems(vspec, mus, n_elements)
+    mech = systems[1].class_dofs("stretching", "bending")  # every run's, in red's order
     # Per recorded row, the sum of squares of the electrostatic state and of
     # each fully dynamic run's gap to it: a per-row reduce, then one total,
     # gives the same sums however the rows are chunked.
@@ -348,21 +393,19 @@ def run_electrostatic_limit(vspec: ValidatedModelSpec, mus, n_elements: int,
     def observe(rows, Xs, V):
         red, *full = Xs
         squares[0].append(np.add.reduce(red * red, axis=1))
-        for sums, X, dofs in zip(squares[1:], full, mech):
-            gap = X[:, dofs] - red
+        for sums, X in zip(squares[1:], full):
+            gap = X - red
             sums.append(np.add.reduce(gap * gap, axis=1))
 
     zeros = [np.zeros(s.n_dofs) for s in systems]
-    simulate(systems, zeros, zeros, dt, t_end, velocities=False, observe=observe)
+    simulate(systems, zeros, zeros, dt, t_end, velocities=False, observe=observe,
+             observed=[None] + [mech] * len(mus))
     den, *nums = (float(np.sqrt(np.sum(np.concatenate(sums)))) for sums in squares)
     if den == 0.0:
         raise IllegalRegime("the electrostatic model never moves (zero drive or no steps)")
     distances = [num / den for num in nums]
 
     ones = np.ones(vspec.n_signals)
-    clamped = replace(vspec, mechanical_bc=BoundaryCondition.CLAMPED_FREE)
-    sys_full = build_system(clamped, n_elements)
-    sys_red = build_system(replace(clamped, regime=Regime.ELECTROSTATIC), n_elements)
     x_full = static_solution(sys_full, ones)[sys_full.class_dofs("stretching", "bending")]
     x_red = static_solution(sys_red, ones)
     ref = float(np.max(np.abs(x_red)))
@@ -504,9 +547,10 @@ def pulse_time_of_flight(vspec: ValidatedModelSpec, n_elements: int = 512) -> Sc
     at_probes = []  # the velocity at the probe dofs, the one thing the run keeps
 
     def observe(rows, X, V):
-        at_probes.append(V[:, v_dofs[probes]])
+        at_probes.append(V.copy())
 
-    traj = simulate(unloaded, np.zeros(system.n_dofs), v0, dt, n_steps * dt, observe=observe)
+    traj = simulate(unloaded, np.zeros(system.n_dofs), v0, dt, n_steps * dt, observe=observe,
+                    observed=v_dofs[probes])
     arrivals = []
     for series in np.abs(np.concatenate(at_probes)).T:
         thresh = 0.01 * float(series.max())

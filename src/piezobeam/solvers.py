@@ -56,8 +56,28 @@ if TYPE_CHECKING:
 
 # Entries of each per-chunk array of simulate (load, midpoint velocities,
 # recorded rows): a chunk holds CHUNK_ENTRIES // n steps, 512 KiB per array
-# (n the dofs that move; the observed rows span every dof of each system).
+# (n the dofs that move; the observed rows span the dofs each observer reads).
 CHUNK_ENTRIES = 1 << 16
+
+
+def _gathered(A, idx: np.ndarray) -> scipy.sparse.csr_array:
+    """A[idx][:, idx] of a CSR matrix A with distinct idx, column indices
+    sorted: row i is row idx[i], column j is column idx[j].  One pass, where
+    scipy's fancy indexing takes two; on a canonical A with idx ascending it
+    equals that slice bitwise."""
+    new = np.full(A.shape[0], -1)
+    new[idx] = np.arange(len(idx))
+    start, counts = A.indptr[idx], np.diff(A.indptr)[idx]
+    row = np.repeat(np.arange(len(idx)), counts)
+    pos = np.arange(len(row)) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+    col = new[A.indices[pos]]
+    keep = col >= 0
+    indptr = np.zeros(len(idx) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row[keep], minlength=len(idx)), out=indptr[1:])
+    out = scipy.sparse.csr_array((A.data[pos[keep]], col[keep], indptr),
+                                 shape=(len(idx), len(idx)))
+    out.sort_indices()
+    return out
 
 
 @dataclass
@@ -87,10 +107,14 @@ class FactorizedOperator:
     def build(cls, A) -> "FactorizedOperator":
         A = scipy.sparse.csr_array(A)
         perm = reverse_cuthill_mckee(A, symmetric_mode=True)
-        lower = scipy.sparse.tril(A[perm][:, perm]).tocoo()
-        offset = lower.row - lower.col
+        entries = A.tocoo()
+        at = np.empty(A.shape[0], dtype=np.int64)  # each dof's place in perm
+        at[perm] = np.arange(A.shape[0])
+        row, col = at[entries.row], at[entries.col]
+        lower = row >= col  # the lower triangle of A[perm][:, perm]
+        offset, col = row[lower] - col[lower], col[lower]
         ab = np.zeros((int(offset.max(initial=0)) + 1, A.shape[0]))
-        ab[offset, lower.col] = lower.data
+        ab[offset, col] = entries.data[lower]
         try:
             L = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
@@ -334,21 +358,17 @@ class _Block:
     K: object
     B: np.ndarray
     drive: np.ndarray
-    charge: np.ndarray
+    charge: np.ndarray  # True on the block's charge dofs
     x0: np.ndarray
     v0: np.ndarray
 
     def renumbered(self, perm: np.ndarray) -> "_Block":
         """The block in the numbering perm: its dof i is this block's dof
-        perm[i].  M and K keep their column indices sorted, so a row sums
-        in the same order whether the block is swept alone or stacked."""
-        def renumber(A):
-            A = A[perm][:, perm]
-            A.sort_indices()
-            return A
-
-        return replace(self, dofs=self.dofs[perm], M=renumber(self.M), K=renumber(self.K),
-                       B=self.B[perm], charge=np.flatnonzero(np.isin(perm, self.charge)),
+        perm[i].  M and K come out with their column indices sorted, so a
+        row sums in the same order whether the block is swept alone or
+        stacked."""
+        return replace(self, dofs=self.dofs[perm], M=_gathered(self.M, perm),
+                       K=_gathered(self.K, perm), B=self.B[perm], charge=self.charge[perm],
                        x0=self.x0[perm], v0=self.v0[perm])
 
 
@@ -373,7 +393,7 @@ def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray):
     that could leave round-off.  Each _Block holds its dofs in the system's
     coordinates, its own M and K, the input columns B that reach it with
     their drive samples at every step midpoint (its load is drive @ B.T),
-    its block-local charge dofs and its initial state x0, v0.
+    a mask of its charge dofs and its initial state x0, v0.
     """
     n = system.n_dofs
     pairs, drives, odd, odd_in = _parity(system, volts.shape[1])
@@ -385,7 +405,8 @@ def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray):
     if len(pairs[0]):
         T = _pair_map(n, pairs)
         M, K = T @ (M @ T), T @ (K @ T)
-        half = np.where(np.isin(np.arange(n), pairs), 0.5, 1.0)  # T / 2 maps them in
+        half = np.ones(n)
+        half[np.concatenate(pairs)] = 0.5  # T / 2 maps them in
         y0, ydot0 = half * _paired(np.array([x0, v0]), pairs)
     cross = np.any(B[odd[:, None] != odd_in])
     for A in (M, K):
@@ -395,21 +416,21 @@ def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray):
     if cross:
         halves = [np.arange(n)]
         M, K, B, drive, y0, ydot0 = system.M, system.K, system.B, volts, x0, v0
-    charge = system.class_dofs("charge")
+    charge = np.zeros(n, dtype=bool)
+    charge[system.class_dofs("charge")] = True
     blocks = []
     for dofs in halves:
         cols = np.flatnonzero(np.any(B[dofs] != 0.0, axis=0))
         if not (np.any(y0[dofs]) or np.any(ydot0[dofs]) or np.any(drive[:, cols])):
             continue
-        Mb, Kb = (M, K) if len(dofs) == n else (M[dofs][:, dofs], K[dofs][:, dofs])
+        Mb, Kb = (M, K) if len(dofs) == n else (_gathered(M, dofs), _gathered(K, dofs))
         blocks.append(_Block(dofs=dofs, M=Mb, K=Kb, B=B[dofs][:, cols], drive=drive[:, cols],
-                             charge=np.flatnonzero(np.isin(dofs, charge)),
-                             x0=y0[dofs], v0=ydot0[dofs]))
+                             charge=charge[dofs], x0=y0[dofs], v0=ydot0[dofs]))
     return blocks, None if cross or not len(pairs[0]) else pairs
 
 
 def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
-             velocities: bool = True, observe=None):
+             velocities: bool = True, observe=None, observed=None):
     """Integrate with the implicit midpoint rule and record every `stride` steps.
 
     `system` may also be a list of systems, with x0 and v0 lists of their
@@ -419,11 +440,13 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     simulate keeps no recorded state.  After each chunk of steps it calls
     observe(rows, X, V) once, rows the slice of recorded rows the chunk
     covers (row 0, the initial state, comes first, alone), X those rows in
-    the system's own coordinates, shape (len(rows), n_dofs), and V the
-    velocities likewise, or None when velocities=False; for a list of
-    systems X and V are lists with one array per system.  The arrays are
-    valid only during the call: an observer copies what it keeps, and
-    reduces each row as it goes past.
+    the system's own coordinates, and V the velocities likewise, or None
+    when velocities=False; for a list of systems X and V are lists with one
+    array per system.  X and V hold the columns `observed` names, bitwise
+    those of the full rows: an index array, or for a list of systems a list
+    of them or None, None standing for every dof (the default).  The other
+    columns are never formed.  The arrays are valid only during the call:
+    an observer copies what it keeps, and reduces each row as it goes past.
 
     Each system is cut into its blocks, those at rest left out (see _split):
     their rows are exact zeros.  The blocks that move are stacked as the
@@ -440,22 +463,28 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     load, the work integral (at every step, with the stepper's midpoint
     quadrature, so the energy-balance residual stays at round-off level for
     any stride) and the ledger of the recorded rows; a system's ledger is
-    the sum of its blocks'.  Only the chunk's rows are mapped back to the
-    system's coordinates, and only for an observer.  Raises NonFiniteState,
-    naming the system and the steps, after the first chunk that leaves a
-    non-finite state, before its rows are observed (numpy's overflow
-    warnings are silenced: the error reports such a run), and
-    EnergyImbalance, naming the system, when its residual exceeds 1e-8 *
-    its max energy or is not finite (criterion 4): such runs come from step
-    matrices that factor but are too ill-conditioned to solve.
+    the sum of its blocks'.  Only the observed columns of the chunk's rows
+    are mapped back to the system's coordinates (see _plan), and only for
+    an observer.  Raises NonFiniteState, naming the system and the steps,
+    after the first chunk that leaves a non-finite state, before its rows
+    are observed (numpy's overflow warnings are silenced: the error reports
+    such a run), and EnergyImbalance, naming the system, when its residual
+    exceeds 1e-8 * its max energy or is not finite (criterion 4): such runs
+    come from step matrices that factor but are too ill-conditioned to
+    solve.
     """
     many = isinstance(system, (list, tuple))
     systems, x0s, v0s = (system, x0, v0) if many else ([system], [x0], [v0])
+    observed = observed if many and observed is not None else [observed] * len(systems)
     x0s = [np.asarray(x, dtype=float) for x in x0s]
     v0s = [np.asarray(v, dtype=float) for v in v0s]
-    for s, x, v in zip(systems, x0s, v0s, strict=True):
+    observed = [np.arange(s.n_dofs) if d is None else np.asarray(d, dtype=np.int64)
+                for s, d in zip(systems, observed, strict=True)]
+    for s, x, v, d in zip(systems, x0s, v0s, observed, strict=True):
         if x.shape != (s.n_dofs,) or v.shape != (s.n_dofs,):
             raise ValueError(f"initial state must have shape ({s.n_dofs},)")
+        if not np.all((0 <= d) & (d < s.n_dofs)):
+            raise ValueError(f"observed dofs must be indices below {s.n_dofs}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if not dt > 0.0:
@@ -477,20 +506,21 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
 
     names = [f"system {k} of {len(trajs)}: " if many else "" for k in range(len(trajs))]
     moving, parts = [], []
-    for traj, s, (blocks, pairs), where in zip(trajs, systems, splits, names):
+    for traj, s, (blocks, pairs), dofs, where in zip(trajs, systems, splits, observed, names):
         parts.append((traj, s.n_dofs, pairs, range(len(moving), len(moving) + len(blocks)),
-                      where))
+                      dofs, where))
         moving += blocks
     if moving:
         with np.errstate(over="ignore", invalid="ignore"):
             _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe)
     elif observe is not None:  # nothing moves: every row is exact zeros
+        plans = [_plan(n, pairs, [], [], dofs) for _, n, pairs, _, dofs, _ in parts]
         step = max(1, CHUNK_ENTRIES // sum(s.n_dofs for s in systems))
         for a in range(0, n_rec, step):
             rows = slice(a, min(a + step, n_rec))
             zeros = np.zeros((rows.stop - a, 0))
-            observe(rows, _observed(parts, [], [], zeros),
-                    _observed(parts, [], [], zeros) if velocities else None)
+            observe(rows, _observed(plans, zeros),
+                    _observed(plans, zeros) if velocities else None)
 
     for traj, where in zip(trajs, names):
         resid, scale = traj.balance
@@ -501,18 +531,50 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     return trajs if many else trajs[0]
 
 
-def _observed(parts, moving, cols, Z):
-    """Rows Z of the stacked moving blocks (columns cols[j] of block j) in
-    each system's own coordinates: its blocks at rest exact zeros, its
-    halves mapped back with _paired."""
+def _plan(n: int, pairs, blocks, cols, dofs: np.ndarray):
+    """How _observed forms columns dofs of a system's rows from the stacked
+    moving rows Z, blocks the system's moving blocks (renumbered) and cols
+    their columns of Z: (k, at, src, pairs, pick).
+
+    The rows are formed over k needed dofs, ascending: dofs, and both slots
+    of each mirror pair (pairs, None when the rows need no map) that holds
+    one of them.  They start as exact zeros (the blocks at rest), take
+    Z[:, src] at the positions at, are mapped back by _paired on the needed
+    pairs renumbered among them (None when there are none), and pick selects
+    dofs (None when they are the needed dofs, in order).  With every dof
+    needed this is the whole system's rows, pair map and all.
+    """
+    where = np.full(n, -1)  # each system dof's column of Z, -1 at rest
+    for blk, c in zip(blocks, cols):
+        where[blk.dofs] = np.arange(c.start, c.stop)
+    needed = np.zeros(n, dtype=bool)
+    needed[dofs] = True
+    if pairs is not None:
+        held = needed[pairs[0]] | needed[pairs[1]]
+        pairs = (pairs[0][held], pairs[1][held])
+        needed[pairs[0]] = needed[pairs[1]] = True
+    need, local = np.flatnonzero(needed), np.cumsum(needed) - 1
+    if pairs is not None:
+        pairs = (local[pairs[0]], local[pairs[1]]) if len(pairs[0]) else None
+    at = np.flatnonzero(where[need] >= 0)
+    pick = None if np.array_equal(need, dofs) else local[dofs]
+    return len(need), at, where[need][at], pairs, pick
+
+
+def _observed(plans, Z):
+    """Rows Z of the stacked moving blocks as each system's observer reads
+    them (see _plan): its blocks at rest exact zeros, its halves mapped back
+    with _paired."""
     out = []
-    for _, n, pairs, own, _ in parts:
-        X = np.zeros((len(Z), n))
-        for j in own:
-            X[:, moving[j].dofs] = Z[:, cols[j]]
-        if pairs is not None and own:
+    for k, at, src, pairs, pick in plans:
+        if len(at) == k:  # every needed dof moves
+            X = Z[:, src]
+        else:
+            X = np.zeros((len(Z), k))
+            X[:, at] = Z[:, src]
+        if pairs is not None:
             _paired(X, pairs)
-        out.append(X)
+        out.append(X if pick is None else X[:, pick])
     return out
 
 
@@ -520,13 +582,13 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
     """simulate's chunk loop over the stacked moving blocks.
 
     parts holds, per system, its Trajectory, its dof count, its charge
-    pairs (or None), the indices in moving of its blocks and its name in
-    error messages.
+    pairs (or None), the indices in moving of its blocks, the dofs its
+    observer reads and its name in error messages.
     """
     ops = [step_operator(blk, dt) for blk in moving]
     op = FactorizedOperator.stack(ops)
     moving = [blk.renumbered(o.perm) for blk, o in zip(moving, ops)]
-    Mqq = [blk.M[blk.charge][:, blk.charge] for blk in moving]
+    Mqq = [_gathered(blk.M, np.flatnonzero(blk.charge)) for blk in moving]
     M, K = moving[0].M, moving[0].K  # one block needs no block_diag copy
     if len(moving) > 1:
         M = scipy.sparse.block_diag([blk.M for blk in moving], format="csr")
@@ -534,6 +596,8 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
     n = M.shape[0]
     ends = np.cumsum([len(blk.dofs) for blk in moving])
     cols = [slice(e - len(blk.dofs), e) for blk, e in zip(moving, ends)]
+    plans = [_plan(n_dofs, pairs, [moving[j] for j in own], [cols[j] for j in own], dofs)
+             for _, n_dofs, pairs, own, dofs, _ in parts]
     chunk = max(1, CHUNK_ENTRIES // n)
     load = np.empty((min(chunk, n_steps), n))
     x = np.concatenate([blk.x0 for blk in moving])
@@ -545,7 +609,7 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
     done = a = 0
     while True:
         rows = slice(done, done + len(Y))
-        for traj, _, _, own, _ in parts:
+        for traj, _, _, own, _, _ in parts:
             for j in own:
                 blk = moving[j]
                 Yb, Vb = Y[:, cols[j]], V[:, cols[j]]
@@ -555,8 +619,7 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
                 traj.stored[rows] += _row_energies(blk.K, Yb)
                 traj.work[rows] += work[:, j]
         if observe is not None:
-            observe(rows, _observed(parts, moving, cols, Y),
-                    _observed(parts, moving, cols, V) if velocities else None)
+            observe(rows, _observed(plans, Y), _observed(plans, V) if velocities else None)
         done = rows.stop
         del Y, V, Yb, Vb  # no chunk's rows outlive its ledger and observer
         if a == n_steps:
@@ -569,7 +632,7 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
         finite = np.isfinite(x) & np.isfinite(v) & np.isfinite(ab[0]) & np.isfinite(ab[1])
         if not finite.all():
             j = np.searchsorted(ends, np.argmin(finite), side="right")
-            name = next(name for _, _, _, own, name in parts if j in own)
+            name = next(name for _, _, _, own, _, name in parts if j in own)
             raise NonFiniteState(
                 f"{name}state not finite after steps {a + 1}-{a + m} of {n_steps}")
         # Work increments dt * vbar . load, one dot product per step and

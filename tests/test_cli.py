@@ -309,6 +309,30 @@ class TestChunking:
         assert written[0] == written[1] and len(written[0]) >= 1
 
 
+class TestRealisticSize:
+    """Every command on each shipped config at 512 elements, short runs."""
+
+    @pytest.mark.parametrize("name", ["single_beam.ini", "patch_bimorph.ini"])
+    def test_every_command_at_512_elements(self, tmp_path, capsys, name):
+        cfg = shipped_with(tmp_path, name, elements=512, t_end=0.2)
+        for command, extra in (("simulate", []), ("check", []), ("limit", []),
+                               ("modes", ["--n", "8"])):
+            assert main([command, cfg, "--out", str(tmp_path / command)] + extra) == 0, command
+        report = json.loads((tmp_path / "simulate" / "simulate_report.json").read_text())
+        assert report["n_dofs"] >= 4 * 512 and report["n_steps"] == 200
+        # c04's bound: |Delta E - work_in| <= 1e-8 max(E)
+        assert 0.0 < report["max_balance_residual"] <= 1e-8 * report["max_energy"]
+        for table in ("trajectory.csv", "energy.csv"):
+            _, _, cols = read_csv(str(tmp_path / "simulate" / table))
+            assert all(np.all(np.isfinite(c)) for c in cols.values()), table
+        assert json.loads((tmp_path / "check" / "check_report.json").read_text())["passed"]
+        limit = json.loads((tmp_path / "limit" / "limit_report.json").read_text())
+        assert limit["monotone_decreasing"] and np.all(np.isfinite(limit["distance"]))
+        assert all(a > b > 0.0 for a, b in zip(limit["distance"], limit["distance"][1:]))
+        modes = json.loads((tmp_path / "modes" / "modes_report.json").read_text())
+        assert modes["n_modes"] == 8 and np.all(np.isfinite(modes["omega_rad_s"]))
+
+
 class TestModes:
     def test_writes_mode_table(self, single_cfg, tmp_path):
         out = tmp_path / "run"

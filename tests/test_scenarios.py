@@ -1,10 +1,13 @@
 """Executable physics checks: decoupling, voltage parity selectivity, the
 vanishing-permeability limit, modal convergence and wave-speed measurements."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from piezobeam import assembly, scenarios
 from piezobeam.assembly import build_system
 from piezobeam.errors import ConvergenceFailure, IllegalRegime, InsufficientMeshes
 from piezobeam.materials import (
@@ -31,6 +34,7 @@ from piezobeam.scenarios import (
 from piezobeam.solvers import eigenmodes
 
 from modelzoo import GOLDEN, PATCH_COMBOS, SINGLE_COMBOS, UNCOUPLED, make_spec
+from recording import recorded
 
 
 def sinusoid_pair(sign=1.0):
@@ -180,6 +184,126 @@ class TestElectrostaticLimit:
         x = static_solution(clamped, volts)
         resid = clamped.K @ x - clamped.B @ volts
         assert np.abs(resid).max() <= 1e-11 * max(np.abs(clamped.K).max(), 1.0)
+
+
+def assert_same_system(got, want):
+    """got is bitwise want: M, K, B, free_dofs and vspec."""
+    for name in ("M", "K"):
+        a, b = getattr(got, name), getattr(want, name)
+        for part in ("indptr", "indices", "data"):
+            assert getattr(a, part).tobytes() == getattr(b, part).tobytes(), (name, part)
+    assert got.B.tobytes() == want.B.tobytes()
+    assert np.array_equal(got.free_dofs, want.free_dofs)
+    assert got.vspec == want.vspec
+
+
+def count_calls(monkeypatch, module, name):
+    """Calls of module.name from now on, as a list that grows."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def reference_limit(vspec, mus, n, dt, t_end):
+    """(distances, static_gap) with every system built by build_system and
+    every dof of every recorded row observed."""
+    systems = [build_system(replace(vspec, regime=Regime.ELECTROSTATIC), n)]
+    systems += [build_system(scenarios._with_mu(vspec, mu), n) for mu in mus]
+    zeros = [np.zeros(s.n_dofs) for s in systems]
+    red, *full = recorded(systems, zeros, zeros, dt, t_end, velocities=False)
+    den = float(np.sqrt(np.sum(np.add.reduce(red.X * red.X, axis=1))))
+    distances = []
+    for s, run in zip(systems[1:], full):
+        gap = run.X[:, s.class_dofs("stretching", "bending")] - red.X
+        distances.append(float(np.sqrt(np.sum(np.add.reduce(gap * gap, axis=1)))) / den)
+    clamped = replace(vspec, mechanical_bc=BoundaryCondition.CLAMPED_FREE)
+    sys_full = build_system(clamped, n)
+    sys_red = build_system(replace(clamped, regime=Regime.ELECTROSTATIC), n)
+    ones = np.ones(vspec.n_signals)
+    x_full = static_solution(sys_full, ones)[sys_full.class_dofs("stretching", "bending")]
+    x_red = static_solution(sys_red, ones)
+    return distances, float(np.max(np.abs(x_full - x_red))) / float(np.max(np.abs(x_red)))
+
+
+def driven_spec(variant, regime, bc=BoundaryCondition.FREE_FREE):
+    """A driven spec; on a patch the voltages differ, so both mirror halves
+    move."""
+    voltage = (VoltageSignal.sinusoid(1.0, 3.0), VoltageSignal.sinusoid(-0.5, 2.0)) \
+        if variant.is_patch else VoltageSignal.sinusoid(1.0, 3.0)
+    return make_spec(variant, regime, bc=bc, voltage=voltage)
+
+
+class TestSharedAssembly:
+    """limit and the patch check assemble once per operator, and every
+    system they step or solve is bitwise the one build_system builds."""
+
+    @pytest.mark.parametrize("n", [4, 32, 512])
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_limit_systems_are_those_build_system_builds(self, variant, bc, n):
+        # mus below, at and above the layers' own mu (0.5 and 0.8); only M
+        # is assembled again per mu, K and B are shared.
+        mus = (2.0, 0.8, 0.5, 5e-3, 1e-9)
+        vspec = driven_spec(variant, Regime.FULL_MAGNETIC, bc)
+        runs, clamped = scenarios._limit_systems(vspec, mus, n)
+        want = [build_system(replace(vspec, regime=Regime.ELECTROSTATIC), n)]
+        want += [build_system(scenarios._with_mu(vspec, mu), n) for mu in mus]
+        for got, ref in zip(runs, want, strict=True):
+            assert_same_system(got, ref)
+        assert all(s.K is runs[1].K and s.B is runs[1].B for s in runs[2:])
+        pinned = replace(vspec, mechanical_bc=BoundaryCondition.CLAMPED_FREE)
+        want = [build_system(scenarios._with_mu(pinned, mus[0]), n),
+                build_system(replace(pinned, regime=Regime.ELECTROSTATIC), n)]
+        for got, ref in zip(clamped, want, strict=True):
+            assert_same_system(got, ref)
+
+    @pytest.mark.parametrize("n", [4, 32, 512])
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    @pytest.mark.parametrize("variant,regime", PATCH_COMBOS)
+    def test_selectivity_systems_are_those_build_system_builds(self, variant, regime, bc, n):
+        vspec = make_spec(variant, regime, bc=bc, voltage=sinusoid_pair())
+        base = vspec.voltages[0]
+        drives = [(base, base), (base, scenarios._negated(base))]
+        for corrupt in (False, True):
+            setups = scenarios._selectivity_setup(vspec, ("symmetric", "antisymmetric"), n,
+                                                  corrupt)
+            for (system, *_), drive in zip(setups, drives, strict=True):
+                want = build_system(replace(vspec, voltages=drive), n)
+                assert_same_system(system, scenarios._corrupt_coupling(want) if corrupt
+                                   else want)
+
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_limit_equals_the_study_of_separate_builds_and_whole_rows(self, variant, bc):
+        vspec = driven_spec(variant, Regime.FULL_MAGNETIC, bc)
+        mus = (0.5, 0.05, 0.005)
+        study = run_electrostatic_limit(vspec, mus, n_elements=8, dt=1e-3, t_end=0.2)
+        distances, static_gap = reference_limit(vspec, mus, 8, 1e-3, 0.2)
+        assert list(study.distances) == distances
+        assert study.static_gap == static_gap
+
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    def test_limit_assembles_each_regime_once(self, monkeypatch, bc):
+        builds = count_calls(monkeypatch, scenarios, "build_system")
+        assembled = count_calls(monkeypatch, assembly, "assemble")
+        loads = count_calls(monkeypatch, assembly, "_assemble_loads")
+        vspec = make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC, bc=bc, voltage=sinusoid_pair())
+        run_electrostatic_limit(vspec, (5e-1, 5e-2, 5e-3, 5e-4), 8, 1e-3, 0.05)
+        assert len(builds) <= 2 and len(assembled) == len(loads) == 2
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_patch_check_builds_one_system(self, monkeypatch, corrupt):
+        builds = count_calls(monkeypatch, scenarios, "build_system")
+        vspec = make_spec(Variant.PATCH_MT, Regime.FULL_MAGNETIC, voltage=sinusoid_pair())
+        reports = check_patch_voltage_selectivity(vspec, ("symmetric", "antisymmetric"), 8,
+                                                  1e-3, 0.1, corrupt_sign=corrupt)
+        assert len(builds) == 1
+        assert [r.passed for r in reports] == [not corrupt, not corrupt]
 
 
 class TestModalAnalysis:

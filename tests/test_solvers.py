@@ -269,8 +269,10 @@ def band_block(system, dt, x0, v0):
     factor, renumbered as simulate renumbers the blocks it sweeps, and the
     factor."""
     op = step_operator(system, dt)
+    charge = np.zeros(system.n_dofs, dtype=bool)
+    charge[system.class_dofs("charge")] = True
     blk = solvers._Block(dofs=np.arange(system.n_dofs), M=system.M, K=system.K, B=system.B,
-                         drive=None, charge=system.class_dofs("charge"), x0=x0, v0=v0)
+                         drive=None, charge=charge, x0=x0, v0=v0)
     return blk.renumbered(op.perm), op
 
 
@@ -504,7 +506,7 @@ class TestSweep:
             K = scipy.sparse.csr_array(banded_spd(rng, n, p))
             op = FactorizedOperator.build(M + 0.25 * dt * dt * K)
             blk = solvers._Block(dofs=np.arange(n), M=M, K=K, B=np.zeros((n, 0)), drive=None,
-                                 charge=np.arange(0), x0=rng.standard_normal(n),
+                                 charge=np.zeros(n, dtype=bool), x0=rng.standard_normal(n),
                                  v0=rng.standard_normal(n)).renumbered(op.perm)
             load = rng.standard_normal((n_steps, n))
             rec = np.arange(3, n_steps + 1, 3)
@@ -617,8 +619,8 @@ class TestBatch:
 
     def test_patch_check_drives_run_as_one_sweep(self):
         vspec, config = shipped_spec(SHIPPED[1])
-        systems = [scenarios._selectivity_setup(vspec, mode, config.n_elements, False)[0]
-                   for mode in ("symmetric", "antisymmetric")]
+        systems = [system for system, *_ in scenarios._selectivity_setup(
+            vspec, ("symmetric", "antisymmetric"), config.n_elements, False)]
         zeros = [np.zeros(s.n_dofs) for s in systems]
         assert_batch_is_separate_runs(systems, zeros, zeros, config.dt, config.t_end)
 
@@ -926,6 +928,96 @@ class TestMirrorHalves:
         assert set(swept) == {sysm.n_dofs}
         want = unsplit_run(sysm, zero, zero, 1e-3, 200)
         assert np.array_equal(traj.X, want["X"]) and np.array_equal(traj.V, want["V"])
+
+
+DRIVES = {
+    # name: (patch voltages, single-beam voltage, random initial state)
+    "equal": ((VoltageSignal.sinusoid(1.0, 3.0),) * 2, VoltageSignal.sinusoid(1.0, 3.0), False),
+    "opposite": ((VoltageSignal.sinusoid(1.0, 3.0), VoltageSignal.sinusoid(-1.0, 3.0)),
+                 VoltageSignal.sinusoid(-1.0, 3.0), False),
+    "unequal": ((VoltageSignal.sinusoid(1.0, 3.0), VoltageSignal.sinusoid(-0.5, 2.0)),
+                VoltageSignal.sinusoid(0.5, 2.0), True),
+    "none": ((VoltageSignal.zero(),) * 2, VoltageSignal.zero(), False),
+}
+
+
+def selections(system, rng):
+    """Dof selections of every kind an observer may name: whole mirror
+    pairs, one slot of a pair, no pair, none at all, every dof, and index
+    arrays in no order."""
+    n = system.n_dofs
+    out = {"every": np.arange(n), "none": np.arange(0),
+           "mechanical": system.class_dofs("stretching", "bending"),
+           "random": np.sort(rng.choice(n, n // 3, replace=False)),
+           "unordered": rng.permutation(n)[:n // 2],
+           "repeated": np.repeat(system.class_dofs("charge"), 2)[::-1]}
+    if "qT" in system.layout.fields:
+        top, bottom = system.dofs_of("qT"), system.dofs_of("qB")
+        out["whole pairs"] = np.union1d(top, bottom)
+        out["top slots"] = top
+        out["bottom slots and bending"] = np.union1d(bottom[::2], system.class_dofs("bending"))
+    return out
+
+
+def assert_same_bits(got, want, what):
+    want = np.ascontiguousarray(want)
+    assert got.shape == want.shape, what
+    assert np.array_equal(np.signbit(got), np.signbit(want)), what
+    assert got.tobytes() == want.tobytes(), what
+
+
+class TestObservedColumns:
+    """simulate(..., observed=dofs) forms only the named columns of each
+    recorded row, bitwise those of the whole rows, signed zeros included."""
+
+    @pytest.mark.parametrize("tiny_chunks", [False, True])
+    @pytest.mark.parametrize("drive", list(DRIVES))
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    @pytest.mark.parametrize("variant,regime", ALL_COMBOS)
+    def test_columns_are_those_of_the_whole_rows(self, rng, monkeypatch, variant, regime, bc,
+                                                 drive, tiny_chunks):
+        pair, single, moving = DRIVES[drive]
+        sysm = build_system(make_spec(variant, regime, bc=bc,
+                                      voltage=pair if variant.is_patch else single), 4)
+        if tiny_chunks:
+            monkeypatch.setattr(solvers, "CHUNK_ENTRIES", 40)
+        # Negative zeros in the initial state reach row 0 of the blocks
+        # that move; a block at rest gives positive zeros.
+        n = sysm.n_dofs
+        x0, v0 = 1e-3 * rng.standard_normal((2, n)) if moving else np.zeros((2, n))
+        x0[::4], v0[1::4] = -0.0, -0.0
+        whole = recorded(sysm, x0, v0, 1e-3, 0.05, stride=3)
+        if moving:  # row 0 is the initial state, bitwise off the mirror pairs
+            off = np.setdiff1d(np.arange(n), np.concatenate(solvers._parity(sysm, 1)[0]))
+            assert_same_bits(whole.X[0, off], x0[off], "x0")
+            assert_same_bits(whole.V[0, off], v0[off], "v0")
+        sels = selections(sysm, rng)
+        # Every selection in one batched sweep, and the first one alone.
+        seen = {name: ([], []) for name in sels}
+
+        def observe(rows, Xs, Vs):
+            for (xs, vs), X, V in zip(seen.values(), Xs, Vs):
+                xs.append(X.copy())
+                vs.append(V.copy())
+
+        simulate([sysm] * len(sels), [x0] * len(sels), [v0] * len(sels), 1e-3, 0.05, stride=3,
+                 observe=observe, observed=list(sels.values()))
+        for name, dofs in sels.items():
+            for got, rows in zip(seen[name], (whole.X, whole.V)):
+                assert_same_bits(np.concatenate(got), rows[:, dofs], name)
+        alone, dofs = [], sels.get("bottom slots and bending", sels["mechanical"])
+        simulate(sysm, x0, v0, 1e-3, 0.05, stride=3, velocities=False,
+                 observe=lambda rows, X, V: alone.append(X.copy()), observed=dofs)
+        assert_same_bits(np.concatenate(alone), whole.X[:, dofs], "alone")
+
+    def test_observed_must_index_the_system(self):
+        sysm = build_system(make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC), 4)
+        zero = np.zeros(sysm.n_dofs)
+        for bad in ([sysm.n_dofs], [-1]):
+            with pytest.raises(ValueError, match="observed dofs"):
+                simulate(sysm, zero, zero, 1e-3, 0.01, observed=bad)
+        with pytest.raises(ValueError):
+            simulate([sysm, sysm], [zero, zero], [zero, zero], 1e-3, 0.01, observed=[None])
 
 
 class TestBenchmarkContract:
