@@ -72,23 +72,24 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
     # One interpolation row per field, restricted to the surviving dofs
     # (constrained dofs are zero), as one sparse matrix: each probe value
     # sums its few terms in a fixed order, however the rows are chunked.
-    # The observer reads the nodal values and the columns the rows touch,
-    # ascending, so the matrix keeps its terms, in their order.
+    # The observer reads the columns the rows touch, ascending, so the
+    # matrix keeps its terms, in their order, and then each field's nodal
+    # values, so that a field's peak is the max over one slice of columns.
     probe_rows = np.vstack([
         interpolation_row(layout, field, _probe_position(layout, field, probe))[system.free_dofs]
         for field in layout.fields])
+    touched = np.flatnonzero(np.any(probe_rows != 0.0, axis=0))
+    interp = scipy.sparse.csr_array(probe_rows[:, touched])
     values = [system.current_dofs(layout.value_dofs(field)) for field in layout.fields]
-    read = np.any(probe_rows != 0.0, axis=0)
-    read[np.concatenate(values)] = True
-    read = np.flatnonzero(read)
-    interp = scipy.sparse.csr_array(probe_rows[:, read])
-    values = [np.searchsorted(read, idx) for idx in values]
+    read = np.concatenate([touched] + values)
+    ends = np.cumsum([len(touched)] + [len(idx) for idx in values])
     probes, peaks = [], []
 
-    def observe(rows, X, V):
-        probes.append((interp @ X.T).T)
-        peaks.append(np.column_stack([np.max(np.abs(X[:, idx]), axis=1, initial=0.0)
-                                      for idx in values]))
+    def observe(rows, X, V):  # in place: the rows are simulate's scratch
+        probes.append((interp @ X[:, :ends[0]].T).T)
+        np.abs(X, out=X)
+        peaks.append(np.column_stack([X[:, a:b].max(axis=1, initial=0.0)
+                                      for a, b in zip(ends[:-1], ends[1:])]))
 
     zero = np.zeros(system.n_dofs)
     traj = simulate(system, zero, zero, dt, config.t_end, stride=config.stride,

@@ -15,7 +15,9 @@ sweep is a plain loop over the load it is given, in the band numbering of
 the factor; solvers.simulate cuts a run into chunks, each continuing the
 last one, and hands it only the blocks that move, stacked as one
 block-diagonal system (the halves of the patch model's top/bottom mirror,
-the single beam's {v, q}), so n counts the dofs that move.
+the single beam's {v, q}), so n counts the dofs that move.  It also hands
+every chunk the same arrays to write its recorded rows and midpoint
+velocities into, so a run allocates them once, not once per chunk.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def cholesky_solve(L, U, b):
     return dtbsv(p, U, dtbsv(p, L, b, 1, 0, 1, 0, 0, 1), 1, 0, 0, 0, 0, 1)
 
 
-def midpoint_sweep(L, U, M, K, bvolts, x0, v0, dt, rec_steps, ab=None):
+def midpoint_sweep(L, U, M, K, bvolts, x0, v0, dt, rec_steps, ab=None, out=None):
     """Implicit midpoint sweep of  M xdd + K x = load,  in momentum form.
 
     Everything is in one numbering, the band numbering of L: L is the
@@ -63,22 +65,27 @@ def midpoint_sweep(L, U, M, K, bvolts, x0, v0, dt, rec_steps, ab=None):
     rec_steps are the steps in 1..n_steps after which the state is
     recorded, ascending.  Returns (x, v, ab, X, V, vbar): the final state,
     the (a, b) to continue from, the states at rec_steps and every step's
-    midpoint velocity, shape (n_steps, n).
+    midpoint velocity, shape (n_steps, n).  out = (X, V, vbar) are arrays
+    to write those three into, with at least len(rec_steps), len(rec_steps)
+    and n_steps rows of n entries (X and V may be row slices of wider
+    arrays); their leading rows come back.  Without out they are allocated.
 
     The loop runs in a signed frame: after step i it holds s a, s b and
     s v, and during step i + 1 the solve gives s vbar, with s = (-1)^i.
     Each update above is then one axpy whose result is the negation of the
     old one when s = -1 (2 vbar and 2 (a + (dt/2) f) are exact, and
     rounding is symmetric in sign), so every value is bitwise that of the
-    recurrence, up to the sign of an exact zero; signs are restored at
-    recorded rows and on return.
+    recurrence, up to the sign of an exact zero; signs are restored on
+    return: the rows recorded after odd steps and the odd midpoint
+    velocities are negated once per call.
     """
     dt = float(dt)
     half, dt2 = 0.5 * dt, dt * dt
-    n = len(x0)
-    X = np.empty((len(rec_steps), n))
-    Vel = np.empty_like(X)
-    vbars = np.empty((bvolts.shape[0], n))
+    n, n_rec = len(x0), len(rec_steps)
+    if out is None:
+        X, Vel, vbars = np.empty((n_rec, n)), np.empty((n_rec, n)), np.empty((len(bvolts), n))
+    else:
+        X, Vel, vbars = out[0][:n_rec], out[1][:n_rec], out[2][:len(bvolts)]
 
     if getattr(K, "format", None) != "csr" or K.dtype != np.float64:
         K = scipy.sparse.csr_array(K, dtype=float)  # once per call, for the kernel
@@ -89,17 +96,19 @@ def midpoint_sweep(L, U, M, K, bvolts, x0, v0, dt, rec_steps, ab=None):
     else:
         a, b = (np.array(c, dtype=float) for c in ab)
     kv = np.empty(n)
+    p, indptr, indices, data = L.shape[0] - 1, K.indptr, K.indices, K.data
     at = np.asarray(rec_steps).tolist() + [0]  # the steps to record; 0 is none
     sign, rec = 1.0, 0
     for i, load in enumerate(bvolts):
         vbar = vbars[i]
-        np.copyto(vbar, a)
+        vbar[:] = a
         daxpy(load, vbar, n, sign * half)  # s (a + (dt/2) f)
         daxpy(vbar, a, n, -2.0)  # -s b'
         daxpy(vbar, b, n, -2.0)
-        cholesky_solve(L, U, vbar)  # s vbar
+        # s vbar: L y = s (a + (dt/2) f), then U vbar = y (cholesky_solve)
+        dtbsv(p, U, dtbsv(p, L, vbar, 1, 0, 1, 0, 0, 1), 1, 0, 0, 0, 0, 1)
         kv.fill(0.0)  # csr_matvec adds into its output
-        csr_matvec(n, n, K.indptr, K.indices, K.data, vbar, kv)
+        csr_matvec(n, n, indptr, indices, data, vbar, kv)
         daxpy(kv, b, n, dt2)  # -s a'
         a, b = b, a
         daxpy(vbar, x, n, sign * dt)
@@ -107,8 +116,9 @@ def midpoint_sweep(L, U, M, K, bvolts, x0, v0, dt, rec_steps, ab=None):
         sign = -sign
         if i + 1 == at[rec]:
             X[rec] = x
-            np.multiply(v, sign, out=Vel[rec])
+            Vel[rec] = v  # s v; negated below after an odd step
             rec += 1
+    np.multiply(Vel, -1.0, out=Vel, where=(np.asarray(rec_steps) % 2 == 1)[:, None])
     vbars[1::2] *= -1.0
     if sign < 0.0:
         v, a, b = -v, -a, -b

@@ -157,9 +157,9 @@ def check_single_beam_decoupling(vspec: ValidatedModelSpec, n_elements: int,
 
     peak_x, peak_v = np.zeros((2, len(mech)))  # running max |x|, |v| per dof
 
-    def observe(rows, X, V):
-        np.maximum(peak_x, np.max(np.abs(X), axis=0), out=peak_x)
-        np.maximum(peak_v, np.max(np.abs(V), axis=0), out=peak_v)
+    def observe(rows, X, V):  # in place: the rows are simulate's scratch
+        np.maximum(peak_x, np.abs(X, out=X).max(axis=0), out=peak_x)
+        np.maximum(peak_v, np.abs(V, out=V).max(axis=0), out=peak_v)
 
     simulate(system, np.zeros(system.n_dofs), np.zeros(system.n_dofs), dt, t_end,
              observe=observe, observed=mech)
@@ -284,11 +284,12 @@ def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, mode, n_elements:
     peaks = [np.zeros(system.n_dofs) for system, *_ in setups]
     mismatch = np.zeros(len(setups))
 
-    def observe(rows, Xs, V):
+    def observe(rows, Xs, V):  # in place: the rows are simulate's scratch
         for k, (m, (top, bot), X) in enumerate(zip(modes, charges, Xs)):
-            np.maximum(peaks[k], np.max(np.abs(X), axis=0), out=peaks[k])
-            qt, qb = X[:, top], X[:, bot]
-            mismatch[k] = max(mismatch[k], _peak(qt - qb if m == "symmetric" else qt + qb))
+            gap = X[:, top]
+            (np.subtract if m == "symmetric" else np.add)(gap, X[:, bot], out=gap)
+            mismatch[k] = max(mismatch[k], float(np.abs(gap, out=gap).max(initial=0.0)))
+            np.maximum(peaks[k], np.abs(X, out=X).max(axis=0), out=peaks[k])
 
     zeros = [np.zeros(system.n_dofs) for system, *_ in setups]
     simulate([system for system, *_ in setups], zeros, zeros, dt, t_end, velocities=False,
@@ -390,12 +391,14 @@ def run_electrostatic_limit(vspec: ValidatedModelSpec, mus, n_elements: int,
     # gives the same sums however the rows are chunked.
     squares = [[] for _ in systems]
 
-    def observe(rows, Xs, V):
+    def observe(rows, Xs, V):  # in place: the rows are simulate's scratch
         red, *full = Xs
-        squares[0].append(np.add.reduce(red * red, axis=1))
-        for sums, X in zip(squares[1:], full):
-            gap = X - red
-            sums.append(np.add.reduce(gap * gap, axis=1))
+        for sums, gap in zip(squares[1:], full):
+            gap -= red
+            gap *= gap
+            sums.append(np.add.reduce(gap, axis=1))
+        red *= red
+        squares[0].append(np.add.reduce(red, axis=1))
 
     zeros = [np.zeros(s.n_dofs) for s in systems]
     simulate(systems, zeros, zeros, dt, t_end, velocities=False, observe=observe,

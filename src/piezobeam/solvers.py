@@ -40,6 +40,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import (
@@ -54,9 +55,12 @@ from .kernels import cholesky_solve, midpoint_sweep
 if TYPE_CHECKING:
     from .assembly import SemiDiscreteSystem
 
-# Entries of each per-chunk array of simulate (load, midpoint velocities,
-# recorded rows): a chunk holds CHUNK_ENTRIES // n steps, 512 KiB per array
-# (n the dofs that move; the observed rows span the dofs each observer reads).
+# Entries of the chunk arrays of simulate: a chunk holds CHUNK_ENTRIES // n
+# steps (n the dofs that move), so its load and its midpoint velocities are
+# 512 KiB each, and its recorded rows at most as much.  One call allocates
+# its chunk arrays once and reuses them for every chunk; the ledger's
+# products and the observed rows (which span the dofs each observer reads)
+# reuse the memory of the load and midpoint velocities.
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -213,16 +217,27 @@ def eigenmodes(M, K, n_modes: int, null: np.ndarray) -> ModeSet:
 
     MZ = M @ Z
 
-    def deflated(y):
-        return y - Z @ (MZ.T @ y)
+    def deflated(y):  # in place
+        y -= Z @ (MZ.T @ y)
+        return y
 
     sigma = -1e-6 * float(K.diagonal().mean()) / float(M.diagonal().mean())
     op = FactorizedOperator.build(K - sigma * M)
-    opinv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda b: deflated(op.solve(b)),
-                                               dtype=float)
+    # ARPACK calls both operators once per Lanczos step: M calls the CSR
+    # kernel directly, bitwise M @ x without scipy's sparse dispatch.
+    Mc = scipy.sparse.csr_array(M, dtype=float)
+
+    def mass(x):
+        y = np.zeros(n)
+        csr_matvec(n, n, Mc.indptr, Mc.indices, Mc.data, x, y)
+        return y
+
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
-            K, k=k, M=M, sigma=sigma, which="LM", OPinv=opinv,
+            K, k=k, M=scipy.sparse.linalg.LinearOperator((n, n), matvec=mass, dtype=float),
+            sigma=sigma, which="LM",
+            OPinv=scipy.sparse.linalg.LinearOperator((n, n), dtype=float,
+                                                     matvec=lambda b: deflated(op.solve(b))),
             v0=deflated(np.random.default_rng(0).standard_normal(n)))
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise ConvergenceFailure(f"eigenvalue iteration did not converge: {exc}") from exc
@@ -272,21 +287,36 @@ class Trajectory:
         return len(self.t)
 
 
-def _row_energies(A, Z: np.ndarray) -> np.ndarray:
-    """0.5 z^T A z for every row z of Z, A sparse symmetric.
+def _row_energies(A, Z: np.ndarray, scratch, part=None):
+    """(e, e_part): e = 0.5 z^T A z for every row z of Z, A sparse symmetric
+    CSR with sorted indices, and e_part the same sum over the rows `part` of
+    A (indices) alone, or None.  With no entry of A between `part` and the
+    other dofs, e_part is bitwise 0.5 z_p^T A_pp z_p.
 
-    The products are summed strictly left to right, so a row's energy does
-    not depend on which rows share its chunk: one reduction over axis 0 of
-    the C-ordered (n, m) product adds it row by row, but numpy sums a lone
-    contiguous column pairwise, so a lone row takes a cumulative sum.  Z is
-    one chunk of recorded rows, so the temporaries stay as small as the
-    sweep's.
+    A Z^T is scipy's CSR kernel (what A @ Z.T runs), from Z^T copied into
+    the first of the flat arrays scratch and into the second, each of at
+    least A.shape[0] len(Z) floats.  The products are summed strictly left
+    to right, so a row's energy does not depend on which rows share its
+    chunk: one reduction over axis 0 of the C-ordered (n, m) product adds it
+    row by row, but numpy sums a lone contiguous column pairwise, so a lone
+    row takes a cumulative sum.
     """
-    terms = A @ Z.T
-    terms *= Z.T
-    if len(Z) == 1 and len(terms):
-        return 0.5 * np.cumsum(terms[:, 0])[-1:]
-    return 0.5 * np.add.reduce(terms, axis=0)
+    n, m = A.shape[0], len(Z)
+    zt, terms = (flat[:n * m].reshape(n, m) for flat in scratch)
+    np.copyto(zt, Z.T)
+    terms.fill(0.0)  # csr_matvecs adds into its output
+    csr_matvecs(n, n, m, A.indptr, A.indices, A.data, zt.ravel(), terms.ravel())
+    terms *= zt
+
+    def half_sums(t):
+        if m == 1 and len(t):
+            return 0.5 * np.cumsum(t[:, 0])[-1:]
+        return 0.5 * np.add.reduce(t, axis=0)
+
+    if part is None:
+        return half_sums(terms), None
+    return half_sums(terms), half_sums(np.take(terms, part, axis=0, out=zt[:len(part)],
+                                               mode="clip"))
 
 
 # --- the top/bottom mirror and the blocks of a step ---------------------------
@@ -372,7 +402,7 @@ class _Block:
                        x0=self.x0[perm], v0=self.v0[perm])
 
 
-def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray):
+def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray, adapted=None):
     """(blocks, pairs): the blocks of the system's step that move.
 
     The blocks are the even and odd halves of the top/bottom mirror (see
@@ -394,6 +424,11 @@ def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray):
     coordinates, its own M and K, the input columns B that reach it with
     their drive samples at every step midpoint (its load is drive @ B.T),
     a mask of its charge dofs and its initial state x0, v0.
+
+    adapted, a dict, keeps each operator's T (A T), and whether it couples
+    the halves, by the operator's id, for the systems of one simulate call
+    that share it (an operator is in its own system's dof numbering, so
+    sharing it means sharing that numbering).
     """
     n = system.n_dofs
     pairs, drives, odd, odd_in = _parity(system, volts.shape[1])
@@ -402,16 +437,19 @@ def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray):
     drive = _paired(volts.copy(), drives)
     drive[:, np.concatenate(drives)] *= 0.5
     M, K, y0, ydot0 = system.M, system.K, x0, v0
+    adapted = {} if adapted is None else adapted
+    new = [A for A in (M, K) if id(A) not in adapted]
+    T = _pair_map(n, pairs) if new and len(pairs[0]) else None
+    for A in new:
+        At = A if T is None else T @ (A @ T)
+        coo = At.tocoo()
+        adapted[id(A)] = At, bool(np.any(coo.data[odd[coo.row] != odd[coo.col]]))
+    (M, cross_m), (K, cross_k) = adapted[id(M)], adapted[id(K)]
     if len(pairs[0]):
-        T = _pair_map(n, pairs)
-        M, K = T @ (M @ T), T @ (K @ T)
         half = np.ones(n)
         half[np.concatenate(pairs)] = 0.5  # T / 2 maps them in
         y0, ydot0 = half * _paired(np.array([x0, v0]), pairs)
-    cross = np.any(B[odd[:, None] != odd_in])
-    for A in (M, K):
-        coo = A.tocoo()
-        cross = cross or np.any(coo.data[odd[coo.row] != odd[coo.col]])
+    cross = np.any(B[odd[:, None] != odd_in]) or cross_m or cross_k
     halves = [np.flatnonzero(~odd), np.flatnonzero(odd)]
     if cross:
         halves = [np.arange(n)]
@@ -445,8 +483,10 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     array per system.  X and V hold the columns `observed` names, bitwise
     those of the full rows: an index array, or for a list of systems a list
     of them or None, None standing for every dof (the default).  The other
-    columns are never formed.  The arrays are valid only during the call:
-    an observer copies what it keeps, and reduces each row as it goes past.
+    columns are never formed.  The arrays are simulate's own, written again
+    for every chunk, so they are valid only during the call: an observer
+    copies what it keeps, and reduces each row as it goes past.  It may
+    overwrite them in place: no two of them share memory.
 
     Each system is cut into its blocks, those at rest left out (see _split):
     their rows are exact zeros.  The blocks that move are stacked as the
@@ -465,13 +505,17 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     any stride) and the ledger of the recorded rows; a system's ledger is
     the sum of its blocks'.  Only the observed columns of the chunk's rows
     are mapped back to the system's coordinates (see _plan), and only for
-    an observer.  Raises NonFiniteState, naming the system and the steps,
-    after the first chunk that leaves a non-finite state, before its rows
-    are observed (numpy's overflow warnings are silenced: the error reports
-    such a run), and EnergyImbalance, naming the system, when its residual
-    exceeds 1e-8 * its max energy or is not finite (criterion 4): such runs
-    come from step matrices that factor but are too ill-conditioned to
-    solve.
+    an observer.  The chunk arrays (load, midpoint velocities, recorded
+    rows, the ledger's products, the observed rows) are allocated once per
+    call, sized by what a chunk uses, and reused for every chunk; operators
+    that systems share are mirror-adapted once (see _split).
+
+    Raises NonFiniteState, naming the system and the steps, after the first
+    chunk that leaves a non-finite state, before its rows are observed
+    (numpy's overflow warnings are silenced: the error reports such a run),
+    and EnergyImbalance, naming the system, when its residual exceeds
+    1e-8 * its max energy or is not finite (criterion 4): such runs come
+    from step matrices that factor but are too ill-conditioned to solve.
     """
     many = isinstance(system, (list, tuple))
     systems, x0s, v0s = (system, x0, v0) if many else ([system], [x0], [v0])
@@ -497,8 +541,9 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
             each(rows, X[0], None if V is None else V[0])
 
     t_mid = dt * (np.arange(n_steps) + 0.5)
-    splits = [_split(s, x, v, np.column_stack([sig(t_mid) for sig in s.vspec.voltages]))
-              for s, x, v in zip(systems, x0s, v0s)]
+    adapted = {}
+    splits = [_split(s, x, v, np.column_stack([sig(t_mid) for sig in s.vspec.voltages]),
+                     adapted) for s, x, v in zip(systems, x0s, v0s)]
     rec_steps = np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
     n_rec = len(rec_steps)
     trajs = [Trajectory(t=rec_steps * dt, kinetic=np.zeros(n_rec), stored=np.zeros(n_rec),
@@ -514,13 +559,15 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
         with np.errstate(over="ignore", invalid="ignore"):
             _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe)
     elif observe is not None:  # nothing moves: every row is exact zeros
-        plans = [_plan(n, pairs, [], [], dofs) for _, n, pairs, _, dofs, _ in parts]
+        plans = [_plan(n, None, [], [], dofs, 0, 1) for _, n, _, _, dofs, _ in parts]
         step = max(1, CHUNK_ENTRIES // sum(s.n_dofs for s in systems))
+        seen = sum(len(dofs) for _, _, _, _, dofs, _ in parts)
         for a in range(0, n_rec, step):
             rows = slice(a, min(a + step, n_rec))
-            zeros = np.zeros((rows.stop - a, 0))
-            observe(rows, _observed(plans, zeros),
-                    _observed(plans, zeros) if velocities else None)
+            zeros = np.zeros((rows.stop - a, 1))
+            observe(rows, _observed(plans, zeros, np.empty(len(zeros) * seen)),
+                    _observed(plans, zeros, np.empty(len(zeros) * seen)) if velocities
+                    else None)
 
     for traj, where in zip(trajs, names):
         resid, scale = traj.balance
@@ -531,51 +578,51 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     return trajs if many else trajs[0]
 
 
-def _plan(n: int, pairs, blocks, cols, dofs: np.ndarray):
-    """How _observed forms columns dofs of a system's rows from the stacked
-    moving rows Z, blocks the system's moving blocks (renumbered) and cols
-    their columns of Z: (k, at, src, pairs, pick).
+def _plan(n: int, pairs, blocks, cols, dofs: np.ndarray, zero: int, at: int):
+    """How _observed forms columns dofs of a system's rows from the wide
+    rows W of a chunk (see _sweep_blocks), blocks the system's moving blocks
+    (renumbered) and cols their columns of W: (lo, hi, at, idx).
 
-    The rows are formed over k needed dofs, ascending: dofs, and both slots
-    of each mirror pair (pairs, None when the rows need no map) that holds
-    one of them.  They start as exact zeros (the blocks at rest), take
-    Z[:, src] at the positions at, are mapped back by _paired on the needed
-    pairs renumbered among them (None when there are none), and pick selects
-    dofs (None when they are the needed dofs, in order).  With every dof
-    needed this is the whole system's rows, pair map and all.
+    A dof's value is its column of W, or column `zero` (an exact zero) when
+    its block is at rest.  With pairs (None when the rows need no map),
+    each pair that holds an observed dof is mapped back as _paired maps it:
+    lo and hi are W's columns of its two slots, and x_lo + x_hi and
+    x_lo - x_hi go to W's columns at + j and at + p + j, p = len(lo).  idx
+    is W's column of each observed dof, in order; with every dof observed
+    this is the whole system's rows, pair map and all.
     """
-    where = np.full(n, -1)  # each system dof's column of Z, -1 at rest
+    src = np.full(n, zero)  # each system dof's column of W
     for blk, c in zip(blocks, cols):
-        where[blk.dofs] = np.arange(c.start, c.stop)
-    needed = np.zeros(n, dtype=bool)
-    needed[dofs] = True
+        src[blk.dofs] = np.arange(c.start, c.stop)
+    col = src.copy()
+    lo = hi = np.zeros(0, dtype=np.int64)
     if pairs is not None:
+        needed = np.zeros(n, dtype=bool)
+        needed[dofs] = True
         held = needed[pairs[0]] | needed[pairs[1]]
-        pairs = (pairs[0][held], pairs[1][held])
-        needed[pairs[0]] = needed[pairs[1]] = True
-    need, local = np.flatnonzero(needed), np.cumsum(needed) - 1
-    if pairs is not None:
-        pairs = (local[pairs[0]], local[pairs[1]]) if len(pairs[0]) else None
-    at = np.flatnonzero(where[need] >= 0)
-    pick = None if np.array_equal(need, dofs) else local[dofs]
-    return len(need), at, where[need][at], pairs, pick
+        lo, hi = pairs[0][held], pairs[1][held]
+        col[lo], col[hi] = at + np.arange(len(lo)), at + len(lo) + np.arange(len(lo))
+    return src[lo], src[hi], at, col[dofs]
 
 
-def _observed(plans, Z):
-    """Rows Z of the stacked moving blocks as each system's observer reads
-    them (see _plan): its blocks at rest exact zeros, its halves mapped back
-    with _paired."""
-    out = []
-    for k, at, src, pairs, pick in plans:
-        if len(at) == k:  # every needed dof moves
-            X = Z[:, src]
-        else:
-            X = np.zeros((len(Z), k))
-            X[:, at] = Z[:, src]
-        if pairs is not None:
-            _paired(X, pairs)
-        out.append(X if pick is None else X[:, pick])
-    return out
+def _observed(plans, W, out):
+    """Each system's observed columns of the rows W (see _plan), its blocks
+    at rest exact zeros, its halves mapped back: one gather per system into
+    out, a flat array of at least len(W) (sum of the observed dofs + twice
+    the most pairs) floats.  No two of the arrays share memory."""
+    m, arrays, used = len(W), [], 0
+    for lo, hi, at, idx in plans:
+        if len(lo):  # the pair map's values, from two gathers into out
+            p = len(lo)
+            e, o = out[used:used + m * p], out[used + m * p:used + 2 * m * p]
+            e, o = (np.take(W, s, axis=1, out=t.reshape(m, p), mode="clip")
+                    for s, t in ((lo, e), (hi, o)))
+            np.add(e, o, out=W[:, at:at + p])
+            np.subtract(e, o, out=W[:, at + p:at + 2 * p])
+        X = out[used:used + m * len(idx)].reshape(m, len(idx))
+        arrays.append(np.take(W, idx, axis=1, out=X, mode="clip"))
+        used += X.size
+    return arrays
 
 
 def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
@@ -584,11 +631,19 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
     parts holds, per system, its Trajectory, its dof count, its charge
     pairs (or None), the indices in moving of its blocks, the dofs its
     observer reads and its name in error messages.
+
+    The recorded rows are the leading n columns of the wide rows X (and V,
+    for an observer of velocities): column n holds an exact zero and the
+    columns after it the pair map's values (see _plan), so _observed forms
+    each system's columns with one gather.  The ledger's products and the
+    observed rows are formed after the work integral has read the load and
+    the midpoint velocities, so they reuse the two flat arrays those live
+    in, lead and pool, the second made as large as they need.
     """
     ops = [step_operator(blk, dt) for blk in moving]
     op = FactorizedOperator.stack(ops)
     moving = [blk.renumbered(o.perm) for blk, o in zip(moving, ops)]
-    Mqq = [_gathered(blk.M, np.flatnonzero(blk.charge)) for blk in moving]
+    charges = [np.flatnonzero(blk.charge) for blk in moving]
     M, K = moving[0].M, moving[0].K  # one block needs no block_diag copy
     if len(moving) > 1:
         M = scipy.sparse.block_diag([blk.M for blk in moving], format="csr")
@@ -596,39 +651,58 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
     n = M.shape[0]
     ends = np.cumsum([len(blk.dofs) for blk in moving])
     cols = [slice(e - len(blk.dofs), e) for blk, e in zip(moving, ends)]
-    plans = [_plan(n_dofs, pairs, [moving[j] for j in own], [cols[j] for j in own], dofs)
-             for _, n_dofs, pairs, own, dofs, _ in parts]
+    plans, width = [], n + 1
+    for _, n_dofs, pairs, own, dofs, _ in parts:
+        plans.append(_plan(n_dofs, pairs, [moving[j] for j in own], [cols[j] for j in own],
+                           dofs, n, width))
+        width += 2 * len(plans[-1][0])
+
+    # Sizes: a chunk's steps, and the most rows a chunk records (row 0 alone).
     chunk = max(1, CHUNK_ENTRIES // n)
-    load = np.empty((min(chunk, n_steps), n))
+    steps = min(chunk, n_steps)
+    bounds = np.append(np.arange(0, n_steps, chunk), n_steps)
+    most = int(np.diff(np.searchsorted(rec_steps, bounds, side="right")).max(initial=1))
+    # The ledger's products are at most most x n each; the observed rows
+    # (X's in lead, V's in pool) and the pair map's values at most this:
+    obs = 0 if observe is None else most * (sum(len(idx) for *_, idx in plans)
+                                            + 2 * max(len(lo) for lo, *_ in plans))
+    lead = np.empty(max(steps * n, most * n, obs))
+    pool = np.empty(max(steps * n, most * n, obs if velocities else 0))
+    load, vbars = lead[:steps * n].reshape(steps, n), pool[:steps * n].reshape(steps, n)
+    scratch = (lead, pool)
+    X, V = np.empty((most, width)), np.empty((most, width if velocities else n))
+    X[:, n:] = V[:, n:] = 0.0  # column n stays an exact zero
+
     x = np.concatenate([blk.x0 for blk in moving])
     v = np.concatenate([blk.v0 for blk in moving])
     ab = None  # the sweep forms the momenta from x and v on its first call
     total = np.zeros(len(moving))  # every block's work up to step a
     # Row 0 is the initial state; each later pass records one chunk's rows.
-    Y, V, work = x[None], v[None], total[None]
+    X[0, :n], V[0, :n], work, m_rec = x, v, total[None], 1
     done = a = 0
     while True:
-        rows = slice(done, done + len(Y))
+        rows = slice(done, done + m_rec)
         for traj, _, _, own, _, _ in parts:
             for j in own:
-                blk = moving[j]
-                Yb, Vb = Y[:, cols[j]], V[:, cols[j]]
-                mag = _row_energies(Mqq[j], Vb[:, blk.charge])
-                traj.magnetic[rows] += mag
-                traj.kinetic[rows] += _row_energies(blk.M, Vb) - mag
-                traj.stored[rows] += _row_energies(blk.K, Yb)
+                c = cols[j]
+                kinetic, magnetic = _row_energies(moving[j].M, V[:m_rec, c], scratch, charges[j])
+                traj.magnetic[rows] += magnetic
+                traj.kinetic[rows] += kinetic - magnetic
+                traj.stored[rows] += _row_energies(moving[j].K, X[:m_rec, c], scratch)[0]
                 traj.work[rows] += work[:, j]
         if observe is not None:
-            observe(rows, _observed(plans, Y), _observed(plans, V) if velocities else None)
+            observe(rows, _observed(plans, X[:m_rec], lead),
+                    _observed(plans, V[:m_rec], pool) if velocities else None)
         done = rows.stop
-        del Y, V, Yb, Vb  # no chunk's rows outlive its ledger and observer
         if a == n_steps:
             break
         m = min(chunk, n_steps - a)
         for blk, c in zip(moving, cols):
             np.matmul(blk.drive[a:a + m], blk.B.T, out=load[:m, c])
         rec = rec_steps[done:np.searchsorted(rec_steps, a + m, side="right")] - a
-        x, v, ab, Y, V, vbar = midpoint_sweep(op.L, op.U, M, K, load[:m], x, v, dt, rec, ab)
+        x, v, ab, _, _, vbar = midpoint_sweep(op.L, op.U, M, K, load[:m], x, v, dt, rec, ab,
+                                              (X[:, :n], V[:, :n], vbars))
+        m_rec = len(rec)
         finite = np.isfinite(x) & np.isfinite(v) & np.isfinite(ab[0]) & np.isfinite(ab[1])
         if not finite.all():
             j = np.searchsorted(ends, np.argmin(finite), side="right")
@@ -642,7 +716,6 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
         inc[0] = total
         for j, c in enumerate(cols):
             inc[1:, j] = np.einsum("ij,ij->i", vbar[:, c], load[:m, c])
-        del vbar
         inc[1:] *= dt
         cum = np.cumsum(inc, axis=0)
         total, work = cum[-1], cum[rec]

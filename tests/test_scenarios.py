@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from piezobeam import assembly, scenarios
+from piezobeam import assembly, scenarios, solvers
 from piezobeam.assembly import build_system
 from piezobeam.errors import ConvergenceFailure, IllegalRegime, InsufficientMeshes
 from piezobeam.materials import (
@@ -304,6 +304,34 @@ class TestSharedAssembly:
                                                   1e-3, 0.1, corrupt_sign=corrupt)
         assert len(builds) == 1
         assert [r.passed for r in reports] == [not corrupt, not corrupt]
+
+
+class TestInPlaceObservers:
+    """The scenario observers reduce simulate's rows in place, and simulate
+    writes the same arrays again for every chunk, so a report does not
+    depend on how the run is chunked."""
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_limit_study_does_not_depend_on_the_chunks(self, monkeypatch, variant):
+        vspec = driven_spec(variant, Regime.FULL_MAGNETIC)
+        mus = (0.5, 0.05, 0.005)
+        want, _ = reference_limit(vspec, mus, 8, 1e-3, 0.2)
+        for entries in (solvers.CHUNK_ENTRIES, 200):
+            monkeypatch.setattr(solvers, "CHUNK_ENTRIES", entries)
+            assert list(run_electrostatic_limit(vspec, mus, 8, 1e-3, 0.2).distances) == want
+
+    @pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
+    def test_checks_do_not_depend_on_the_chunks(self, monkeypatch, regime):
+        single = make_spec(Variant.SINGLE_MT, regime, voltage=VoltageSignal.sinusoid(1.0, 3.0))
+        patch = make_spec(Variant.PATCH_MT, regime, voltage=sinusoid_pair(+1.0))
+        reports = []
+        for entries in (solvers.CHUNK_ENTRIES, 200):
+            monkeypatch.setattr(solvers, "CHUNK_ENTRIES", entries)
+            pair = check_patch_voltage_selectivity(patch, ("symmetric", "antisymmetric"), 8,
+                                                   1e-3, 0.2)
+            reports.append([check_single_beam_decoupling(single, 8, 1e-3, 0.2).as_dict()]
+                           + [report.as_dict() for report in pair])
+        assert reports[0] == reports[1]
 
 
 class TestModalAnalysis:

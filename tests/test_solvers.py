@@ -163,6 +163,21 @@ class TestSpdSolver:
 
 
 class TestEigenmodes:
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    @pytest.mark.parametrize("variant,regime", ALL_COMBOS)
+    def test_direct_kernels_give_the_eigsh_bits(self, variant, regime, bc, n):
+        # ARPACK is fed the CSR kernel for M and the in-place banded solve
+        # and deflation; it sees the same vectors as with the sparse M and
+        # FactorizedOperator.solve, so every bit of omega and the shapes
+        # stays.
+        sysm = build_system(make_spec(variant, regime, bc=bc), n)
+        null = sysm.null_space()
+        modes = eigenmodes(sysm.M, sysm.K, 16, null)
+        omegas, shapes = eigsh_modes(sysm.M, sysm.K, 16, null)
+        assert modes.omegas[modes.n_zero:].tobytes() == omegas.tobytes()
+        assert modes.shapes.tobytes() == shapes.tobytes()
+
     def test_discrete_rod_spectrum_closed_form(self):
         # For the P1 consistent-mass free-free rod the discrete eigenvalues
         # are known exactly: lambda_j = (6 c^2/le^2)(1-cos th)/(2+cos th),
@@ -378,6 +393,30 @@ def with_index_dtype(A, dtype):
     return A
 
 
+def eigsh_modes(M, K, n_modes, null):
+    """eigenmodes as it was before its operators called the kernels
+    directly: eigsh given the sparse M, and OPinv through
+    FactorizedOperator.solve and a deflation that allocates."""
+    n, n_zero = null.shape
+    R = scipy.linalg.cholesky(null.T @ (M @ null))
+    Z = scipy.linalg.solve_triangular(R, null.T, trans="T").T
+    k = min(n_modes, n - 1) - n_zero
+    MZ = M @ Z
+
+    def deflated(y):
+        return y - Z @ (MZ.T @ y)
+
+    sigma = -1e-6 * float(K.diagonal().mean()) / float(M.diagonal().mean())
+    op = FactorizedOperator.build(K - sigma * M)
+    opinv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda b: deflated(op.solve(b)),
+                                               dtype=float)
+    vals, vecs = scipy.sparse.linalg.eigsh(
+        K, k=k, M=M, sigma=sigma, which="LM", OPinv=opinv,
+        v0=deflated(np.random.default_rng(0).standard_normal(n)))
+    order = np.argsort(vals)
+    return np.sqrt(np.clip(vals[order], 0.0, None)), np.hstack([Z, vecs[:, order]])
+
+
 class TestSweep:
     def test_sweep_is_deterministic(self, rng):
         X1, V1, _ = scalar_sweep(0.05, 100)
@@ -429,6 +468,31 @@ class TestSweep:
         for g, w in zip(got, want):
             for a, b in zip(g[:2] + g[2] + g[3:], w[:2] + w[2] + w[3:]):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n_steps", [40, 41])
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("case", ["single", "patch", "stacked"])
+    def test_buffers_change_no_bit(self, rng, case, stride, n_steps):
+        # Handed buffers (X and V row slices of wider arrays, as simulate
+        # hands them), the sweep writes into them and returns their leading
+        # rows, bitwise (signed zeros included) what it allocates without
+        # them, over chunks of odd and even length and through ab.
+        dt = 1e-3
+        L, U, M, K, load, x0, v0 = sweep_inputs(case, rng, dt, 2 * n_steps)
+        n, rec = len(x0), np.arange(stride, n_steps + 1, stride)
+        wide = np.full((2, n_steps, n + 5), np.nan)
+        out = (wide[0][:, :n], wide[1][:, :n], np.full((n_steps + 1, n), np.nan))
+        x, v, ab, got, want = x0, v0, None, [], []
+        for part in (load[:n_steps], load[n_steps:]):
+            plain = midpoint_sweep(L, U, M, K, part, x, v, dt, rec, ab)
+            into = midpoint_sweep(L, U, M, K, part, x, v, dt, rec, ab, out)
+            for arr, buf in zip(into[3:], out):
+                assert np.shares_memory(arr, buf)
+            want += list(plain[:2] + plain[2] + plain[3:])
+            got += [a.copy() for a in into[:2] + into[2] + into[3:]]
+            x, v, ab = plain[:3]
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("split", [1, 112, 299])
     def test_two_calls_continue_as_one(self, rng, split):
@@ -574,12 +638,82 @@ class TestSimulate:
         n = A.shape[0]
         Z = (rng.standard_normal((m, n + 4)) * 10.0 ** rng.integers(-6, 6, n + 4))[:, 2:-2]
         AZ = A @ Z.T
-        got = solvers._row_energies(A, Z)
+        got, _ = solvers._row_energies(A, Z, np.empty((2, n * m)))
         for r in range(m):
             total = 0.0
             for z, az in zip(Z[r].tolist(), AZ[:, r].tolist()):
                 total += z * az
             assert got[r] == 0.5 * total
+
+    @pytest.mark.parametrize("m", [1, 397])
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    @pytest.mark.parametrize("variant,regime", ALL_COMBOS)
+    def test_two_product_ledger_is_the_three_product_one(self, rng, variant, regime, bc, m):
+        # M has no entry between a charge dof and a mechanical one, so the
+        # charge rows of M V^T are the products Mqq Vq^T: the magnetic
+        # energy read off them, and the kinetic and stored energies, are
+        # bitwise (signed zeros included) those of three separate products,
+        # on every moving block, in band numbering, for a lone row too.
+        sysm = build_system(make_spec(variant, regime, bc=bc), 32)
+        x0, v0 = rng.standard_normal((2, sysm.n_dofs))
+        blocks, _ = solvers._split(sysm, x0, v0, np.ones((1, sysm.B.shape[1])))
+        for blk in blocks:
+            blk = blk.renumbered(step_operator(blk, 1e-3).perm)
+            n, q = len(blk.dofs), np.flatnonzero(blk.charge)
+            V, Y = rng.standard_normal((2, m, n)) * 10.0 ** rng.integers(-6, 6, n)
+            V[:, ::5], Y[:, 1::5] = -0.0, -0.0
+            scratch = np.full((2, n * m), np.nan)
+            kinetic, magnetic = solvers._row_energies(blk.M, V, scratch, q)
+            stored, _ = solvers._row_energies(blk.K, Y, scratch)
+            for got, want in ((kinetic, three_product(blk.M, V)),
+                              (magnetic, three_product(blk.M[q][:, q], V[:, q])),
+                              (stored, three_product(blk.K, Y))):
+                assert got.shape == (m,) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 4])
+    @pytest.mark.parametrize("variant,regime", ALL_COMBOS)
+    def test_ledger_is_that_of_three_products(self, rng, monkeypatch, variant, regime, stride):
+        # In simulate, with one step per chunk (each chunk records a lone
+        # row, or none at stride 4) and at the default chunk size.
+        voltage = (VoltageSignal.sinusoid(1.0, 3.0), VoltageSignal.sinusoid(-0.5, 2.0)) \
+            if variant.is_patch else VoltageSignal.sinusoid(1.0, 3.0)
+        sysm = build_system(make_spec(variant, regime, voltage=voltage), 8)
+        x0, v0 = 1e-3 * rng.standard_normal((2, sysm.n_dofs))
+        runs = []
+        for entries in (solvers.CHUNK_ENTRIES, 1):
+            monkeypatch.setattr(solvers, "CHUNK_ENTRIES", entries)
+            for energies in (solvers._row_energies, three_product_energies):
+                monkeypatch.setattr(solvers, "_row_energies", energies)
+                runs.append(simulate(sysm, x0, v0, 1e-3, 0.05, stride=stride))
+        for traj in runs[1:]:
+            for name in ("kinetic", "stored", "magnetic", "work"):
+                assert getattr(traj, name).tobytes() == getattr(runs[0], name).tobytes()
+
+    def test_chunks_reuse_one_buffer(self, rng, monkeypatch):
+        # A stride-1 run of at least three chunks: every chunk's observed
+        # rows live in the same memory, and an observer that overwrites
+        # them in place changes no later row and no ledger entry.
+        sysm = build_system(make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC,
+                                      voltage=(VoltageSignal.sinusoid(1.0, 3.0),) * 2), 8)
+        monkeypatch.setattr(solvers, "CHUNK_ENTRIES", 400)
+        x0 = np.zeros(sysm.n_dofs)
+        seen, kept = [], []
+
+        def observe(rows, X, V):
+            seen.append((X, V))
+            kept.append((X.copy(), V.copy()))
+            X.fill(np.nan)
+            V.fill(np.nan)
+
+        traj = simulate(sysm, x0, x0, 1e-3, 0.1, observe=observe)
+        assert len(seen) >= 4  # row 0, then three chunks at least
+        for (X1, V1), (X2, V2) in zip(seen[1:], seen[2:]):
+            assert np.shares_memory(X1, X2) and np.shares_memory(V1, V2)
+        want = recorded(sysm, x0, x0, 1e-3, 0.1)
+        assert np.concatenate([X for X, _ in kept]).tobytes() == want.X.tobytes()
+        assert np.concatenate([V for _, V in kept]).tobytes() == want.V.tobytes()
+        for name in ("kinetic", "stored", "magnetic", "work"):
+            assert getattr(traj, name).tobytes() == getattr(want, name).tobytes()
 
     def test_argument_validation(self):
         sysm = self._forced_system()
@@ -590,6 +724,23 @@ class TestSimulate:
             simulate(sysm, zero, zero, dt=0.01, t_end=0.1, stride=0)
         with pytest.raises(ValueError):
             simulate(sysm, zero, zero, dt=-0.01, t_end=0.1)
+
+
+def three_product(A, Z):
+    """0.5 z^T A z for every row z of Z, from its own product A @ Z.T (the
+    ledger's form before it shared one product between two energies)."""
+    terms = A @ Z.T
+    terms *= Z.T
+    if len(Z) == 1 and len(terms):
+        return 0.5 * np.cumsum(terms[:, 0])[-1:]
+    return 0.5 * np.add.reduce(terms, axis=0)
+
+
+def three_product_energies(A, Z, scratch, part=None):
+    """solvers._row_energies from three products per block: the magnetic
+    part through Mqq = M[q][:, q] and the charge columns of Z."""
+    return three_product(A, Z), None if part is None else three_product(
+        A[part][:, part], Z[:, part])
 
 
 def shipped_spec(path):
@@ -959,6 +1110,16 @@ def selections(system, rng):
     return out
 
 
+def scattered_rows(n, pairs, blocks, cols, Z):
+    """A system's whole rows from the stacked moving rows Z as simulate
+    formed them before it gathered from wide rows: exact zeros, the moving
+    columns scattered in, then _paired (pairs None: no map)."""
+    X = np.zeros((len(Z), n))
+    for blk, c in zip(blocks, cols):
+        X[:, blk.dofs] = Z[:, c]
+    return X if pairs is None else solvers._paired(X, pairs)
+
+
 def assert_same_bits(got, want, what):
     want = np.ascontiguousarray(want)
     assert got.shape == want.shape, what
@@ -1009,6 +1170,39 @@ class TestObservedColumns:
         simulate(sysm, x0, v0, 1e-3, 0.05, stride=3, velocities=False,
                  observe=lambda rows, X, V: alone.append(X.copy()), observed=dofs)
         assert_same_bits(np.concatenate(alone), whole.X[:, dofs], "alone")
+
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("drive", list(DRIVES))
+    @pytest.mark.parametrize("variant,regime", ALL_COMBOS)
+    def test_wide_rows_gather_as_the_scatter_and_pair_map(self, rng, variant, regime, drive, m):
+        # One gather from the wide rows, after the pair map's values are
+        # written into them, is bitwise (signed zeros included) the rows the
+        # observer read before: exact zeros with the moving columns
+        # scattered in, _paired over the pairs the selection needs, then
+        # the selection.  Blocks in a band-like numbering, blocks at rest,
+        # pairs, picks, one slot of a pair and repeats are all covered.
+        pair, single, moving = DRIVES[drive]
+        sysm = build_system(make_spec(variant, regime,
+                                      voltage=pair if variant.is_patch else single), 4)
+        x0 = 1e-3 * rng.standard_normal(sysm.n_dofs) if moving else np.zeros(sysm.n_dofs)
+        t_mid = 1e-3 * (np.arange(3) + 0.5)
+        volts = np.column_stack([sig(t_mid) for sig in sysm.vspec.voltages])
+        blocks, pairs = solvers._split(sysm, x0, x0, volts)
+        blocks = [blk.renumbered(rng.permutation(len(blk.dofs))) for blk in blocks]
+        ends = np.cumsum([len(blk.dofs) for blk in blocks], dtype=int)
+        cols = [slice(e - len(blk.dofs), e) for blk, e in zip(blocks, ends)]
+        n = int(ends[-1]) if len(blocks) else 0
+        Z = rng.standard_normal((m, n))
+        Z[:, ::3] = -0.0
+        for name, dofs in selections(sysm, rng).items():
+            want = scattered_rows(sysm.n_dofs, pairs, blocks, cols, Z)[:, dofs]
+            plan = solvers._plan(sysm.n_dofs, pairs, blocks, cols, dofs, n, n + 1)
+            W = np.full((m, n + 1 + 2 * len(plan[0])), np.nan)
+            W[:, :n], W[:, n] = Z, 0.0
+            out = np.full(m * (len(dofs) + 2 * len(plan[0])), np.nan)
+            (got,) = solvers._observed([plan], W, out)
+            assert got.size == 0 or np.shares_memory(got, out)
+            assert_same_bits(got, want, name)
 
     def test_observed_must_index_the_system(self):
         sysm = build_system(make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC), 4)
