@@ -6,10 +6,10 @@ functionals defined in forms.py, evaluated with the same quadrature rules, so
 round-off.  B collects the gradient of the voltage work, one column per
 voltage signal.
 
-M and K are scipy.sparse CSR arrays.  Element contributions are collected as
-(row, col, value) triplets in a fixed element order and duplicates are summed
-sequentially in that order, so every entry is bit-identical run to run
-regardless of thread environment (and to a dense np.add.at accumulation).
+M and K are scipy.sparse CSR arrays, summed straight into the slots of a
+pattern known from the element chain, in a fixed element order and with
+nothing sorted, so every entry is bit-identical run to run regardless of
+thread environment (and to a dense np.add.at accumulation).
 """
 
 from __future__ import annotations
@@ -75,6 +75,16 @@ class SemiDiscreteSystem:
         the given motion classes (see layout.FIELD_CLASS)."""
         return self.current_dofs(self.layout.class_dofs(*kinds))
 
+    def band_order(self, dofs=slice(None)) -> np.ndarray:
+        """The band numbering of the submatrix on dofs (ascending current
+        dofs, default all): indices into dofs by node position, then dof.
+        Without charge pairs (the single beam) the mirror negates bending
+        alone, nothing couples it to the rest, and it comes after the rest."""
+        pos = np.concatenate([self.layout.node_positions(f) for f in self.layout.fields])
+        late = np.zeros(self.n_dofs, dtype=bool)
+        late[self.class_dofs("bending")] = "qT" not in self.layout.fields
+        return np.lexsort((pos[self.free_dofs][dofs], late[dofs]))
+
     def null_space(self) -> np.ndarray:
         """K's known kernel (n_dofs, k): the rigid motions v = 1, w = 1 and
         w = x (with psi = -1 under Mindlin-Timoshenko, whose shear is
@@ -93,28 +103,12 @@ class SemiDiscreteSystem:
         return Z[self.free_dofs][:, kept]
 
 
-def _summed_csr(rows, cols, vals, n: int) -> scipy.sparse.csr_array:
-    """CSR array of the triplets, duplicates summed in triplet order from 0.0.
-
-    One stable sort finds the distinct keys: a key is new where it differs
-    from its sorted predecessor, and a running count of the new ones numbers
-    every triplet's key.
-    """
-    flat = rows * n + cols
-    order = np.argsort(flat, kind="stable")
-    first = np.ones(len(flat), dtype=bool)
-    first[1:] = flat[order[1:]] != flat[order[:-1]]
-    keys = flat[order[first]]
-    inverse = np.empty(len(flat), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    data = np.bincount(inverse, weights=vals, minlength=len(keys))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    return scipy.sparse.csr_array((data, keys % n, indptr), shape=(n, n))
-
-
-def _assemble_terms(layout: DofLayout, terms, n: int) -> scipy.sparse.csr_array:
-    rows, cols, vals = [], [], []
+def _element_blocks(layout: DofLayout, terms):
+    """Every element block of the terms, in the order assembly sums them:
+    per term and channel pair (i, j), j >= i, the blocks at (i, j) and,
+    when i != j, their transposes at (j, i).  Yields (rows, cols, field,
+    block): the row and column fields' dofs on the term's elements, shapes
+    (n_e, a) and (n_e, b), the column field and the blocks (n_e, a, b)."""
     for term in terms:
         elems, _ = layout.mesh.region(term.region)
         if len(elems) == 0:
@@ -123,12 +117,8 @@ def _assemble_terms(layout: DofLayout, terms, n: int) -> scipy.sparse.csr_array:
         # compute one per distinct length and gather them by element.
         lengths, inv = np.unique(layout.mesh.lengths[elems], return_inverse=True)
         xi, wq = GAUSS_REDUCED if term.reduced_quad else GAUSS_FULL
-        tables = []
-        dof_tabs = []
-        for fname, deriv in term.channels:
-            fd = layout.fields[fname]
-            dof_tabs.append(layout.element_dofs(fname, elems))
-            tables.append(shape_table(fd.basis, deriv, xi, lengths))
+        tables = [shape_table(layout.fields[f].basis, d, xi, lengths) for f, d in term.channels]
+        dof_tabs = [layout.element_dofs(f, elems) for f, _ in term.channels]
         k = len(term.channels)
         for i in range(k):
             for j in range(i, k):
@@ -144,17 +134,40 @@ def _assemble_terms(layout: DofLayout, terms, n: int) -> scipy.sparse.csr_array:
                     # averaging restores bitwise-symmetric element blocks
                     block = 0.5 * (block + np.swapaxes(block, 1, 2))
                 block = block[inv]
-                pairs = [(dof_tabs[i], dof_tabs[j], block)]
+                yield dof_tabs[i], dof_tabs[j], term.channels[j][0], block
                 if i != j:
-                    pairs.append((dof_tabs[j], dof_tabs[i], np.swapaxes(block, 1, 2)))
-                for r, cidx, blk in pairs:
-                    r, cidx = np.broadcast_arrays(r[:, :, None], cidx[:, None, :])
-                    rows.append(r.ravel())
-                    cols.append(cidx.ravel())
-                    vals.append(blk.ravel())
-    return _summed_csr(np.concatenate(rows).astype(np.int64),
-                       np.concatenate(cols).astype(np.int64),
-                       np.concatenate(vals), n)
+                    yield dof_tabs[j], dof_tabs[i], term.channels[i][0], np.swapaxes(block, 1, 2)
+
+
+def _assemble_terms(layout: DofLayout, terms, n: int) -> scipy.sparse.csr_array:
+    """The CSR matrix of the terms, each entry summed from 0.0 in the order
+    _element_blocks yields its contributions.  On a 1D element chain a row's
+    columns in one field form one range, so the pattern is known from each
+    row's first and last column per field, and entry (r, c) of field f sits
+    at slot base[f][r] + c: one bincount over every block's slots sums the
+    entries in that order, and nothing is sorted."""
+    blocks = list(_element_blocks(layout, terms))
+    fields = list(layout.fields)
+    lo, hi = np.full((len(fields), n), n), np.full((len(fields), n), -1)
+    for rows, cols, name in {(id(r), id(c)): (r, c, f) for r, c, f, _ in blocks}.values():
+        # Local dof k of element e is rows[0, 0] + d with d = s e + k: row d
+        # lies on elements ceil((d - a + 1) / s) to d // s, its column range.
+        a, s = rows.shape[1], rows[1, 0] - rows[0, 0] if len(rows) > 1 else 1
+        d, f = np.arange(rows[-1, -1] - rows[0, 0] + 1), fields.index(name)
+        span = slice(rows[0, 0], rows[-1, -1] + 1)
+        lo[f, span] = np.minimum(lo[f, span], cols[np.maximum(0, (d - a + s) // s), 0])
+        hi[f, span] = np.maximum(hi[f, span], cols[np.minimum(len(rows) - 1, d // s), -1])
+    width = np.maximum(hi - lo + 1, 0).T.ravel()  # row-major over (row, field)
+    end = np.cumsum(width)
+    start = end - width - lo.T.ravel()  # slot of column 0 of each row's field
+    base = start.reshape(n, len(fields)).T
+    slots = [(base[fields.index(f)][r][:, :, None] + c[:, None, :]).ravel()
+             for r, c, f, _ in blocks]
+    data = np.bincount(np.concatenate(slots), np.concatenate([b.ravel() for *_, b in blocks]),
+                       end[-1])
+    return scipy.sparse.csr_array((data, np.arange(end[-1]) - np.repeat(start, width),
+                                   np.append(0, end[len(fields) - 1::len(fields)])),
+                                  shape=(n, n))
 
 
 def _assemble_loads(layout: DofLayout, loads, n: int, n_sig: int) -> np.ndarray:
@@ -267,7 +280,7 @@ def reduce_electrostatic(system: SemiDiscreteSystem) -> SemiDiscreteSystem:
     K_qq = system.K[charge][:, charge]
     B_q = system.B[charge]
     try:
-        op = FactorizedOperator.build(K_qq)
+        op = FactorizedOperator.build(K_qq, system.band_order(charge))
     except NotPositiveDefinite as exc:
         raise SingularElectricBlock(
             "charge-charge stiffness block is singular after grounding"

@@ -137,7 +137,7 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
 def cmd_modes(config: RunConfig, out: str, svg: bool, n_modes: int) -> int:
     vspec = config.validated()
     system = build_system(vspec, config.n_elements)
-    ms = eigenmodes(system.M, system.K, n_modes, system.null_space())
+    ms = eigenmodes(system.M, system.K, n_modes, system.null_space(), system.band_order())
     k = len(ms.omegas)
 
     fractions = mode_energy_fractions(system, ms.shapes)

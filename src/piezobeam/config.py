@@ -228,11 +228,16 @@ def parse_config(text: str) -> RunConfig:
         probe=_typed(entries, "solver", "probe", _real),
     )
     min_elements = 4 if variant.is_patch else 2
+    # A set dt must divide t_end: a run takes round(t_end / dt) steps.
+    steps = config.t_end / config.dt if (config.dt or 0.0) > 0.0 and config.t_end > 0.0 else 0.0
     checks = (
         ("elements", config.n_elements >= min_elements, f">= {min_elements} for {variant.value}"),
         ("stride", config.stride >= 1, ">= 1"),
         ("t_end", config.t_end > 0.0, "> 0"),
         ("dt", config.dt is None or config.dt > 0.0, "> 0"),
+        ("t_end" if "t_end" in entries.get("solver", {}) else "dt",
+         min(steps % 1.0, 1.0 - steps % 1.0) <= 1e-9 * steps,
+         f"such that t_end / dt = {steps:.12g} is a whole number"),
     )
     # Every default passes, so a failing value was read from [solver].
     issues = [(entries["solver"][key][0], f"{key} must be {need}, got {entries['solver'][key][1]}")

@@ -334,11 +334,11 @@ def static_solution(system: SemiDiscreteSystem, volts) -> np.ndarray:
     rhs = system.B @ volts
     full = system.vspec.regime == Regime.FULL_MAGNETIC and not system.charge_reduced
     if not full:
-        return solve_spd(system.K, rhs)
+        return solve_spd(system.K, rhs, system.band_order())
     mech, charge = _grounded_charge_split(system)
     keep = np.sort(np.concatenate([mech, charge]))
     x = np.zeros(system.n_dofs)
-    x[keep] = solve_spd(system.K[keep][:, keep], rhs[keep])
+    x[keep] = solve_spd(system.K[keep][:, keep], rhs[keep], system.band_order(keep))
     return x
 
 
@@ -457,7 +457,7 @@ def mode_frequency(vspec: ValidatedModelSpec, n_elements: int, kind: str,
     system = build_system(vspec, n_elements)
     null, n_modes = system.null_space(), 16 * number
     while True:
-        ms = eigenmodes(system.M, system.K, n_modes, null)
+        ms = eigenmodes(system.M, system.K, n_modes, null, system.band_order())
         fractions = mode_energy_fractions(system, ms.shapes[:, ms.n_zero:])
         hits = [w for w, fr in zip(ms.omegas[ms.n_zero:], fractions) if classify_mode(fr) == kind]
         if len(hits) >= number:

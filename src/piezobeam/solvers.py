@@ -18,10 +18,10 @@ every quadratic invariant of the flow; with forcing, the discrete energy
 increment per step equals the midpoint work dt * vbar^T B V(t_mid) exactly
 (in exact arithmetic), which is what the power-balance diagnostics check.
 
-M and K are sparse: 1D elements couple only neighbouring nodes, so after a
-reverse Cuthill-McKee ordering the step matrix is banded (half-bandwidth 3
-on the single beam, 12 on the patch model), and one banded Cholesky
-factorization serves every solve.
+M and K are sparse: 1D elements couple only neighbouring nodes, so with the
+dofs ordered by node position the step matrix is banded (half-bandwidth 3
+on the single beam, 11 on the patch model, 4 and 6 on the patch's mirror
+halves), and one banded Cholesky factorization serves every solve.
 
 simulate steps only what moves: the even and odd halves of each system's
 top/bottom mirror (Healey & Treacy 1991), {v, q} and {w} (or {w, psi}) on
@@ -33,15 +33,14 @@ memory grows with the dofs and the recorded rows, not with their product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs, csr_row_index
 
 from .errors import (
     ConvergenceFailure,
@@ -64,33 +63,36 @@ if TYPE_CHECKING:
 CHUNK_ENTRIES = 1 << 16
 
 
-def _gathered(A, idx: np.ndarray) -> scipy.sparse.csr_array:
-    """A[idx][:, idx] of a CSR matrix A with distinct idx, column indices
-    sorted: row i is row idx[i], column j is column idx[j].  One pass, where
-    scipy's fancy indexing takes two; on a canonical A with idx ascending it
-    equals that slice bitwise."""
-    new = np.full(A.shape[0], -1)
-    new[idx] = np.arange(len(idx))
-    start, counts = A.indptr[idx], np.diff(A.indptr)[idx]
-    row = np.repeat(np.arange(len(idx)), counts)
-    pos = np.arange(len(row)) + np.repeat(start - (np.cumsum(counts) - counts), counts)
-    col = new[A.indices[pos]]
+def _gathered(A, rows: np.ndarray, cols: np.ndarray, row_scale, col_scale):
+    """The CSR matrix G, len(rows) square, whose row i holds each stored
+    entry A[rows[i], c] times row_scale[i] col_scale[c] in column cols[c]
+    (left out where cols[c] < 0), entries that meet in a column summed and
+    column indices sorted.  One pass over the rows of A it reads."""
+    counts = np.diff(A.indptr)[rows]
+    indptr = np.append(0, np.cumsum(counts))
+    src, vals = np.empty(indptr[-1], dtype=A.indices.dtype), np.empty(indptr[-1])
+    csr_row_index(len(rows), np.asarray(rows, dtype=A.indices.dtype), A.indptr, A.indices,
+                  A.data, src, vals)
+    vals *= col_scale[src]
+    vals *= np.repeat(row_scale, counts)
+    col = cols[src]
     keep = col >= 0
-    indptr = np.zeros(len(idx) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row[keep], minlength=len(idx)), out=indptr[1:])
-    out = scipy.sparse.csr_array((A.data[pos[keep]], col[keep], indptr),
-                                 shape=(len(idx), len(idx)))
-    out.sort_indices()
-    return out
+    if not keep.all():
+        indptr = np.append(0, np.cumsum(keep))[indptr]
+        vals, col = vals[keep], col[keep]
+    G = scipy.sparse.csr_array((vals, col, indptr), shape=(len(rows),) * 2)
+    G.sum_duplicates()
+    return G
 
 
 @dataclass
 class FactorizedOperator:
     """Banded Cholesky factorization of a sparse SPD matrix A.
 
-    perm is a reverse Cuthill-McKee ordering of A's sparsity graph and L the
+    order is the band numbering its builder gives (SemiDiscreteSystem's
+    band_order, node order; the blocks simulate steps come in it) and L the
     lower banded factor (LAPACK storage, shape (p+1, n), p the half-bandwidth)
-    of A[perm][:, perm].  U = L^T in upper band storage is formed once, on
+    of A[order][:, order].  U = L^T in upper band storage is formed once, on
     construction, so that both triangular solves run forward.  L and U are
     Fortran ordered: BLAS would copy anything else on every solve.  Exact
     zeros of A between decoupled blocks stay exact zeros in L, so a block
@@ -98,7 +100,7 @@ class FactorizedOperator:
     """
 
     L: np.ndarray
-    perm: np.ndarray
+    order: np.ndarray
     U: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -108,14 +110,14 @@ class FactorizedOperator:
             self.U[p - d, d:] = self.L[d, :n - d]
 
     @classmethod
-    def build(cls, A) -> "FactorizedOperator":
+    def build(cls, A, order=None) -> "FactorizedOperator":
         A = scipy.sparse.csr_array(A)
-        perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+        order = np.arange(A.shape[0]) if order is None else np.asarray(order)
         entries = A.tocoo()
-        at = np.empty(A.shape[0], dtype=np.int64)  # each dof's place in perm
-        at[perm] = np.arange(A.shape[0])
+        at = np.empty(A.shape[0], dtype=np.int64)  # each dof's place in order
+        at[order] = np.arange(A.shape[0])
         row, col = at[entries.row], at[entries.col]
-        lower = row >= col  # the lower triangle of A[perm][:, perm]
+        lower = row >= col  # the lower triangle of A[order][:, order]
         offset, col = row[lower] - col[lower], col[lower]
         ab = np.zeros((int(offset.max(initial=0)) + 1, A.shape[0]))
         ab[offset, col] = entries.data[lower]
@@ -125,7 +127,7 @@ class FactorizedOperator:
             raise NotPositiveDefinite("Cholesky factorization failed") from exc
         if not np.all(np.isfinite(L[0])):
             raise NotPositiveDefinite("Cholesky factorization produced a non-finite pivot")
-        return cls(L=L, perm=perm)
+        return cls(L=L, order=order)
 
     @classmethod
     def stack(cls, ops) -> "FactorizedOperator":
@@ -139,7 +141,7 @@ class FactorizedOperator:
         L = np.zeros((max(op.L.shape[0] for op in ops), sum(sizes)), order="F")
         for op, a in zip(ops, offsets):
             L[:op.L.shape[0], a:a + op.L.shape[1]] = op.L
-        return cls(L=L, perm=np.concatenate([op.perm + a for op, a in zip(ops, offsets)]))
+        return cls(L=L, order=np.concatenate([op.order + a for op, a in zip(ops, offsets)]))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^-1 b for one right-hand side (n,) or several (n, k), solved one
@@ -147,15 +149,16 @@ class FactorizedOperator:
         b = np.asarray(b, dtype=float)
         x = np.empty(b.shape)
         if b.ndim == 1:
-            x[self.perm] = cholesky_solve(self.L, self.U, b[self.perm])
+            x[self.order] = cholesky_solve(self.L, self.U, b[self.order])
         else:
             for j in range(b.shape[1]):
-                x[self.perm, j] = cholesky_solve(self.L, self.U, b[self.perm, j])
+                x[self.order, j] = cholesky_solve(self.L, self.U, b[self.order, j])
         return x
 
 
-def solve_spd(A, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A (sparse or dense).
+def solve_spd(A, b: np.ndarray, order=None) -> np.ndarray:
+    """Solve A x = b for symmetric positive definite A (sparse or dense),
+    factored in the band numbering order (see FactorizedOperator.build).
 
     One step of iterative refinement with the residual in extended precision
     follows the banded solve: the band ordering interleaves strongly coupled
@@ -164,7 +167,7 @@ def solve_spd(A, b: np.ndarray) -> np.ndarray:
     Raises NotPositiveDefinite when the factorization fails or the relative
     residual exceeds 1e-10.
     """
-    op = FactorizedOperator.build(A)
+    op = FactorizedOperator.build(A, order)
     b = np.asarray(b, dtype=float)
     x = op.solve(b)
     x = x + op.solve((b - scipy.sparse.csr_array(A).astype(np.longdouble) @ x).astype(float))
@@ -189,9 +192,10 @@ class ModeSet:
     n_zero: int
 
 
-def eigenmodes(M, K, n_modes: int, null: np.ndarray) -> ModeSet:
+def eigenmodes(M, K, n_modes: int, null: np.ndarray, order=None) -> ModeSet:
     """Lowest n_modes of the pencil (K, M), M and K sparse symmetric, and
-    null (n, n_zero) a basis of K's kernel (SemiDiscreteSystem.null_space).
+    null (n, n_zero) a basis of K's kernel (SemiDiscreteSystem.null_space),
+    factored in the band numbering order (see FactorizedOperator).
 
     The first n_zero modes are null M-orthonormalised, at omega = 0.0.  The
     rest, at most n - n_zero - 1, come from one shift-invert Lanczos solve
@@ -222,7 +226,7 @@ def eigenmodes(M, K, n_modes: int, null: np.ndarray) -> ModeSet:
         return y
 
     sigma = -1e-6 * float(K.diagonal().mean()) / float(M.diagonal().mean())
-    op = FactorizedOperator.build(K - sigma * M)
+    op = FactorizedOperator.build(K - sigma * M, order)
     # ARPACK calls both operators once per Lanczos step: M calls the CSR
     # kernel directly, bitwise M @ x without scipy's sparse dispatch.
     Mc = scipy.sparse.csr_array(M, dtype=float)
@@ -248,10 +252,11 @@ def eigenmodes(M, K, n_modes: int, null: np.ndarray) -> ModeSet:
 
 
 def step_operator(system: SemiDiscreteSystem, dt: float) -> FactorizedOperator:
-    """Factorization of the midpoint step matrix M + (dt^2/4) K, the one
-    place the step matrix is formed."""
+    """Factorization of the midpoint step matrix M + (dt^2/4) K in the
+    system's band_order, the one place the step matrix is formed."""
     try:
-        return FactorizedOperator.build(system.M + (dt * dt / 4.0) * system.K)
+        return FactorizedOperator.build(system.M + (dt * dt / 4.0) * system.K,
+                                        system.band_order())
     except NotPositiveDefinite as exc:
         raise SingularStepMatrix(
             f"step matrix not positive definite for dt={dt}"
@@ -340,12 +345,10 @@ def mirror_map(system: SemiDiscreteSystem):
 
 def mirror_gap(A, perm: np.ndarray, sign: np.ndarray) -> float:
     """Largest entry of |D A[perm][:, perm] D - A|, D = diag(sign); exact."""
-    mirrored = A[perm][:, perm].tocoo()
-    mirrored.data *= sign[mirrored.row] * sign[mirrored.col]
-    mirrored = mirrored.tocsr()
-    if (mirrored != A).nnz == 0:
-        return 0.0
-    return float(abs(mirrored - A).max())
+    mirrored = _gathered(A, perm, perm, sign, sign[perm])  # perm is its own inverse
+    same = all(np.array_equal(getattr(mirrored, k), getattr(A, k))
+               for k in ("indptr", "indices", "data"))
+    return 0.0 if same else float(abs(mirrored - A).max())
 
 
 def _paired(X: np.ndarray, pairs) -> np.ndarray:
@@ -370,18 +373,9 @@ def _parity(system: SemiDiscreteSystem, n_in: int):
     return pairs, drives, odd, odd_in
 
 
-def _pair_map(n: int, pairs) -> scipy.sparse.csr_array:
-    """T of _paired on n dofs as a sparse matrix, built from the pairs."""
-    rows = np.concatenate([np.arange(n), *pairs])
-    cols = np.concatenate([np.arange(n), pairs[1], pairs[0]])
-    vals = np.ones(len(rows))
-    vals[pairs[1]] = -1.0  # T's diagonal on the hi slots
-    return scipy.sparse.csr_array((vals, (rows, cols)), shape=(n, n))
-
-
 @dataclass
 class _Block:
-    """One moving block of a system's step (see _split)."""
+    """One moving block of a system's step (see _split), in band order."""
 
     dofs: np.ndarray
     M: object
@@ -392,14 +386,8 @@ class _Block:
     x0: np.ndarray
     v0: np.ndarray
 
-    def renumbered(self, perm: np.ndarray) -> "_Block":
-        """The block in the numbering perm: its dof i is this block's dof
-        perm[i].  M and K come out with their column indices sorted, so a
-        row sums in the same order whether the block is swept alone or
-        stacked."""
-        return replace(self, dofs=self.dofs[perm], M=_gathered(self.M, perm),
-                       K=_gathered(self.K, perm), B=self.B[perm], charge=self.charge[perm],
-                       x0=self.x0[perm], v0=self.v0[perm])
+    def band_order(self):
+        return None  # M and K come in band order (see step_operator)
 
 
 def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray, adapted=None):
@@ -408,13 +396,13 @@ def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray, adapted=No
     The blocks are the even and odd halves of the top/bottom mirror (see
     _parity), in mirror-adapted coordinates: x_lo = e + o and x_hi = e - o
     for each swapped pair, e the half sum and o the half difference, and
-    the drives likewise.  M and K change coordinates as T (A T), columns
-    first.  With A mirror symmetric, an entry coupling the halves is then a
-    sum of two exact negatives, so exactly 0.0, and each entry of a half is
-    bitwise its block form (A_TT + A_BB) +- (A_TB + A_BT).  When an entry
-    coupling the halves in M, K or the adapted B is not exactly 0.0, the
-    system keeps its own coordinates and steps as one block.  pairs maps
-    the recorded rows back (_paired), or is None when they need no map.
+    the drives likewise.  There M and K are T (A T), never formed: for an
+    exactly mirror-symmetric A (mirror_gap) nothing couples the halves, and
+    with m, b the unpaired even and odd dofs and l, h the slots of a pair
+    the even half is A_mm', 2 A_ml', 2 A_lm', 2 (A_ll' + A_lh') and the odd
+    A_bb', 2 A_bl', 2 A_lb', 2 (A_ll' - A_lh'), gathered in band order.
+    Else, or when the adapted B couples the halves, the system steps whole
+    in its own coordinates.  pairs maps the rows back (_paired), or is None.
 
     A block at rest, with zero initial state and a load that vanishes at
     every step (the odd half under equal voltages), is left out: its rows
@@ -423,48 +411,50 @@ def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray, adapted=No
     that could leave round-off.  Each _Block holds its dofs in the system's
     coordinates, its own M and K, the input columns B that reach it with
     their drive samples at every step midpoint (its load is drive @ B.T),
-    a mask of its charge dofs and its initial state x0, v0.
-
-    adapted, a dict, keeps each operator's T (A T), and whether it couples
-    the halves, by the operator's id, for the systems of one simulate call
-    that share it (an operator is in its own system's dof numbering, so
-    sharing it means sharing that numbering).
+    a mask of its charge dofs and its initial state x0, v0.  adapted, a
+    dict, keeps by operator id whether it is mirror symmetric and the blocks
+    gathered from it, for the systems of one simulate call that share it
+    (and so share its dof numbering).
     """
     n = system.n_dofs
+    perm, sign = mirror_map(system)
     pairs, drives, odd, odd_in = _parity(system, volts.shape[1])
     B = _paired(system.B.copy(), drives)  # its columns paired first, then its rows
     _paired(B.T, pairs)
     drive = _paired(volts.copy(), drives)
     drive[:, np.concatenate(drives)] *= 0.5
-    M, K, y0, ydot0 = system.M, system.K, x0, v0
     adapted = {} if adapted is None else adapted
-    new = [A for A in (M, K) if id(A) not in adapted]
-    T = _pair_map(n, pairs) if new and len(pairs[0]) else None
-    for A in new:
-        At = A if T is None else T @ (A @ T)
-        coo = At.tocoo()
-        adapted[id(A)] = At, bool(np.any(coo.data[odd[coo.row] != odd[coo.col]]))
-    (M, cross_m), (K, cross_k) = adapted[id(M)], adapted[id(K)]
-    if len(pairs[0]):
-        half = np.ones(n)
+    memos = [adapted.setdefault(id(A), {}) for A in (system.M, system.K)]
+    for A, memo in zip((system.M, system.K), memos):
+        if "symmetric" not in memo:
+            memo["symmetric"] = mirror_gap(A, perm, sign) == 0.0
+    order, half = system.band_order(), np.ones(n)
+    whole = not all(memo["symmetric"] for memo in memos) or np.any(B[odd[:, None] != odd_in])
+    if whole:
+        halves, twin, B, drive = [order], np.arange(n), system.B, volts
+    else:
+        halves, twin = [order[~odd[order]], order[odd[order]]], perm
         half[np.concatenate(pairs)] = 0.5  # T / 2 maps them in
-        y0, ydot0 = half * _paired(np.array([x0, v0]), pairs)
-    cross = np.any(B[odd[:, None] != odd_in]) or cross_m or cross_k
-    halves = [np.flatnonzero(~odd), np.flatnonzero(odd)]
-    if cross:
-        halves = [np.arange(n)]
-        M, K, B, drive, y0, ydot0 = system.M, system.K, system.B, volts, x0, v0
+        x0, v0 = half * _paired(np.array([x0, v0]), pairs)
     charge = np.zeros(n, dtype=bool)
     charge[system.class_dofs("charge")] = True
     blocks = []
-    for dofs in halves:
+    for k, dofs in enumerate(halves):
         cols = np.flatnonzero(np.any(B[dofs] != 0.0, axis=0))
-        if not (np.any(y0[dofs]) or np.any(ydot0[dofs]) or np.any(drive[:, cols])):
+        if not (np.any(x0[dofs]) or np.any(v0[dofs]) or np.any(drive[:, cols])):
             continue
-        Mb, Kb = (M, K) if len(dofs) == n else (_gathered(M, dofs), _gathered(K, dofs))
-        blocks.append(_Block(dofs=dofs, M=Mb, K=Kb, B=B[dofs][:, cols], drive=drive[:, cols],
-                             charge=charge[dofs], x0=y0[dofs], v0=ydot0[dofs]))
-    return blocks, None if cross or not len(pairs[0]) else pairs
+        # A pair's columns meet in its slot of the half, the hi one counted
+        # negative in the odd half; the row of a slot counts twice.
+        at, col_sign = np.full(n, -1), np.ones(n)
+        at[twin[dofs]] = at[dofs] = np.arange(len(dofs))
+        col_sign[pairs[1]] = -1.0 if k else 1.0
+        for A, memo in zip((system.M, system.K), memos):
+            if (whole, k) not in memo:
+                memo[whole, k] = _gathered(A, dofs, at, col_sign[dofs] / half[dofs], col_sign)
+        blocks.append(_Block(dofs=dofs, M=memos[0][whole, k], K=memos[1][whole, k],
+                             B=B[dofs][:, cols], drive=drive[:, cols],
+                             charge=charge[dofs], x0=x0[dofs], v0=v0[dofs]))
+    return blocks, None if whole or not len(pairs[0]) else pairs
 
 
 def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
@@ -495,20 +485,20 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     system is bitwise its own run.
 
     The only caller of the sweep; it factors every moving block's step
-    matrix once per call and renumbers the block (M, K, the rows of B and
-    the initial state) into the band numbering of its factor, where the
-    sweep runs.  It feeds the sweep CHUNK_ENTRIES // n steps at a time (n
-    the dofs that move), each call continuing from the state (x, v and the
-    momenta a, b) the last one returned, and per chunk and block forms the
-    load, the work integral (at every step, with the stepper's midpoint
-    quadrature, so the energy-balance residual stays at round-off level for
-    any stride) and the ledger of the recorded rows; a system's ledger is
-    the sum of its blocks'.  Only the observed columns of the chunk's rows
-    are mapped back to the system's coordinates (see _plan), and only for
-    an observer.  The chunk arrays (load, midpoint velocities, recorded
-    rows, the ledger's products, the observed rows) are allocated once per
-    call, sized by what a chunk uses, and reused for every chunk; operators
-    that systems share are mirror-adapted once (see _split).
+    matrix once per call, in the band order the block comes in, where the
+    sweep runs.  It feeds the sweep CHUNK_ENTRIES // n steps at a time (n the
+    dofs that move, or every dof when none moves), each call continuing from
+    the state (x, v and the momenta a, b) the last one returned, and per
+    chunk and block forms the load, the work integral (at every step, with
+    the stepper's midpoint quadrature, so the energy-balance residual stays
+    at round-off level for any stride) and the ledger of the recorded rows;
+    a system's ledger is the sum of its blocks'.  Only the observed columns
+    of the chunk's rows are mapped back to the system's coordinates (see
+    _plan), and only for an observer.  The chunk arrays (load, midpoint
+    velocities, recorded rows, the ledger's products, the observed rows) are
+    allocated once per call, sized by what a chunk uses, and reused for
+    every chunk; operators that systems share are checked and split once
+    (see _split).
 
     Raises NonFiniteState, naming the system and the steps, after the first
     chunk that leaves a non-finite state, before its rows are observed
@@ -555,19 +545,8 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
         parts.append((traj, s.n_dofs, pairs, range(len(moving), len(moving) + len(blocks)),
                       dofs, where))
         moving += blocks
-    if moving:
-        with np.errstate(over="ignore", invalid="ignore"):
-            _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe)
-    elif observe is not None:  # nothing moves: every row is exact zeros
-        plans = [_plan(n, None, [], [], dofs, 0, 1) for _, n, _, _, dofs, _ in parts]
-        step = max(1, CHUNK_ENTRIES // sum(s.n_dofs for s in systems))
-        seen = sum(len(dofs) for _, _, _, _, dofs, _ in parts)
-        for a in range(0, n_rec, step):
-            rows = slice(a, min(a + step, n_rec))
-            zeros = np.zeros((rows.stop - a, 1))
-            observe(rows, _observed(plans, zeros, np.empty(len(zeros) * seen)),
-                    _observed(plans, zeros, np.empty(len(zeros) * seen)) if velocities
-                    else None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe)
 
     for traj, where in zip(trajs, names):
         resid, scale = traj.balance
@@ -581,7 +560,7 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
 def _plan(n: int, pairs, blocks, cols, dofs: np.ndarray, zero: int, at: int):
     """How _observed forms columns dofs of a system's rows from the wide
     rows W of a chunk (see _sweep_blocks), blocks the system's moving blocks
-    (renumbered) and cols their columns of W: (lo, hi, at, idx).
+    and cols their columns of W: (lo, hi, at, idx).
 
     A dof's value is its column of W, or column `zero` (an exact zero) when
     its block is at rest.  With pairs (None when the rows need no map),
@@ -640,16 +619,15 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
     the midpoint velocities, so they reuse the two flat arrays those live
     in, lead and pool, the second made as large as they need.
     """
-    ops = [step_operator(blk, dt) for blk in moving]
-    op = FactorizedOperator.stack(ops)
-    moving = [blk.renumbered(o.perm) for blk, o in zip(moving, ops)]
     charges = [np.flatnonzero(blk.charge) for blk in moving]
-    M, K = moving[0].M, moving[0].K  # one block needs no block_diag copy
+    if moving:
+        op = FactorizedOperator.stack([step_operator(blk, dt) for blk in moving])
+        M, K = moving[0].M, moving[0].K  # one block needs no block_diag copy
     if len(moving) > 1:
         M = scipy.sparse.block_diag([blk.M for blk in moving], format="csr")
         K = scipy.sparse.block_diag([blk.K for blk in moving], format="csr")
-    n = M.shape[0]
-    ends = np.cumsum([len(blk.dofs) for blk in moving])
+    ends = np.cumsum([0] + [len(blk.dofs) for blk in moving])[1:]
+    n = int(ends[-1]) if moving else 0
     cols = [slice(e - len(blk.dofs), e) for blk, e in zip(moving, ends)]
     plans, width = [], n + 1
     for _, n_dofs, pairs, own, dofs, _ in parts:
@@ -658,7 +636,7 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
         width += 2 * len(plans[-1][0])
 
     # Sizes: a chunk's steps, and the most rows a chunk records (row 0 alone).
-    chunk = max(1, CHUNK_ENTRIES // n)
+    chunk = max(1, CHUNK_ENTRIES // (n or sum(n_dofs for _, n_dofs, *_ in parts)))
     steps = min(chunk, n_steps)
     bounds = np.append(np.arange(0, n_steps, chunk), n_steps)
     most = int(np.diff(np.searchsorted(rec_steps, bounds, side="right")).max(initial=1))
@@ -673,8 +651,8 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
     X, V = np.empty((most, width)), np.empty((most, width if velocities else n))
     X[:, n:] = V[:, n:] = 0.0  # column n stays an exact zero
 
-    x = np.concatenate([blk.x0 for blk in moving])
-    v = np.concatenate([blk.v0 for blk in moving])
+    x = np.concatenate([np.zeros(0)] + [blk.x0 for blk in moving])
+    v = np.concatenate([np.zeros(0)] + [blk.v0 for blk in moving])
     ab = None  # the sweep forms the momenta from x and v on its first call
     total = np.zeros(len(moving))  # every block's work up to step a
     # Row 0 is the initial state; each later pass records one chunk's rows.
@@ -698,17 +676,20 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
             break
         m = min(chunk, n_steps - a)
         for blk, c in zip(moving, cols):
-            np.matmul(blk.drive[a:a + m], blk.B.T, out=load[:m, c])
+            # one drive: an outer product, bitwise matmul's and faster
+            (np.multiply if blk.B.shape[1] == 1 else np.matmul)(
+                blk.drive[a:a + m], blk.B.T, out=load[:m, c])
         rec = rec_steps[done:np.searchsorted(rec_steps, a + m, side="right")] - a
-        x, v, ab, _, _, vbar = midpoint_sweep(op.L, op.U, M, K, load[:m], x, v, dt, rec, ab,
-                                              (X[:, :n], V[:, :n], vbars))
         m_rec = len(rec)
-        finite = np.isfinite(x) & np.isfinite(v) & np.isfinite(ab[0]) & np.isfinite(ab[1])
-        if not finite.all():
-            j = np.searchsorted(ends, np.argmin(finite), side="right")
-            name = next(name for _, _, _, own, _, name in parts if j in own)
-            raise NonFiniteState(
-                f"{name}state not finite after steps {a + 1}-{a + m} of {n_steps}")
+        if moving:  # else every row is exact zeros, column n
+            x, v, ab, _, _, vbar = midpoint_sweep(op.L, op.U, M, K, load[:m], x, v, dt, rec,
+                                                  ab, (X[:, :n], V[:, :n], vbars))
+            finite = np.isfinite(x) & np.isfinite(v) & np.isfinite(ab[0]) & np.isfinite(ab[1])
+            if not finite.all():
+                j = np.searchsorted(ends, np.argmin(finite), side="right")
+                name = next(name for _, _, _, own, _, name in parts if j in own)
+                raise NonFiniteState(
+                    f"{name}state not finite after steps {a + 1}-{a + m} of {n_steps}")
         # Work increments dt * vbar . load, one dot product per step and
         # block, summed in step order after the previous total.  einsum
         # sums in a fixed order; a BLAS dot would depend on the thread count.

@@ -3,6 +3,7 @@ boundary conditions and the electrostatic charge elimination."""
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from piezobeam import assembly
 from piezobeam.assembly import (
@@ -12,7 +13,7 @@ from piezobeam.assembly import (
     reduce_electrostatic,
 )
 from piezobeam.errors import MeshSpecMismatch, SingularElectricBlock
-from piezobeam.forms import work_rate
+from piezobeam.forms import build_forms, work_rate
 from piezobeam.layout import FieldState, interpolate_field
 from piezobeam.materials import (
     BeamGeometry,
@@ -21,7 +22,7 @@ from piezobeam.materials import (
     Variant,
     VoltageSignal,
 )
-from piezobeam.mesh import build_mesh
+from piezobeam.mesh import Mesh, build_mesh
 
 from modelzoo import ALL_COMBOS, UNCOUPLED, make_spec
 
@@ -301,25 +302,49 @@ def unique_summed_csr(rows, cols, vals, n):
     return keys % n, indptr, data
 
 
+def mesh_of(vspec, n):
+    """The spec's mesh at n elements, below build_mesh's minimum too: a
+    patch mesh needs its two edges as interior nodes (3 elements)."""
+    geo = vspec.geometry
+    if n >= (4 if vspec.is_patch else 2):
+        return build_mesh(geo, n, patch=vspec.is_patch)
+    if not vspec.is_patch:
+        return Mesh(nodes=np.linspace(0.0, geo.length, n + 1))
+    if n < 3:
+        pytest.skip("a patch mesh has at least 3 elements")
+    return Mesh(nodes=np.array([0.0, geo.patch_start, geo.patch_end, geo.length]),
+                patch_span=(1, 2))
+
+
+@pytest.mark.parametrize("n_elements", [1, 2, 3, 5, 32, 97, 512])
 @pytest.mark.parametrize("variant,regime", ALL_COMBOS)
 @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
-def test_summed_triplets_match_a_unique_reference(monkeypatch, variant, regime, bc):
-    # Every triplet set an assembly sums, at 32 and 512 elements, gives
-    # bitwise the CSR arrays of the np.unique form, duplicates summed in
-    # triplet order.
-    calls = []
-    summed = assembly._summed_csr
-
-    def recording(rows, cols, vals, n):
-        calls.append((rows, cols, vals, n))
-        return summed(rows, cols, vals, n)
-
-    monkeypatch.setattr(assembly, "_summed_csr", recording)
-    for n_elements in (32, 512):
-        build_system(make_spec(variant, regime, bc=bc), n_elements)
-    assert len(calls) == 4
-    for rows, cols, vals, n in calls:
-        got = summed(rows, cols, vals, n)
-        assert len(np.unique(rows * n + cols)) < len(rows)  # duplicates to sum
-        for g, w in zip((got.indices, got.indptr, got.data), unique_summed_csr(rows, cols, vals, n)):
-            assert np.array_equal(g, w)
+def test_slot_assembly_matches_a_unique_reference(variant, regime, bc, n_elements):
+    # M and K, assembled straight into their slots, are bitwise the CSR
+    # arrays of the np.unique form over the element triplets in the same
+    # order, duplicates summed in triplet order, with the boundary
+    # condition's dofs removed as apply_mechanical_bc removes them.  97
+    # elements give element lengths that are not dyadic.
+    vspec = make_spec(variant, regime, bc=bc)
+    system = assemble(vspec, mesh_of(vspec, n_elements))
+    n = system.n_dofs
+    if bc != BoundaryCondition.FREE_FREE:
+        system = apply_mechanical_bc(system, bc)
+    keep = system.free_dofs
+    forms = build_forms(vspec)
+    for terms, got in ((forms.kinetic, system.M), (forms.stored, system.K)):
+        rows, cols, vals = [], [], []
+        for r, c, _, block in assembly._element_blocks(system.layout, terms):
+            r, c = np.broadcast_arrays(r[:, :, None], c[:, None, :])
+            rows.append(r.ravel())
+            cols.append(c.ravel())
+            vals.append(block.ravel())
+        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+        if n_elements > 1:  # neighbouring elements add into shared slots
+            assert len(np.unique(rows * n + cols)) < len(rows)
+        indices, indptr, data = unique_summed_csr(rows, cols, vals, n)
+        want = scipy.sparse.csr_array((data, indices, indptr), shape=(n, n))
+        if len(keep) < n:
+            want = want[keep][:, keep]
+        for k in ("indices", "indptr", "data"):
+            assert getattr(got, k).tobytes() == getattr(want, k).tobytes(), k

@@ -31,13 +31,14 @@ SHIPPED = [os.path.join(CONFIGS, name) for name in ("single_beam.ini", "patch_bi
 
 
 def shipped_with(tmp_path, name, **solver):
-    """A shipped config with some keys rewritten, in every section that has them."""
+    """A shipped config with some keys rewritten, in every section that has
+    them, or dropped where the value is None."""
     with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     for i, line in enumerate(lines):
         key = line.partition("=")[0].strip()
         if key in solver:
-            lines[i] = f"{key} = {solver[key]}"
+            lines[i] = "" if solver[key] is None else f"{key} = {solver[key]}"
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return str(path)
@@ -171,7 +172,7 @@ step_time = 0.0259617676653577
 [solver]
 elements = 7
 dt = 0.002642802567719284
-t_end = 0.05
+t_end = 0.050213248786666394
 stride = 1
 """
 
@@ -498,9 +499,10 @@ class TestCheck:
         assert main(["check", single_cfg, "--out", str(tmp_path / "r")]) == 0
 
     @pytest.mark.parametrize("name", ["single_beam.ini", "patch_bimorph.ini"])
-    @pytest.mark.parametrize("keys", [{"kind": "zero"}, {"t_end": 0.0004}])
+    @pytest.mark.parametrize("keys", [{"kind": "zero"}, {"t_end": 0.0004, "dt": None}])
     def test_refuses_a_run_that_measured_nothing(self, tmp_path, capsys, name, keys):
-        # A zero drive, or t_end < dt/2 (no steps), leaves the active
+        # A zero drive, or t_end < dt/2 (no steps; with the heuristic dt,
+        # as a set dt must divide t_end), leaves the active
         # response at exactly 0: a zero leak or bending response then shows
         # nothing, and no passing report may be written.
         out = tmp_path / "run"
@@ -523,9 +525,10 @@ class TestLimit:
         assert header == ["mu", "distance"]
         assert cols["distance"][0] > cols["distance"][1] > 0.0
 
-    @pytest.mark.parametrize("keys", [{"kind": "zero"}, {"t_end": 0.0004}])
+    @pytest.mark.parametrize("keys", [{"kind": "zero"}, {"t_end": 0.0004, "dt": None}])
     def test_refuses_a_run_that_never_moves(self, tmp_path, capsys, keys):
-        # A zero drive, or t_end < dt/2 (no steps), leaves the electrostatic
+        # A zero drive, or t_end < dt/2 (no steps; with the heuristic dt,
+        # as a set dt must divide t_end), leaves the electrostatic
         # model at rest: every distance would be 0, a study of nothing.
         out = tmp_path / "run"
         cfg = shipped_with(tmp_path, "patch_bimorph.ini", **keys)
@@ -587,9 +590,10 @@ def config_texts(draw):
             "frequency": draw(_log_uniform(-1.0, 2.0)),
             "step_time": draw(st.floats(0.0, 0.05)),
         }
-    sections["solver"] = {"elements": draw(st.integers(4, 8)),
-                          "dt": draw(_log_uniform(-5.0, -1.0)),
-                          "t_end": 0.05, "stride": 1}
+    dt = draw(_log_uniform(-5.0, -1.0))
+    sections["solver"] = {"elements": draw(st.integers(4, 8)), "dt": dt,
+                          "t_end": max(1, round(0.05 / dt)) * dt,  # whole steps near 0.05
+                          "stride": 1}
     return "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                      for name, keys in sections.items())
 

@@ -234,6 +234,25 @@ class TestParseErrors:
             assert ln == line and msg.startswith(bad.split()[0] + " must be ")
 
 
+    @pytest.mark.parametrize("t_end, ok", [("0.0105", False), ("0.2", True), ("2.0", True)])
+    def test_set_dt_must_divide_t_end(self, t_end, ok):
+        # The run takes round(t_end / dt) steps: a remainder is an error on
+        # the t_end line, never a silently shorter run.
+        text = SINGLE_INI.replace("t_end = 0.5", f"t_end = {t_end}")
+        if ok:
+            assert parse_config(text).t_end == float(t_end)
+            return
+        with pytest.raises(UnitViolation) as exc:
+            parse_config(text)
+        [(ln, msg)] = exc.value.issues
+        assert ln == text.splitlines().index(f"t_end = {t_end}") + 1
+        assert msg == "t_end must be such that t_end / dt = 10.5 is a whole number, got 0.0105"
+
+    def test_heuristic_dt_needs_no_whole_number_of_steps(self):
+        text = SINGLE_INI.replace("dt = 0.001\n", "").replace("t_end = 0.5", "t_end = 0.0105")
+        assert parse_config(text).dt is None
+
+
 class TestTimeStepHeuristic:
     def test_resolved_dt_prefers_explicit_value(self):
         cfg = parse_config(SINGLE_INI)

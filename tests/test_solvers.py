@@ -2,6 +2,8 @@
 
 import importlib.util
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -215,7 +217,7 @@ class TestEigenmodes:
         sysm = build_system(
             make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC, bc=BoundaryCondition.CLAMPED_FREE),
             8192)
-        modes = eigenmodes(sysm.M, sysm.K, 16, sysm.null_space())
+        modes = eigenmodes(sysm.M, sysm.K, 16, sysm.null_space(), sysm.band_order())
         assert modes.n_zero == 0
         assert len(modes.omegas) == 16 and np.all(modes.omegas > 0.0)
 
@@ -223,7 +225,7 @@ class TestEigenmodes:
     @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
     def test_every_case_returns_orthonormal_modes_at_4096_elements(self, variant, regime, bc):
         sysm = build_system(make_spec(variant, regime, bc=bc), 4096)
-        modes = eigenmodes(sysm.M, sysm.K, 16, sysm.null_space())
+        modes = eigenmodes(sysm.M, sysm.K, 16, sysm.null_space(), sysm.band_order())
         assert len(modes.omegas) == 16 and np.all(np.diff(modes.omegas) >= 0.0)
         assert np.all(modes.omegas[:modes.n_zero] == 0.0)
         assert np.all(modes.omegas[modes.n_zero:] > 0.0)
@@ -279,16 +281,26 @@ class TestEigenmodes:
         assert np.array_equal(again.shapes, modes.shapes)
 
 
+def renumbered(blk, order):
+    """The block in the numbering order (its dof i is blk's dof order[i]),
+    M and K with their column indices sorted."""
+    M, K = (scipy.sparse.csr_array(A[order][:, order]) for A in (blk.M, blk.K))
+    M.sort_indices()
+    K.sort_indices()
+    return replace(blk, dofs=blk.dofs[order], M=M, K=K, B=blk.B[order],
+                   charge=blk.charge[order], x0=blk.x0[order], v0=blk.v0[order])
+
+
 def band_block(system, dt, x0, v0):
     """The whole system as one block in the band numbering of its step
-    factor, renumbered as simulate renumbers the blocks it sweeps, and the
-    factor."""
+    factor, the system's band order, and the factor."""
     op = step_operator(system, dt)
+    assert np.array_equal(op.order, system.band_order())
     charge = np.zeros(system.n_dofs, dtype=bool)
     charge[system.class_dofs("charge")] = True
     blk = solvers._Block(dofs=np.arange(system.n_dofs), M=system.M, K=system.K, B=system.B,
                          drive=None, charge=charge, x0=x0, v0=v0)
-    return blk.renumbered(op.perm), op
+    return renumbered(blk, op.order), op
 
 
 def drive_load(system, dt, n_steps, B):
@@ -368,7 +380,7 @@ def sweep_inputs(case, rng, dt, n_steps):
         systems = [shipped_system(SHIPPED[k]) for k in (0, 1, 0)]
         parts = [band_block(s, dt, 1e-3 * rng.standard_normal(s.n_dofs),
                             1e-3 * rng.standard_normal(s.n_dofs)) for s in systems]
-        assert [op.L.shape[0] - 1 for _, op in parts] == [3, 12, 3]
+        assert [op.L.shape[0] - 1 for _, op in parts] == [3, 11, 3]
         op = FactorizedOperator.stack([op for _, op in parts])
         blocks = [blk for blk, _ in parts]
         load = np.hstack([drive_load(s, dt, n_steps, blk.B) for s, blk in zip(systems, blocks)])
@@ -382,8 +394,7 @@ def sweep_inputs(case, rng, dt, n_steps):
     (blk,), _ = solvers._split(sysm, zero, zero, volts)  # {v, q}, or the even half
     blk = replace(blk, x0=1e-3 * rng.standard_normal(len(blk.dofs)),
                   v0=1e-3 * rng.standard_normal(len(blk.dofs)))
-    op = step_operator(blk, dt)
-    blk = blk.renumbered(op.perm)
+    op = step_operator(blk, dt)  # in the block's own band order
     return op.L, op.U, blk.M, blk.K, blk.drive @ blk.B.T, blk.x0, blk.v0
 
 
@@ -571,7 +582,7 @@ class TestSweep:
             op = FactorizedOperator.build(M + 0.25 * dt * dt * K)
             blk = solvers._Block(dofs=np.arange(n), M=M, K=K, B=np.zeros((n, 0)), drive=None,
                                  charge=np.zeros(n, dtype=bool), x0=rng.standard_normal(n),
-                                 v0=rng.standard_normal(n)).renumbered(op.perm)
+                                 v0=rng.standard_normal(n))
             load = rng.standard_normal((n_steps, n))
             rec = np.arange(3, n_steps + 1, 3)
             alone.append(midpoint_sweep(op.L, op.U, blk.M, blk.K, load, blk.x0, blk.v0, dt, rec))
@@ -658,7 +669,6 @@ class TestSimulate:
         x0, v0 = rng.standard_normal((2, sysm.n_dofs))
         blocks, _ = solvers._split(sysm, x0, v0, np.ones((1, sysm.B.shape[1])))
         for blk in blocks:
-            blk = blk.renumbered(step_operator(blk, 1e-3).perm)
             n, q = len(blk.dofs), np.flatnonzero(blk.charge)
             V, Y = rng.standard_normal((2, m, n)) * 10.0 ** rng.integers(-6, 6, n)
             V[:, ::5], Y[:, 1::5] = -0.0, -0.0
@@ -779,7 +789,7 @@ class TestBatch:
     def test_mixed_bandwidths_at_a_stride(self, rng, t_end):
         systems = [shipped_system(SHIPPED[0]), shipped_system(SHIPPED[1]),
                    shipped_system(SHIPPED[0])]
-        assert [step_operator(s, 1e-3).L.shape[0] - 1 for s in systems] == [3, 12, 3]
+        assert [step_operator(s, 1e-3).L.shape[0] - 1 for s in systems] == [3, 11, 3]
         x0s = [1e-3 * rng.standard_normal(s.n_dofs) for s in systems]
         v0s = [1e-3 * rng.standard_normal(s.n_dofs) for s in systems]
         assert_batch_is_separate_runs(systems, x0s, v0s, 1e-3, t_end, stride=7)
@@ -928,11 +938,21 @@ def counting_sweeps(monkeypatch):
     return swept
 
 
+def pair_map(n, pairs):
+    """T of solvers._paired on n dofs as a sparse matrix, built from the
+    pairs."""
+    rows = np.concatenate([np.arange(n), *pairs])
+    cols = np.concatenate([np.arange(n), pairs[1], pairs[0]])
+    vals = np.ones(len(rows))
+    vals[pairs[1]] = -1.0  # T's diagonal on the hi slots
+    return scipy.sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+
+
 def adapted(system):
-    """(Ma, Ka, Ba, odd, odd_in) of the system in mirror-adapted coordinates,
-    formed as _split forms them."""
+    """(Ma, Ka, Ba, odd, odd_in) of the system in mirror-adapted coordinates:
+    M and K as T (A T), B with its columns paired first, then its rows."""
     pairs, drives, odd, odd_in = solvers._parity(system, system.B.shape[1])
-    T = solvers._pair_map(system.n_dofs, pairs)
+    T = pair_map(system.n_dofs, pairs)
     B = solvers._paired(system.B.copy(), drives)
     solvers._paired(B.T, pairs)
     return T @ (system.M @ T), T @ (system.K @ T), B, odd, odd_in
@@ -970,11 +990,35 @@ class TestMirrorHalves:
         graph = abs(Ma) + abs(Ka)
         graph.eliminate_zeros()
         n_comp, labels = connected_components(graph, directed=False)
-        components = {tuple(np.flatnonzero(labels == c)) for c in range(n_comp)}
+        components = {frozenset(np.flatnonzero(labels == c)) for c in range(n_comp)}
         x0 = rng.standard_normal(sysm.n_dofs)
         blocks, _ = solvers._split(sysm, x0, x0, np.ones((1, sysm.B.shape[1])))
-        assert {tuple(blk.dofs) for blk in blocks} == components
+        assert {frozenset(blk.dofs) for blk in blocks} == components
         assert len(blocks) == 2
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    @pytest.mark.parametrize("variant,regime", ALL_COMBOS)
+    def test_node_order_is_never_wider_than_rcm(self, rng, variant, regime, bc, n):
+        # Each half comes in node order; reverse Cuthill-McKee on its step
+        # matrix's graph gives no narrower band.
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        def half_bandwidth(A, order):
+            at = np.empty(len(order), dtype=np.int64)
+            at[order] = np.arange(len(order))
+            coo = A.tocoo()
+            return int(np.abs(at[coo.row] - at[coo.col]).max())
+
+        sysm = build_system(make_spec(variant, regime, bc=bc), n)
+        x0 = rng.standard_normal(sysm.n_dofs)
+        blocks, _ = solvers._split(sysm, x0, x0, np.ones((1, sysm.B.shape[1])))
+        assert len(blocks) == 2
+        for blk in blocks:
+            S = scipy.sparse.csr_array(blk.M + blk.K)
+            node = half_bandwidth(S, np.arange(S.shape[0]))
+            assert node == step_operator(blk, 1e-3).L.shape[0] - 1
+            assert node <= half_bandwidth(S, reverse_cuthill_mckee(S, symmetric_mode=True))
 
     @pytest.mark.parametrize("n", [32, 512])
     def test_halves_sum_in_block_form(self, rng, n):
@@ -1068,12 +1112,19 @@ class TestMirrorHalves:
 
     def test_broken_mirror_steps_unsplit(self, rng, monkeypatch):
         # A corrupted coupling breaks the mirror: the system steps as one
-        # block in its own coordinates, bitwise the direct sweep.
+        # block in its own coordinates, in its band order (node order), bitwise
+        # the direct sweep.
         vspec, config = shipped_spec(SHIPPED[1])
         sysm = scenarios._corrupt_coupling(build_system(vspec, config.n_elements))
         zero = np.zeros(sysm.n_dofs)
         blocks, pairs = solvers._split(sysm, zero, zero, np.ones((1, 2)))
-        assert pairs is None and len(blocks) == 1 and blocks[0].M is sysm.M
+        assert pairs is None and len(blocks) == 1
+        want, _ = band_block(sysm, 1e-3, zero, zero)
+        assert np.array_equal(blocks[0].dofs, want.dofs)
+        for name in ("M", "K"):
+            got, ref = getattr(blocks[0], name), getattr(want, name)
+            for k in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, k), getattr(ref, k)), name
         swept = counting_sweeps(monkeypatch)
         traj = recorded(sysm, zero, zero, 1e-3, 0.2)
         assert set(swept) == {sysm.n_dofs}
@@ -1188,7 +1239,7 @@ class TestObservedColumns:
         t_mid = 1e-3 * (np.arange(3) + 0.5)
         volts = np.column_stack([sig(t_mid) for sig in sysm.vspec.voltages])
         blocks, pairs = solvers._split(sysm, x0, x0, volts)
-        blocks = [blk.renumbered(rng.permutation(len(blk.dofs))) for blk in blocks]
+        blocks = [renumbered(blk, rng.permutation(len(blk.dofs))) for blk in blocks]
         ends = np.cumsum([len(blk.dofs) for blk in blocks], dtype=int)
         cols = [slice(e - len(blk.dofs), e) for blk, e in zip(blocks, ends)]
         n = int(ends[-1]) if len(blocks) else 0
@@ -1212,6 +1263,16 @@ class TestObservedColumns:
                 simulate(sysm, zero, zero, 1e-3, 0.01, observed=bad)
         with pytest.raises(ValueError):
             simulate([sysm, sysm], [zero, zero], [zero, zero], 1e-3, 0.01, observed=[None])
+
+
+def test_cli_import_loads_no_graph_module():
+    # Every factor is ordered by node position, so no graph ordering (and
+    # none of scipy.sparse.csgraph) is loaded.
+    code = ("import sys, piezobeam.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.csgraph')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestBenchmarkContract:
@@ -1250,7 +1311,6 @@ class TestBenchmarkContract:
         assert m["kernels.steps"] == 300 and m["kernels.recorded_rows"] == 300
         (blk,), _ = solvers._split(sysm, zero, zero, np.ones((1, 1)))  # {v, q}
         op = step_operator(blk, 1e-3)
-        blk = blk.renumbered(op.perm)
         assert m["kernels.operator_entries"] == op.L.size + blk.M.nnz + blk.K.nnz
         assert m["kernels.sweep_s"] > 0.0 and m["solvers.factor_builds"] == 1
 
