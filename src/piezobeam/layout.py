@@ -170,10 +170,6 @@ class FieldState:
                 store[name] = arr
 
     @classmethod
-    def zeros(cls, layout: DofLayout) -> "FieldState":
-        return cls(layout, {}, {})
-
-    @classmethod
     def from_vectors(cls, layout: DofLayout, x: np.ndarray, xdot: np.ndarray) -> "FieldState":
         x = np.asarray(x, dtype=float)
         xdot = np.asarray(xdot, dtype=float)

@@ -112,16 +112,6 @@ class DerivedCoefficients:
         """Stretching/charge coupling gamma31 * beta3."""
         return self.gamma31 * self.beta3
 
-    def coupling_matrix(self) -> np.ndarray:
-        """Stretching-block coefficient matrix [[alpha1, -g3b3], [-g3b3, beta3]].
-
-        Positive definite for any valid material: its determinant reduces to
-        alpha11 * beta3.
-        """
-        return np.array(
-            [[self.alpha1, -self.g3b3], [-self.g3b3, self.beta3]], dtype=float
-        )
-
 
 def stretching_wave_speeds(coeffs: DerivedCoefficients) -> tuple:
     """Characteristic speeds (fast, slow) of the coupled stretching system.

@@ -33,7 +33,7 @@ memory grows with the dofs and the recorded rows, not with their product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -94,9 +94,15 @@ class FactorizedOperator:
     lower banded factor (LAPACK storage, shape (p+1, n), p the half-bandwidth)
     of A[order][:, order].  U = L^T in upper band storage is formed once, on
     construction, so that both triangular solves run forward.  L and U are
-    Fortran ordered: BLAS would copy anything else on every solve.  Exact
-    zeros of A between decoupled blocks stay exact zeros in L, so a block
-    without load solves to bitwise zero.
+    Fortran ordered: BLAS would copy anything else on every solve.
+
+    Exact zeros of A between decoupled blocks stay exact zeros in L, so a
+    block without load solves to bitwise zero.  The factor of a block-diagonal
+    A is each block's own factor, padded with exact zeros to the widest band
+    (LAPACK's dpbtrf only adds exact zeros for the padding; L and U checked
+    bitwise up to half-bandwidth 64, under 1 and 2 BLAS threads), and both
+    solves update the solution by axpy, where a padded zero adds an exact
+    zero: each block solves bitwise as it does alone.
     """
 
     L: np.ndarray
@@ -128,20 +134,6 @@ class FactorizedOperator:
         if not np.all(np.isfinite(L[0])):
             raise NotPositiveDefinite("Cholesky factorization produced a non-finite pivot")
         return cls(L=L, order=order)
-
-    @classmethod
-    def stack(cls, ops) -> "FactorizedOperator":
-        """The factor of block_diag(A_1, A_2, ...) from the factors of its
-        blocks: each block keeps its own ordering and band, padded with
-        exact zeros to the widest one.  Both solves update the solution by
-        axpy, one column at a time, and a padded zero adds an exact zero,
-        so each block solves bitwise as it does alone at any bandwidth."""
-        sizes = [op.L.shape[1] for op in ops]
-        offsets = np.cumsum([0] + sizes[:-1])
-        L = np.zeros((max(op.L.shape[0] for op in ops), sum(sizes)), order="F")
-        for op, a in zip(ops, offsets):
-            L[:op.L.shape[0], a:a + op.L.shape[1]] = op.L
-        return cls(L=L, order=np.concatenate([op.order + a for op, a in zip(ops, offsets)]))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^-1 b for one right-hand side (n,) or several (n, k), solved one
@@ -288,9 +280,6 @@ class Trajectory:
         """(max |balance_residual|, max total energy): criterion 4's two sides."""
         return float(np.max(np.abs(self.balance_residual))), float(np.max(self.total))
 
-    def __len__(self) -> int:
-        return len(self.t)
-
 
 def _row_energies(A, Z: np.ndarray, scratch, part=None):
     """(e, e_part): e = 0.5 z^T A z for every row z of Z, A sparse symmetric
@@ -361,11 +350,11 @@ def _paired(X: np.ndarray, pairs) -> np.ndarray:
     return X
 
 
-def _parity(system: SemiDiscreteSystem, n_in: int):
-    """The rule that splits a step (see _split): the pairs (lo, hi) of dofs
-    and of drives the mirror swaps (it reverses the drive order), and the
-    odd ones: dofs of sign -1 and the hi dof and drive slots."""
-    perm, sign = mirror_map(system)
+def _parity(perm: np.ndarray, sign: np.ndarray, n_in: int):
+    """The rule that splits a step (see _split), from the mirror's perm and
+    sign (mirror_map): the pairs (lo, hi) of dofs and of drives the mirror
+    swaps (it reverses the drive order), and the odd ones: dofs of sign -1
+    and the hi dof and drive slots."""
     lo = np.flatnonzero(perm > np.arange(len(perm)))
     pairs, drives = (lo, perm[lo]), (np.arange(n_in // 2), n_in - 1 - np.arange(n_in // 2))
     odd, odd_in = sign < 0.0, np.zeros(n_in, dtype=bool)
@@ -418,7 +407,7 @@ def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray, adapted=No
     """
     n = system.n_dofs
     perm, sign = mirror_map(system)
-    pairs, drives, odd, odd_in = _parity(system, volts.shape[1])
+    pairs, drives, odd, odd_in = _parity(perm, sign, volts.shape[1])
     B = _paired(system.B.copy(), drives)  # its columns paired first, then its rows
     _paired(B.T, pairs)
     drive = _paired(volts.copy(), drives)
@@ -481,24 +470,24 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     Each system is cut into its blocks, those at rest left out (see _split):
     their rows are exact zeros.  The blocks that move are stacked as the
     blocks of one block-diagonal system and swept together; each is bitwise
-    the run it would be alone (see FactorizedOperator.stack), so each
-    system is bitwise its own run.
+    the run it would be alone (see FactorizedOperator), so each system is
+    bitwise its own run.
 
-    The only caller of the sweep; it factors every moving block's step
-    matrix once per call, in the band order the block comes in, where the
-    sweep runs.  It feeds the sweep CHUNK_ENTRIES // n steps at a time (n the
-    dofs that move, or every dof when none moves), each call continuing from
-    the state (x, v and the momenta a, b) the last one returned, and per
-    chunk and block forms the load, the work integral (at every step, with
-    the stepper's midpoint quadrature, so the energy-balance residual stays
-    at round-off level for any stride) and the ledger of the recorded rows;
-    a system's ledger is the sum of its blocks'.  Only the observed columns
-    of the chunk's rows are mapped back to the system's coordinates (see
-    _plan), and only for an observer.  The chunk arrays (load, midpoint
-    velocities, recorded rows, the ledger's products, the observed rows) are
-    allocated once per call, sized by what a chunk uses, and reused for
-    every chunk; operators that systems share are checked and split once
-    (see _split).
+    The only caller of the sweep; it factors the stacked step matrix once
+    per call in which a block moves (step_operator), in the band order the
+    blocks come in, where the sweep runs.  It feeds the sweep
+    CHUNK_ENTRIES // n steps at a time (n the dofs that move, or every dof
+    when none moves), each call continuing from the state (x, v and the
+    momenta a, b) the last one returned, and per chunk and block forms the
+    load, the work integral (at every step, with the stepper's midpoint
+    quadrature, so the energy-balance residual stays at round-off level for
+    any stride) and the ledger of the recorded rows; a system's ledger is
+    the sum of its blocks'.  Only the observed columns of the chunk's rows
+    are mapped back to the system's coordinates (see _plan), and only for
+    an observer.  The chunk arrays (load, midpoint velocities, recorded
+    rows, the ledger's products, the observed rows) are allocated once per
+    call, sized by what a chunk uses, and reused for every chunk; operators
+    that systems share are checked and split once (see _split).
 
     Raises NonFiniteState, naming the system and the steps, after the first
     chunk that leaves a non-finite state, before its rows are observed
@@ -620,12 +609,11 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
     in, lead and pool, the second made as large as they need.
     """
     charges = [np.flatnonzero(blk.charge) for blk in moving]
-    if moving:
-        op = FactorizedOperator.stack([step_operator(blk, dt) for blk in moving])
-        M, K = moving[0].M, moving[0].K  # one block needs no block_diag copy
-    if len(moving) > 1:
-        M = scipy.sparse.block_diag([blk.M for blk in moving], format="csr")
-        K = scipy.sparse.block_diag([blk.K for blk in moving], format="csr")
+    if moving:  # one block needs no block_diag copy
+        M, K = ((moving[0].M, moving[0].K) if len(moving) == 1 else
+                (scipy.sparse.block_diag([blk.M for blk in moving], format="csr"),
+                 scipy.sparse.block_diag([blk.K for blk in moving], format="csr")))
+        op = step_operator(replace(moving[0], M=M, K=K), dt)  # reads M, K, band order
     ends = np.cumsum([0] + [len(blk.dofs) for blk in moving])[1:]
     n = int(ends[-1]) if moving else 0
     cols = [slice(e - len(blk.dofs), e) for blk, e in zip(moving, ends)]

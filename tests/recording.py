@@ -24,9 +24,6 @@ class Recorded:
     def __getattr__(self, name):
         return getattr(self.traj, name)
 
-    def __len__(self) -> int:
-        return len(self.traj)
-
 
 def recorded(system, x0, v0, dt, t_end, stride=1, velocities=True):
     """simulate(...) with every row kept: a Recorded, or a list of them for a
@@ -50,7 +47,7 @@ def recorded(system, x0, v0, dt, t_end, stride=1, velocities=True):
                      observe=observe)
     trajs = trajs if many else [trajs]
     stops = [r.stop for r in seen]
-    assert [r.start for r in seen] == [0] + stops[:-1] and stops[-1] == len(trajs[0])
+    assert [r.start for r in seen] == [0] + stops[:-1] and stops[-1] == len(trajs[0].t)
     out = [Recorded(traj, np.concatenate(xs),
                     np.concatenate(vs) if velocities else None)
            for traj, xs, vs in zip(trajs, X, V)]

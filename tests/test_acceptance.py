@@ -135,7 +135,7 @@ def test_c03_unforced_midpoint_conserves_energy_over_1e4_steps():
         x0 = 0.01 * rng.standard_normal(sysm.n_dofs)
         v0 = 0.01 * rng.standard_normal(sysm.n_dofs)
         traj = simulate(sysm, x0, v0, dt=1e-3, t_end=10.0, stride=100)
-        assert len(traj) == 101
+        assert len(traj.t) == 101
         e0 = traj.total[0]
         drift = np.abs(traj.total - e0).max() / e0
         assert drift <= 1e-10, (variant, drift)

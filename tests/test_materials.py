@@ -62,7 +62,8 @@ class TestDerivedCoefficients:
             eps1=1.0, eps3=eps3, mu=1.0,
         )
         co = derive_coefficients(mat)
-        cmat = co.coupling_matrix()
+        # the stretching block's coefficients [[alpha1, -g3b3], [-g3b3, beta3]]
+        cmat = np.array([[co.alpha1, -co.g3b3], [-co.g3b3, co.beta3]])
         assert np.array_equal(cmat, cmat.T)
         det = np.linalg.det(cmat)
         # the determinant identity cancels alpha1*beta3 against g3b3^2, so

@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from piezobeam import assembly, scenarios, solvers
 from piezobeam.assembly import build_system
 from piezobeam.errors import ConvergenceFailure, IllegalRegime, InsufficientMeshes
 from piezobeam.materials import (
+    BeamGeometry,
     BoundaryCondition,
     MaterialParams,
     Regime,
@@ -405,6 +407,84 @@ class TestConvergence:
             run_convergence_study(vspec, (8, 16), kind="stretching")
         with pytest.raises(InsufficientMeshes):
             run_convergence_study(vspec, (16, 8, 32), kind="stretching")
+
+
+def timoshenko_free_free(omega, EI, kGA, rhoA, rhoI, L):
+    """Determinant of the 4x4 boundary matrix of a free-free Timoshenko beam
+    (shear coefficient 1) of length L at a frequency omega below the shear
+    cutoff sqrt(kGA / rhoI); zero at its natural frequencies.
+
+    With w = W(x) e^{i omega t} and psi = Phi(x) e^{i omega t}, the shear
+    strain W' + Phi and the moment EI Phi' vanish at both ends.  W is a
+    combination of cosh(a x), sinh(a x), cos(b x) and sin(b x), s = +-a and
+    s = +-i b the roots of EI kGA s^4 + omega^2 (kGA rhoI + rhoA EI) s^2
+    + rhoA omega^2 (rhoI omega^2 - kGA) = 0, and the shear balance
+    kGA (W'' + Phi') + rhoA omega^2 W = 0 gives Phi' = -(W'' + c W),
+    c = rhoA omega^2 / kGA.
+    """
+    w2 = omega * omega
+    quad = (EI * kGA, w2 * (kGA * rhoI + rhoA * EI), rhoA * w2 * (rhoI * w2 - kGA))
+    disc = np.sqrt(quad[1] ** 2 - 4.0 * quad[0] * quad[2])
+    a = np.sqrt((disc - quad[1]) / (2.0 * quad[0]))
+    b = np.sqrt((disc + quad[1]) / (2.0 * quad[0]))
+    c = rhoA * w2 / kGA
+    ka, kb = (a * a + c) / a, (c - b * b) / b
+
+    def rows(x):  # moment and shear of each of the four solutions at x
+        ch, sh, cs, sn = np.cosh(a * x), np.sinh(a * x), np.cos(b * x), np.sin(b * x)
+        slope = (a * sh, a * ch, -b * sn, b * cs)  # W'
+        phi = (-ka * sh, -ka * ch, -kb * sn, kb * cs)
+        moment = (-ka * a * ch, -ka * a * sh, -kb * b * cs, -kb * b * sn)  # Phi'
+        return [moment, [s + p for s, p in zip(slope, phi)]]
+
+    return np.linalg.det(np.array(rows(0.0) + rows(L)))
+
+
+def timoshenko_first_root(co, h, L):
+    """(Timoshenko, Euler-Bernoulli) free-free bending fundamentals of the
+    single beam of thickness h, with forms.py's coefficients: EI = alpha1
+    h^3/12, kGA = alpha3 h, rhoA = rho h, rhoI = rho h^3/12."""
+    args = (co.alpha1 * h ** 3 / 12.0, co.alpha3 * h, co.rho * h, co.rho * h ** 3 / 12.0, L)
+    eb = 4.730040744862704 ** 2 * np.sqrt(args[0] / args[2]) / L ** 2
+    # Shear and rotary inertia lower the frequency; the first sign change
+    # of the determinant above 0.3 of EB's root brackets it.
+    grid = np.linspace(0.3 * eb, 1.01 * eb, 400)
+    det = np.array([timoshenko_free_free(w, *args) for w in grid])
+    k = np.flatnonzero(np.sign(det[:-1]) != np.sign(det[1:]))[0]
+    return scipy.optimize.brentq(timoshenko_free_free, grid[k], grid[k + 1], args=args,
+                                 xtol=1e-15, rtol=1e-15), eb
+
+
+class TestTimoshenko:
+    """The Mindlin-Timoshenko single beam against Timoshenko beam theory
+    (Huang, J. Appl. Mech. 28, 1961; Han, Benaroya & Wei, J. Sound Vib.
+    225(5), 1999), electrostatic and free-free."""
+
+    @staticmethod
+    def spec(h):
+        return make_spec(Variant.SINGLE_MT, Regime.ELECTROSTATIC,
+                         geometry=BeamGeometry(length=1.0, thickness=h))
+
+    def test_thin_root_is_euler_bernoulli(self):
+        # The oracle itself: its root tends to EB's closed form as h -> 0.
+        omega, eb = timoshenko_first_root(self.spec(1e-3).beam, 1e-3, 1.0)
+        assert omega < eb and (eb - omega) / eb <= 1e-5
+
+    @pytest.mark.parametrize("h", [0.05, 0.1, 0.2])
+    def test_first_bending_root_converges_at_second_order(self, h):
+        omega, eb = timoshenko_first_root(self.spec(h).beam, h, 1.0)
+        assert (eb - omega) / eb >= 5e-3  # far enough from EB to tell them apart
+        report = run_convergence_study(self.spec(h), (16, 32, 64, 128), kind="bending",
+                                       number=1, reference=omega)
+        assert report.passed
+        assert report.metric("observed_order").value >= 1.8
+        assert report.metric("relative_error_n128").value <= 1e-3
+
+    def test_thin_beam_does_not_lock(self):
+        # At h/L = 1e-3 shear locking would stiffen the beam far above EB.
+        vspec = self.spec(1e-3)
+        _, eb = timoshenko_first_root(vspec.beam, 1e-3, 1.0)
+        assert abs(mode_frequency(vspec, 128, "bending", 1) - eb) / eb <= 1e-3
 
 
 class TestWaveSpeeds:

@@ -303,6 +303,28 @@ def band_block(system, dt, x0, v0):
     return renumbered(blk, op.order), op
 
 
+def stacked_block(blocks, dt):
+    """The blocks, each in its own band order, stacked block-diagonally as
+    simulate stacks them, and the one factor of their stacked step matrix."""
+    blk = replace(blocks[0], M=scipy.sparse.block_diag([b.M for b in blocks], format="csr"),
+                  K=scipy.sparse.block_diag([b.K for b in blocks], format="csr"),
+                  x0=np.concatenate([b.x0 for b in blocks]),
+                  v0=np.concatenate([b.v0 for b in blocks]))
+    return blk, step_operator(blk, dt)
+
+
+def padded(ops):
+    """Each factor's L, in its own band order, padded with exact zeros to the
+    widest band and laid side by side: what the factor of the stacked matrix
+    must be, bitwise."""
+    L = np.zeros((max(op.L.shape[0] for op in ops), sum(op.L.shape[1] for op in ops)))
+    start = 0
+    for op in ops:
+        L[:op.L.shape[0], start:start + op.L.shape[1]] = op.L
+        start += op.L.shape[1]
+    return L
+
+
 def drive_load(system, dt, n_steps, B):
     """The system's load B V(t_mid) at every step midpoint, B's rows in any
     numbering."""
@@ -381,12 +403,10 @@ def sweep_inputs(case, rng, dt, n_steps):
         parts = [band_block(s, dt, 1e-3 * rng.standard_normal(s.n_dofs),
                             1e-3 * rng.standard_normal(s.n_dofs)) for s in systems]
         assert [op.L.shape[0] - 1 for _, op in parts] == [3, 11, 3]
-        op = FactorizedOperator.stack([op for _, op in parts])
         blocks = [blk for blk, _ in parts]
-        load = np.hstack([drive_load(s, dt, n_steps, blk.B) for s, blk in zip(systems, blocks)])
-        return (op.L, op.U, scipy.sparse.block_diag([b.M for b in blocks], format="csr"),
-                scipy.sparse.block_diag([b.K for b in blocks], format="csr"), load,
-                np.concatenate([b.x0 for b in blocks]), np.concatenate([b.v0 for b in blocks]))
+        blk, op = stacked_block(blocks, dt)
+        load = np.hstack([drive_load(s, dt, n_steps, b.B) for s, b in zip(systems, blocks)])
+        return op.L, op.U, blk.M, blk.K, load, blk.x0, blk.v0
     sysm = shipped_system(SHIPPED[["single", "patch"].index(case)])
     t_mid = dt * (np.arange(n_steps) + 0.5)
     volts = np.column_stack([sig(t_mid) for sig in sysm.vspec.voltages])
@@ -568,11 +588,12 @@ class TestSweep:
         midpoint_sweep(op.L, op.U, M, K, load, x, v, dt, rec, ab)
         assert calls == n_steps * ["K"]
 
-    @pytest.mark.parametrize("bands", [(3, 20, 16, 5), (17, 1)])
+    @pytest.mark.parametrize("bands", [(3, 20, 16, 5), (17, 1), (40, 3, 64)])
     def test_stacked_blocks_sweep_as_alone(self, rng, bands):
-        # Blocks of mixed half-bandwidths, up to 20, stacked block-diagonally
-        # in one sweep: each block's states, momenta and midpoint velocities
-        # are bitwise those of its sweep alone.
+        # Blocks of mixed half-bandwidths, up to 64, stacked block-diagonally
+        # in one sweep with one factor of the stacked step matrix: each
+        # block's states, momenta and midpoint velocities are bitwise those
+        # of its sweep alone.
         dt, n_steps = 1e-2, 40
         alone, parts = [], []
         for p in bands:
@@ -588,12 +609,10 @@ class TestSweep:
             alone.append(midpoint_sweep(op.L, op.U, blk.M, blk.K, load, blk.x0, blk.v0, dt, rec))
             parts.append((op, blk, load))
         assert max(op.L.shape[0] for op, _, _ in parts) - 1 >= 16
-        op = FactorizedOperator.stack([op for op, _, _ in parts])
-        M = scipy.sparse.block_diag([blk.M for _, blk, _ in parts], format="csr")
-        K = scipy.sparse.block_diag([blk.K for _, blk, _ in parts], format="csr")
-        stacked = midpoint_sweep(op.L, op.U, M, K, np.hstack([ld for _, _, ld in parts]),
-                                 np.concatenate([blk.x0 for _, blk, _ in parts]),
-                                 np.concatenate([blk.v0 for _, blk, _ in parts]), dt, rec)
+        blk, op = stacked_block([blk for _, blk, _ in parts], dt)
+        assert op.L.tobytes() == padded([op for op, _, _ in parts]).tobytes()
+        stacked = midpoint_sweep(op.L, op.U, blk.M, blk.K, np.hstack([ld for _, _, ld in parts]),
+                                 blk.x0, blk.v0, dt, rec)
         start = 0
         for want in alone:
             c = slice(start, start + len(want[0]))
@@ -626,7 +645,7 @@ class TestSimulate:
         x0 = 0.01 * rng.standard_normal(sysm.n_dofs)
         v0 = 0.01 * rng.standard_normal(sysm.n_dofs)
         traj = recorded(sysm, x0, v0, dt=0.005, t_end=0.25)
-        i = len(traj) // 2
+        i = len(traj.t) // 2
         x, v = traj.X[i], traj.V[i]
         assert traj.stored[i] == pytest.approx(0.5 * x @ sysm.K @ x, rel=1e-11, abs=1e-14)
         qv = np.zeros_like(v)
@@ -785,6 +804,38 @@ class TestBatch:
         zeros = [np.zeros(s.n_dofs) for s in systems]
         assert_batch_is_separate_runs(systems, zeros, zeros, config.dt, config.t_end)
 
+    def test_one_factor_per_call_that_moves(self, monkeypatch):
+        # simulate factors the stacked step matrix of its moving blocks once
+        # per call: limit's five systems (under the shipped equal drives, the
+        # even half of each, half-bandwidth 4), the patch check's two drives
+        # (the even half of one and the odd half of the other, 6), and no
+        # factor at all when nothing moves.
+        factored, original = [], solvers.step_operator
+
+        def counted(system, dt):
+            op = original(system, dt)
+            factored.append((op.L.shape[1], op.L.shape[0] - 1))
+            return op
+
+        monkeypatch.setattr(solvers, "step_operator", counted)
+        vspec, config = shipped_spec(SHIPPED[1])
+        mus = (5e-1, 5e-2, 5e-3, 5e-4)
+        scenarios.run_electrostatic_limit(vspec, mus, config.n_elements, config.dt, 0.05)
+        systems, _ = scenarios._limit_systems(vspec, mus, config.n_elements)
+        evens = [solvers._split(s, np.zeros(s.n_dofs), np.zeros(s.n_dofs), np.ones((1, 2)))[0]
+                 for s in systems]
+        assert all(len(blocks) == 1 for blocks in evens)
+        assert factored == [(sum(len(blk.dofs) for (blk,) in evens), 4)]
+        factored.clear()
+        scenarios.check_patch_voltage_selectivity(vspec, ("symmetric", "antisymmetric"),
+                                                  config.n_elements, config.dt, 0.05)
+        assert factored == [(systems[1].n_dofs, 6)]  # the two halves hold every dof
+        factored.clear()
+        quiet = build_system(make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC), 8)  # no drive
+        zero = np.zeros(quiet.n_dofs)
+        simulate([quiet, quiet], [zero, zero], [zero, zero], config.dt, 0.05)
+        assert factored == []
+
     @pytest.mark.parametrize("t_end", [0.5, 0.0])
     def test_mixed_bandwidths_at_a_stride(self, rng, t_end):
         systems = [shipped_system(SHIPPED[0]), shipped_system(SHIPPED[1]),
@@ -882,22 +933,36 @@ class TestBatch:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            n_rec = len(traj)
+            n_rec = len(traj.t)
             assert (n_rec, sysm.n_dofs) == (8001, 132)
             assert peak < 8 * solvers.CHUNK_ENTRIES * 8 + (8 + 2 * columns) * n_rec * 8
         assert len(np.concatenate(kept)) == n_rec
 
-    @pytest.mark.parametrize("blocks", ["shipped", "synthetic"])
+    @pytest.mark.parametrize("blocks", ["shipped", (3, 20, 3), (40, 3, 64)])
     def test_stacked_factor_solves_each_block(self, rng, blocks):
-        # Half-bandwidths 3 and 12 on the shipped models; 3 and 20 on the
-        # synthetic blocks, past the 16-entry tail of a dot-product solve.
+        # One factor of the stacked step matrix is bitwise each block's own
+        # factor padded with exact zeros, and solves each block bitwise as
+        # its own factor does.  Half-bandwidths 3 and 11 on the shipped
+        # models; up to 64 on the synthetic blocks, past the 16-entry tail
+        # of a dot-product solve.
+        dt = 1e-3
         if blocks == "shipped":
-            ops = [step_operator(shipped_system(path), 1e-3) for path in SHIPPED]
+            systems = [shipped_system(path) for path in SHIPPED]
+            blks = [band_block(s, dt, np.zeros(s.n_dofs), np.zeros(s.n_dofs))[0]
+                    for s in systems]
         else:
-            ops = [FactorizedOperator.build(banded_spd(rng, n, p))
-                   for n, p in ((60, 3), (90, 20), (40, 3))]
-            assert [op.L.shape[0] - 1 for op in ops] == [3, 20, 3]
-        stacked = FactorizedOperator.stack(ops)
+            blks = []
+            for p in blocks:
+                n = 30 + 7 * p
+                blks.append(solvers._Block(
+                    dofs=np.arange(n), M=scipy.sparse.csr_array(banded_spd(rng, n, 1)),
+                    K=scipy.sparse.csr_array(banded_spd(rng, n, p)), B=None, drive=None,
+                    charge=None, x0=np.zeros(n), v0=np.zeros(n)))
+        ops = [step_operator(blk, dt) for blk in blks]  # each in its own band order
+        assert [op.L.shape[0] - 1 for op in ops] == ([3, 11] if blocks == "shipped"
+                                                     else list(blocks))
+        _, stacked = stacked_block(blks, dt)
+        assert stacked.L.tobytes() == padded(ops).tobytes()
         # else every banded solve copies them
         assert stacked.L.flags.f_contiguous and stacked.U.flags.f_contiguous
         for _ in range(5):
@@ -951,7 +1016,7 @@ def pair_map(n, pairs):
 def adapted(system):
     """(Ma, Ka, Ba, odd, odd_in) of the system in mirror-adapted coordinates:
     M and K as T (A T), B with its columns paired first, then its rows."""
-    pairs, drives, odd, odd_in = solvers._parity(system, system.B.shape[1])
+    pairs, drives, odd, odd_in = solvers._parity(*solvers.mirror_map(system), system.B.shape[1])
     T = pair_map(system.n_dofs, pairs)
     B = solvers._paired(system.B.copy(), drives)
     solvers._paired(B.T, pairs)
@@ -1106,7 +1171,7 @@ class TestMirrorHalves:
         swept = counting_sweeps(monkeypatch)
         zero = np.zeros(sysm.n_dofs)
         traj = recorded(sysm, zero, zero, 1e-3, 0.1)
-        assert swept == [] and len(traj) == 101
+        assert swept == [] and len(traj.t) == 101
         for name in ("X", "V", "kinetic", "stored", "magnetic", "work"):
             assert not np.any(getattr(traj, name)), name
 
@@ -1200,7 +1265,8 @@ class TestObservedColumns:
         x0[::4], v0[1::4] = -0.0, -0.0
         whole = recorded(sysm, x0, v0, 1e-3, 0.05, stride=3)
         if moving:  # row 0 is the initial state, bitwise off the mirror pairs
-            off = np.setdiff1d(np.arange(n), np.concatenate(solvers._parity(sysm, 1)[0]))
+            pairs = solvers._parity(*solvers.mirror_map(sysm), 1)[0]
+            off = np.setdiff1d(np.arange(n), np.concatenate(pairs))
             assert_same_bits(whole.X[0, off], x0[off], "x0")
             assert_same_bits(whole.V[0, off], v0[off], "v0")
         sels = selections(sysm, rng)
@@ -1313,6 +1379,36 @@ class TestBenchmarkContract:
         op = step_operator(blk, 1e-3)
         assert m["kernels.operator_entries"] == op.L.size + blk.M.nnz + blk.K.nnz
         assert m["kernels.sweep_s"] > 0.0 and m["solvers.factor_builds"] == 1
+
+    @pytest.mark.parametrize("path", SHIPPED)
+    def test_worker_setup_path(self, path):
+        # perfbench/worker.py's set-up calls these by name: parse_config,
+        # build_system, resolved_dt and step_operator(system, dt).
+        from piezobeam.config import resolved_dt
+
+        with open(path, encoding="utf-8") as fh:
+            config = parse_config(fh.read())
+        system = build_system(config.validated(), config.n_elements)
+        op = step_operator(system, resolved_dt(config))
+        assert isinstance(op, FactorizedOperator) and op.L.shape[1] == system.n_dofs
+
+    def test_tracer_sees_one_factor_per_limit_sweep(self):
+        # limit's five systems step in one simulate, which factors their
+        # stacked step matrix once: one step_operator span, one build.
+        tracer = self.tracer()
+        vspec, config = shipped_spec(SHIPPED[1])
+        t = tracer.Tracer()
+        t.install()
+        try:
+            scenarios.run_electrostatic_limit(vspec, (5e-1, 5e-2, 5e-3, 5e-4),
+                                              config.n_elements, config.dt, 0.05)
+        finally:
+            t.remove()
+        assert t.missing == []
+        spans = t.take()
+        assert [s.name for s in spans].count("solvers.simulate") == 1
+        assert [s.name for s in spans].count("solvers.step_operator") == 1
+        assert tracer.layer_metrics(spans)["solvers.factor_builds"] == 1
 
     def test_tracer_sees_every_write_of_a_simulate(self, tmp_path):
         # The tracer wraps output.write_csv by name and counts the bytes of
