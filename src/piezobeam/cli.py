@@ -184,8 +184,7 @@ def cmd_check(config: RunConfig, out: str) -> int:
     corrupt = os.environ.get("PIEZOBEAM_CORRUPT_COUPLING", "") == "1"
     if vspec.is_patch:
         reports = check_patch_voltage_selectivity(
-            vspec, ("symmetric", "antisymmetric"), config.n_elements, dt, config.t_end,
-            corrupt_sign=corrupt)
+            vspec, config.n_elements, dt, config.t_end, corrupt_sign=corrupt)
     else:
         reports = [check_single_beam_decoupling(vspec, config.n_elements, dt, config.t_end)]
     passed = all(r.passed for r in reports)

@@ -326,5 +326,9 @@ def heuristic_dt(vspec: ValidatedModelSpec, n_elements: int) -> float:
 
 
 def resolved_dt(config: RunConfig) -> float:
-    return config.dt if config.dt is not None else heuristic_dt(
-        config.validated(), config.n_elements)
+    """The set dt, or else the largest step not above heuristic_dt that
+    divides t_end, so a run ends at t_end."""
+    if config.dt is not None:
+        return config.dt
+    dt = heuristic_dt(config.validated(), config.n_elements)
+    return config.t_end / math.ceil(config.t_end / dt)

@@ -204,9 +204,12 @@ def _corrupt_coupling(system: SemiDiscreteSystem) -> SemiDiscreteSystem:
     return replace(system, K=K, B=B)
 
 
-def _selectivity_setup(vspec: ValidatedModelSpec, modes, n_elements: int,
-                       corrupt_sign: bool):
-    """Per drive: its system, structural checks, and quiet and active dofs.
+_DRIVES = ("symmetric", "antisymmetric")
+
+
+def _selectivity_setup(vspec: ValidatedModelSpec, n_elements: int, corrupt_sign: bool):
+    """Per drive of _DRIVES: its system, structural checks, and quiet and
+    active dofs.
 
     One system is built, and corrupted, for every drive: B is per unit
     signal, so the drives differ only in vspec.voltages, and the mirror gaps
@@ -214,7 +217,7 @@ def _selectivity_setup(vspec: ValidatedModelSpec, modes, n_elements: int,
     """
     base = vspec.voltages[0]
     pairs = {"symmetric": (base, base), "antisymmetric": (base, _negated(base))}
-    system = build_system(replace(vspec, voltages=pairs[modes[0]]), n_elements)
+    system = build_system(replace(vspec, voltages=pairs["symmetric"]), n_elements)
     if corrupt_sign:
         system = _corrupt_coupling(system)
 
@@ -234,7 +237,7 @@ def _selectivity_setup(vspec: ValidatedModelSpec, modes, n_elements: int,
     ]
     stretch, bend = system.class_dofs("stretching"), system.class_dofs("bending")
     setups = []
-    for mode in modes:
+    for mode in _DRIVES:
         sym = mode == "symmetric"
         # The combined load of the chosen drive must vanish on the quiet
         # block before any time stepping happens.
@@ -249,55 +252,48 @@ def _selectivity_setup(vspec: ValidatedModelSpec, modes, n_elements: int,
     return setups
 
 
-def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, mode, n_elements: int,
+def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, n_elements: int,
                                     dt: float, t_end: float,
-                                    corrupt_sign: bool = False):
+                                    corrupt_sign: bool = False) -> tuple:
     """Equal voltages drive pure stretching; opposite voltages pure bending.
 
-    mode 'symmetric' applies (V, V) and requires the bending response to stay
-    below 1e-12 of the stretching scale; 'antisymmetric' applies (V, -V) and
-    requires the converse.  The underlying mirror symmetry of M, K and the
-    input map is asserted bitwise first.  When it holds, simulate steps the
-    even and odd halves of the mirror apart and leaves the quiet one at
-    rest, so both dynamic ratios are exactly 0; a broken mirror steps
-    unsplit, and its leak shows.  corrupt_sign flips one coupling
-    block beforehand; the check must then fail (negative control).  mode may
-    also be a sequence of modes: their systems then run in one batched sweep
-    and a tuple of reports comes back, in the same order; they share one
-    assembled system (see _selectivity_setup).  IllegalRegime
-    when a drive never moves its active class (zero drive or no steps):
-    there is no scale to measure the leak against.
+    Returns the (symmetric, antisymmetric) reports.  The symmetric drive
+    applies (V, V) and requires the bending response to stay below 1e-12 of
+    the stretching scale; the antisymmetric drive applies (V, -V) and
+    requires the converse.  Both drives run in one batched sweep and share
+    one assembled system (see _selectivity_setup).  The underlying mirror
+    symmetry of M, K and the input map is asserted bitwise first.  When it
+    holds, simulate steps the even and odd halves of the mirror apart and
+    leaves the quiet one at rest, so both dynamic ratios are exactly 0; a
+    broken mirror steps unsplit, and its leak shows.  corrupt_sign flips one
+    coupling block beforehand; the check must then fail (negative control).
+    IllegalRegime when a drive never moves its active class (zero drive or
+    no steps): there is no scale to measure the leak against.
     """
     if not vspec.is_patch:
         raise IllegalRegime("voltage selectivity applies to patch variants only")
-    modes = [m.strip().lower() for m in ([mode] if isinstance(mode, str) else mode)]
-    for m in modes:
-        if m not in ("symmetric", "antisymmetric"):
-            raise ValueError(f"mode must be 'symmetric' or 'antisymmetric', got {m!r}")
-
-    setups = _selectivity_setup(vspec, modes, n_elements, corrupt_sign)
+    setups = _selectivity_setup(vspec, n_elements, corrupt_sign)
+    systems = [system for system, *_ in setups]  # one layout, two drives
+    charged = "qT" in systems[0].layout.fields
     none = np.zeros(0, dtype=int)  # a model without charge fields
-    charges = [(system.dofs_of("qT"), system.dofs_of("qB")) if "qT" in system.layout.fields
-               else (none, none) for system, *_ in setups]
+    top, bot = (systems[0].dofs_of("qT"), systems[0].dofs_of("qB")) if charged else (none, none)
     # Per drive, the running max |x| per dof, and of the charge mirror
     # mismatch qT -+ qB.
-    peaks = [np.zeros(system.n_dofs) for system, *_ in setups]
-    mismatch = np.zeros(len(setups))
+    peaks = [np.zeros(system.n_dofs) for system in systems]
+    mismatch = np.zeros(len(systems))
 
     def observe(rows, Xs, V):  # in place: the rows are simulate's scratch
-        for k, (m, (top, bot), X) in enumerate(zip(modes, charges, Xs)):
+        for k, (m, X) in enumerate(zip(_DRIVES, Xs)):
             gap = X[:, top]
             (np.subtract if m == "symmetric" else np.add)(gap, X[:, bot], out=gap)
             mismatch[k] = max(mismatch[k], float(np.abs(gap, out=gap).max(initial=0.0)))
             np.maximum(peaks[k], np.abs(X, out=X).max(axis=0), out=peaks[k])
 
-    zeros = [np.zeros(system.n_dofs) for system, *_ in setups]
-    simulate([system for system, *_ in setups], zeros, zeros, dt, t_end, velocities=False,
-             observe=observe)
+    zeros = [np.zeros(system.n_dofs) for system in systems]
+    simulate(systems, zeros, zeros, dt, t_end, velocities=False, observe=observe)
 
     reports = []
-    for m, (system, checks, quiet, active), (top, _), peak, mism in zip(
-            modes, setups, charges, peaks, mismatch):
+    for m, (_, checks, quiet, active), peak, mism in zip(_DRIVES, setups, peaks, mismatch):
         scale, leak, qs = _peak(peak[active]), _peak(peak[quiet]), _peak(peak[top])
         if scale == 0.0:
             raise IllegalRegime(f"the {m} drive never moves the beam (zero drive or no steps)")
@@ -306,13 +302,13 @@ def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, mode, n_elements:
                         "mirror-symmetric dynamics leave the odd class unexcited"),
             MetricCheck("active_response_max", scale, "m", basis="measured"),
         ]
-        if "qT" in system.layout.fields:
+        if charged:
             mirror_gap = float(mism) / qs if qs > 0.0 else 0.0
             checks.append(
                 MetricCheck("charge_mirror_gap", mirror_gap, "1", 1e-12, "below",
                             "mirror-symmetric dynamics tie the two charge fields"))
         reports.append(ScenarioReport(f"patch-selectivity-{m}", tuple(checks)))
-    return reports[0] if isinstance(mode, str) else tuple(reports)
+    return tuple(reports)
 
 
 # --- electrostatic limit --------------------------------------------------------

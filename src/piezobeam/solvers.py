@@ -184,10 +184,11 @@ class ModeSet:
     n_zero: int
 
 
-def eigenmodes(M, K, n_modes: int, null: np.ndarray, order=None) -> ModeSet:
+def eigenmodes(M, K, n_modes: int, null: np.ndarray, order: np.ndarray) -> ModeSet:
     """Lowest n_modes of the pencil (K, M), M and K sparse symmetric, and
     null (n, n_zero) a basis of K's kernel (SemiDiscreteSystem.null_space),
-    factored in the band numbering order (see FactorizedOperator).
+    factored in the band numbering order (SemiDiscreteSystem.band_order; see
+    FactorizedOperator).
 
     The first n_zero modes are null M-orthonormalised, at omega = 0.0.  The
     rest, at most n - n_zero - 1, come from one shift-invert Lanczos solve

@@ -173,8 +173,8 @@ def test_c06_patch_voltage_parity_selects_motion():
     """Equal drives leave bending quiet; opposite drives leave stretching quiet."""
     for variant, regime in PATCH_COMBOS:
         vspec = _forced(variant, regime)
-        for mode in ("symmetric", "antisymmetric"):
-            report = check_patch_voltage_selectivity(vspec, mode, 8, 1e-3, 2.0)
+        reports = check_patch_voltage_selectivity(vspec, 8, 1e-3, 2.0)
+        for mode, report in zip(("symmetric", "antisymmetric"), reports, strict=True):
             assert report.passed, (variant, regime, mode)
             assert report.metric("quiet_over_active_ratio").value <= 1e-12
             assert report.metric("active_response_max").value > 0.0

@@ -499,14 +499,13 @@ class TestCheck:
         assert main(["check", single_cfg, "--out", str(tmp_path / "r")]) == 0
 
     @pytest.mark.parametrize("name", ["single_beam.ini", "patch_bimorph.ini"])
-    @pytest.mark.parametrize("keys", [{"kind": "zero"}, {"t_end": 0.0004, "dt": None}])
-    def test_refuses_a_run_that_measured_nothing(self, tmp_path, capsys, name, keys):
-        # A zero drive, or t_end < dt/2 (no steps; with the heuristic dt,
-        # as a set dt must divide t_end), leaves the active
-        # response at exactly 0: a zero leak or bending response then shows
-        # nothing, and no passing report may be written.
+    def test_refuses_a_run_that_measured_nothing(self, tmp_path, capsys, name):
+        # A zero drive leaves the active response at exactly 0: a zero leak
+        # or bending response then shows nothing, and no passing report may
+        # be written.  (A run of no steps, which no config can ask for, is
+        # refused in test_scenarios.py.)
         out = tmp_path / "run"
-        cfg = shipped_with(tmp_path, name, **keys)
+        cfg = shipped_with(tmp_path, name, kind="zero")
         assert main(["check", cfg, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err and "zero drive or no steps" in captured.err
@@ -525,13 +524,12 @@ class TestLimit:
         assert header == ["mu", "distance"]
         assert cols["distance"][0] > cols["distance"][1] > 0.0
 
-    @pytest.mark.parametrize("keys", [{"kind": "zero"}, {"t_end": 0.0004, "dt": None}])
-    def test_refuses_a_run_that_never_moves(self, tmp_path, capsys, keys):
-        # A zero drive, or t_end < dt/2 (no steps; with the heuristic dt,
-        # as a set dt must divide t_end), leaves the electrostatic
-        # model at rest: every distance would be 0, a study of nothing.
+    def test_refuses_a_run_that_never_moves(self, tmp_path, capsys):
+        # A zero drive leaves the electrostatic model at rest: every
+        # distance would be 0, a study of nothing.  (A run of no steps is
+        # refused in test_scenarios.py.)
         out = tmp_path / "run"
-        cfg = shipped_with(tmp_path, "patch_bimorph.ini", **keys)
+        cfg = shipped_with(tmp_path, "patch_bimorph.ini", kind="zero")
         assert main(["limit", cfg, "--out", str(out)]) == 2
         assert "error: the electrostatic model never moves" in capsys.readouterr().err
         assert not (out / "limit.csv").exists() and not (out / "limit_report.json").exists()

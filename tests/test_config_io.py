@@ -1,6 +1,7 @@
 """INI configuration parsing/serialization and the CSV/JSON/SVG writers."""
 
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -259,7 +260,20 @@ class TestTimeStepHeuristic:
         assert resolved_dt(cfg) == 0.001
         auto = parse_config(SINGLE_INI.replace("dt = 0.001\n", ""))
         assert auto.dt is None
-        assert resolved_dt(auto) == pytest.approx(heuristic_dt(auto.validated(), 8))
+        dt = resolved_dt(auto)
+        assert dt <= heuristic_dt(auto.validated(), 8)
+        assert auto.t_end / dt == pytest.approx(round(auto.t_end / dt), rel=1e-12)
+
+    @pytest.mark.parametrize("t_end", [0.0105, 0.5, 1e-6])
+    def test_heuristic_dt_ends_the_run_at_t_end(self, t_end):
+        # The heuristic step is shortened to divide t_end: the run takes
+        # ceil(t_end / heuristic_dt) steps and its last one lands on t_end.
+        text = SINGLE_INI.replace("dt = 0.001\n", "").replace("t_end = 0.5", f"t_end = {t_end}")
+        cfg = parse_config(text)
+        bound, dt = heuristic_dt(cfg.validated(), 8), resolved_dt(cfg)
+        n_steps = round(t_end / dt)
+        assert n_steps == math.ceil(t_end / bound) >= 1
+        assert dt <= bound and n_steps * dt == pytest.approx(t_end, rel=1e-12)
 
     def test_heuristic_follows_mesh_and_wave_speed(self):
         vspec = parse_config(SINGLE_INI).validated()

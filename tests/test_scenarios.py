@@ -79,9 +79,7 @@ class TestPatchVoltageSelectivity:
     @pytest.mark.parametrize("variant,regime", PATCH_COMBOS)
     def test_equal_voltages_drive_stretching_only(self, variant, regime):
         vspec = make_spec(variant, regime, voltage=sinusoid_pair(+1.0))
-        report = check_patch_voltage_selectivity(
-            vspec, mode="symmetric", n_elements=8, dt=1e-3, t_end=0.5
-        )
+        report, _ = check_patch_voltage_selectivity(vspec, n_elements=8, dt=1e-3, t_end=0.5)
         assert report.passed
         assert report.metric("quiet_over_active_ratio").value <= 1e-12
         assert report.metric("active_response_max").value > 0.0
@@ -89,17 +87,15 @@ class TestPatchVoltageSelectivity:
     @pytest.mark.parametrize("variant,regime", PATCH_COMBOS)
     def test_opposite_voltages_drive_bending_only(self, variant, regime):
         vspec = make_spec(variant, regime, voltage=sinusoid_pair(-1.0))
-        report = check_patch_voltage_selectivity(
-            vspec, mode="antisymmetric", n_elements=8, dt=1e-3, t_end=0.5
-        )
+        _, report = check_patch_voltage_selectivity(vspec, n_elements=8, dt=1e-3, t_end=0.5)
         assert report.passed
 
     @pytest.mark.parametrize("regime", (Regime.FULL_MAGNETIC, Regime.ELECTROSTATIC))
     def test_corrupted_coupling_is_caught(self, regime):
         # negative control: flipping one coupling sign must break the parity
         vspec = make_spec(Variant.PATCH_EB, regime, voltage=sinusoid_pair(+1.0))
-        report = check_patch_voltage_selectivity(
-            vspec, mode="symmetric", n_elements=8, dt=1e-3, t_end=0.5, corrupt_sign=True
+        report, _ = check_patch_voltage_selectivity(
+            vspec, n_elements=8, dt=1e-3, t_end=0.5, corrupt_sign=True
         )
         assert not report.passed
         assert report.metric("quiet_over_active_ratio").value > 1e-6
@@ -110,19 +106,39 @@ class TestPatchVoltageSelectivity:
         sysm = build_system(vspec, 512)
         assert (sysm.K != sysm.K.T).nnz == 0
         assert (sysm.M != sysm.M.T).nnz == 0
-        report = check_patch_voltage_selectivity(vspec, "symmetric", 512, 1e-3, 0.02)
+        report, _ = check_patch_voltage_selectivity(vspec, 512, 1e-3, 0.02)
         for name in ("mass_mirror_gap", "stiffness_mirror_gap", "input_map_mirror_gap",
                      "combined_load_on_quiet_block"):
             assert report.metric(name).value == 0.0, name
         assert report.passed
 
-    def test_rejects_single_beam_and_unknown_mode(self):
+    def test_rejects_single_beam(self):
         single = make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC)
         with pytest.raises(IllegalRegime):
-            check_patch_voltage_selectivity(single, "symmetric", 8, 1e-3, 0.1)
-        patch = make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC)
-        with pytest.raises(ValueError):
-            check_patch_voltage_selectivity(patch, "diagonal", 8, 1e-3, 0.1)
+            check_patch_voltage_selectivity(single, 8, 1e-3, 0.1)
+
+
+class TestRunOfNoSteps:
+    """t_end < dt / 2 takes no steps, so a driven model stays at rest: each
+    check has no response scale to measure against and refuses the run."""
+
+    DT, T_END = 1e-3, 4e-4
+
+    def test_decoupling_check_refuses_it(self):
+        vspec = make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC,
+                          voltage=VoltageSignal.sinusoid(2.0, 5.0))
+        with pytest.raises(IllegalRegime, match="no steps"):
+            check_single_beam_decoupling(vspec, 8, self.DT, self.T_END)
+
+    def test_selectivity_check_refuses_it(self):
+        vspec = make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC, voltage=sinusoid_pair())
+        with pytest.raises(IllegalRegime, match="no steps"):
+            check_patch_voltage_selectivity(vspec, 8, self.DT, self.T_END)
+
+    def test_limit_study_refuses_it(self):
+        vspec = make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC, voltage=sinusoid_pair())
+        with pytest.raises(IllegalRegime, match="no steps"):
+            run_electrostatic_limit(vspec, (0.5, 0.05), 8, self.DT, self.T_END)
 
 
 class TestElectrostaticLimit:
@@ -272,8 +288,7 @@ class TestSharedAssembly:
         base = vspec.voltages[0]
         drives = [(base, base), (base, scenarios._negated(base))]
         for corrupt in (False, True):
-            setups = scenarios._selectivity_setup(vspec, ("symmetric", "antisymmetric"), n,
-                                                  corrupt)
+            setups = scenarios._selectivity_setup(vspec, n, corrupt)
             for (system, *_), drive in zip(setups, drives, strict=True):
                 want = build_system(replace(vspec, voltages=drive), n)
                 assert_same_system(system, scenarios._corrupt_coupling(want) if corrupt
@@ -302,8 +317,7 @@ class TestSharedAssembly:
     def test_patch_check_builds_one_system(self, monkeypatch, corrupt):
         builds = count_calls(monkeypatch, scenarios, "build_system")
         vspec = make_spec(Variant.PATCH_MT, Regime.FULL_MAGNETIC, voltage=sinusoid_pair())
-        reports = check_patch_voltage_selectivity(vspec, ("symmetric", "antisymmetric"), 8,
-                                                  1e-3, 0.1, corrupt_sign=corrupt)
+        reports = check_patch_voltage_selectivity(vspec, 8, 1e-3, 0.1, corrupt_sign=corrupt)
         assert len(builds) == 1
         assert [r.passed for r in reports] == [not corrupt, not corrupt]
 
@@ -329,8 +343,7 @@ class TestInPlaceObservers:
         reports = []
         for entries in (solvers.CHUNK_ENTRIES, 200):
             monkeypatch.setattr(solvers, "CHUNK_ENTRIES", entries)
-            pair = check_patch_voltage_selectivity(patch, ("symmetric", "antisymmetric"), 8,
-                                                   1e-3, 0.2)
+            pair = check_patch_voltage_selectivity(patch, 8, 1e-3, 0.2)
             reports.append([check_single_beam_decoupling(single, 8, 1e-3, 0.2).as_dict()]
                            + [report.as_dict() for report in pair])
         assert reports[0] == reports[1]
@@ -339,7 +352,7 @@ class TestInPlaceObservers:
 class TestModalAnalysis:
     def test_mode_energy_fractions_sum_to_one(self, rng):
         sysm = build_system(make_spec(Variant.PATCH_MT, Regime.FULL_MAGNETIC), 8)
-        modes = eigenmodes(sysm.M, sysm.K, 8, sysm.null_space())
+        modes = eigenmodes(sysm.M, sysm.K, 8, sysm.null_space(), sysm.band_order())
         fractions = mode_energy_fractions(sysm, modes.shapes)
         assert len(fractions) == modes.shapes.shape[1] == 8
         for j, frac in enumerate(fractions):
@@ -409,18 +422,19 @@ class TestConvergence:
             run_convergence_study(vspec, (16, 8, 32), kind="stretching")
 
 
-def timoshenko_free_free(omega, EI, kGA, rhoA, rhoI, L):
-    """Determinant of the 4x4 boundary matrix of a free-free Timoshenko beam
-    (shear coefficient 1) of length L at a frequency omega below the shear
-    cutoff sqrt(kGA / rhoI); zero at its natural frequencies.
+def timoshenko_det(omega, EI, kGA, rhoA, rhoI, L, clamped):
+    """Determinant of the 4x4 boundary matrix of a Timoshenko beam (shear
+    coefficient 1) of length L, free at x = L and free or clamped at x = 0,
+    at a frequency omega below the shear cutoff sqrt(kGA / rhoI); zero at
+    its natural frequencies.
 
-    With w = W(x) e^{i omega t} and psi = Phi(x) e^{i omega t}, the shear
-    strain W' + Phi and the moment EI Phi' vanish at both ends.  W is a
-    combination of cosh(a x), sinh(a x), cos(b x) and sin(b x), s = +-a and
-    s = +-i b the roots of EI kGA s^4 + omega^2 (kGA rhoI + rhoA EI) s^2
-    + rhoA omega^2 (rhoI omega^2 - kGA) = 0, and the shear balance
-    kGA (W'' + Phi') + rhoA omega^2 W = 0 gives Phi' = -(W'' + c W),
-    c = rhoA omega^2 / kGA.
+    With w = W(x) e^{i omega t} and psi = Phi(x) e^{i omega t}, a free end
+    has zero shear strain W' + Phi and zero moment EI Phi', a clamped end
+    W = Phi = 0.  W is a combination of cosh(a x), sinh(a x), cos(b x) and
+    sin(b x), s = +-a and s = +-i b the roots of EI kGA s^4 + omega^2
+    (kGA rhoI + rhoA EI) s^2 + rhoA omega^2 (rhoI omega^2 - kGA) = 0, and
+    the shear balance kGA (W'' + Phi') + rhoA omega^2 W = 0 gives
+    Phi' = -(W'' + c W), c = rhoA omega^2 / kGA.
     """
     w2 = omega * omega
     quad = (EI * kGA, w2 * (kGA * rhoI + rhoA * EI), rhoA * w2 * (rhoI * w2 - kGA))
@@ -430,52 +444,71 @@ def timoshenko_free_free(omega, EI, kGA, rhoA, rhoI, L):
     c = rhoA * w2 / kGA
     ka, kb = (a * a + c) / a, (c - b * b) / b
 
-    def rows(x):  # moment and shear of each of the four solutions at x
+    def rows(x, clamp):  # the two end conditions on each of the four solutions at x
         ch, sh, cs, sn = np.cosh(a * x), np.sinh(a * x), np.cos(b * x), np.sin(b * x)
-        slope = (a * sh, a * ch, -b * sn, b * cs)  # W'
         phi = (-ka * sh, -ka * ch, -kb * sn, kb * cs)
+        if clamp:
+            return [[ch, sh, cs, sn], phi]
+        slope = (a * sh, a * ch, -b * sn, b * cs)  # W'
         moment = (-ka * a * ch, -ka * a * sh, -kb * b * cs, -kb * b * sn)  # Phi'
         return [moment, [s + p for s, p in zip(slope, phi)]]
 
-    return np.linalg.det(np.array(rows(0.0) + rows(L)))
+    return np.linalg.det(np.array(rows(0.0, clamped) + rows(L, False)))
 
 
-def timoshenko_first_root(co, h, L):
-    """(Timoshenko, Euler-Bernoulli) free-free bending fundamentals of the
-    single beam of thickness h, with forms.py's coefficients: EI = alpha1
-    h^3/12, kGA = alpha3 h, rhoA = rho h, rhoI = rho h^3/12."""
-    args = (co.alpha1 * h ** 3 / 12.0, co.alpha3 * h, co.rho * h, co.rho * h ** 3 / 12.0, L)
-    eb = 4.730040744862704 ** 2 * np.sqrt(args[0] / args[2]) / L ** 2
-    # Shear and rotary inertia lower the frequency; the first sign change
-    # of the determinant above 0.3 of EB's root brackets it.
-    grid = np.linspace(0.3 * eb, 1.01 * eb, 400)
-    det = np.array([timoshenko_free_free(w, *args) for w in grid])
-    k = np.flatnonzero(np.sign(det[:-1]) != np.sign(det[1:]))[0]
-    return scipy.optimize.brentq(timoshenko_free_free, grid[k], grid[k + 1], args=args,
-                                 xtol=1e-15, rtol=1e-15), eb
+# Euler-Bernoulli roots beta L of the first two bending modes, free-free and
+# clamped-free: omega = (beta L)^2 sqrt(EI / rhoA) / L^2.
+EB_BETA_L = {False: (4.730040744862704, 7.853204624095838),
+             True: (1.875104068711961, 4.694091132974175)}
+
+
+def timoshenko_root(co, h, L, number=1, clamped=False):
+    """(Timoshenko, Euler-Bernoulli) number-th bending frequencies of the
+    single beam of thickness h, free-free or clamped-free, with forms.py's
+    coefficients: EI = alpha1 h^3/12, kGA = alpha3 h, rhoA = rho h,
+    rhoI = rho h^3/12."""
+    args = (co.alpha1 * h ** 3 / 12.0, co.alpha3 * h, co.rho * h, co.rho * h ** 3 / 12.0, L,
+            clamped)
+    eb = [bl ** 2 * np.sqrt(args[0] / args[2]) / L ** 2 for bl in EB_BETA_L[clamped]]
+    # Shear and rotary inertia lower every frequency: the number-th sign
+    # change of the determinant above 0.2 of EB's first root brackets it.
+    grid = np.linspace(0.2 * eb[0], 1.01 * eb[number - 1], 400 * number)
+    det = np.array([timoshenko_det(w, *args) for w in grid])
+    k = np.flatnonzero(np.sign(det[:-1]) != np.sign(det[1:]))[number - 1]
+    return scipy.optimize.brentq(timoshenko_det, grid[k], grid[k + 1], args=args,
+                                 xtol=1e-15, rtol=1e-15), eb[number - 1]
 
 
 class TestTimoshenko:
     """The Mindlin-Timoshenko single beam against Timoshenko beam theory
     (Huang, J. Appl. Mech. 28, 1961; Han, Benaroya & Wei, J. Sound Vib.
-    225(5), 1999), electrostatic and free-free."""
+    225(5), 1999), electrostatic, free-free or clamped-free."""
 
     @staticmethod
-    def spec(h):
-        return make_spec(Variant.SINGLE_MT, Regime.ELECTROSTATIC,
+    def spec(h, bc=BoundaryCondition.FREE_FREE):
+        return make_spec(Variant.SINGLE_MT, Regime.ELECTROSTATIC, bc=bc,
                          geometry=BeamGeometry(length=1.0, thickness=h))
 
-    def test_thin_root_is_euler_bernoulli(self):
-        # The oracle itself: its root tends to EB's closed form as h -> 0.
-        omega, eb = timoshenko_first_root(self.spec(1e-3).beam, 1e-3, 1.0)
+    @pytest.mark.parametrize("number, clamped", [(1, False), (2, False), (1, True)])
+    def test_thin_root_is_euler_bernoulli(self, number, clamped):
+        # The oracle itself: its roots tend to EB's closed form as h -> 0.
+        omega, eb = timoshenko_root(self.spec(1e-3).beam, 1e-3, 1.0, number, clamped)
         assert omega < eb and (eb - omega) / eb <= 1e-5
 
     @pytest.mark.parametrize("h", [0.05, 0.1, 0.2])
-    def test_first_bending_root_converges_at_second_order(self, h):
-        omega, eb = timoshenko_first_root(self.spec(h).beam, h, 1.0)
-        assert (eb - omega) / eb >= 5e-3  # far enough from EB to tell them apart
-        report = run_convergence_study(self.spec(h), (16, 32, 64, 128), kind="bending",
-                                       number=1, reference=omega)
+    @pytest.mark.parametrize("number, bc", [
+        (1, BoundaryCondition.FREE_FREE),
+        (2, BoundaryCondition.FREE_FREE),
+        (1, BoundaryCondition.CLAMPED_FREE),
+    ], ids=["free_free-1", "free_free-2", "clamped_free-1"])
+    def test_bending_root_converges_at_second_order(self, h, number, bc):
+        vspec, clamped = self.spec(h, bc), bc == BoundaryCondition.CLAMPED_FREE
+        omega, eb = timoshenko_root(vspec.beam, h, 1.0, number, clamped)
+        # Far enough from EB to tell them apart; shear moves the clamped
+        # fundamental least, by 1.7e-3 at h/L = 0.05.
+        assert (eb - omega) / eb >= (1e-3 if clamped else 5e-3)
+        report = run_convergence_study(vspec, (16, 32, 64, 128), kind="bending",
+                                       number=number, reference=omega)
         assert report.passed
         assert report.metric("observed_order").value >= 1.8
         assert report.metric("relative_error_n128").value <= 1e-3
@@ -483,7 +516,7 @@ class TestTimoshenko:
     def test_thin_beam_does_not_lock(self):
         # At h/L = 1e-3 shear locking would stiffen the beam far above EB.
         vspec = self.spec(1e-3)
-        _, eb = timoshenko_first_root(vspec.beam, 1e-3, 1.0)
+        _, eb = timoshenko_root(vspec.beam, 1e-3, 1.0)
         assert abs(mode_frequency(vspec, 128, "bending", 1) - eb) / eb <= 1e-3
 
 

@@ -24,6 +24,7 @@ from piezobeam.errors import (
     EnergyImbalance,
     NonFiniteState,
     NotPositiveDefinite,
+    SingularStepMatrix,
 )
 from piezobeam.kernels import cholesky_solve, midpoint_sweep
 from piezobeam.materials import (
@@ -106,6 +107,13 @@ class TestSpdSolver:
         with pytest.raises(NotPositiveDefinite):
             FactorizedOperator.build(A)
 
+    def test_step_operator_names_the_dt_of_a_singular_step_matrix(self):
+        # A negated mass matrix makes M + (dt^2/4) K indefinite at a small
+        # dt: the step is refused, and the message says for which dt.
+        sysm = shipped_system(SHIPPED[0])
+        with pytest.raises(SingularStepMatrix, match=r"not positive definite for dt=0\.001$"):
+            step_operator(replace(sysm, M=-sysm.M), 1e-3)
+
     def test_banded_factor_keeps_decoupled_blocks_exact(self):
         # The single beam's bending block is decoupled from stretching and
         # charge: a load on the other fields must leave bending at exact
@@ -175,8 +183,8 @@ class TestEigenmodes:
         # stays.
         sysm = build_system(make_spec(variant, regime, bc=bc), n)
         null = sysm.null_space()
-        modes = eigenmodes(sysm.M, sysm.K, 16, null)
-        omegas, shapes = eigsh_modes(sysm.M, sysm.K, 16, null)
+        modes = eigenmodes(sysm.M, sysm.K, 16, null, sysm.band_order())
+        omegas, shapes = eigsh_modes(sysm.M, sysm.K, 16, null, sysm.band_order())
         assert modes.omegas[modes.n_zero:].tobytes() == omegas.tobytes()
         assert modes.shapes.tobytes() == shapes.tobytes()
 
@@ -192,7 +200,7 @@ class TestEigenmodes:
         c2 = co.alpha11 / co.rho
         theta = np.arange(1, n + 1) * np.pi / n
         rod = np.sqrt(6.0 * c2 / le**2 * (1.0 - np.cos(theta)) / (2.0 + np.cos(theta)))
-        modes = eigenmodes(sysm.M, sysm.K, sysm.n_dofs, sysm.null_space())
+        modes = eigenmodes(sysm.M, sysm.K, sysm.n_dofs, sysm.null_space(), sysm.band_order())
         for target in rod:
             assert np.min(np.abs(modes.omegas - target)) <= 1e-9 * target
 
@@ -203,12 +211,12 @@ class TestEigenmodes:
         # The count does not depend on how many modes are asked for.
         electro = build_system(make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC), 8)
         full = build_system(make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC), 8)
-        assert eigenmodes(electro.M, electro.K, k, electro.null_space()).n_zero == 3
-        assert eigenmodes(full.M, full.K, k, full.null_space()).n_zero == 4
+        assert eigenmodes(electro.M, electro.K, k, electro.null_space(), electro.band_order()).n_zero == 3
+        assert eigenmodes(full.M, full.K, k, full.null_space(), full.band_order()).n_zero == 4
         clamped = build_system(
             make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC, bc=BoundaryCondition.CLAMPED_FREE), 8
         )
-        assert eigenmodes(clamped.M, clamped.K, k, clamped.null_space()).n_zero == 0
+        assert eigenmodes(clamped.M, clamped.K, k, clamped.null_space(), clamped.band_order()).n_zero == 0
 
     def test_returns_the_modes_of_a_fine_clamped_beam(self):
         # At 8192 elements the first bending mode of a clamped beam falls to
@@ -239,7 +247,7 @@ class TestEigenmodes:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
         sysm = build_system(make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC), 8)
-        modes = eigenmodes(sysm.M, sysm.K, n_modes, sysm.null_space())
+        modes = eigenmodes(sysm.M, sysm.K, n_modes, sysm.null_space(), sysm.band_order())
         assert modes.n_zero == 4
         assert np.array_equal(modes.omegas, np.zeros(n_modes))
         gram = modes.shapes.T @ (sysm.M @ modes.shapes)
@@ -253,11 +261,11 @@ class TestEigenmodes:
         null = np.zeros((sysm.n_dofs, 1))
         null[sysm.dofs_of("v"), 0] = 1.0
         with pytest.raises(ConvergenceFailure, match="not in K's kernel"):
-            eigenmodes(sysm.M, sysm.K, 4, null)
+            eigenmodes(sysm.M, sysm.K, 4, null, sysm.band_order())
 
     def test_shapes_mass_orthonormal(self):
         sysm = build_system(make_spec(Variant.PATCH_MT, Regime.FULL_MAGNETIC), 8)
-        modes = eigenmodes(sysm.M, sysm.K, 10, sysm.null_space())
+        modes = eigenmodes(sysm.M, sysm.K, 10, sysm.null_space(), sysm.band_order())
         gram = modes.shapes.T @ sysm.M @ modes.shapes
         assert np.allclose(gram, np.eye(modes.shapes.shape[1]), atol=1e-9)
         assert np.all(np.diff(modes.omegas) >= -1e-12)
@@ -270,13 +278,13 @@ class TestEigenmodes:
         sysm = shipped_system(path)
         ref = scipy.linalg.eigh(sysm.K.toarray(), sysm.M.toarray(), eigvals_only=True)
         assert np.abs(ref[:n_zero]).max() <= 1e-6 * ref[n_zero]
-        modes = eigenmodes(sysm.M, sysm.K, 16, sysm.null_space())
+        modes = eigenmodes(sysm.M, sysm.K, 16, sysm.null_space(), sysm.band_order())
         assert modes.n_zero == n_zero
         assert np.all(modes.omegas[:n_zero] == 0.0)
         assert np.allclose(modes.omegas[n_zero:], np.sqrt(ref[n_zero:16]), rtol=1e-7, atol=0.0)
         gram = modes.shapes.T @ (sysm.M @ modes.shapes)
         assert np.allclose(gram, np.eye(16), atol=1e-9)
-        again = eigenmodes(sysm.M, sysm.K, 16, sysm.null_space())
+        again = eigenmodes(sysm.M, sysm.K, 16, sysm.null_space(), sysm.band_order())
         assert np.array_equal(again.omegas, modes.omegas)
         assert np.array_equal(again.shapes, modes.shapes)
 
@@ -424,7 +432,7 @@ def with_index_dtype(A, dtype):
     return A
 
 
-def eigsh_modes(M, K, n_modes, null):
+def eigsh_modes(M, K, n_modes, null, order):
     """eigenmodes as it was before its operators called the kernels
     directly: eigsh given the sparse M, and OPinv through
     FactorizedOperator.solve and a deflation that allocates."""
@@ -438,7 +446,7 @@ def eigsh_modes(M, K, n_modes, null):
         return y - Z @ (MZ.T @ y)
 
     sigma = -1e-6 * float(K.diagonal().mean()) / float(M.diagonal().mean())
-    op = FactorizedOperator.build(K - sigma * M)
+    op = FactorizedOperator.build(K - sigma * M, order)
     opinv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lambda b: deflated(op.solve(b)),
                                                dtype=float)
     vals, vecs = scipy.sparse.linalg.eigsh(
@@ -800,7 +808,7 @@ class TestBatch:
     def test_patch_check_drives_run_as_one_sweep(self):
         vspec, config = shipped_spec(SHIPPED[1])
         systems = [system for system, *_ in scenarios._selectivity_setup(
-            vspec, ("symmetric", "antisymmetric"), config.n_elements, False)]
+            vspec, config.n_elements, False)]
         zeros = [np.zeros(s.n_dofs) for s in systems]
         assert_batch_is_separate_runs(systems, zeros, zeros, config.dt, config.t_end)
 
@@ -827,8 +835,7 @@ class TestBatch:
         assert all(len(blocks) == 1 for blocks in evens)
         assert factored == [(sum(len(blk.dofs) for (blk,) in evens), 4)]
         factored.clear()
-        scenarios.check_patch_voltage_selectivity(vspec, ("symmetric", "antisymmetric"),
-                                                  config.n_elements, config.dt, 0.05)
+        scenarios.check_patch_voltage_selectivity(vspec, config.n_elements, config.dt, 0.05)
         assert factored == [(systems[1].n_dofs, 6)]  # the two halves hold every dof
         factored.clear()
         quiet = build_system(make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC), 8)  # no drive
@@ -1391,6 +1398,22 @@ class TestBenchmarkContract:
         system = build_system(config.validated(), config.n_elements)
         op = step_operator(system, resolved_dt(config))
         assert isinstance(op, FactorizedOperator) and op.L.shape[1] == system.n_dofs
+
+    def test_tracer_binds_the_eigenmodes_arguments(self, tmp_path):
+        # perfbench/tracer.py counts solvers.eigenmodes' dofs from its
+        # argument M, bound by name: a traced modes command raises KeyError
+        # as soon as eigenmodes loses it.
+        tracer = self.tracer()
+        t = tracer.Tracer()
+        t.install()
+        try:
+            code = cli.main(["modes", SHIPPED[1], "--n", "16", "--out", str(tmp_path)])
+        finally:
+            t.remove()
+        assert t.missing == []
+        assert code == 0
+        m = tracer.layer_metrics(t.take())
+        assert m["solvers.eigen_dofs"] == shipped_system(SHIPPED[1]).n_dofs
 
     def test_tracer_sees_one_factor_per_limit_sweep(self):
         # limit's five systems step in one simulate, which factors their
