@@ -14,15 +14,16 @@ thread environment (and to a dense np.add.at accumulation).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
 
 from .errors import MeshSpecMismatch, NotPositiveDefinite, SingularElectricBlock
-from .fem import GAUSS_FULL, GAUSS_REDUCED, endpoint_values, shape_table
+from .fem import GAUSS_FULL, GAUSS_REDUCED, endpoint_values, gauss_table
 from .forms import build_forms
-from .layout import FIELD_CLASS, DofLayout, FieldState, build_layout, interpolate_field
+from .layout import CHAIN, FIELD_CLASS, DofLayout, FieldState, build_layout, interpolate_field
 from .materials import BoundaryCondition, Regime, ValidatedModelSpec
 from .mesh import Mesh
 from .solvers import FactorizedOperator
@@ -70,6 +71,11 @@ class SemiDiscreteSystem:
         sl = self.layout.dof_slice(name)
         return self.current_dofs(np.arange(sl.start, sl.stop))
 
+    def fields_of(self) -> np.ndarray:
+        """Each current dof's field, as its index in layout.fields."""
+        counts = [f.count for f in self.layout.fields.values()]
+        return np.repeat(np.arange(len(counts)), counts)[self.free_dofs]
+
     def class_dofs(self, *kinds: str) -> np.ndarray:
         """Current-numbering indices of the surviving dofs of every field in
         the given motion classes (see layout.FIELD_CLASS)."""
@@ -81,9 +87,12 @@ class SemiDiscreteSystem:
         Without charge pairs (the single beam) the mirror negates bending
         alone, nothing couples it to the rest, and it comes after the rest."""
         pos = np.concatenate([self.layout.node_positions(f) for f in self.layout.fields])
+        pos = pos[self.free_dofs][dofs]
+        if "qT" in self.layout.fields:
+            return np.argsort(pos, kind="stable")
         late = np.zeros(self.n_dofs, dtype=bool)
-        late[self.class_dofs("bending")] = "qT" not in self.layout.fields
-        return np.lexsort((pos[self.free_dofs][dofs], late[dofs]))
+        late[self.class_dofs("bending")] = True
+        return np.lexsort((pos, late[dofs]))
 
     def null_space(self) -> np.ndarray:
         """K's known kernel (n_dofs, k): the rigid motions v = 1, w = 1 and
@@ -103,71 +112,132 @@ class SemiDiscreteSystem:
         return Z[self.free_dofs][:, kept]
 
 
-def _element_blocks(layout: DofLayout, terms):
-    """Every element block of the terms, in the order assembly sums them:
-    per term and channel pair (i, j), j >= i, the blocks at (i, j) and,
-    when i != j, their transposes at (j, i).  Yields (rows, cols, field,
-    block): the row and column fields' dofs on the term's elements, shapes
-    (n_e, a) and (n_e, b), the column field and the blocks (n_e, a, b)."""
-    for term in terms:
-        elems, _ = layout.mesh.region(term.region)
-        if len(elems) == 0:
+def _element_tables(terms, fields: dict, lengths: np.ndarray) -> dict:
+    """Every term's element blocks on the distinct element lengths: by
+    id(term), (blocks, at), blocks (n_u, N, N) over the term's local dofs
+    and at the slice of each channel's dofs in them, so that the block of
+    channels (i, j) on lengths[u] is blocks[u, at[i], at[j]].  A block
+    depends on the element only through its length.
+
+    One einsum per quadrature rule forms every channel pair of every term
+    at once, each entry summed over the points in the same order as
+    alone.  The block at (j, i), i < j, is the transpose of the one at
+    (i, j); einsum's contraction order is not symmetric in (a, b), so
+    averaging restores bitwise-symmetric blocks at (i, i)."""
+    tables = {}
+    for reduced in {term.reduced_quad for term in terms}:
+        group = [term for term in terms if term.reduced_quad == reduced]
+        keys = [(fields[f].basis, d, reduced) for term in group for f, d in term.channels]
+        shapes = {key: gauss_table(*key, lengths) for key in dict.fromkeys(keys)}
+        shapes = [shapes[key] for key in keys]
+        ends = list(itertools.accumulate(t.shape[2] for t in shapes))
+        at = [slice(b - t.shape[2], b) for t, b in zip(shapes, ends)]
+        coeff = np.zeros((len(shapes),) * 2)  # every term's coefficients, block diagonal
+        k = 0
+        for term in group:
+            tables[id(term)] = at[k:k + len(term.channels)]
+            coeff[k:k + len(term.channels), k:k + len(term.channels)] = term.coeff
+            k += len(term.channels)
+        ch = np.repeat(np.arange(len(shapes)), [t.shape[2] for t in shapes])
+        table = np.concatenate(shapes, axis=2)
+        wq = (GAUSS_REDUCED if reduced else GAUSS_FULL)[1]
+        full = coeff[ch[:, None], ch] * np.einsum("q,e,eqa,eqb->eab", wq, lengths, table, table)
+        flip = np.swapaxes(full, 1, 2)
+        full = np.where(ch[:, None] == ch, 0.5 * (full + flip),
+                        np.where(ch[:, None] < ch, full, flip))
+        for term in group:
+            tables[id(term)] = full, tables[id(term)]
+    return tables
+
+
+def _element_blocks(term, tables: dict, dofs: dict, elems: np.ndarray):
+    """Every element block of the term on elems, in the order assembly
+    sums them: per channel pair (i, j), j >= i, the block at (i, j) and,
+    when i != j, its transpose at (j, i).  Yields (fields, rows, cols,
+    table): the row and column fields, their dofs on the elements, shapes
+    (a, n_e) and (b, n_e), from dofs (each field's dofs on element 0 of
+    the mesh, and its stride), and the blocks (n_u, a, b) on the distinct
+    lengths (see _element_tables)."""
+    full, at = tables[id(term)]
+    tabs = [first[:, None] + stride * elems for first, stride in
+            (dofs[f] for f, _ in term.channels)]
+    for i, j in itertools.combinations_with_replacement(range(len(term.channels)), 2):
+        if term.coeff[i, j] == 0.0:
             continue
-        # An element block depends on the element only through its length:
-        # compute one per distinct length and gather them by element.
-        lengths, inv = np.unique(layout.mesh.lengths[elems], return_inverse=True)
-        xi, wq = GAUSS_REDUCED if term.reduced_quad else GAUSS_FULL
-        tables = [shape_table(layout.fields[f].basis, d, xi, lengths) for f, d in term.channels]
-        dof_tabs = [layout.element_dofs(f, elems) for f, _ in term.channels]
-        k = len(term.channels)
-        for i in range(k):
-            for j in range(i, k):
-                c = term.coeff[i, j]
-                if c == 0.0:
-                    continue
-                # (n_e, n_loc_i, n_loc_j), exact Gauss quadrature
-                block = c * np.einsum(
-                    "q,e,eqa,eqb->eab", wq, lengths, tables[i], tables[j]
-                )
-                if i == j:
-                    # einsum's contraction order is not symmetric in (a, b);
-                    # averaging restores bitwise-symmetric element blocks
-                    block = 0.5 * (block + np.swapaxes(block, 1, 2))
-                block = block[inv]
-                yield dof_tabs[i], dof_tabs[j], term.channels[j][0], block
-                if i != j:
-                    yield dof_tabs[j], dof_tabs[i], term.channels[i][0], np.swapaxes(block, 1, 2)
+        for a, b in [(i, j), (j, i)][:1 + (i != j)]:
+            yield ((term.channels[a][0], term.channels[b][0]), tabs[a], tabs[b],
+                   full[:, at[a], at[b]])
 
 
-def _assemble_terms(layout: DofLayout, terms, n: int) -> scipy.sparse.csr_array:
-    """The CSR matrix of the terms, each entry summed from 0.0 in the order
-    _element_blocks yields its contributions.  On a 1D element chain a row's
-    columns in one field form one range, so the pattern is known from each
-    row's first and last column per field, and entry (r, c) of field f sits
-    at slot base[f][r] + c: one bincount over every block's slots sums the
-    entries in that order, and nothing is sorted."""
-    blocks = list(_element_blocks(layout, terms))
-    fields = list(layout.fields)
-    lo, hi = np.full((len(fields), n), n), np.full((len(fields), n), -1)
-    for rows, cols, name in {(id(r), id(c)): (r, c, f) for r, c, f, _ in blocks}.values():
-        # Local dof k of element e is rows[0, 0] + d with d = s e + k: row d
-        # lies on elements ceil((d - a + 1) / s) to d // s, its column range.
-        a, s = rows.shape[1], rows[1, 0] - rows[0, 0] if len(rows) > 1 else 1
-        d, f = np.arange(rows[-1, -1] - rows[0, 0] + 1), fields.index(name)
-        span = slice(rows[0, 0], rows[-1, -1] + 1)
-        lo[f, span] = np.minimum(lo[f, span], cols[np.maximum(0, (d - a + s) // s), 0])
-        hi[f, span] = np.maximum(hi[f, span], cols[np.minimum(len(rows) - 1, d // s), -1])
-    width = np.maximum(hi - lo + 1, 0).T.ravel()  # row-major over (row, field)
-    end = np.cumsum(width)
-    start = end - width - lo.T.ravel()  # slot of column 0 of each row's field
-    base = start.reshape(n, len(fields)).T
-    slots = [(base[fields.index(f)][r][:, :, None] + c[:, None, :]).ravel()
-             for r, c, f, _ in blocks]
-    data = np.bincount(np.concatenate(slots), np.concatenate([b.ravel() for *_, b in blocks]),
-                       end[-1])
-    return scipy.sparse.csr_array((data, np.arange(end[-1]) - np.repeat(start, width),
-                                   np.append(0, end[len(fields) - 1::len(fields)])),
-                                  shape=(n, n))
+def _assemble(layout: DofLayout, term_sets) -> list:
+    """The CSR matrix of each set of terms, each entry summed from 0.0 over
+    the blocks in the order _element_blocks yields them, term by term,
+    and within a block over the elements in ascending order.
+
+    On a 1D element chain a row lies on one element or two neighbours, and
+    the columns of a field on a run of elements form one range, so the
+    pattern is arithmetic on each field's chain (CHAIN): row r's columns
+    in its k-th coupled field are lo[r, k] to lo[r, k] + width[r, k] - 1,
+    over the elements on which a term couples the two fields, and entry
+    (r, c) there sits at slot base[k, r] + c.  Nothing is sorted.  One
+    ordered np.add.at per block sums into the slots, by local row and
+    column dof from the right node down, then by element: in a block only
+    an element's right node and the next element's left node share
+    entries, so each entry still sees its elements in ascending order."""
+    mesh, n = layout.mesh, layout.n_dofs
+    lengths, inv = np.unique(mesh.lengths, return_inverse=True)
+    tables = _element_tables([t for terms in term_sets for t in terms], layout.fields, lengths)
+    fields = list(layout.fields.values())
+    names = [f.name for f in fields]
+    regions = {name: mesh.region(name)[0] for name in ("all", "patch")}
+    stride, n_local = np.array([CHAIN[f.basis] for f in fields]).T
+    e0 = np.array([regions[f.region][0] for f in fields])
+    offset = np.array([f.offset for f in fields])
+    dofs = {f.name: (o - s * e + np.arange(a), s)
+            for f, o, s, a, e in zip(fields, offset, stride, n_local, e0)}
+    of = np.repeat(np.arange(len(fields)), [f.count for f in fields])  # each row's field
+    d = np.arange(n) - offset.take(of)  # row d of its field lies on the elements e0 +
+    s, a, e = stride.take(of), n_local.take(of), e0.take(of)
+    row_first, row_last = e + np.maximum(d - a + s, 0) // s, e + d // s  # ceil((d - a + 1) / s)
+    matrices = []
+    for terms in term_sets:
+        blocks = [(elems, block) for term in terms if len(elems := regions[term.region])
+                  for block in _element_blocks(term, tables, dofs, elems)]
+        # Each row's ranges, one per field its field couples to (the k-th
+        # of coupled[f]), over the elements first[f, k] to last[f, k].
+        span = {}
+        for elems, (pair, *_) in blocks:
+            a, b = span.get(pair, (elems[0], elems[-1]))
+            span[pair] = min(a, elems[0]), max(b, elems[-1])
+        coupled = [[g for g in names if (f, g) in span] for f in names]
+        first, last, g = np.zeros((3, len(fields), max(map(len, coupled))), dtype=np.int64)
+        first[:] = n  # no range where nothing couples
+        for f, gs in enumerate(coupled):
+            for k, gk in enumerate(gs):
+                g[f, k] = names.index(gk)
+                first[f, k], last[f, k] = span[names[f], gk]
+        g = g.take(of, axis=0)  # the field of each row's ranges
+        lo_e = np.maximum(row_first[:, None], first.take(of, axis=0))
+        span = np.minimum(row_last[:, None], last.take(of, axis=0)) - lo_e
+        width = np.where(span >= 0, stride.take(g) * span + n_local.take(g), 0)
+        lo = (offset - stride * e0).take(g) + stride.take(g) * lo_e
+        end = np.cumsum(width).reshape(width.shape)  # row-major over (row, range)
+        base = (end - width - lo).T.copy()  # slot of column 0 of each range
+        data = np.zeros(end[-1, -1])
+        for elems, ((f, g), rows, cols, table) in blocks:
+            slots = base[coupled[names.index(f)].index(g)].take(rows[::-1])
+            vals = table[:, ::-1, ::-1].transpose(1, 2, 0).take(inv.take(elems), axis=2)
+            np.add.at(data, (slots[:, None, :] + cols[::-1][None, :, :]).ravel(), vals.ravel())
+        # Column indices: each nonempty range counts up from its lo.
+        step = np.ones(len(data), dtype=np.int64)
+        ranges = np.flatnonzero(width)
+        starts, los = end.ravel()[ranges] - width.ravel()[ranges], lo.ravel()[ranges]
+        step[starts] = los - np.append(0, (los + width.ravel()[ranges])[:-1] - 1)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr[1:] = end[:, -1]
+        matrices.append(scipy.sparse.csr_array((data, np.cumsum(step, out=step), indptr),
+                                               shape=(n, n)))
+    return matrices
 
 
 def _assemble_loads(layout: DofLayout, loads, n: int, n_sig: int) -> np.ndarray:
@@ -177,15 +247,15 @@ def _assemble_loads(layout: DofLayout, loads, n: int, n_sig: int) -> np.ndarray:
     region-boundary shape values survive: the column is coeff * [phi]_edges.
     """
     B = np.zeros((n, n_sig))
+    lengths = layout.mesh.lengths
     for lt in loads:
         elems, _ = layout.mesh.region(lt.region)
-        lengths = layout.mesh.lengths[elems]
-        fd = layout.fields[lt.field]
-        dof_tab = layout.element_dofs(lt.field, elems)
-        left = endpoint_values(fd.basis, lt.deriv - 1, False, lengths[0])
-        right = endpoint_values(fd.basis, lt.deriv - 1, True, lengths[-1])
-        np.add.at(B[:, lt.signal], dof_tab[-1], lt.coeff * right)
-        np.add.at(B[:, lt.signal], dof_tab[0], -lt.coeff * left)
+        basis = layout.fields[lt.field].basis
+        left, right = layout.element_dofs(lt.field, elems[[0, -1]])
+        np.add.at(B[:, lt.signal], right,
+                  lt.coeff * endpoint_values(basis, lt.deriv - 1, True, lengths[elems[-1]]))
+        np.add.at(B[:, lt.signal], left,
+                  -lt.coeff * endpoint_values(basis, lt.deriv - 1, False, lengths[elems[0]]))
     return B
 
 
@@ -204,8 +274,7 @@ def assemble(vspec: ValidatedModelSpec, mesh: Mesh) -> SemiDiscreteSystem:
     layout = build_layout(vspec, mesh)
     forms = build_forms(vspec)
     n = layout.n_dofs
-    M = _assemble_terms(layout, forms.kinetic, n)
-    K = _assemble_terms(layout, forms.stored, n)
+    M, K = _assemble(layout, (forms.kinetic, forms.stored))
     B = _assemble_loads(layout, forms.loads, n, vspec.n_signals)
     return SemiDiscreteSystem(
         vspec=vspec,
@@ -223,7 +292,7 @@ def with_mass(system: SemiDiscreteSystem, vspec: ValidatedModelSpec) -> SemiDisc
     dofs: bitwise the system build_system(vspec) builds when vspec differs
     from system.vspec only in what forms reads in kinetic terms alone (mu).
     K, B and the bookkeeping are shared."""
-    M = _assemble_terms(system.layout, build_forms(vspec).kinetic, system.layout.n_dofs)
+    M, = _assemble(system.layout, (build_forms(vspec).kinetic,))
     if system.n_dofs < system.layout.n_dofs:
         M = M[system.free_dofs][:, system.free_dofs]
     return replace(system, vspec=vspec, M=M)

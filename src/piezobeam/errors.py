@@ -64,7 +64,13 @@ class SingularElectricBlock(PiezobeamError):
 # --- linear algebra / time stepping ----------------------------------------
 
 class NotPositiveDefinite(PiezobeamError):
-    """Matrix handed to the SPD solver is not positive definite."""
+    """Matrix handed to the SPD solver is not positive definite; pivot is
+    LAPACK's first leading minor that is not (1-based, in the band
+    numbering), or None when the failure is not one pivot."""
+
+    def __init__(self, message: str, pivot: int | None = None):
+        super().__init__(message)
+        self.pivot = pivot
 
 
 class SingularStepMatrix(PiezobeamError):

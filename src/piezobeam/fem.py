@@ -79,6 +79,25 @@ def _hermite(deriv, xi):
 
 _REF = {"p1": _p1, "p2": _p2, "hermite": _hermite}
 
+# The reference values at the points of each Gauss rule and at the element
+# ends, (n_points, n_local) by (points, basis, deriv): element constants,
+# like the rules themselves.
+_TABULATED = {(at, basis, deriv): ref(deriv, xi)
+              for at, xi in ((False, GAUSS_FULL[0]), (True, GAUSS_REDUCED[0]),
+                             ("ends", np.array([0.0, 1.0])))
+              for basis, ref in _REF.items() for deriv in range(3)}
+
+
+def _physical(basis: str, deriv: int, ref: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The reference values ref (n_qp, n_local) on elements of the given
+    lengths: 1/le^deriv, and le on the Hermite slope columns."""
+    lengths = np.asarray(lengths, dtype=float)
+    scale = lengths[:, None, None] ** (-deriv) if deriv else np.ones((len(lengths), 1, 1))
+    table = scale * ref[None, :, :]
+    if basis == "hermite":
+        table[:, :, 1::2] *= lengths[:, None, None]
+    return table
+
 
 def shape_table(basis: str, deriv: int, xi: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Physical shape-function derivatives, shape (n_elem, n_qp, n_local).
@@ -86,19 +105,15 @@ def shape_table(basis: str, deriv: int, xi: np.ndarray, lengths: np.ndarray) -> 
     basis: 'p1' | 'p2' | 'hermite'; deriv: 0, 1 or 2; xi: quadrature points on
     [0, 1]; lengths: element lengths.
     """
-    ref = _REF[basis](deriv, np.asarray(xi, dtype=float))  # (n_qp, n_loc)
-    lengths = np.asarray(lengths, dtype=float)
-    scale = lengths[:, None, None] ** (-deriv) if deriv else np.ones((len(lengths), 1, 1))
-    table = scale * ref[None, :, :]
-    if basis == "hermite":
-        table = table.copy()
-        table[:, :, 1] *= lengths[:, None]
-        table[:, :, 3] *= lengths[:, None]
-    return table
+    return _physical(basis, deriv, _REF[basis](deriv, np.asarray(xi, dtype=float)), lengths)
+
+
+def gauss_table(basis: str, deriv: int, reduced: bool, lengths: np.ndarray) -> np.ndarray:
+    """shape_table at the points of GAUSS_REDUCED (reduced) or GAUSS_FULL."""
+    return _physical(basis, deriv, _TABULATED[reduced, basis, deriv], lengths)
 
 
 def endpoint_values(basis: str, deriv: int, at_right: bool, length: float) -> np.ndarray:
     """Shape-function derivative values at an element endpoint (local dofs)."""
-    xi = np.array([1.0 if at_right else 0.0])
-    tab = shape_table(basis, deriv, xi, np.array([length]))
-    return tab[0, 0, :]
+    ends = _TABULATED["ends", basis, deriv]
+    return _physical(basis, deriv, ends[[int(at_right)]], np.array([length]))[0, 0]

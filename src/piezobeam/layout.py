@@ -55,6 +55,12 @@ def field_plan(vspec: ValidatedModelSpec) -> list:
     return plan
 
 
+# Each basis as an element chain: element k of a field's submesh holds its
+# dofs stride * k to stride * k + n_local - 1, as (stride, n_local); the
+# Hermite dofs come as (value, slope) per node.
+CHAIN = {"p1": (1, 2), "p2": (2, 3), "hermite": (2, 4)}
+
+
 # Motion class of each field: the paper's stretching, bending and charge
 # groups.  Clamping fixes the non-charge fields; modes are classified by them.
 FIELD_CLASS = {"v": "stretching", "w": "bending", "psi": "bending",
@@ -87,14 +93,9 @@ class DofLayout:
     def element_dofs(self, name: str, elems: np.ndarray) -> np.ndarray:
         """Global dof indices on the given supporting elements, shape (len(elems), n_local)."""
         f = self.fields[name]
+        stride, n_local = CHAIN[f.basis]
         local = elems - self.field_elements(name)[0]  # element index within the field's submesh
-        if f.basis == "p1":
-            tab = np.stack([local, local + 1], axis=1)
-        elif f.basis == "p2":
-            tab = np.stack([2 * local, 2 * local + 1, 2 * local + 2], axis=1)
-        else:  # hermite: (value, slope) per node
-            tab = np.stack([2 * local, 2 * local + 1, 2 * local + 2, 2 * local + 3], axis=1)
-        return tab + f.offset
+        return f.offset + stride * local[:, None] + np.arange(n_local)
 
     def node_positions(self, name: str) -> np.ndarray:
         """Coordinates associated with each dof of the field.

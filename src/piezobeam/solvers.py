@@ -39,8 +39,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dpbtrf
 import scipy.sparse.linalg
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs, csr_row_index
+from scipy.sparse._sparsetools import (csr_has_canonical_format, csr_matvec, csr_matvecs,
+                                       csr_row_index, csr_scale_columns, csr_scale_rows,
+                                       csr_sort_indices, csr_sum_duplicates)
 
 from .errors import (
     ConvergenceFailure,
@@ -50,6 +53,7 @@ from .errors import (
     SingularStepMatrix,
 )
 from .kernels import cholesky_solve, midpoint_sweep
+from .layout import FIELD_CLASS
 
 if TYPE_CHECKING:
     from .assembly import SemiDiscreteSystem
@@ -67,22 +71,26 @@ def _gathered(A, rows: np.ndarray, cols: np.ndarray, row_scale, col_scale):
     """The CSR matrix G, len(rows) square, whose row i holds each stored
     entry A[rows[i], c] times row_scale[i] col_scale[c] in column cols[c]
     (left out where cols[c] < 0), entries that meet in a column summed and
-    column indices sorted.  One pass over the rows of A it reads."""
+    column indices sorted, as scipy's sum_duplicates sums and sorts them.
+    One pass over the rows of A it reads."""
+    m = len(rows)
     counts = np.diff(A.indptr)[rows]
-    indptr = np.append(0, np.cumsum(counts))
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
     src, vals = np.empty(indptr[-1], dtype=A.indices.dtype), np.empty(indptr[-1])
-    csr_row_index(len(rows), np.asarray(rows, dtype=A.indices.dtype), A.indptr, A.indices,
-                  A.data, src, vals)
-    vals *= col_scale[src]
-    vals *= np.repeat(row_scale, counts)
-    col = cols[src]
-    keep = col >= 0
-    if not keep.all():
+    csr_row_index(m, np.asarray(rows, dtype=A.indices.dtype), A.indptr, A.indices, A.data,
+                  src, vals)
+    csr_scale_columns(m, A.shape[1], indptr, src, vals, np.asarray(col_scale, dtype=float))
+    csr_scale_rows(m, A.shape[1], indptr, src, vals, np.asarray(row_scale, dtype=float))
+    col = cols.take(src)
+    if cols.min(initial=0) < 0:
+        keep = col >= 0
         indptr = np.append(0, np.cumsum(keep))[indptr]
         vals, col = vals[keep], col[keep]
-    G = scipy.sparse.csr_array((vals, col, indptr), shape=(len(rows),) * 2)
-    G.sum_duplicates()
-    return G
+    if not csr_has_canonical_format(m, indptr, col):
+        csr_sort_indices(m, indptr, col, vals)
+        csr_sum_duplicates(m, m, indptr, col, vals)
+    return scipy.sparse.csr_array((vals[:indptr[-1]], col[:indptr[-1]], indptr), shape=(m, m))
 
 
 @dataclass
@@ -116,24 +124,47 @@ class FactorizedOperator:
             self.U[p - d, d:] = self.L[d, :n - d]
 
     @classmethod
-    def build(cls, A, order=None) -> "FactorizedOperator":
-        A = scipy.sparse.csr_array(A)
-        order = np.arange(A.shape[0]) if order is None else np.asarray(order)
-        entries = A.tocoo()
-        at = np.empty(A.shape[0], dtype=np.int64)  # each dof's place in order
-        at[order] = np.arange(A.shape[0])
-        row, col = at[entries.row], at[entries.col]
-        lower = row >= col  # the lower triangle of A[order][:, order]
-        offset, col = row[lower] - col[lower], col[lower]
-        ab = np.zeros((int(offset.max(initial=0)) + 1, A.shape[0]))
-        ab[offset, col] = entries.data[lower]
-        try:
-            L = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("Cholesky factorization failed") from exc
+    def build(cls, A, order=None, K=None, c=0.0) -> "FactorizedOperator":
+        """The factor of A, or of A + c K when K is given, A and K sparse
+        (canonical CSR) or dense, in the band numbering order (default the
+        identity).  The band is filled straight from the CSR arrays.  A + c K
+        is summed in the band as scipy's A + c * K sums it, c K first, each
+        entry as 0.0 + a + c k, and the band is as wide as the sum's nonzero
+        entries (scipy drops the zeros its sum makes); A alone keeps its
+        stored entries as they are.  NotPositiveDefinite names LAPACK's first
+        leading minor that is not positive definite."""
+        n = A.shape[0]
+        at = None  # each dof's place in order
+        if order is not None:
+            at = np.empty(n, dtype=np.int64)
+            at[order] = np.arange(n)
+        lower = []  # per matrix: offset, column and value of its lower band entries
+        for X in (A,) if K is None else (A, K):
+            if getattr(X, "format", None) != "csr":
+                X = scipy.sparse.csr_array(X)
+            row, col = np.repeat(np.arange(n), np.diff(X.indptr)), X.indices
+            if at is not None:
+                row, col = at[row], at[col]
+            below = np.flatnonzero(row >= col)
+            lower.append(((row - col).take(below), col.take(below), X.data.take(below)))
+        p = max(int(offset.max(initial=0)) for offset, _, _ in lower)
+        ab = np.zeros((p + 1, n), order="F")
+        if K is None:
+            ab[lower[0][:2]] = lower[0][2]
+        else:
+            (offset, col, a), (k_offset, k_col, k) = lower
+            ab[offset, col] += a
+            ab[k_offset, k_col] += c * k
+            while p and not ab[p].any():
+                p -= 1
+            ab = np.asfortranarray(ab[:p + 1])
+        L, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise NotPositiveDefinite(f"Cholesky factorization failed: leading minor {info} "
+                                      f"of {n} not positive definite", pivot=int(info))
         if not np.all(np.isfinite(L[0])):
             raise NotPositiveDefinite("Cholesky factorization produced a non-finite pivot")
-        return cls(L=L, order=order)
+        return cls(L=L, order=np.arange(n) if order is None else np.asarray(order))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^-1 b for one right-hand side (n,) or several (n, k), solved one
@@ -248,8 +279,7 @@ def step_operator(system: SemiDiscreteSystem, dt: float) -> FactorizedOperator:
     """Factorization of the midpoint step matrix M + (dt^2/4) K in the
     system's band_order, the one place the step matrix is formed."""
     try:
-        return FactorizedOperator.build(system.M + (dt * dt / 4.0) * system.K,
-                                        system.band_order())
+        return FactorizedOperator.build(system.M, system.band_order(), system.K, dt * dt / 4.0)
     except NotPositiveDefinite as exc:
         raise SingularStepMatrix(
             f"step matrix not positive definite for dt={dt}"
@@ -323,12 +353,12 @@ def mirror_map(system: SemiDiscreteSystem):
     The mirror negates transverse deflection and rotation and swaps the two
     patch charge fields; stretching dofs are fixed.
     """
-    n = system.n_dofs
-    perm = np.arange(n)
-    sign = np.ones(n)
-    sign[system.class_dofs("bending")] = -1.0
-    if "qT" in system.layout.fields:
-        top, bot = system.dofs_of("qT"), system.dofs_of("qB")
+    names = list(system.layout.fields)
+    field = system.fields_of()
+    sign = np.where(np.array([FIELD_CLASS[f] == "bending" for f in names])[field], -1.0, 1.0)
+    perm = np.arange(system.n_dofs)
+    if "qT" in names:
+        top, bot = np.flatnonzero(field == names.index("qT")), np.flatnonzero(field == names.index("qB"))
         perm[top], perm[bot] = bot, top
     return perm, sign
 
@@ -347,7 +377,8 @@ def _paired(X: np.ndarray, pairs) -> np.ndarray:
     X_lo - X_hi, the rest stay.  T is symmetric and T T = 2 on the pairs,
     so T maps coordinates back and T / 2 maps them in."""
     lo, hi = pairs
-    X[..., lo], X[..., hi] = X[..., lo] + X[..., hi], X[..., lo] - X[..., hi]
+    a, b = X.take(lo, axis=-1), X.take(hi, axis=-1)
+    X[..., lo], X[..., hi] = a + b, a - b
     return X
 
 
@@ -419,19 +450,21 @@ def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray, adapted=No
         if "symmetric" not in memo:
             memo["symmetric"] = mirror_gap(A, perm, sign) == 0.0
     order, half = system.band_order(), np.ones(n)
-    whole = not all(memo["symmetric"] for memo in memos) or np.any(B[odd[:, None] != odd_in])
+    reach = np.ascontiguousarray(B.T) != 0.0  # which inputs reach which dofs
+    whole = not all(memo["symmetric"] for memo in memos) or np.any(reach & (odd_in[:, None] != odd))
     if whole:
         halves, twin, B, drive = [order], np.arange(n), system.B, volts
+        reach = np.ascontiguousarray(B.T) != 0.0
     else:
         halves, twin = [order[~odd[order]], order[odd[order]]], perm
         half[np.concatenate(pairs)] = 0.5  # T / 2 maps them in
         x0, v0 = half * _paired(np.array([x0, v0]), pairs)
-    charge = np.zeros(n, dtype=bool)
-    charge[system.class_dofs("charge")] = True
+    charge = np.array([FIELD_CLASS[f] == "charge" for f in system.layout.fields])[
+        system.fields_of()]
     blocks = []
     for k, dofs in enumerate(halves):
-        cols = np.flatnonzero(np.any(B[dofs] != 0.0, axis=0))
-        if not (np.any(x0[dofs]) or np.any(v0[dofs]) or np.any(drive[:, cols])):
+        cols = np.flatnonzero(reach.take(dofs, axis=1).any(axis=1))
+        if not (x0.take(dofs).any() or v0.take(dofs).any() or drive.take(cols, axis=1).any()):
             continue
         # A pair's columns meet in its slot of the half, the hi one counted
         # negative in the odd half; the row of a slot counts twice.

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from piezobeam import assembly
 from piezobeam.assembly import (
     apply_mechanical_bc,
     assemble,
@@ -13,6 +12,7 @@ from piezobeam.assembly import (
     reduce_electrostatic,
 )
 from piezobeam.errors import MeshSpecMismatch, SingularElectricBlock
+from piezobeam.fem import GAUSS_FULL, GAUSS_REDUCED, shape_table
 from piezobeam.forms import build_forms, work_rate
 from piezobeam.layout import FieldState, interpolate_field
 from piezobeam.materials import (
@@ -293,6 +293,37 @@ class TestChargeElimination:
             assemble(vspec, plain)
 
 
+def reference_element_blocks(layout, terms):
+    """The element blocks of the terms in the order assembly sums them, as
+    the slot assembly first formed them, one einsum per channel pair and
+    per distinct length of the term's elements: per term and channel pair
+    (i, j), j >= i, the blocks at (i, j) and, when i != j, their transposes
+    at (j, i).  Yields (rows, cols, block): the row and column fields'
+    dofs on the term's elements, (n_e, a) and (n_e, b), and the blocks
+    (n_e, a, b)."""
+    for term in terms:
+        elems, _ = layout.mesh.region(term.region)
+        if len(elems) == 0:
+            continue
+        lengths, inv = np.unique(layout.mesh.lengths[elems], return_inverse=True)
+        xi, wq = GAUSS_REDUCED if term.reduced_quad else GAUSS_FULL
+        tables = [shape_table(layout.fields[f].basis, d, xi, lengths) for f, d in term.channels]
+        dof_tabs = [layout.element_dofs(f, elems) for f, _ in term.channels]
+        k = len(term.channels)
+        for i in range(k):
+            for j in range(i, k):
+                c = term.coeff[i, j]
+                if c == 0.0:
+                    continue
+                block = c * np.einsum("q,e,eqa,eqb->eab", wq, lengths, tables[i], tables[j])
+                if i == j:
+                    block = 0.5 * (block + np.swapaxes(block, 1, 2))
+                block = block[inv]
+                yield dof_tabs[i], dof_tabs[j], block
+                if i != j:
+                    yield dof_tabs[j], dof_tabs[i], np.swapaxes(block, 1, 2)
+
+
 def unique_summed_csr(rows, cols, vals, n):
     """_summed_csr's first form: np.unique numbers the distinct keys."""
     keys, inverse = np.unique(rows * n + cols, return_inverse=True)
@@ -334,7 +365,7 @@ def test_slot_assembly_matches_a_unique_reference(variant, regime, bc, n_element
     forms = build_forms(vspec)
     for terms, got in ((forms.kinetic, system.M), (forms.stored, system.K)):
         rows, cols, vals = [], [], []
-        for r, c, _, block in assembly._element_blocks(system.layout, terms):
+        for r, c, block in reference_element_blocks(system.layout, terms):
             r, c = np.broadcast_arrays(r[:, :, None], c[:, None, :])
             rows.append(r.ravel())
             cols.append(c.ravel())
