@@ -21,7 +21,7 @@ from .assembly import (
     build_system,
     with_mass,
 )
-from .errors import ConvergenceFailure, IllegalRegime, InsufficientMeshes
+from .errors import ConvergenceFailure, IllegalRegime, InsufficientMeshes, NotPositiveDefinite
 from .layout import FIELD_CLASS
 from .materials import (
     BoundaryCondition,
@@ -329,12 +329,22 @@ def static_solution(system: SemiDiscreteSystem, volts) -> np.ndarray:
     volts = np.asarray(volts, dtype=float)
     rhs = system.B @ volts
     full = system.vspec.regime == Regime.FULL_MAGNETIC and not system.charge_reduced
-    if not full:
-        return solve_spd(system.K, rhs, system.band_order())
-    mech, charge = _grounded_charge_split(system)
-    keep = np.sort(np.concatenate([mech, charge]))
+    keep = np.arange(system.n_dofs)
+    if full:
+        keep = np.sort(np.concatenate(_grounded_charge_split(system)))
+    K = system.K[keep][:, keep] if full else system.K
     x = np.zeros(system.n_dofs)
-    x[keep] = solve_spd(system.K[keep][:, keep], rhs[keep], system.band_order(keep))
+    try:
+        x[keep] = solve_spd(K, rhs[keep], system.band_order(keep))
+    except NotPositiveDefinite as exc:
+        clamped = not np.isin(system.layout.constrained_dofs(BoundaryCondition.CLAMPED_FREE),
+                              system.free_dofs).any()
+        diag = K.diagonal()
+        raise NotPositiveDefinite(
+            f"static solution of the {'clamped' if clamped else 'free-free'} "
+            f"{'fully dynamic' if full else 'electrostatic'} system: stiffness K on "
+            f"{len(keep)} dofs{', one charge per field grounded,' if full else ''} whose "
+            f"diagonal spans {diag.min():.3g} to {diag.max():.3g}: {exc}", exc.pivot) from exc
     return x
 
 

@@ -229,7 +229,8 @@ def eigenmodes(M, K, n_modes: int, null: np.ndarray, order: np.ndarray) -> ModeS
     M-orthogonally off span(null).  The shift sigma = -1e-6 mean(diag K) /
     mean(diag M) makes K - sigma M SPD although K is singular.
     ConvergenceFailure when a column z of null has max|K z| > 64 eps max|K|
-    max|z| (a wrong model), or when ARPACK hits its iteration cap.
+    max|z| (a wrong model), or when ARPACK hits its iteration cap (it names
+    the range of K's diagonal, whose spread slows the iteration).
     """
     if n_modes < 1:
         raise ValueError(f"number of modes must be >= 1, got {n_modes}")
@@ -249,7 +250,8 @@ def eigenmodes(M, K, n_modes: int, null: np.ndarray, order: np.ndarray) -> ModeS
         y -= Z @ (MZ.T @ y)
         return y
 
-    sigma = -1e-6 * float(K.diagonal().mean()) / float(M.diagonal().mean())
+    diag = K.diagonal()
+    sigma = -1e-6 * float(diag.mean()) / float(M.diagonal().mean())
     op = FactorizedOperator.build(K - sigma * M, order)
     # ARPACK calls both operators once per Lanczos step: M calls the CSR
     # kernel directly, bitwise M @ x without scipy's sparse dispatch.
@@ -268,7 +270,8 @@ def eigenmodes(M, K, n_modes: int, null: np.ndarray, order: np.ndarray) -> ModeS
                                                      matvec=lambda b: deflated(op.solve(b))),
             v0=deflated(np.random.default_rng(0).standard_normal(n)))
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise ConvergenceFailure(f"eigenvalue iteration did not converge: {exc}") from exc
+        raise ConvergenceFailure(f"eigenvalue iteration did not converge: {exc}; K's diagonal "
+                                 f"spans {diag.min():.3g} to {diag.max():.3g}") from exc
     order = np.argsort(vals)
     omegas = np.sqrt(np.clip(vals[order], 0.0, None))
     return ModeSet(omegas=np.concatenate([np.zeros(n_zero), omegas]),

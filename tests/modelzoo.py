@@ -7,6 +7,9 @@ represent any physical material.
 
 import itertools
 
+import numpy as np
+import pytest
+
 from piezobeam.materials import (
     BeamGeometry,
     BoundaryCondition,
@@ -17,6 +20,7 @@ from piezobeam.materials import (
     VoltageSignal,
     validate_spec,
 )
+from piezobeam.mesh import Mesh, build_mesh
 
 # Beam layer used in most tests: alpha1 = 2 + 0.49 * 1.25, beta3 = 1.25.
 BEAM = MaterialParams(
@@ -89,3 +93,17 @@ def make_spec(
             voltage=voltage,
         )
     )
+
+
+def mesh_of(vspec, n):
+    """The spec's mesh at n elements, below build_mesh's minimum too: a
+    patch mesh needs its two edges as interior nodes (3 elements)."""
+    geo = vspec.geometry
+    if n >= (4 if vspec.is_patch else 2):
+        return build_mesh(geo, n, patch=vspec.is_patch)
+    if not vspec.is_patch:
+        return Mesh(nodes=np.linspace(0.0, geo.length, n + 1))
+    if n < 3:
+        pytest.skip("a patch mesh has at least 3 elements")
+    return Mesh(nodes=np.array([0.0, geo.patch_start, geo.patch_end, geo.length]),
+                patch_span=(1, 2))

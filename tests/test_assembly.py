@@ -22,9 +22,9 @@ from piezobeam.materials import (
     Variant,
     VoltageSignal,
 )
-from piezobeam.mesh import Mesh, build_mesh
+from piezobeam.mesh import build_mesh
 
-from modelzoo import ALL_COMBOS, UNCOUPLED, make_spec
+from modelzoo import ALL_COMBOS, UNCOUPLED, make_spec, mesh_of
 
 UNIT_GEO = BeamGeometry(length=1.0, thickness=1.0)
 
@@ -331,20 +331,6 @@ def unique_summed_csr(rows, cols, vals, n):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     return keys % n, indptr, data
-
-
-def mesh_of(vspec, n):
-    """The spec's mesh at n elements, below build_mesh's minimum too: a
-    patch mesh needs its two edges as interior nodes (3 elements)."""
-    geo = vspec.geometry
-    if n >= (4 if vspec.is_patch else 2):
-        return build_mesh(geo, n, patch=vspec.is_patch)
-    if not vspec.is_patch:
-        return Mesh(nodes=np.linspace(0.0, geo.length, n + 1))
-    if n < 3:
-        pytest.skip("a patch mesh has at least 3 elements")
-    return Mesh(nodes=np.array([0.0, geo.patch_start, geo.patch_end, geo.length]),
-                patch_span=(1, 2))
 
 
 @pytest.mark.parametrize("n_elements", [1, 2, 3, 5, 32, 97, 512])

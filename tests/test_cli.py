@@ -450,6 +450,9 @@ class TestCheck:
         assert "FAIL" in capsys.readouterr().out
         report = json.loads((out / "check_report.json").read_text())
         assert report["passed"] is False
+        for scenario in report["scenarios"]:  # the corrupted K breaks the mirror, M does not
+            values = {c["name"]: c["value"] for c in scenario["checks"]}
+            assert values["mass_mirror_gap"] == 0.0 and values["stiffness_mirror_gap"] > 0.0
 
     def test_fine_patch_mesh_keeps_parity_exact(self, tmp_path, capsys):
         # In mirror-adapted coordinates the quiet half of either drive gets
@@ -787,6 +790,66 @@ class TestErrorPaths:
         assert main(["modes", single_cfg, "--out", str(out), "--n", "4"]) == 3
         assert "error: eigenvalue solver broke down" in capsys.readouterr().err
         assert not (out / "modes.csv").exists()
+
+    # A valid config that config_texts drew: patch_mt under full_magnetic on
+    # 8 elements, a core layer whose constants span twelve decades and a
+    # unit patch layer.  K's diagonal spans 0.24 to 2.3e17, so the static
+    # solve of limit's clamped system fails at LAPACK's last pivot and the
+    # shift-invert iteration of modes does not converge.
+    _ILL_CONDITIONED = """[model]
+variant = patch_mt
+regime = full_magnetic
+bc = free_free
+[material.beam]
+rho = 0.0031
+c11 = 0.316
+c55 = 7.62
+gamma31 = -1.0
+gamma15 = -434000.0
+eps1 = 1.32e-06
+eps3 = 2.43e-05
+mu = 9.15e-05
+[material.patch]
+rho = 1.0
+c11 = 1.0
+c55 = 1.0
+gamma31 = -1.0
+gamma15 = -1.0
+eps1 = 1.0
+eps3 = 1.0
+mu = 1.0
+[geometry]
+length = 1.0
+core_half_thickness = 0.05
+patch_thickness = 0.03
+patch_start = 0.25
+patch_end = 0.75
+[voltage.top]
+kind = constant
+amplitude = 1.0
+[voltage.bottom]
+kind = constant
+amplitude = 1.0
+[solver]
+elements = 8
+dt = 0.001
+t_end = 0.05
+stride = 1
+"""
+
+    @pytest.mark.parametrize("command,names", [
+        ("limit", ("static solution of the clamped fully dynamic system: stiffness K on 32 "
+                   "dofs", "leading minor 32 of 32 not positive definite")),
+        ("modes", ("eigenvalue iteration did not converge", "No convergence")),
+    ])
+    def test_ill_conditioned_solve_names_its_operator(self, tmp_path_factory, command, names):
+        code, err, out = _run_cli(command, self._ILL_CONDITIONED, tmp_path_factory)
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert re.search(r"diagonal spans 0\.24 to 2\.28e\+17", err), err
+        for name in names:
+            assert name in err, err
+        assert not any(out.glob("*.csv"))
 
     def test_undecodable_config_exits_with_config_error(self, tmp_path, capsys):
         path = tmp_path / "binary.ini"

@@ -16,7 +16,7 @@ import scipy.sparse.linalg
 from scipy.linalg.blas import daxpy, dscal
 from scipy.sparse.csgraph import connected_components
 
-from piezobeam.assembly import build_system
+from piezobeam.assembly import apply_mechanical_bc, assemble, build_system
 from piezobeam.config import parse_config
 from piezobeam import cli, kernels, scenarios, solvers
 from piezobeam.errors import (
@@ -41,7 +41,7 @@ from piezobeam.solvers import (
     step_operator,
 )
 
-from modelzoo import ALL_COMBOS, PATCH_COMBOS, UNCOUPLED, make_spec
+from modelzoo import ALL_COMBOS, PATCH_COMBOS, UNCOUPLED, make_spec, mesh_of
 from recording import recorded
 
 SHIPPED = [os.path.join(os.path.dirname(__file__), "..", "configs", name)
@@ -1204,6 +1204,161 @@ class TestMirrorHalves:
         assert np.array_equal(traj.X, want["X"]) and np.array_equal(traj.V, want["V"])
 
 
+# --- the set-up as it was first written, the reference of its bits ----------
+
+
+def reference_mirror(system):
+    """(perm, sign) of the top/bottom mirror from the system's field dofs."""
+    perm, sign = np.arange(system.n_dofs), np.ones(system.n_dofs)
+    sign[system.class_dofs("bending")] = -1.0
+    if "qT" in system.layout.fields:
+        top, bot = system.dofs_of("qT"), system.dofs_of("qB")
+        perm[top], perm[bot] = bot, top
+    return perm, sign
+
+
+def reference_band_order(system, dofs=slice(None)):
+    """The band numbering as a lexsort by bending-after-the-rest (single
+    beam), then node position."""
+    pos = np.concatenate([system.layout.node_positions(f) for f in system.layout.fields])
+    late = np.zeros(system.n_dofs, dtype=bool)
+    late[system.class_dofs("bending")] = "qT" not in system.layout.fields
+    return np.lexsort((pos[system.free_dofs][dofs], late[dofs]))
+
+
+def reference_gathered(A, rows, cols, row_scale, col_scale):
+    """The gathered CSR matrix built by scipy: a CSR array of the gathered
+    rows, then sum_duplicates, which sorts each row and sums what meets."""
+    counts = np.diff(A.indptr)[rows]
+    indptr = np.append(0, np.cumsum(counts))
+    src, vals = np.empty(indptr[-1], dtype=A.indices.dtype), np.empty(indptr[-1])
+    scipy.sparse._sparsetools.csr_row_index(
+        len(rows), np.asarray(rows, dtype=A.indices.dtype), A.indptr, A.indices, A.data,
+        src, vals)
+    vals *= col_scale[src]
+    vals *= np.repeat(row_scale, counts)
+    col = cols[src]
+    keep = col >= 0
+    if not keep.all():
+        indptr = np.append(0, np.cumsum(keep))[indptr]
+        vals, col = vals[keep], col[keep]
+    G = scipy.sparse.csr_array((vals, col, indptr), shape=(len(rows),) * 2)
+    G.sum_duplicates()
+    return G
+
+
+def reference_mirror_gap(A, perm, sign):
+    mirrored = reference_gathered(A, perm, perm, sign, sign[perm])
+    same = all(np.array_equal(getattr(mirrored, k), getattr(A, k))
+               for k in ("indptr", "indices", "data"))
+    return 0.0 if same else float(abs(mirrored - A).max())
+
+
+def reference_halves(system, perm, sign):
+    """The even and odd halves' dofs, M and K of an exactly mirror-symmetric
+    system, each gathered as above."""
+    n = system.n_dofs
+    pairs, _, odd, _ = solvers._parity(perm, sign, system.B.shape[1])
+    order, half = reference_band_order(system), np.ones(n)
+    half[np.concatenate(pairs)] = 0.5
+    halves = []
+    for k, dofs in enumerate([order[~odd[order]], order[odd[order]]]):
+        at, col_sign = np.full(n, -1), np.ones(n)
+        at[perm[dofs]] = at[dofs] = np.arange(len(dofs))
+        col_sign[pairs[1]] = -1.0 if k else 1.0
+        halves.append((dofs, *(reference_gathered(A, dofs, at, col_sign[dofs] / half[dofs],
+                                                  col_sign) for A in (system.M, system.K))))
+    return halves
+
+
+def reference_factor(M, K, dt, order=None):
+    """(L, U) of M + (dt^2/4) K summed by scipy, its lower band filled from
+    its COO entries in the order given and factored by cholesky_banded."""
+    A = scipy.sparse.csr_array(M + (dt * dt / 4.0) * K)
+    order = np.arange(A.shape[0]) if order is None else order
+    entries = A.tocoo()
+    at = np.empty(A.shape[0], dtype=np.int64)
+    at[order] = np.arange(A.shape[0])
+    row, col = at[entries.row], at[entries.col]
+    lower = row >= col
+    offset, col = row[lower] - col[lower], col[lower]
+    ab = np.zeros((int(offset.max(initial=0)) + 1, A.shape[0]))
+    ab[offset, col] = entries.data[lower]
+    L = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
+    p, n = L.shape[0] - 1, L.shape[1]
+    U = np.zeros(L.shape, order="F")
+    for d in range(p + 1):
+        U[p - d, d:] = L[d, :n - d]
+    return L, U
+
+
+def assert_same_csr(got, want, what):
+    for k in ("indices", "indptr", "data"):
+        assert getattr(got, k).dtype == getattr(want, k).dtype, (what, k)
+        assert getattr(got, k).tobytes() == getattr(want, k).tobytes(), (what, k)
+
+
+class TestSetUpBits:
+    @pytest.mark.parametrize("n_elements", [1, 5, 32, 97, 512])
+    @pytest.mark.parametrize("variant,regime", ALL_COMBOS)
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    def test_split_and_step_factor_keep_their_bits(self, variant, regime, bc, n_elements):
+        # The mirror, its gap, both halves' M and K and the step factors of
+        # the halves and of the whole system are bitwise those the sorting
+        # forms above build.  Every patch build is exactly mirror symmetric.
+        vspec = make_spec(variant, regime, bc=bc)
+        system = assemble(vspec, mesh_of(vspec, n_elements))
+        if bc != BoundaryCondition.FREE_FREE:
+            system = apply_mechanical_bc(system, bc)
+        perm, sign = reference_mirror(system)
+        got_perm, got_sign = solvers.mirror_map(system)
+        assert got_perm.tobytes() == perm.tobytes() and got_sign.tobytes() == sign.tobytes()
+        for A in (system.M, system.K):
+            gap = solvers.mirror_gap(A, perm, sign)
+            assert gap == reference_mirror_gap(A, perm, sign) == 0.0
+        x0 = np.random.default_rng(n_elements).standard_normal(system.n_dofs)
+        blocks, _ = solvers._split(system, x0, x0, np.ones((3, system.B.shape[1])))
+        halves = reference_halves(system, perm, sign)
+        assert [len(blk.dofs) for blk in blocks] == [len(dofs) for dofs, _, _ in halves]
+        dt = 1e-3
+        for k, (blk, (dofs, M, K)) in enumerate(zip(blocks, halves)):
+            assert blk.dofs.tobytes() == dofs.tobytes()
+            assert_same_csr(blk.M, M, f"half {k} M")
+            assert_same_csr(blk.K, K, f"half {k} K")
+            op, (L, U) = step_operator(blk, dt), reference_factor(M, K, dt)
+            assert_same_bits(op.L, L, f"half {k} L")
+            assert_same_bits(op.U, U, f"half {k} U")
+        order = reference_band_order(system)
+        op, (L, U) = step_operator(system, dt), reference_factor(system.M, system.K, dt, order)
+        assert op.order.tobytes() == order.tobytes()
+        assert_same_bits(op.L, L, "whole L")
+        assert_same_bits(op.U, U, "whole U")
+
+    @pytest.mark.parametrize("variant,regime", PATCH_COMBOS)
+    def test_corrupted_coupling_steps_whole(self, variant, regime, rng):
+        # PIEZOBEAM_CORRUPT_COUPLING's system breaks the mirror, in K (fully
+        # dynamic, a gap the reference's and nonzero) or in B (electrostatic),
+        # and steps unsplit, as one block gathered in band order and factored
+        # bitwise as the reference does.
+        system = scenarios._corrupt_coupling(build_system(make_spec(variant, regime), 32))
+        perm, sign = reference_mirror(system)
+        gap = solvers.mirror_gap(system.K, perm, sign)
+        assert gap == reference_mirror_gap(system.K, perm, sign)
+        assert (gap > 0.0) is (regime == Regime.FULL_MAGNETIC)
+        x0 = rng.standard_normal(system.n_dofs)
+        (blk,), pairs = solvers._split(system, x0, x0, np.ones((3, 2)))
+        order = reference_band_order(system)
+        assert pairs is None and blk.dofs.tobytes() == order.tobytes()
+        at, ones = np.empty(system.n_dofs, dtype=np.int64), np.ones(system.n_dofs)
+        at[order] = np.arange(system.n_dofs)
+        for got, A in ((blk.M, system.M), (blk.K, system.K)):
+            assert_same_csr(got, reference_gathered(A, order, at, ones, ones), "whole")
+        L, U = reference_factor(blk.M, blk.K, 1e-3)
+        op = step_operator(blk, 1e-3)
+        assert_same_bits(op.L, L, "L")
+        assert_same_bits(op.U, U, "U")
+
+
 DRIVES = {
     # name: (patch voltages, single-beam voltage, random initial state)
     "equal": ((VoltageSignal.sinusoid(1.0, 3.0),) * 2, VoltageSignal.sinusoid(1.0, 3.0), False),
@@ -1414,6 +1569,27 @@ class TestBenchmarkContract:
         assert code == 0
         m = tracer.layer_metrics(t.take())
         assert m["solvers.eigen_dofs"] == shipped_system(SHIPPED[1]).n_dofs
+
+    def test_tracer_splits_a_patch_simulate_into_its_layers(self, tmp_path):
+        # A traced simulate of the shipped patch config builds one system,
+        # whose M, K and B the tracer sizes from build_system's result, and
+        # factors one step matrix through FactorizedOperator.build under
+        # step_operator.  A set-up that went round either would leave the
+        # benchmark's assembly or factor layer reading zero.
+        tracer = self.tracer()
+        t = tracer.Tracer()
+        t.install()
+        try:
+            assert cli.main(["simulate", SHIPPED[1], "--out", str(tmp_path)]) == 0
+        finally:
+            t.remove()
+        assert t.missing == []
+        m = tracer.layer_metrics(t.take())
+        assert m["assembly.systems"] == 1 and m["solvers.factor_builds"] == 1
+        system = shipped_system(SHIPPED[1])
+        stored = sum(getattr(A, k).nbytes for A in (system.M, system.K)
+                     for k in ("data", "indices", "indptr"))
+        assert m["assembly.matrix_mb"] * tracer.MB == stored + system.B.nbytes
 
     def test_tracer_sees_one_factor_per_limit_sweep(self):
         # limit's five systems step in one simulate, which factors their
