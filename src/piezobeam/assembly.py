@@ -6,10 +6,12 @@ functionals defined in forms.py, evaluated with the same quadrature rules, so
 round-off.  B collects the gradient of the voltage work, one column per
 voltage signal.
 
-M and K are scipy.sparse CSR arrays, summed straight into the slots of a
-pattern known from the element chain, in a fixed element order and with
-nothing sorted, so every entry is bit-identical run to run regardless of
-thread environment (and to a dense np.add.at accumulation).
+M and K are scipy.sparse CSR arrays, assembled together in one pass
+(_assemble): element blocks formed once per distinct element length, the
+pattern known from the element chain, and every block summed straight into
+its slots by an ordered np.add.at, in a fixed element order and with nothing
+sorted, so every entry is bit-identical run to run regardless of thread
+environment (and to a dense np.add.at accumulation).
 """
 
 from __future__ import annotations
@@ -132,21 +134,19 @@ def _element_tables(terms, fields: dict, lengths: np.ndarray) -> dict:
         shapes = [shapes[key] for key in keys]
         ends = list(itertools.accumulate(t.shape[2] for t in shapes))
         at = [slice(b - t.shape[2], b) for t, b in zip(shapes, ends)]
-        coeff = np.zeros((len(shapes),) * 2)  # every term's coefficients, block diagonal
-        k = 0
-        for term in group:
-            tables[id(term)] = at[k:k + len(term.channels)]
-            coeff[k:k + len(term.channels), k:k + len(term.channels)] = term.coeff
-            k += len(term.channels)
         ch = np.repeat(np.arange(len(shapes)), [t.shape[2] for t in shapes])
+        first = list(itertools.accumulate([len(term.channels) for term in group], initial=0))
+        coeff = np.zeros((len(shapes),) * 2)  # every term's coefficients, block diagonal
+        for term, k in zip(group, first):
+            coeff[k:k + len(term.channels), k:k + len(term.channels)] = term.coeff
         table = np.concatenate(shapes, axis=2)
         wq = (GAUSS_REDUCED if reduced else GAUSS_FULL)[1]
         full = coeff[ch[:, None], ch] * np.einsum("q,e,eqa,eqb->eab", wq, lengths, table, table)
         flip = np.swapaxes(full, 1, 2)
         full = np.where(ch[:, None] == ch, 0.5 * (full + flip),
                         np.where(ch[:, None] < ch, full, flip))
-        for term in group:
-            tables[id(term)] = full, tables[id(term)]
+        tables.update({id(term): (full, at[k:k + len(term.channels)])
+                       for term, k in zip(group, first)})
     return tables
 
 
@@ -195,20 +195,22 @@ def _assemble(layout: DofLayout, term_sets) -> list:
     offset = np.array([f.offset for f in fields])
     dofs = {f.name: (o - s * e + np.arange(a), s)
             for f, o, s, a, e in zip(fields, offset, stride, n_local, e0)}
+    # Row d of a field lies on elements e0 + ceil((d - a + 1) / s) to
+    # e0 + floor(d / s) of its chain, (s, a) = CHAIN[basis].
     of = np.repeat(np.arange(len(fields)), [f.count for f in fields])  # each row's field
-    d = np.arange(n) - offset.take(of)  # row d of its field lies on the elements e0 +
+    d = np.arange(n) - offset.take(of)
     s, a, e = stride.take(of), n_local.take(of), e0.take(of)
-    row_first, row_last = e + np.maximum(d - a + s, 0) // s, e + d // s  # ceil((d - a + 1) / s)
+    row_first, row_last = e + np.maximum(d - a + s, 0) // s, e + d // s
     matrices = []
     for terms in term_sets:
         blocks = [(elems, block) for term in terms if len(elems := regions[term.region])
                   for block in _element_blocks(term, tables, dofs, elems)]
-        # Each row's ranges, one per field its field couples to (the k-th
-        # of coupled[f]), over the elements first[f, k] to last[f, k].
-        span = {}
+        span = {}  # each coupled field pair's first and last element
         for elems, (pair, *_) in blocks:
-            a, b = span.get(pair, (elems[0], elems[-1]))
-            span[pair] = min(a, elems[0]), max(b, elems[-1])
+            lo, hi = span.get(pair, (elems[0], elems[-1]))
+            span[pair] = min(lo, elems[0]), max(hi, elems[-1])
+        # Each row's ranges, one per field its field couples to (the k-th of
+        # coupled[f]), over the elements first[f, k] to last[f, k].
         coupled = [[g for g in names if (f, g) in span] for f in names]
         first, last, g = np.zeros((3, len(fields), max(map(len, coupled))), dtype=np.int64)
         first[:] = n  # no range where nothing couples
@@ -218,8 +220,8 @@ def _assemble(layout: DofLayout, term_sets) -> list:
                 first[f, k], last[f, k] = span[names[f], gk]
         g = g.take(of, axis=0)  # the field of each row's ranges
         lo_e = np.maximum(row_first[:, None], first.take(of, axis=0))
-        span = np.minimum(row_last[:, None], last.take(of, axis=0)) - lo_e
-        width = np.where(span >= 0, stride.take(g) * span + n_local.take(g), 0)
+        hi_e = np.minimum(row_last[:, None], last.take(of, axis=0))
+        width = np.where(hi_e >= lo_e, stride.take(g) * (hi_e - lo_e) + n_local.take(g), 0)
         lo = (offset - stride * e0).take(g) + stride.take(g) * lo_e
         end = np.cumsum(width).reshape(width.shape)  # row-major over (row, range)
         base = (end - width - lo).T.copy()  # slot of column 0 of each range

@@ -21,7 +21,8 @@ increment per step equals the midpoint work dt * vbar^T B V(t_mid) exactly
 M and K are sparse: 1D elements couple only neighbouring nodes, so with the
 dofs ordered by node position the step matrix is banded (half-bandwidth 3
 on the single beam, 11 on the patch model, 4 and 6 on the patch's mirror
-halves), and one banded Cholesky factorization serves every solve.
+halves), and one banded Cholesky factorization serves every solve, its band
+filled straight from the CSR arrays (FactorizedOperator.build).
 
 simulate steps only what moves: the even and odd halves of each system's
 top/bottom mirror (Healey & Treacy 1991), {v, q} and {w} (or {w, psi}) on
@@ -39,8 +40,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.lapack import dpbtrf
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dpbtrf
 from scipy.sparse._sparsetools import (csr_has_canonical_format, csr_matvec, csr_matvecs,
                                        csr_row_index, csr_scale_columns, csr_scale_rows,
                                        csr_sort_indices, csr_sum_duplicates)
@@ -128,11 +129,11 @@ class FactorizedOperator:
         """The factor of A, or of A + c K when K is given, A and K sparse
         (canonical CSR) or dense, in the band numbering order (default the
         identity).  The band is filled straight from the CSR arrays.  A + c K
-        is summed in the band as scipy's A + c * K sums it, c K first, each
-        entry as 0.0 + a + c k, and the band is as wide as the sum's nonzero
-        entries (scipy drops the zeros its sum makes); A alone keeps its
-        stored entries as they are.  NotPositiveDefinite names LAPACK's first
-        leading minor that is not positive definite."""
+        is summed in the band bitwise as scipy's A + c * K sums it: c K
+        first, each entry as (0.0 + a) + c k, and the band as wide as the
+        sum's nonzero entries (scipy drops the zeros its sum makes); A alone
+        keeps its stored entries as they are.  NotPositiveDefinite names
+        LAPACK's first leading minor that is not positive definite."""
         n = A.shape[0]
         at = None  # each dof's place in order
         if order is not None:
