@@ -96,11 +96,13 @@ class TestSpdSolver:
         assert np.allclose(solve_spd(A, b), np.linalg.solve(A, b), rtol=1e-12, atol=1e-13)
 
     def test_rejects_indefinite_matrix(self):
+        # The error keeps LAPACK's failing pivot, the second leading minor.
         A = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(NotPositiveDefinite):
             solve_spd(A, np.ones(2))
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite, match="leading minor 2 of 2") as exc:
             FactorizedOperator.build(A)
+        assert exc.value.pivot == 2
 
     def test_rejects_non_finite_matrix(self):
         A = np.array([[np.nan, 0.0], [0.0, 1.0]])
