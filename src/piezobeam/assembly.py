@@ -190,6 +190,7 @@ def _assemble(layout: DofLayout, term_sets) -> list:
     fields = list(layout.fields.values())
     names = [f.name for f in fields]
     regions = {name: mesh.region(name)[0] for name in ("all", "patch")}
+    lengths_of = {name: inv.take(elems) for name, elems in regions.items()}  # index into lengths
     stride, n_local = np.array([CHAIN[f.basis] for f in fields]).T
     e0 = np.array([regions[f.region][0] for f in fields])
     offset = np.array([f.offset for f in fields])
@@ -203,32 +204,34 @@ def _assemble(layout: DofLayout, term_sets) -> list:
     row_first, row_last = e + np.maximum(d - a + s, 0) // s, e + d // s
     matrices = []
     for terms in term_sets:
-        blocks = [(elems, block) for term in terms if len(elems := regions[term.region])
+        blocks = [(elems, lengths_of[term.region], block) for term in terms
+                  if len(elems := regions[term.region])
                   for block in _element_blocks(term, tables, dofs, elems)]
         span = {}  # each coupled field pair's first and last element
-        for elems, (pair, *_) in blocks:
+        for elems, _, (pair, *_) in blocks:
             lo, hi = span.get(pair, (elems[0], elems[-1]))
             span[pair] = min(lo, elems[0]), max(hi, elems[-1])
         # Each row's ranges, one per field its field couples to (the k-th of
         # coupled[f]), over the elements first[f, k] to last[f, k].
         coupled = [[g for g in names if (f, g) in span] for f in names]
+        at = {(f, g): k for f, gs in zip(names, coupled) for k, g in enumerate(gs)}
         first, last, g = np.zeros((3, len(fields), max(map(len, coupled))), dtype=np.int64)
         first[:] = n  # no range where nothing couples
-        for f, gs in enumerate(coupled):
-            for k, gk in enumerate(gs):
-                g[f, k] = names.index(gk)
-                first[f, k], last[f, k] = span[names[f], gk]
+        for (f, gk), k in at.items():
+            g[names.index(f), k] = names.index(gk)
+            first[names.index(f), k], last[names.index(f), k] = span[f, gk]
         g = g.take(of, axis=0)  # the field of each row's ranges
         lo_e = np.maximum(row_first[:, None], first.take(of, axis=0))
         hi_e = np.minimum(row_last[:, None], last.take(of, axis=0))
-        width = np.where(hi_e >= lo_e, stride.take(g) * (hi_e - lo_e) + n_local.take(g), 0)
-        lo = (offset - stride * e0).take(g) + stride.take(g) * lo_e
+        st = stride.take(g)
+        width = np.where(hi_e >= lo_e, st * (hi_e - lo_e) + n_local.take(g), 0)
+        lo = (offset - stride * e0).take(g) + st * lo_e
         end = np.cumsum(width).reshape(width.shape)  # row-major over (row, range)
         base = (end - width - lo).T.copy()  # slot of column 0 of each range
         data = np.zeros(end[-1, -1])
-        for elems, ((f, g), rows, cols, table) in blocks:
-            slots = base[coupled[names.index(f)].index(g)].take(rows[::-1])
-            vals = table[:, ::-1, ::-1].transpose(1, 2, 0).take(inv.take(elems), axis=2)
+        for _, u, (pair, rows, cols, table) in blocks:
+            slots = base[at[pair]].take(rows[::-1])
+            vals = table[:, ::-1, ::-1].transpose(1, 2, 0).take(u, axis=2)
             np.add.at(data, (slots[:, None, :] + cols[::-1][None, :, :]).ravel(), vals.ravel())
         # Column indices: each nonempty range counts up from its lo.
         step = np.ones(len(data), dtype=np.int64)
