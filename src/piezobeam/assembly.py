@@ -26,7 +26,7 @@ from .errors import MeshSpecMismatch, NotPositiveDefinite, SingularElectricBlock
 from .fem import GAUSS_FULL, GAUSS_REDUCED, endpoint_values, gauss_table
 from .forms import build_forms
 from .layout import CHAIN, FIELD_CLASS, DofLayout, FieldState, build_layout, interpolate_field
-from .materials import BoundaryCondition, Regime, ValidatedModelSpec
+from .materials import BoundaryCondition, ValidatedModelSpec
 from .mesh import Mesh
 from .solvers import FactorizedOperator
 
@@ -46,7 +46,6 @@ class SemiDiscreteSystem:
     K: scipy.sparse.csr_array
     B: np.ndarray
     free_dofs: np.ndarray
-    charge_reduced: bool = False
 
     @property
     def n_dofs(self) -> int:
@@ -346,7 +345,7 @@ def reduce_electrostatic(system: SemiDiscreteSystem) -> SemiDiscreteSystem:
     (criterion 7); no stepping path may use it, and the electrostatic regime
     assembles its own banded K instead.
     """
-    if system.vspec.regime != Regime.FULL_MAGNETIC or system.charge_reduced:
+    if not len(system.class_dofs("charge")):
         raise SingularElectricBlock("reduce_electrostatic needs a fully dynamic system")
     mech, charge = _grounded_charge_split(system)
     K_mm = system.K[mech][:, mech]
@@ -371,7 +370,6 @@ def reduce_electrostatic(system: SemiDiscreteSystem) -> SemiDiscreteSystem:
         K=scipy.sparse.csr_array(K_red),
         B=B_red,
         free_dofs=system.free_dofs[mech],
-        charge_reduced=True,
     )
 
 

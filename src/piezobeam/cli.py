@@ -85,15 +85,16 @@ def cmd_simulate(config: RunConfig, out: str, svg: bool) -> int:
     ends = np.cumsum([len(touched)] + [len(idx) for idx in values])
     probes, peaks = [], []
 
-    def observe(rows, X, V):  # in place: the rows are simulate's scratch
+    def observe(rows, Xs, V):  # in place: the rows are simulate's scratch
+        (X,) = Xs
         probes.append((interp @ X[:, :ends[0]].T).T)
         np.abs(X, out=X)
         peaks.append(np.column_stack([X[:, a:b].max(axis=1, initial=0.0)
                                       for a, b in zip(ends[:-1], ends[1:])]))
 
     zero = np.zeros(system.n_dofs)
-    traj = simulate(system, zero, zero, dt, config.t_end, stride=config.stride,
-                    velocities=False, observe=observe, observed=read)
+    (traj,) = simulate([system], [zero], [zero], dt, config.t_end, stride=config.stride,
+                       velocities=False, observe=observe, observed=[read])
     probes, peaks = np.concatenate(probes), np.concatenate(peaks)
     resid, scale = traj.balance
 

@@ -250,25 +250,6 @@ def magnetic_energy(state: FieldState) -> float:
     return eval_terms(state.layout, mag, state.velocities)
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Energy split at one instant (per unit width)."""
-
-    kinetic: float
-    stored: float
-    magnetic: float
-
-    @property
-    def total(self) -> float:
-        return self.kinetic + self.stored + self.magnetic
-
-
-def energy_breakdown(state: FieldState) -> EnergyBreakdown:
-    mag = magnetic_energy(state)
-    kin = kinetic_energy(state) - mag
-    return EnergyBreakdown(kinetic=kin, stored=stored_energy(state), magnetic=mag)
-
-
 def _shape_weights(layout: DofLayout, field: str, x: float, deriv: int):
     """Full-numbering dofs and weights w with D^deriv field(x) = w @ flat[dofs]."""
     fd = layout.fields[field]

@@ -23,7 +23,6 @@ velocities into, so a run allocates them once, not once per chunk.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse
 from scipy.linalg.blas import daxpy, dtbsv
 from scipy.sparse._sparsetools import csr_matvec
 
@@ -53,8 +52,8 @@ def midpoint_sweep(L, U, M, K, bvolts, x0, v0, dt, rec_steps, ab=None, out=None)
     Everything is in one numbering, the band numbering of L: L is the
     lower banded Cholesky factor (LAPACK storage, shape (p+1, n)) of
     S = M + (dt^2/4) K, U = L^T in upper band storage, and M and K are
-    sparse n x n operators.  bvolts holds the load f = B V(t_mid) of each
-    step, shape (n_steps, n).  The sweep carries a = M v - (dt/2) K x and
+    n x n float64 canonical CSR.  bvolts holds the load f = B V(t_mid) of
+    each step, shape (n_steps, n).  The sweep carries a = M v - (dt/2) K x and
     b = M v + (dt/2) K x besides x and v; ab = (a, b) continues a previous
     call, else both are formed from x0 and v0, the only use of M.  A step
     solves S vbar = a + (dt/2) f and sets
@@ -87,8 +86,6 @@ def midpoint_sweep(L, U, M, K, bvolts, x0, v0, dt, rec_steps, ab=None, out=None)
     else:
         X, Vel, vbars = out[0][:n_rec], out[1][:n_rec], out[2][:len(bvolts)]
 
-    if getattr(K, "format", None) != "csr" or K.dtype != np.float64:
-        K = scipy.sparse.csr_array(K, dtype=float)  # once per call, for the kernel
     x, v = np.array(x0, dtype=float), np.array(v0, dtype=float)
     if ab is None:
         mv, kx = M @ v, K @ x

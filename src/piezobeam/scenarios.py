@@ -158,11 +158,11 @@ def check_single_beam_decoupling(vspec: ValidatedModelSpec, n_elements: int,
     peak_x, peak_v = np.zeros((2, len(mech)))  # running max |x|, |v| per dof
 
     def observe(rows, X, V):  # in place: the rows are simulate's scratch
-        np.maximum(peak_x, np.abs(X, out=X).max(axis=0), out=peak_x)
-        np.maximum(peak_v, np.abs(V, out=V).max(axis=0), out=peak_v)
+        np.maximum(peak_x, np.abs(X[0], out=X[0]).max(axis=0), out=peak_x)
+        np.maximum(peak_v, np.abs(V[0], out=V[0]).max(axis=0), out=peak_v)
 
-    simulate(system, np.zeros(system.n_dofs), np.zeros(system.n_dofs), dt, t_end,
-             observe=observe, observed=mech)
+    simulate([system], [np.zeros(system.n_dofs)], [np.zeros(system.n_dofs)], dt, t_end,
+             observe=observe, observed=[mech])
     x_bend, v_bend = _peak(peak_x[at_bend]), _peak(peak_v[at_bend])
     stretch = _peak(peak_x[at_stretch])
     if stretch == 0.0:
@@ -328,7 +328,7 @@ def static_solution(system: SemiDiscreteSystem, volts) -> np.ndarray:
     """
     volts = np.asarray(volts, dtype=float)
     rhs = system.B @ volts
-    full = system.vspec.regime == Regime.FULL_MAGNETIC and not system.charge_reduced
+    full = len(system.class_dofs("charge")) > 0
     keep = np.arange(system.n_dofs)
     if full:
         keep = np.sort(np.concatenate(_grounded_charge_split(system)))
@@ -556,10 +556,10 @@ def pulse_time_of_flight(vspec: ValidatedModelSpec, n_elements: int = 512) -> Sc
     at_probes = []  # the velocity at the probe dofs, the one thing the run keeps
 
     def observe(rows, X, V):
-        at_probes.append(V.copy())
+        at_probes.append(V[0].copy())
 
-    traj = simulate(unloaded, np.zeros(system.n_dofs), v0, dt, n_steps * dt, observe=observe,
-                    observed=v_dofs[probes])
+    (traj,) = simulate([unloaded], [np.zeros(system.n_dofs)], [v0], dt, n_steps * dt,
+                       observe=observe, observed=[v_dofs[probes]])
     arrivals = []
     for series in np.abs(np.concatenate(at_probes)).T:
         thresh = 0.01 * float(series.max())

@@ -126,40 +126,33 @@ class FactorizedOperator:
 
     @classmethod
     def build(cls, A, order=None, K=None, c=0.0) -> "FactorizedOperator":
-        """The factor of A, or of A + c K when K is given, A and K sparse
-        (canonical CSR) or dense, in the band numbering order (default the
-        identity).  The band is filled straight from the CSR arrays.  A + c K
-        is summed in the band bitwise as scipy's A + c * K sums it: c K
-        first, each entry as (0.0 + a) + c k, and the band as wide as the
-        sum's nonzero entries (scipy drops the zeros its sum makes); A alone
-        keeps its stored entries as they are.  NotPositiveDefinite names
-        LAPACK's first leading minor that is not positive definite."""
+        """The factor of A, or of A + c K when K is given, A and K canonical
+        CSR, in the band numbering order (default the identity).  The band is
+        filled straight from the CSR arrays, one way: A's lower entries, then
+        c times K's, added into zeros, so each entry is (0.0 + a) + c k,
+        bitwise as scipy's A + c * K sums it; then the outer diagonals left
+        all zero are trimmed, as scipy drops the zeros its sum makes.
+        NotPositiveDefinite names LAPACK's first leading minor that is not
+        positive definite."""
         n = A.shape[0]
         at = None  # each dof's place in order
         if order is not None:
             at = np.empty(n, dtype=np.int64)
             at[order] = np.arange(n)
-        lower = []  # per matrix: offset, column and value of its lower band entries
-        for X in (A,) if K is None else (A, K):
-            if getattr(X, "format", None) != "csr":
-                X = scipy.sparse.csr_array(X)
+        lower = []  # per matrix: offset, column and scaled value of its lower band entries
+        for X, scale in ((A, 1.0),) if K is None else ((A, 1.0), (K, c)):
             row, col = np.repeat(np.arange(n), np.diff(X.indptr)), X.indices
             if at is not None:
                 row, col = at[row], at[col]
             below = np.flatnonzero(row >= col)
-            lower.append(((row - col).take(below), col.take(below), X.data.take(below)))
+            lower.append(((row - col).take(below), col.take(below), scale * X.data.take(below)))
         p = max(int(offset.max(initial=0)) for offset, _, _ in lower)
         ab = np.zeros((p + 1, n), order="F")
-        if K is None:
-            ab[lower[0][:2]] = lower[0][2]
-        else:
-            (offset, col, a), (k_offset, k_col, k) = lower
-            ab[offset, col] += a
-            ab[k_offset, k_col] += c * k
-            while p and not ab[p].any():
-                p -= 1
-            ab = np.asfortranarray(ab[:p + 1])
-        L, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        for offset, col, vals in lower:
+            ab[offset, col] += vals
+        while p and not ab[p].any():
+            p -= 1
+        L, info = dpbtrf(np.asfortranarray(ab[:p + 1]), lower=1, overwrite_ab=1)
         if info > 0:
             raise NotPositiveDefinite(f"Cholesky factorization failed: leading minor {info} "
                                       f"of {n} not positive definite", pivot=int(info))
@@ -181,7 +174,7 @@ class FactorizedOperator:
 
 
 def solve_spd(A, b: np.ndarray, order=None) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A (sparse or dense),
+    """Solve A x = b for symmetric positive definite A (canonical CSR),
     factored in the band numbering order (see FactorizedOperator.build).
 
     One step of iterative refinement with the residual in extended precision
@@ -194,7 +187,7 @@ def solve_spd(A, b: np.ndarray, order=None) -> np.ndarray:
     op = FactorizedOperator.build(A, order)
     b = np.asarray(b, dtype=float)
     x = op.solve(b)
-    x = x + op.solve((b - scipy.sparse.csr_array(A).astype(np.longdouble) @ x).astype(float))
+    x = x + op.solve((b - A.astype(np.longdouble) @ x).astype(float))
     nb = np.linalg.norm(b)
     if nb > 0:
         res = np.linalg.norm(A @ x - b) / nb
@@ -217,7 +210,7 @@ class ModeSet:
 
 
 def eigenmodes(M, K, n_modes: int, null: np.ndarray, order: np.ndarray) -> ModeSet:
-    """Lowest n_modes of the pencil (K, M), M and K sparse symmetric, and
+    """Lowest n_modes of the pencil (K, M), M and K symmetric canonical CSR, and
     null (n, n_zero) a basis of K's kernel (SemiDiscreteSystem.null_space),
     factored in the band numbering order (SemiDiscreteSystem.band_order; see
     FactorizedOperator).
@@ -253,14 +246,12 @@ def eigenmodes(M, K, n_modes: int, null: np.ndarray, order: np.ndarray) -> ModeS
 
     diag = K.diagonal()
     sigma = -1e-6 * float(diag.mean()) / float(M.diagonal().mean())
-    op = FactorizedOperator.build(K - sigma * M, order)
+    op = FactorizedOperator.build(K, order, M, -sigma)  # K - sigma M
     # ARPACK calls both operators once per Lanczos step: M calls the CSR
     # kernel directly, bitwise M @ x without scipy's sparse dispatch.
-    Mc = scipy.sparse.csr_array(M, dtype=float)
-
     def mass(x):
         y = np.zeros(n)
-        csr_matvec(n, n, Mc.indptr, Mc.indices, Mc.data, x, y)
+        csr_matvec(n, n, M.indptr, M.indices, M.data, x, y)
         return y
 
     try:
@@ -484,26 +475,23 @@ def _split(system, x0: np.ndarray, v0: np.ndarray, volts: np.ndarray, adapted=No
     return blocks, None if whole or not len(pairs[0]) else pairs
 
 
-def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
+def simulate(systems, x0s, v0s, dt: float, t_end: float, stride: int = 1,
              velocities: bool = True, observe=None, observed=None):
-    """Integrate with the implicit midpoint rule and record every `stride` steps.
-
-    `system` may also be a list of systems, with x0 and v0 lists of their
-    initial states: one sweep then advances all of them, and a list of
-    Trajectories comes back.
+    """Integrate a list of systems from their lists of initial states x0s,
+    v0s with the implicit midpoint rule, in one sweep, recording every
+    `stride` steps; returns their list of Trajectories.
 
     simulate keeps no recorded state.  After each chunk of steps it calls
     observe(rows, X, V) once, rows the slice of recorded rows the chunk
-    covers (row 0, the initial state, comes first, alone), X those rows in
-    the system's own coordinates, and V the velocities likewise, or None
-    when velocities=False; for a list of systems X and V are lists with one
-    array per system.  X and V hold the columns `observed` names, bitwise
-    those of the full rows: an index array, or for a list of systems a list
-    of them or None, None standing for every dof (the default).  The other
-    columns are never formed.  The arrays are simulate's own, written again
-    for every chunk, so they are valid only during the call: an observer
-    copies what it keeps, and reduces each row as it goes past.  It may
-    overwrite them in place: no two of them share memory.
+    covers (row 0, the initial state, comes first, alone), X a list with
+    each system's rows in its own coordinates, and V the velocities
+    likewise, or None when velocities=False.  X and V hold the columns
+    `observed` names, bitwise those of the full rows: a list with an index
+    array or None per system, None standing for every dof (the default).
+    The other columns are never formed.  The arrays are simulate's own,
+    written again for every chunk, so they are valid only during the call:
+    an observer copies what it keeps, and reduces each row as it goes past.
+    It may overwrite them in place: no two of them share memory.
 
     Each system is cut into its blocks, those at rest left out (see _split):
     their rows are exact zeros.  The blocks that move are stacked as the
@@ -534,13 +522,10 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     1e-8 * its max energy or is not finite (criterion 4): such runs come
     from step matrices that factor but are too ill-conditioned to solve.
     """
-    many = isinstance(system, (list, tuple))
-    systems, x0s, v0s = (system, x0, v0) if many else ([system], [x0], [v0])
-    observed = observed if many and observed is not None else [observed] * len(systems)
     x0s = [np.asarray(x, dtype=float) for x in x0s]
     v0s = [np.asarray(v, dtype=float) for v in v0s]
-    observed = [np.arange(s.n_dofs) if d is None else np.asarray(d, dtype=np.int64)
-                for s, d in zip(systems, observed, strict=True)]
+    observed = [np.arange(s.n_dofs) if d is None else np.asarray(d, dtype=np.int64) for s, d in
+                zip(systems, [None] * len(systems) if observed is None else observed, strict=True)]
     for s, x, v, d in zip(systems, x0s, v0s, observed, strict=True):
         if x.shape != (s.n_dofs,) or v.shape != (s.n_dofs,):
             raise ValueError(f"initial state must have shape ({s.n_dofs},)")
@@ -551,12 +536,6 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
     n_steps = max(0, int(round(t_end / dt)))
-    if observe is not None and not many:
-        each = observe
-
-        def observe(rows, X, V):
-            each(rows, X[0], None if V is None else V[0])
-
     t_mid = dt * (np.arange(n_steps) + 0.5)
     adapted = {}
     splits = [_split(s, x, v, np.column_stack([sig(t_mid) for sig in s.vspec.voltages]),
@@ -566,7 +545,7 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
     trajs = [Trajectory(t=rec_steps * dt, kinetic=np.zeros(n_rec), stored=np.zeros(n_rec),
                         magnetic=np.zeros(n_rec), work=np.zeros(n_rec)) for _ in systems]
 
-    names = [f"system {k} of {len(trajs)}: " if many else "" for k in range(len(trajs))]
+    names = [f"system {k} of {len(trajs)}: " if len(trajs) > 1 else "" for k in range(len(trajs))]
     moving, parts = [], []
     for traj, s, (blocks, pairs), dofs, where in zip(trajs, systems, splits, observed, names):
         parts.append((traj, s.n_dofs, pairs, range(len(moving), len(moving) + len(blocks)),
@@ -581,7 +560,7 @@ def simulate(system, x0, v0, dt: float, t_end: float, stride: int = 1,
             raise EnergyImbalance(
                 f"{where}energy balance residual {resid:.3e} exceeds 1e-8 * max energy "
                 f"{scale:.3e}")
-    return trajs if many else trajs[0]
+    return trajs
 
 
 def _plan(n: int, pairs, blocks, cols, dofs: np.ndarray, zero: int, at: int):

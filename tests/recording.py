@@ -29,11 +29,10 @@ def recorded(system, x0, v0, dt, t_end, stride=1, velocities=True):
     """simulate(...) with every row kept: a Recorded, or a list of them for a
     list of systems."""
     many = isinstance(system, (list, tuple))
-    systems = system if many else [system]
+    systems, x0s, v0s = (system, x0, v0) if many else ([system], [x0], [v0])
     X, V, seen = [[] for _ in systems], [[] for _ in systems], []
 
     def observe(rows, Xs, Vs):
-        Xs, Vs = (Xs, Vs) if many else ([Xs], None if Vs is None else [Vs])
         assert (Vs is None) is not velocities
         seen.append(rows)
         for k, s in enumerate(systems):
@@ -43,9 +42,8 @@ def recorded(system, x0, v0, dt, t_end, stride=1, velocities=True):
                 assert Vs[k].shape == Xs[k].shape
                 V[k].append(Vs[k].copy())
 
-    trajs = simulate(system, x0, v0, dt, t_end, stride=stride, velocities=velocities,
+    trajs = simulate(systems, x0s, v0s, dt, t_end, stride=stride, velocities=velocities,
                      observe=observe)
-    trajs = trajs if many else [trajs]
     stops = [r.stop for r in seen]
     assert [r.start for r in seen] == [0] + stops[:-1] and stops[-1] == len(trajs[0].t)
     out = [Recorded(traj, np.concatenate(xs),

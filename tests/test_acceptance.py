@@ -134,7 +134,7 @@ def test_c03_unforced_midpoint_conserves_energy_over_1e4_steps():
         sysm = build_system(make_spec(variant, Regime.FULL_MAGNETIC), 8)
         x0 = 0.01 * rng.standard_normal(sysm.n_dofs)
         v0 = 0.01 * rng.standard_normal(sysm.n_dofs)
-        traj = simulate(sysm, x0, v0, dt=1e-3, t_end=10.0, stride=100)
+        (traj,) = simulate([sysm], [x0], [v0], dt=1e-3, t_end=10.0, stride=100)
         assert len(traj.t) == 101
         e0 = traj.total[0]
         drift = np.abs(traj.total - e0).max() / e0
@@ -146,7 +146,7 @@ def test_c04_forced_runs_balance_energy_against_work():
     for variant, regime in ALL_COMBOS:
         sysm = build_system(_forced(variant, regime), 8)
         zero = np.zeros(sysm.n_dofs)
-        traj = simulate(sysm, zero, zero, dt=1e-3, t_end=2.0, stride=1)
+        (traj,) = simulate([sysm], [zero], [zero], dt=1e-3, t_end=2.0, stride=1)
         scale = traj.total.max()
         assert scale > 0.0
         assert np.abs(traj.balance_residual).max() <= 1e-8 * scale, (variant, regime)

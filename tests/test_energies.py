@@ -10,7 +10,6 @@ import pytest
 
 from piezobeam.errors import OutOfDomain
 from piezobeam.forms import (
-    energy_breakdown,
     eval_field_at,
     kinetic_energy,
     magnetic_energy,
@@ -150,7 +149,7 @@ class TestKineticAndMagneticEnergy:
 
     def test_charge_rate_energy_is_magnetic(self):
         # mu h = 3: a unit charge rate stores 3/2.  kinetic_energy covers all
-        # velocity-quadratic terms; the breakdown splits the magnetic part out.
+        # velocity-quadratic terms, here the magnetic one alone.
         heavy = MaterialParams(
             rho=12.0, c11=2.0, c55=1.0, gamma31=1.0, gamma15=0.5,
             eps1=1.0, eps3=0.5, mu=3.0,
@@ -159,23 +158,12 @@ class TestKineticAndMagneticEnergy:
         st = interp_state(lay, velocities={"q": lambda x: np.ones_like(x)})
         assert magnetic_energy(st) == pytest.approx(1.5, rel=1e-14)
         assert kinetic_energy(st) == pytest.approx(1.5, rel=1e-14)
-        assert energy_breakdown(st).kinetic == pytest.approx(0.0, abs=1e-15)
 
     def test_electrostatic_regime_has_no_magnetic_energy(self, rng):
         vspec, lay = single_layout(Variant.SINGLE_EB, Regime.ELECTROSTATIC)
         x = rng.standard_normal(lay.n_dofs)
         st = FieldState.from_vectors(lay, x, x)
         assert magnetic_energy(st) == 0.0
-
-    def test_breakdown_totals(self, rng):
-        vspec, lay = patch_layout(Variant.PATCH_MT)
-        x = rng.standard_normal(lay.n_dofs)
-        v = rng.standard_normal(lay.n_dofs)
-        st = FieldState.from_vectors(lay, x, v)
-        bd = energy_breakdown(st)
-        assert bd.magnetic == pytest.approx(magnetic_energy(st), rel=1e-14)
-        assert bd.kinetic + bd.magnetic == pytest.approx(kinetic_energy(st), rel=1e-13)
-        assert bd.stored == pytest.approx(stored_energy(st), rel=1e-14)
 
 
 class TestWorkRate:

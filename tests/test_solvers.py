@@ -78,8 +78,8 @@ def banded_spd(rng, n, p):
 
 def scalar_sweep(dt, n_steps, k=1.0):
     """Unit oscillator x'' = -k x, x(0)=1, run through midpoint_sweep."""
-    M = np.eye(1)
-    K = np.array([[k]])
+    M = scipy.sparse.csr_array(np.eye(1))
+    K = scipy.sparse.csr_array(np.array([[k]]))
     op = FactorizedOperator.build(M + 0.25 * dt * dt * K)
     x0, v0, load = np.array([1.0]), np.array([0.0]), np.zeros((n_steps, 1))
     _, _, _, X, V, vbar = midpoint_sweep(op.L, op.U, M, K, load, x0, v0, dt,
@@ -93,11 +93,12 @@ class TestSpdSolver:
         R = rng.standard_normal((12, 12))
         A = R @ R.T + 12.0 * np.eye(12)
         b = rng.standard_normal(12)
-        assert np.allclose(solve_spd(A, b), np.linalg.solve(A, b), rtol=1e-12, atol=1e-13)
+        assert np.allclose(solve_spd(scipy.sparse.csr_array(A), b), np.linalg.solve(A, b),
+                           rtol=1e-12, atol=1e-13)
 
     def test_rejects_indefinite_matrix(self):
         # The error keeps LAPACK's failing pivot, the second leading minor.
-        A = np.array([[1.0, 0.0], [0.0, -1.0]])
+        A = scipy.sparse.csr_array(np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(NotPositiveDefinite):
             solve_spd(A, np.ones(2))
         with pytest.raises(NotPositiveDefinite, match="leading minor 2 of 2") as exc:
@@ -105,7 +106,7 @@ class TestSpdSolver:
         assert exc.value.pivot == 2
 
     def test_rejects_non_finite_matrix(self):
-        A = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        A = scipy.sparse.csr_array(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(NotPositiveDefinite):
             FactorizedOperator.build(A)
 
@@ -150,7 +151,7 @@ class TestSpdSolver:
     def test_factorization_reusable(self, rng):
         R = rng.standard_normal((6, 6))
         A = R @ R.T + 6.0 * np.eye(6)
-        op = FactorizedOperator.build(A)
+        op = FactorizedOperator.build(scipy.sparse.csr_array(A))
         for _ in range(3):
             b = rng.standard_normal(6)
             assert np.allclose(A @ op.solve(b), b, rtol=1e-11, atol=1e-12)
@@ -723,7 +724,7 @@ class TestSimulate:
             monkeypatch.setattr(solvers, "CHUNK_ENTRIES", entries)
             for energies in (solvers._row_energies, three_product_energies):
                 monkeypatch.setattr(solvers, "_row_energies", energies)
-                runs.append(simulate(sysm, x0, v0, 1e-3, 0.05, stride=stride))
+                runs += simulate([sysm], [x0], [v0], 1e-3, 0.05, stride=stride)
         for traj in runs[1:]:
             for name in ("kinetic", "stored", "magnetic", "work"):
                 assert getattr(traj, name).tobytes() == getattr(runs[0], name).tobytes()
@@ -738,13 +739,14 @@ class TestSimulate:
         x0 = np.zeros(sysm.n_dofs)
         seen, kept = [], []
 
-        def observe(rows, X, V):
+        def observe(rows, Xs, Vs):
+            (X,), (V,) = Xs, Vs
             seen.append((X, V))
             kept.append((X.copy(), V.copy()))
             X.fill(np.nan)
             V.fill(np.nan)
 
-        traj = simulate(sysm, x0, x0, 1e-3, 0.1, observe=observe)
+        (traj,) = simulate([sysm], [x0], [x0], 1e-3, 0.1, observe=observe)
         assert len(seen) >= 4  # row 0, then three chunks at least
         for (X1, V1), (X2, V2) in zip(seen[1:], seen[2:]):
             assert np.shares_memory(X1, X2) and np.shares_memory(V1, V2)
@@ -758,11 +760,11 @@ class TestSimulate:
         sysm = self._forced_system()
         zero = np.zeros(sysm.n_dofs)
         with pytest.raises(ValueError):
-            simulate(sysm, np.zeros(3), zero, dt=0.01, t_end=0.1)
+            simulate([sysm], [np.zeros(3)], [zero], dt=0.01, t_end=0.1)
         with pytest.raises(ValueError):
-            simulate(sysm, zero, zero, dt=0.01, t_end=0.1, stride=0)
+            simulate([sysm], [zero], [zero], dt=0.01, t_end=0.1, stride=0)
         with pytest.raises(ValueError):
-            simulate(sysm, zero, zero, dt=-0.01, t_end=0.1)
+            simulate([sysm], [zero], [zero], dt=-0.01, t_end=0.1)
 
 
 def three_product(A, Z):
@@ -932,13 +934,13 @@ class TestBatch:
         kept = []
 
         def one_column(rows, X, V):
-            kept.append(X[:, 1].copy())
+            kept.append(X[0][:, 1].copy())
 
         for observe, columns in ((None, 0), (one_column, 1)):
             tracemalloc.start()
             try:
-                traj = simulate(sysm, zero, zero, config.dt, 8.0, stride=1, velocities=False,
-                                observe=observe)
+                (traj,) = simulate([sysm], [zero], [zero], config.dt, 8.0, stride=1,
+                                   velocities=False, observe=observe)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -1274,9 +1276,14 @@ def reference_halves(system, perm, sign):
 
 
 def reference_factor(M, K, dt, order=None):
-    """(L, U) of M + (dt^2/4) K summed by scipy, its lower band filled from
-    its COO entries in the order given and factored by cholesky_banded."""
-    A = scipy.sparse.csr_array(M + (dt * dt / 4.0) * K)
+    """(L, U) of M + (dt^2/4) K summed by scipy (see reference_band_factor)."""
+    return reference_band_factor(M + (dt * dt / 4.0) * K, order)
+
+
+def reference_band_factor(A, order=None):
+    """(L, U) of the sparse A, its lower band filled from its COO entries in
+    the order given and factored by cholesky_banded."""
+    A = scipy.sparse.csr_array(A)
     order = np.arange(A.shape[0]) if order is None else order
     entries = A.tocoo()
     at = np.empty(A.shape[0], dtype=np.int64)
@@ -1335,6 +1342,13 @@ class TestSetUpBits:
         assert op.order.tobytes() == order.tobytes()
         assert_same_bits(op.L, L, "whole L")
         assert_same_bits(op.U, U, "whole U")
+        # eigenmodes' shifted factor, K - sigma M summed in the band, is
+        # that of scipy's K - sigma * M.
+        sigma = -1e-6 * float(system.K.diagonal().mean()) / float(system.M.diagonal().mean())
+        op = FactorizedOperator.build(system.K, order, system.M, -sigma)
+        L, U = reference_band_factor(system.K - sigma * system.M, order)
+        assert_same_bits(op.L, L, "shifted L")
+        assert_same_bits(op.U, U, "shifted U")
 
     @pytest.mark.parametrize("variant,regime", PATCH_COMBOS)
     def test_corrupted_coupling_steps_whole(self, variant, regime, rng):
@@ -1448,8 +1462,8 @@ class TestObservedColumns:
             for got, rows in zip(seen[name], (whole.X, whole.V)):
                 assert_same_bits(np.concatenate(got), rows[:, dofs], name)
         alone, dofs = [], sels.get("bottom slots and bending", sels["mechanical"])
-        simulate(sysm, x0, v0, 1e-3, 0.05, stride=3, velocities=False,
-                 observe=lambda rows, X, V: alone.append(X.copy()), observed=dofs)
+        simulate([sysm], [x0], [v0], 1e-3, 0.05, stride=3, velocities=False,
+                 observe=lambda rows, X, V: alone.append(X[0].copy()), observed=[dofs])
         assert_same_bits(np.concatenate(alone), whole.X[:, dofs], "alone")
 
     @pytest.mark.parametrize("m", [1, 5])
@@ -1490,7 +1504,7 @@ class TestObservedColumns:
         zero = np.zeros(sysm.n_dofs)
         for bad in ([sysm.n_dofs], [-1]):
             with pytest.raises(ValueError, match="observed dofs"):
-                simulate(sysm, zero, zero, 1e-3, 0.01, observed=bad)
+                simulate([sysm], [zero], [zero], 1e-3, 0.01, observed=[bad])
         with pytest.raises(ValueError):
             simulate([sysm, sysm], [zero, zero], [zero, zero], 1e-3, 0.01, observed=[None])
 
@@ -1532,7 +1546,7 @@ class TestBenchmarkContract:
         t = tracer.Tracer()
         t.install()
         try:
-            simulate(sysm, zero, zero, 1e-3, 0.3)
+            simulate([sysm], [zero], [zero], 1e-3, 0.3)
         finally:
             t.remove()
         assert t.missing == []
