@@ -26,7 +26,7 @@ from .errors import MeshSpecMismatch, NotPositiveDefinite, SingularElectricBlock
 from .fem import GAUSS_FULL, GAUSS_REDUCED, endpoint_values, gauss_table
 from .forms import build_forms
 from .layout import CHAIN, FIELD_CLASS, DofLayout, FieldState, build_layout, interpolate_field
-from .materials import BoundaryCondition, ValidatedModelSpec
+from .materials import BoundaryCondition, ModelSpec
 from .mesh import Mesh
 from .solvers import FactorizedOperator
 
@@ -39,7 +39,7 @@ class SemiDiscreteSystem:
     into the layout's full numbering; constrained dofs are implicitly zero.
     """
 
-    vspec: ValidatedModelSpec
+    vspec: ModelSpec
     mesh: Mesh
     layout: DofLayout
     M: scipy.sparse.csr_array
@@ -58,7 +58,10 @@ class SemiDiscreteSystem:
         return full
 
     def state(self, x: np.ndarray, xdot: np.ndarray) -> FieldState:
-        return FieldState.from_vectors(self.layout, self.embed(x), self.embed(xdot))
+        """The fields of (x, xdot) on a layout of this system's own spec: with_mass
+        and the drives of a shared assembly replace vspec but keep the layout."""
+        layout = replace(self.layout, vspec=self.vspec)
+        return FieldState.from_vectors(layout, self.embed(x), self.embed(xdot))
 
     def current_dofs(self, full: np.ndarray) -> np.ndarray:
         """Current-numbering indices, ascending, of the surviving dofs among
@@ -263,7 +266,7 @@ def _assemble_loads(layout: DofLayout, loads, n: int, n_sig: int) -> np.ndarray:
     return B
 
 
-def assemble(vspec: ValidatedModelSpec, mesh: Mesh) -> SemiDiscreteSystem:
+def assemble(vspec: ModelSpec, mesh: Mesh) -> SemiDiscreteSystem:
     """Build M, K, B on the given mesh (must match the spec's geometry)."""
     if vspec.is_patch:
         if mesh.patch_span is None:
@@ -291,7 +294,7 @@ def assemble(vspec: ValidatedModelSpec, mesh: Mesh) -> SemiDiscreteSystem:
     )
 
 
-def with_mass(system: SemiDiscreteSystem, vspec: ValidatedModelSpec) -> SemiDiscreteSystem:
+def with_mass(system: SemiDiscreteSystem, vspec: ModelSpec) -> SemiDiscreteSystem:
     """system with vspec and the M that vspec assembles, kept on system's
     dofs: bitwise the system build_system(vspec) builds when vspec differs
     from system.vspec only in what forms reads in kinetic terms alone (mu).
@@ -373,7 +376,7 @@ def reduce_electrostatic(system: SemiDiscreteSystem) -> SemiDiscreteSystem:
     )
 
 
-def build_system(vspec: ValidatedModelSpec, n_elements: int) -> SemiDiscreteSystem:
+def build_system(vspec: ModelSpec, n_elements: int) -> SemiDiscreteSystem:
     """Mesh, assemble and apply the spec's mechanical boundary condition."""
     from .mesh import build_mesh
 

@@ -34,11 +34,9 @@ from .materials import (
     MaterialParams,
     ModelSpec,
     Regime,
-    ValidatedModelSpec,
     Variant,
     VoltageSignal,
     stretching_wave_speeds,
-    validate_spec,
 )
 from .mesh import build_mesh
 
@@ -69,8 +67,8 @@ class RunConfig:
     stride: int = 1
     probe: float | None = None
 
-    def validated(self) -> ValidatedModelSpec:
-        return validate_spec(self.spec)
+    def validated(self) -> ModelSpec:
+        return self.spec
 
 
 def _tokenize(text: str):
@@ -192,25 +190,21 @@ def parse_config(text: str) -> RunConfig:
     patch = _material(entries, "material.patch")
     geometry = _geometry(entries)
     if variant.is_patch:
-        voltage = (_voltage(entries, "voltage.top"), _voltage(entries, "voltage.bottom"))
+        voltages = (_voltage(entries, "voltage.top"), _voltage(entries, "voltage.bottom"))
         if "voltage" in entries:
             raise UnknownKey(
                 "patch variants use [voltage.top]/[voltage.bottom], not [voltage]")
     else:
-        voltage = _voltage(entries, "voltage")
+        voltages = (_voltage(entries, "voltage"),)
         for bad in ("voltage.top", "voltage.bottom"):
             if bad in entries:
                 raise UnknownKey(
                     f"single-beam variants use [voltage], not [{bad}]")
-    spec = ModelSpec(
-        variant=variant, regime=regime, beam_material=beam,
-        geometry=geometry, mechanical_bc=bc,
-        patch_material=patch, voltage=voltage,
-    )
     try:
-        validate_spec(spec)
+        spec = ModelSpec(variant=variant, regime=regime, beam=beam, geometry=geometry,
+                         mechanical_bc=bc, patch=patch, voltages=voltages)
     except InvalidParameter as exc:
-        # validate_spec checks geometry keys, and mu on the charge-carrying layer.
+        # ModelSpec checks geometry keys, and mu on the charge-carrying layer.
         section = "geometry" if exc.key in SECTION_KEYS["geometry"] else \
             "material.patch" if variant.is_patch else "material.beam"
         raise _anchored(entries, section, exc) from exc
@@ -270,8 +264,7 @@ def serialize_config(config: RunConfig) -> str:
              f"regime = {spec.regime.value}",
              f"bc = {spec.mechanical_bc.value}",
              ""]
-    for section, mat in (("material.beam", spec.beam_material),
-                         ("material.patch", spec.patch_material)):
+    for section, mat in (("material.beam", spec.beam), ("material.patch", spec.patch)):
         if mat is None:
             continue
         lines.append(f"[{section}]")
@@ -285,11 +278,11 @@ def serialize_config(config: RunConfig) -> str:
             lines.append(f"{key} = {_fmt(val)}")
     lines.append("")
     if spec.variant.is_patch:
-        top, bottom = spec.voltage
+        top, bottom = spec.voltages
         _emit_voltage(lines, "voltage.top", top)
         _emit_voltage(lines, "voltage.bottom", bottom)
     else:
-        _emit_voltage(lines, "voltage", spec.voltage)
+        _emit_voltage(lines, "voltage", *spec.voltages)
     lines.append("[solver]")
     lines.append(f"elements = {config.n_elements}")
     if config.dt is not None:
@@ -307,7 +300,7 @@ def config_digest(config: RunConfig) -> str:
     return hashlib.sha256(serialize_config(config).encode("utf-8")).hexdigest()
 
 
-def heuristic_dt(vspec: ValidatedModelSpec, n_elements: int) -> float:
+def heuristic_dt(vspec: ModelSpec, n_elements: int) -> float:
     """Default step: a quarter of the fastest wave's transit over the finest
     element.  The integrator is unconditionally stable; this is an accuracy
     choice, not a stability bound."""
@@ -315,9 +308,7 @@ def heuristic_dt(vspec: ValidatedModelSpec, n_elements: int) -> float:
     h_min = float(min(mesh.lengths))
     full = vspec.regime == Regime.FULL_MAGNETIC
     speeds = []
-    for coeffs in (vspec.beam, vspec.patch):
-        if coeffs is None:
-            continue
+    for coeffs in (vspec.beam, vspec.patch) if vspec.is_patch else (vspec.beam,):
         if full and coeffs.mu > 0.0:
             speeds.append(stretching_wave_speeds(coeffs)[0])
         else:

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import OutOfDomain, IllegalRegime
 from .fem import GAUSS_FULL, GAUSS_REDUCED, shape_table
 from .layout import DofLayout, FieldState
-from .materials import Regime, ValidatedModelSpec, Variant
+from .materials import ModelSpec, Regime, Variant
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def _sym(entries, k):
     return C
 
 
-def build_forms(vspec: ValidatedModelSpec) -> FormSet:
+def build_forms(vspec: ModelSpec) -> FormSet:
     """Energy and load terms for the variant/regime of a validated spec."""
     full = vspec.regime == Regime.FULL_MAGNETIC
     if vspec.is_patch:

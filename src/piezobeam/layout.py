@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldShapeMismatch, UnknownBc
-from .materials import BoundaryCondition, ValidatedModelSpec, Variant
+from .materials import BoundaryCondition, ModelSpec, Variant
 from .mesh import Mesh
 
 
@@ -38,7 +38,7 @@ class FieldDofs:
     region: str         # 'all' | 'patch' (which elements support the field)
 
 
-def field_plan(vspec: ValidatedModelSpec) -> list:
+def field_plan(vspec: ModelSpec) -> list:
     """(name, basis, region) triples for the variant/regime, in layout order."""
     eb = not vspec.is_mindlin
     plan = [("v", "p1", "all")]
@@ -71,7 +71,7 @@ FIELD_CLASS = {"v": "stretching", "w": "bending", "psi": "bending",
 class DofLayout:
     """Global dof numbering for a validated spec on a mesh."""
 
-    vspec: ValidatedModelSpec
+    vspec: ModelSpec
     mesh: Mesh
     fields: dict
     n_dofs: int
@@ -136,7 +136,7 @@ class DofLayout:
             for f in self.fields.values() if FIELD_CLASS[f.name] != "charge"])
 
 
-def build_layout(vspec: ValidatedModelSpec, mesh: Mesh) -> DofLayout:
+def build_layout(vspec: ModelSpec, mesh: Mesh) -> DofLayout:
     fields = {}
     offset = 0
     for name, basis, region in field_plan(vspec):

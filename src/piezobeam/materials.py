@@ -3,22 +3,23 @@
 The transversely polarized piezoelectric constitutive law couples stress,
 strain, electric displacement and electric field through the raw constants
 (c11, c55, gamma31, gamma15, eps1, eps3).  All beam models are written in
-terms of the derived coefficients
+terms of the derived coefficients, read-only properties of MaterialParams:
 
     beta1 = 1/eps1          beta3 = 1/eps3
-    alpha11 = c11           alpha33 = c55
+    alpha11 = c11
     alpha1 = alpha11 + gamma31^2 * beta3
-    alpha3 = alpha33 + gamma15^2 * beta1
+    alpha3 = c55 + gamma15^2 * beta1
 
 alpha1 is the stretching stiffness at zero electric displacement; eliminating
-the charge statically takes it back down to alpha11.
+the charge statically takes it back down to alpha11.  A ModelSpec checks its
+variant, regime, geometry and voltages against each other on construction.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,21 +92,25 @@ class MaterialParams:
         if self.mu < 0.0:
             raise NonPositiveParameter(f"mu must be >= 0, got {self.mu!r}", "mu")
 
+    @property
+    def beta1(self) -> float:
+        return 1.0 / self.eps1
 
-@dataclass(frozen=True)
-class DerivedCoefficients:
-    """Coefficients the energy functionals are written in; immutable."""
+    @property
+    def beta3(self) -> float:
+        return 1.0 / self.eps3
 
-    alpha1: float
-    alpha3: float
-    alpha11: float
-    alpha33: float
-    beta1: float
-    beta3: float
-    gamma31: float
-    gamma15: float
-    rho: float
-    mu: float
+    @property
+    def alpha11(self) -> float:
+        return self.c11
+
+    @property
+    def alpha1(self) -> float:
+        return self.c11 + self.gamma31 ** 2 * self.beta3
+
+    @property
+    def alpha3(self) -> float:
+        return self.c55 + self.gamma15 ** 2 * self.beta1
 
     @property
     def g3b3(self) -> float:
@@ -113,7 +118,7 @@ class DerivedCoefficients:
         return self.gamma31 * self.beta3
 
 
-def stretching_wave_speeds(coeffs: DerivedCoefficients) -> tuple:
+def stretching_wave_speeds(coeffs: MaterialParams) -> tuple:
     """Characteristic speeds (fast, slow) of the coupled stretching system.
 
     Closed-form eigenvalues of diag(1/rho, 1/mu) @ [[alpha1, -g3b3],
@@ -126,28 +131,6 @@ def stretching_wave_speeds(coeffs: DerivedCoefficients) -> tuple:
     lam_fast = 0.5 * (tr + disc)
     lam_slow = 0.5 * (tr - disc)
     return float(np.sqrt(lam_fast)), float(np.sqrt(lam_slow))
-
-
-def derive_coefficients(material: MaterialParams) -> DerivedCoefficients:
-    """Map raw constants to the derived coefficient set (see module docstring)."""
-    beta1 = 1.0 / material.eps1
-    beta3 = 1.0 / material.eps3
-    alpha11 = material.c11
-    alpha33 = material.c55
-    alpha1 = alpha11 + material.gamma31 ** 2 * beta3
-    alpha3 = alpha33 + material.gamma15 ** 2 * beta1
-    return DerivedCoefficients(
-        alpha1=alpha1,
-        alpha3=alpha3,
-        alpha11=alpha11,
-        alpha33=alpha33,
-        beta1=beta1,
-        beta3=beta3,
-        gamma31=material.gamma31,
-        gamma15=material.gamma15,
-        rho=material.rho,
-        mu=material.mu,
-    )
 
 
 @dataclass(frozen=True)
@@ -226,32 +209,49 @@ class VoltageSignal:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Complete model description prior to validation."""
+    """Complete model description, checked on construction.
 
-    variant: Variant
-    regime: Regime
-    beam_material: MaterialParams
-    geometry: BeamGeometry
-    mechanical_bc: BoundaryCondition = BoundaryCondition.FREE_FREE
-    patch_material: MaterialParams | None = None
-    voltage: VoltageSignal | tuple = field(default_factory=VoltageSignal.zero)
-
-
-@dataclass(frozen=True)
-class ValidatedModelSpec:
-    """A ModelSpec that passed validate_spec, plus derived data.
-
-    voltages is always a tuple: one signal for single-beam variants, the
-    (top, bottom) pair for patch variants.
+    voltages is a tuple: one signal for single-beam variants, the (top,
+    bottom) pair for patch variants.  patch is read for patch variants only.
+    Raises the most specific error for the first violation found:
+    InvalidGeometry, MissingPatchMaterial, IllegalRegime or
+    NonPositiveParameter.
     """
 
     variant: Variant
     regime: Regime
+    beam: MaterialParams
     geometry: BeamGeometry
-    mechanical_bc: BoundaryCondition
-    beam: DerivedCoefficients
-    patch: DerivedCoefficients | None
-    voltages: tuple
+    mechanical_bc: BoundaryCondition = BoundaryCondition.FREE_FREE
+    patch: MaterialParams | None = None
+    voltages: tuple = (VoltageSignal.zero(),)
+
+    def __post_init__(self):
+        geo, voltages = self.geometry, self.voltages
+        if self.is_patch:
+            if self.patch is None:
+                raise MissingPatchMaterial(f"{self.variant.value} requires patch_material")
+            for name in ("core_half_thickness", "patch_thickness", "patch_start", "patch_end"):
+                if getattr(geo, name) is None:
+                    raise InvalidGeometry(f"patch variant needs geometry field {name}", name)
+            a, b = geo.patch_start, geo.patch_end
+            if not (0.0 < a < b < geo.length):
+                raise InvalidGeometry(
+                    f"patch interval [{a}, {b}] must satisfy 0 < a < b < L={geo.length}",
+                    "patch_end" if 0.0 < a < b else "patch_start")
+            if isinstance(voltages, VoltageSignal):
+                raise IllegalRegime("patch variants take a (top, bottom) voltage pair")
+        elif geo.thickness is None:
+            raise InvalidGeometry("single-beam variant needs geometry field thickness",
+                                  "thickness")
+        if not (isinstance(voltages, tuple) and len(voltages) == (2 if self.is_patch else 1)
+                and all(isinstance(v, VoltageSignal) for v in voltages)):
+            raise IllegalRegime("patch voltage must be a pair of VoltageSignal" if self.is_patch
+                                else "single-beam variants take exactly one voltage signal")
+        charge = self.patch if self.is_patch else self.beam
+        if self.regime == Regime.FULL_MAGNETIC and not charge.mu > 0.0:
+            raise NonPositiveParameter(
+                "fully dynamic regime requires mu > 0 on the charge-carrying layer", "mu")
 
     @property
     def is_patch(self) -> bool:
@@ -264,56 +264,3 @@ class ValidatedModelSpec:
     @property
     def n_signals(self) -> int:
         return len(self.voltages)
-
-
-def validate_spec(spec: ModelSpec) -> ValidatedModelSpec:
-    """Check variant/regime/geometry/voltage consistency.
-
-    Raises the most specific error for the first violation found:
-    InvalidGeometry, MissingPatchMaterial, IllegalRegime or
-    NonPositiveParameter.
-    """
-    geo = spec.geometry
-    if spec.variant.is_patch:
-        if spec.patch_material is None:
-            raise MissingPatchMaterial(f"{spec.variant.value} requires patch_material")
-        for name in ("core_half_thickness", "patch_thickness", "patch_start", "patch_end"):
-            if getattr(geo, name) is None:
-                raise InvalidGeometry(f"patch variant needs geometry field {name}", name)
-        a, b = geo.patch_start, geo.patch_end
-        if not (0.0 < a < b < geo.length):
-            raise InvalidGeometry(
-                f"patch interval [{a}, {b}] must satisfy 0 < a < b < L={geo.length}",
-                "patch_end" if 0.0 < a < b else "patch_start")
-        if isinstance(spec.voltage, VoltageSignal):
-            raise IllegalRegime("patch variants take a (top, bottom) voltage pair")
-        voltages = tuple(spec.voltage)
-        if len(voltages) != 2 or not all(isinstance(v, VoltageSignal) for v in voltages):
-            raise IllegalRegime("patch voltage must be a pair of VoltageSignal")
-    else:
-        if geo.thickness is None:
-            raise InvalidGeometry("single-beam variant needs geometry field thickness",
-                                  "thickness")
-        if not isinstance(spec.voltage, VoltageSignal):
-            raise IllegalRegime("single-beam variants take exactly one voltage signal")
-        voltages = (spec.voltage,)
-
-    beam = derive_coefficients(spec.beam_material)
-    patch = derive_coefficients(spec.patch_material) if spec.variant.is_patch else None
-
-    if spec.regime == Regime.FULL_MAGNETIC:
-        charge_mu = (patch or beam).mu
-        if not charge_mu > 0.0:
-            raise NonPositiveParameter(
-                "fully dynamic regime requires mu > 0 on the charge-carrying layer", "mu")
-
-    return ValidatedModelSpec(
-        variant=spec.variant,
-        regime=spec.regime,
-        geometry=geo,
-        mechanical_bc=spec.mechanical_bc,
-        beam=beam,
-        patch=patch,
-        voltages=voltages,
-    )
-

@@ -25,8 +25,8 @@ from .errors import ConvergenceFailure, IllegalRegime, InsufficientMeshes, NotPo
 from .layout import FIELD_CLASS
 from .materials import (
     BoundaryCondition,
+    ModelSpec,
     Regime,
-    ValidatedModelSpec,
     VoltageSignal,
     stretching_wave_speeds,
 )
@@ -134,7 +134,7 @@ def _peak(A: np.ndarray) -> float:
 # --- single-beam decoupling ---------------------------------------------------
 
 
-def check_single_beam_decoupling(vspec: ValidatedModelSpec, n_elements: int,
+def check_single_beam_decoupling(vspec: ModelSpec, n_elements: int,
                                  dt: float, t_end: float) -> ScenarioReport:
     """Bending must receive no voltage forcing and stay exactly zero.
 
@@ -207,7 +207,7 @@ def _corrupt_coupling(system: SemiDiscreteSystem) -> SemiDiscreteSystem:
 _DRIVES = ("symmetric", "antisymmetric")
 
 
-def _selectivity_setup(vspec: ValidatedModelSpec, n_elements: int, corrupt_sign: bool):
+def _selectivity_setup(vspec: ModelSpec, n_elements: int, corrupt_sign: bool):
     """Per drive of _DRIVES: its system, structural checks, and quiet and
     active dofs.
 
@@ -252,7 +252,7 @@ def _selectivity_setup(vspec: ValidatedModelSpec, n_elements: int, corrupt_sign:
     return setups
 
 
-def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, n_elements: int,
+def check_patch_voltage_selectivity(vspec: ModelSpec, n_elements: int,
                                     dt: float, t_end: float,
                                     corrupt_sign: bool = False) -> tuple:
     """Equal voltages drive pure stretching; opposite voltages pure bending.
@@ -314,7 +314,7 @@ def check_patch_voltage_selectivity(vspec: ValidatedModelSpec, n_elements: int,
 # --- electrostatic limit --------------------------------------------------------
 
 
-def _with_mu(vspec: ValidatedModelSpec, mu: float) -> ValidatedModelSpec:
+def _with_mu(vspec: ModelSpec, mu: float) -> ModelSpec:
     layer = "patch" if vspec.is_patch else "beam"
     coeffs = replace(getattr(vspec, layer), mu=float(mu))
     return replace(vspec, **{layer: coeffs})
@@ -348,7 +348,7 @@ def static_solution(system: SemiDiscreteSystem, volts) -> np.ndarray:
     return x
 
 
-def _limit_systems(vspec: ValidatedModelSpec, mus: tuple, n_elements: int):
+def _limit_systems(vspec: ModelSpec, mus: tuple, n_elements: int):
     """(runs, clamped): the systems of a limit study, each bitwise the one
     build_system builds, from one assembly per regime.
 
@@ -373,7 +373,7 @@ def _limit_systems(vspec: ValidatedModelSpec, mus: tuple, n_elements: int):
     return runs, under(BoundaryCondition.CLAMPED_FREE)
 
 
-def run_electrostatic_limit(vspec: ValidatedModelSpec, mus, n_elements: int,
+def run_electrostatic_limit(vspec: ModelSpec, mus, n_elements: int,
                             dt: float, t_end: float) -> LimitStudy:
     """Distance between the fully dynamic model and its charge-eliminated twin.
 
@@ -453,7 +453,7 @@ def classify_mode(fractions: dict) -> str:
     return max((frac, kind) for kind, frac in class_fractions(fractions).items())[1]
 
 
-def mode_frequency(vspec: ValidatedModelSpec, n_elements: int, kind: str,
+def mode_frequency(vspec: ModelSpec, n_elements: int, kind: str,
                    number: int = 1) -> float:
     """Frequency of the number-th nonzero mode whose energy class is `kind`.
 
@@ -474,7 +474,7 @@ def mode_frequency(vspec: ValidatedModelSpec, n_elements: int, kind: str,
         n_modes *= 2
 
 
-def run_convergence_study(vspec: ValidatedModelSpec, element_counts, kind: str,
+def run_convergence_study(vspec: ModelSpec, element_counts, kind: str,
                           number: int = 1, reference: float | None = None
                           ) -> ScenarioReport:
     """Observed order of convergence of one modal frequency under refinement.
@@ -521,7 +521,7 @@ PULSE_SIGMA_FRAC = 0.02
 PULSE_PROBE_FRACS = (0.55, 0.85)
 
 
-def pulse_time_of_flight(vspec: ValidatedModelSpec, n_elements: int = 512) -> ScenarioReport:
+def pulse_time_of_flight(vspec: ModelSpec, n_elements: int = 512) -> ScenarioReport:
     """Measure the fast stretching-wave speed from pulse arrival times.
 
     A Gaussian velocity pulse is launched in the axial displacement; the

@@ -18,7 +18,6 @@ from piezobeam.materials import (
     Regime,
     Variant,
     VoltageSignal,
-    validate_spec,
 )
 from piezobeam.mesh import Mesh, build_mesh
 
@@ -72,7 +71,8 @@ def make_spec(
     patch=PATCH,
     voltage=None,
 ):
-    """Validated spec with sensible defaults for the variant."""
+    """Checked spec with sensible defaults for the variant; a single-beam
+    voltage may be given bare or as a 1-tuple."""
     if variant.is_patch:
         geometry = geometry or PATCH_GEO
         if voltage is None:
@@ -82,17 +82,10 @@ def make_spec(
         patch = None
         if voltage is None:
             voltage = VoltageSignal.zero()
-    return validate_spec(
-        ModelSpec(
-            variant=variant,
-            regime=regime,
-            beam_material=beam,
-            geometry=geometry,
-            mechanical_bc=bc,
-            patch_material=patch,
-            voltage=voltage,
-        )
-    )
+        if isinstance(voltage, VoltageSignal):
+            voltage = (voltage,)
+    return ModelSpec(variant=variant, regime=regime, beam=beam, geometry=geometry,
+                     mechanical_bc=bc, patch=patch, voltages=voltage)
 
 
 def mesh_of(vspec, n):

@@ -32,7 +32,6 @@ from piezobeam.materials import (
     Regime,
     Variant,
     VoltageSignal,
-    derive_coefficients,
     stretching_wave_speeds,
 )
 from piezobeam.scenarios import (
@@ -211,7 +210,7 @@ def test_c09_modal_frequencies_converge_to_closed_forms():
     beta_l = 4.730040744862704
     bend = make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC,
                      geometry=SLENDER_GEO)
-    co = derive_coefficients(BEAM)
+    co = BEAM
     h = SLENDER_GEO.thickness
     omega_ref = beta_l**2 * np.sqrt(co.alpha1 * h**2 / (12.0 * co.rho))
     assert omega_ref == pytest.approx(0.10439201730723476, rel=1e-13)
@@ -221,7 +220,7 @@ def test_c09_modal_frequencies_converge_to_closed_forms():
     # free-free rod spectrum with gamma31 = 0: omega_k = k pi sqrt(alpha1/rho).
     rod = make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC,
                     beam=UNCOUPLED)
-    co_rod = derive_coefficients(UNCOUPLED)
+    co_rod = UNCOUPLED
     assert co_rod.alpha1 == co_rod.alpha11  # no piezo stiffening
     for k in (1, 2, 3):
         exact = k * np.pi * np.sqrt(co_rod.alpha1 / co_rod.rho)
@@ -244,11 +243,11 @@ def test_c10_stretching_wave_speeds_match_dispersion_relation():
     """Closed-form speeds equal the 2x2 eigenvalues; time of flight within 5%."""
     # golden-ratio material: pencil eigenvalues (3 +- sqrt 5)/2
     phi = (1.0 + np.sqrt(5.0)) / 2.0
-    fast, slow = stretching_wave_speeds(derive_coefficients(GOLDEN))
+    fast, slow = stretching_wave_speeds(GOLDEN)
     assert fast == pytest.approx(phi, rel=1e-12)
     assert slow == pytest.approx(phi - 1.0, rel=1e-12)
 
-    co = derive_coefficients(BEAM)
+    co = BEAM
     A = np.array([[co.alpha1, -co.g3b3], [-co.g3b3, co.beta3]])
     D = np.diag([co.rho, co.mu])
     lam = np.sort(scipy.linalg.eigvalsh(A, D))

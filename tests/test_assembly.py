@@ -1,6 +1,8 @@
 """Assembled matrices: golden element blocks, symmetry, energy consistency,
 boundary conditions and the electrostatic charge elimination."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -10,10 +12,17 @@ from piezobeam.assembly import (
     assemble,
     build_system,
     reduce_electrostatic,
+    with_mass,
 )
 from piezobeam.errors import MeshSpecMismatch, SingularElectricBlock
 from piezobeam.fem import GAUSS_FULL, GAUSS_REDUCED, shape_table
-from piezobeam.forms import build_forms, work_rate
+from piezobeam.forms import (
+    build_forms,
+    kinetic_energy,
+    magnetic_energy,
+    stored_energy,
+    work_rate,
+)
 from piezobeam.layout import FieldState, interpolate_field
 from piezobeam.materials import (
     BeamGeometry,
@@ -23,6 +32,7 @@ from piezobeam.materials import (
     VoltageSignal,
 )
 from piezobeam.mesh import build_mesh
+from piezobeam.scenarios import _selectivity_setup
 
 from modelzoo import ALL_COMBOS, UNCOUPLED, make_spec, mesh_of
 
@@ -215,13 +225,32 @@ class TestEnergyConsistency:
         x = rng.standard_normal(sysm.n_dofs)
         v = rng.standard_normal(sysm.n_dofs)
         st = sysm.state(x, v)
-        from piezobeam.forms import kinetic_energy, magnetic_energy, stored_energy
-
         assert 0.5 * x @ sysm.K @ x == pytest.approx(stored_energy(st), rel=1e-12)
         assert 0.5 * v @ sysm.M @ v == pytest.approx(kinetic_energy(st), rel=1e-12)
         q = sysm.class_dofs("charge")
         vq = v[q]
         assert 0.5 * vq @ sysm.M[q][:, q] @ vq == pytest.approx(magnetic_energy(st), rel=1e-12)
+
+
+    def test_state_reads_the_systems_own_spec(self, rng):
+        # with_mass and the selectivity drives replace the system's spec but
+        # share the assembled layout; the oracles must see the new spec.
+        vspec = make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC,
+                          voltage=(VoltageSignal.sinusoid(1.0, 3.0),) * 2)
+        light = with_mass(build_system(vspec, 16),
+                          replace(vspec, patch=replace(vspec.patch, mu=5e-4)))
+        antisymmetric = _selectivity_setup(vspec, 16, corrupt_sign=False)[1][0]
+        for sysm in (light, antisymmetric):
+            x, v = rng.standard_normal((2, sysm.n_dofs))
+            st = sysm.state(x, v)
+            q = sysm.class_dofs("charge")
+            assert 0.5 * x @ sysm.K @ x == pytest.approx(stored_energy(st), rel=1e-12)
+            assert 0.5 * v @ sysm.M @ v == pytest.approx(kinetic_energy(st), rel=1e-12)
+            assert 0.5 * v[q] @ sysm.M[q][:, q] @ v[q] == pytest.approx(magnetic_energy(st),
+                                                                         rel=1e-12)
+            for t in (0.013, 0.37):
+                power = float(v @ sysm.B @ [sig(t) for sig in sysm.vspec.voltages])
+                assert power == pytest.approx(work_rate(st, t), rel=1e-12, abs=1e-13)
 
 
 class TestBoundaryConditions:

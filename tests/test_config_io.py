@@ -107,19 +107,29 @@ class TestParsing:
         assert cfg.spec.regime is Regime.FULL_MAGNETIC
         assert cfg.n_elements == 8
         assert cfg.dt == 0.001 and cfg.t_end == 0.5 and cfg.stride == 5
-        assert cfg.spec.voltage(0.25) != 0.0
+        assert cfg.spec.voltages[0](0.25) != 0.0
         assert cfg.validated().n_signals == 1
 
     def test_patch_config(self):
         cfg = parse_config(PATCH_INI)
         assert cfg.spec.variant is Variant.PATCH_MT
-        top, bottom = cfg.spec.voltage
+        top, bottom = cfg.spec.voltages
         assert top(0.05) == 0.0   # step still off
         assert top(0.15) == 2.0
         assert bottom(0.0) == -2.0
         assert cfg.validated().n_signals == 2
         assert cfg.probe == 0.6
         assert cfg.dt is None
+
+    def test_single_beam_default_step_ignores_a_patch_section(self):
+        # A light, stiff patch layer would set the default step if it were read.
+        bare = SINGLE_INI.replace("dt = 0.001\n", "")
+        patched = bare.replace("[geometry]", "[material.patch]\nrho = 1.0e-3\nc11 = 1.0e3\n"
+                               "c55 = 1.0\neps1 = 1.0\neps3 = 1.0\nmu = 0.0\n\n[geometry]")
+        cfg = parse_config(patched)
+        assert cfg.spec.patch is not None and cfg.dt is None
+        assert resolved_dt(cfg) == resolved_dt(parse_config(bare))
+        assert "[material.patch]" in serialize_config(cfg)
 
     def test_roundtrip_through_serialization(self):
         for text in (SINGLE_INI, PATCH_INI):

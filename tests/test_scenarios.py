@@ -18,7 +18,6 @@ from piezobeam.materials import (
     Regime,
     Variant,
     VoltageSignal,
-    derive_coefficients,
     stretching_wave_speeds,
 )
 from piezobeam.scenarios import (
@@ -456,10 +455,10 @@ def timoshenko_det(omega, EI, kGA, rhoA, rhoI, L, clamped):
     return np.linalg.det(np.array(rows(0.0, clamped) + rows(L, False)))
 
 
-# Euler-Bernoulli roots beta L of the first two bending modes, free-free and
-# clamped-free: omega = (beta L)^2 sqrt(EI / rhoA) / L^2.
-EB_BETA_L = {False: (4.730040744862704, 7.853204624095838),
-             True: (1.875104068711961, 4.694091132974175)}
+# Euler-Bernoulli roots beta L of the first three bending modes, free-free
+# and clamped-free: omega = (beta L)^2 sqrt(EI / rhoA) / L^2.
+EB_BETA_L = {False: (4.730040744862704, 7.853204624095838, 10.995607838001671),
+             True: (1.875104068711961, 4.694091132974175, 7.854757438237613)}
 
 
 def timoshenko_root(co, h, L, number=1, clamped=False):
@@ -499,8 +498,9 @@ class TestTimoshenko:
     @pytest.mark.parametrize("number, bc", [
         (1, BoundaryCondition.FREE_FREE),
         (2, BoundaryCondition.FREE_FREE),
+        (3, BoundaryCondition.FREE_FREE),
         (1, BoundaryCondition.CLAMPED_FREE),
-    ], ids=["free_free-1", "free_free-2", "clamped_free-1"])
+    ], ids=["free_free-1", "free_free-2", "free_free-3", "clamped_free-1"])
     def test_bending_root_converges_at_second_order(self, h, number, bc):
         vspec, clamped = self.spec(h, bc), bc == BoundaryCondition.CLAMPED_FREE
         omega, eb = timoshenko_root(vspec.beam, h, 1.0, number, clamped)
@@ -525,18 +525,16 @@ class TestWaveSpeeds:
         # alpha1 = 2, beta3 = 1, g3b3 = 1, rho = mu = 1: the coupled pencil
         # has eigenvalues (3 +- sqrt 5)/2, whose roots are the golden ratio
         # and its reciprocal.
-        co = derive_coefficients(GOLDEN)
-        fast, slow = stretching_wave_speeds(co)
+        fast, slow = stretching_wave_speeds(GOLDEN)
         phi = (1.0 + np.sqrt(5.0)) / 2.0
         assert fast == pytest.approx(phi, rel=1e-14)
         assert slow == pytest.approx(phi - 1.0, rel=1e-14)
 
     def test_speeds_match_generalized_eigenvalues(self):
-        for mat in (GOLDEN, MaterialParams(
+        for co in (GOLDEN, MaterialParams(
             rho=2.5, c11=3.0, c55=1.0, gamma31=0.8, gamma15=0.1,
             eps1=1.0, eps3=0.7, mu=1.7,
         )):
-            co = derive_coefficients(mat)
             A = np.array([[co.alpha1, -co.g3b3], [-co.g3b3, co.beta3]])
             D = np.diag([co.rho, co.mu])
             lam = np.sort(scipy.linalg.eigvalsh(A, D))

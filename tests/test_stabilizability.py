@@ -26,7 +26,6 @@ from piezobeam.assembly import build_system
 from piezobeam.materials import (
     Regime,
     Variant,
-    derive_coefficients,
     stretching_wave_speeds,
 )
 
@@ -37,7 +36,7 @@ MESHES = (16, 32, 64, 128)
 
 
 def speed_ratio(mu):
-    fast, slow = stretching_wave_speeds(derive_coefficients(replace(BEAM, mu=mu)))
+    fast, slow = stretching_wave_speeds(replace(BEAM, mu=mu))
     return fast / slow
 
 
@@ -86,7 +85,7 @@ def orders(values):
 def meeting_pairs():
     """Per mesh, the two closed-loop eigenvalues nearest pi c_fast / L, by
     frequency, at the mu where c_fast / c_slow = 3."""
-    fast, _ = stretching_wave_speeds(derive_coefficients(replace(BEAM, mu=MU_RATIO_3)))
+    fast, _ = stretching_wave_speeds(replace(BEAM, mu=MU_RATIO_3))
     pairs = []
     for n in MESHES:
         lam = closed_loop(MU_RATIO_3, n)[0]
