@@ -40,7 +40,6 @@ class SemiDiscreteSystem:
     """
 
     vspec: ModelSpec
-    mesh: Mesh
     layout: DofLayout
     M: scipy.sparse.csr_array
     K: scipy.sparse.csr_array
@@ -58,10 +57,9 @@ class SemiDiscreteSystem:
         return full
 
     def state(self, x: np.ndarray, xdot: np.ndarray) -> FieldState:
-        """The fields of (x, xdot) on a layout of this system's own spec: with_mass
-        and the drives of a shared assembly replace vspec but keep the layout."""
-        layout = replace(self.layout, vspec=self.vspec)
-        return FieldState.from_vectors(layout, self.embed(x), self.embed(xdot))
+        """(x, xdot), in current numbering, as a state of this system's spec:
+        constrained and eliminated dofs hold exact zeros."""
+        return FieldState(self.vspec, self.layout, self.embed(x), self.embed(xdot))
 
     def current_dofs(self, full: np.ndarray) -> np.ndarray:
         """Current-numbering indices, ascending, of the surviving dofs among
@@ -285,7 +283,6 @@ def assemble(vspec: ModelSpec, mesh: Mesh) -> SemiDiscreteSystem:
     B = _assemble_loads(layout, forms.loads, n, vspec.n_signals)
     return SemiDiscreteSystem(
         vspec=vspec,
-        mesh=mesh,
         layout=layout,
         M=M,
         K=K,

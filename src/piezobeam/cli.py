@@ -52,7 +52,7 @@ def _provenance(config: RunConfig, system) -> list:
     return [
         f"piezobeam {__version__}",
         f"config sha256 {config_digest(config)}",
-        f"mesh elements={system.mesh.n_elements} dofs={system.n_dofs}",
+        f"mesh elements={system.layout.mesh.n_elements} dofs={system.n_dofs}",
         f"backend {backend_name()}",
     ]
 

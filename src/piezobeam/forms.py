@@ -203,16 +203,8 @@ def _patch_forms(vspec, full):
 # --- evaluation on discrete fields ------------------------------------------
 
 
-def _flat(arrays, layout):
-    out = np.zeros(layout.n_dofs)
-    for name in layout.fields:
-        out[layout.dof_slice(name)] = arrays[name]
-    return out
-
-
-def eval_terms(layout: DofLayout, terms, arrays) -> float:
-    """Sum of (1/2) u^T C u energies for nodal field arrays (a dict)."""
-    flat = _flat(arrays, layout)
+def eval_terms(layout: DofLayout, terms, flat: np.ndarray) -> float:
+    """Sum of (1/2) u^T C u energies of a full-numbering coefficient vector."""
     total = 0.0
     for term in terms:
         elems, _ = layout.mesh.region(term.region)
@@ -234,20 +226,17 @@ def eval_terms(layout: DofLayout, terms, arrays) -> float:
 
 def stored_energy(state: FieldState) -> float:
     """Elastic + electric energy of the interpolated fields (per unit width)."""
-    forms = build_forms(state.layout.vspec)
-    return eval_terms(state.layout, forms.stored, state.coeffs)
+    return eval_terms(state.layout, build_forms(state.vspec).stored, state.x)
 
 
 def kinetic_energy(state: FieldState) -> float:
     """Velocity-quadratic energy: mechanical kinetic plus magnetic."""
-    forms = build_forms(state.layout.vspec)
-    return eval_terms(state.layout, forms.kinetic, state.velocities)
+    return eval_terms(state.layout, build_forms(state.vspec).kinetic, state.xdot)
 
 
 def magnetic_energy(state: FieldState) -> float:
-    forms = build_forms(state.layout.vspec)
-    mag = [t for t in forms.kinetic if t.magnetic]
-    return eval_terms(state.layout, mag, state.velocities)
+    mag = [t for t in build_forms(state.vspec).kinetic if t.magnetic]
+    return eval_terms(state.layout, mag, state.xdot)
 
 
 def _shape_weights(layout: DofLayout, field: str, x: float, deriv: int):
@@ -264,10 +253,10 @@ def _shape_weights(layout: DofLayout, field: str, x: float, deriv: int):
     return layout.element_dofs(field, np.array([e]))[0], table
 
 
-def eval_field_at(layout: DofLayout, arrays, field: str, x: float, deriv: int = 0) -> float:
-    """Evaluate D^deriv of a field at position x from its nodal array."""
+def eval_field_at(layout: DofLayout, flat, field: str, x: float, deriv: int = 0) -> float:
+    """D^deriv of a field at position x, from a full-numbering vector."""
     dofs, weights = _shape_weights(layout, field, x, deriv)
-    return float(weights @ _flat(arrays, layout)[dofs])
+    return float(weights @ flat[dofs])
 
 
 def interpolation_row(layout: DofLayout, field: str, x: float, deriv: int = 0) -> np.ndarray:
@@ -285,15 +274,14 @@ def work_rate(state: FieldState, t: float) -> float:
     Electrostatic regime: the same power expressed through the effective
     mechanical loads of the reduced model.
     """
-    layout = state.layout
-    vspec = layout.vspec
+    layout, vspec = state.layout, state.vspec
     forms = build_forms(vspec)
     power = 0.0
     for lt in forms.loads:
         _, (left, right) = layout.mesh.region(lt.region)
         v = vspec.voltages[lt.signal](t)
-        jump = eval_field_at(layout, state.velocities, lt.field, right, lt.deriv - 1) - \
-            eval_field_at(layout, state.velocities, lt.field, left, lt.deriv - 1)
+        jump = eval_field_at(layout, state.xdot, lt.field, right, lt.deriv - 1) - \
+            eval_field_at(layout, state.xdot, lt.field, left, lt.deriv - 1)
         power += lt.coeff * v * jump
     return power
 
@@ -327,16 +315,14 @@ def recover_pointwise(state: FieldState, x: float, z: float) -> PointwiseFields:
     In the electrostatic regime the electric displacement is the statically
     eliminated short-circuit value gamma31 * (layer stretching strain).
     """
-    layout = state.layout
-    vspec = layout.vspec
+    layout, vspec = state.layout, state.vspec
     full = vspec.regime == Regime.FULL_MAGNETIC
     geo = vspec.geometry
     if not (0.0 <= x <= geo.length):
         raise OutOfDomain(f"x={x} outside [0, {geo.length}]")
 
-    def ev(field, deriv=0, of="coeffs"):
-        arrays = state.coeffs if of == "coeffs" else state.velocities
-        return eval_field_at(layout, arrays, field, x, deriv)
+    def ev(field, deriv=0, flat=state.x):
+        return eval_field_at(layout, flat, field, x, deriv)
 
     eb = not vspec.is_mindlin
     if vspec.is_patch:
@@ -369,7 +355,7 @@ def recover_pointwise(state: FieldState, x: float, z: float) -> PointwiseFields:
             S13 = 0.5 * (ev("w", 1) + ev("psi"))
         if layer == "beam":
             D3 = ev("q", 1) if full else m.gamma31 * ev("v", 1)
-            B2 = -m.mu * ev("q", 0, "velocities") if full else 0.0
+            B2 = -m.mu * ev("q", 0, state.xdot) if full else 0.0
         else:
             D3 = 0.0
             B2 = 0.0
@@ -384,7 +370,7 @@ def recover_pointwise(state: FieldState, x: float, z: float) -> PointwiseFields:
         S13 = 0.0
         qname = "qT" if layer == "top" else "qB"
         D3 = ev(qname, 1) if full else m.gamma31 * S11
-        B2 = -m.mu * ev(qname, 0, "velocities") if full else 0.0
+        B2 = -m.mu * ev(qname, 0, state.xdot) if full else 0.0
 
     U3 = ev("w")
     D1 = 0.0

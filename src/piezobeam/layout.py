@@ -1,4 +1,7 @@
-"""Degree-of-freedom layout and discrete field states.
+"""Degree-of-freedom numbering, and the discrete state of a spec's fields.
+
+A DofLayout numbers the dofs of a spec's field plan on a mesh and holds no
+spec; a FieldState is a spec, its layout and two vectors in that numbering.
 
 Dofs are numbered field-major: all dofs of the first field, then the second,
 and so on, contiguous and non-overlapping.  Mechanical fields live on the
@@ -69,9 +72,9 @@ FIELD_CLASS = {"v": "stretching", "w": "bending", "psi": "bending",
 
 @dataclass(frozen=True)
 class DofLayout:
-    """Global dof numbering for a validated spec on a mesh."""
+    """Global dof numbering of a field plan on a mesh: which dofs each field
+    holds, and where they sit."""
 
-    vspec: ModelSpec
     mesh: Mesh
     fields: dict
     n_dofs: int
@@ -149,38 +152,23 @@ def build_layout(vspec: ModelSpec, mesh: Mesh) -> DofLayout:
             count = 2 * (n_el + 1)
         fields[name] = FieldDofs(name, basis, offset, count, region)
         offset += count
-    return DofLayout(vspec=vspec, mesh=mesh, fields=fields, n_dofs=offset)
+    return DofLayout(mesh=mesh, fields=fields, n_dofs=offset)
 
 
 @dataclass
 class FieldState:
-    """Nodal coefficients and velocities of every field on a layout."""
+    """A discrete state of the spec's fields: x the nodal coefficients and
+    xdot their rates, both over the layout's full numbering."""
 
+    vspec: ModelSpec
     layout: DofLayout
-    coeffs: dict
-    velocities: dict
+    x: np.ndarray
+    xdot: np.ndarray
 
     def __post_init__(self):
-        for name, f in self.layout.fields.items():
-            for store in (self.coeffs, self.velocities):
-                arr = np.asarray(store.get(name, np.zeros(f.count)), dtype=float)
-                if arr.shape != (f.count,):
-                    raise FieldShapeMismatch(
-                        f"field {name!r}: expected shape ({f.count},), got {arr.shape}"
-                    )
-                store[name] = arr
-
-    @classmethod
-    def from_vectors(cls, layout: DofLayout, x: np.ndarray, xdot: np.ndarray) -> "FieldState":
-        x = np.asarray(x, dtype=float)
-        xdot = np.asarray(xdot, dtype=float)
-        if x.shape != (layout.n_dofs,) or xdot.shape != (layout.n_dofs,):
-            raise FieldShapeMismatch(
-                f"state vectors must have shape ({layout.n_dofs},)"
-            )
-        coeffs = {n: x[layout.dof_slice(n)].copy() for n in layout.fields}
-        vels = {n: xdot[layout.dof_slice(n)].copy() for n in layout.fields}
-        return cls(layout, coeffs, vels)
+        self.x, self.xdot = (np.asarray(a, dtype=float) for a in (self.x, self.xdot))
+        if self.x.shape != (self.layout.n_dofs,) or self.xdot.shape != (self.layout.n_dofs,):
+            raise FieldShapeMismatch(f"state vectors must have shape ({self.layout.n_dofs},)")
 
 
 def interpolate_field(layout: DofLayout, name: str, f, df=None) -> np.ndarray:

@@ -549,7 +549,7 @@ def pulse_time_of_flight(vspec: ModelSpec, n_elements: int = 512) -> ScenarioRep
 
     probes = [int(np.argmin(np.abs(nodes - f * L))) for f in PULSE_PROBE_FRACS]
     x_probe = nodes[probes]
-    dt = PULSE_COURANT * float(np.min(system.mesh.lengths)) / c_fast
+    dt = PULSE_COURANT * float(np.min(system.layout.mesh.lengths)) / c_fast
     t_end = 1.1 * (x_probe[-1] - x0) / c_fast
     n_steps = int(np.ceil(t_end / dt))
     unloaded = replace(system, B=np.zeros_like(system.B))

@@ -233,8 +233,8 @@ class TestEnergyConsistency:
 
 
     def test_state_reads_the_systems_own_spec(self, rng):
-        # with_mass and the selectivity drives replace the system's spec but
-        # share the assembled layout; the oracles must see the new spec.
+        # with_mass and the selectivity drives replace the system's spec and
+        # keep its layout, which holds no spec: the state carries the new one.
         vspec = make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC,
                           voltage=(VoltageSignal.sinusoid(1.0, 3.0),) * 2)
         light = with_mass(build_system(vspec, 16),

@@ -239,12 +239,7 @@ class TestSimulate:
         layout = system.layout
         for field in layout.fields:
             px = _probe_position(layout, field, config.probe)
-            ref = []
-            for x in traj.X:
-                full = system.embed(x)
-                arrays = {name: full[layout.dof_slice(name)] for name in layout.fields}
-                ref.append(eval_field_at(layout, arrays, field, px))
-            ref = np.array(ref)
+            ref = np.array([eval_field_at(layout, system.embed(x), field, px) for x in traj.X])
             got = cols[f"{field}_probe"]
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), field
             if not config.validated().is_patch and FIELD_CLASS[field] == "bending":
@@ -652,8 +647,9 @@ class TestEveryConfig:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(text=config_texts())
     def test_modes_rejects_or_reports(self, text, tmp_path_factory):
-        # Either a config error names its line (exit 2), or modes.csv holds
-        # finite frequencies in ascending order.
+        # Either modes.csv holds finite frequencies in ascending order, or
+        # the run is refused: a config error names its line (exit 2), a
+        # numerical failure says what failed on an error line (exit 3).
         code, err, out = _run_cli("modes", text, tmp_path_factory)
         if code == 0:
             _, _, cols = read_csv(str(out / "modes.csv"))
@@ -661,8 +657,9 @@ class TestEveryConfig:
             assert len(omega) >= 1 and np.all(np.isfinite(omega))
             assert np.all(np.diff(omega) >= 0.0)
         else:
-            assert code == 2 and re.search(r"^error: line \d+: ", err, re.MULTILINE), err
-            assert not any((out / name).exists() for name in ("modes.csv", "modes_report.json"))
+            _assert_refused(code, err, out, ("modes.csv", "modes_report.json"))
+            line = r"^error: line \d+: " if code == 2 else r"^error: "
+            assert re.search(line, err, re.MULTILINE), err
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(text=config_texts())

@@ -38,16 +38,17 @@ ROUND = MaterialParams(
 UNIT_GEO = BeamGeometry(length=1.0, thickness=1.0)
 
 
-def interp_state(lay, coeffs=None, velocities=None):
-    """FieldState with fields given as (f, df) callables per name."""
+def interp_state(vspec, lay, coeffs=None, velocities=None):
+    """FieldState with fields given as (f, df) callables per name; the fields
+    not named are zero."""
     def expand(spec):
-        out = {}
+        out = np.zeros(lay.n_dofs)
         for name, fns in (spec or {}).items():
             f, df = fns if isinstance(fns, tuple) else (fns, None)
-            out[name] = interpolate_field(lay, name, f, df)
+            out[lay.dof_slice(name)] = interpolate_field(lay, name, f, df)
         return out
 
-    return FieldState(lay, expand(coeffs), expand(velocities))
+    return FieldState(vspec, lay, expand(coeffs), expand(velocities))
 
 
 def single_layout(variant, regime, n=4, mat=ROUND, geo=UNIT_GEO):
@@ -66,23 +67,23 @@ class TestStoredEnergy:
     def test_single_beam_hand_integral(self):
         # 1/2 * [alpha1 v'^2 + alpha1/12 w''^2 + beta3 q'^2 - 2 g3b3 v' q']
         # with v=x, w=x^2/2, q=x gives (4 + 1/3 + 2 - 4)/2 = 7/6.
-        _, lay = single_layout(Variant.SINGLE_EB, Regime.FULL_MAGNETIC)
+        vspec, lay = single_layout(Variant.SINGLE_EB, Regime.FULL_MAGNETIC)
         st = interp_state(
-            lay,
+            vspec, lay,
             {"v": lambda x: x, "w": (lambda x: x**2 / 2, lambda x: x), "q": lambda x: x},
         )
         assert stored_energy(st) == pytest.approx(7.0 / 6.0, rel=1e-14)
         # dropping the bending contribution leaves (4 + 2 - 4)/2 = 1
-        st2 = interp_state(lay, {"v": lambda x: x, "q": lambda x: x})
+        st2 = interp_state(vspec, lay, {"v": lambda x: x, "q": lambda x: x})
         assert stored_energy(st2) == pytest.approx(1.0, rel=1e-14)
 
     def test_patch_beam_hand_integral(self):
         # Same construction on the patched beam (v=x, w=x^2/2, qT=x, qB=2x):
         # core contributes 251009/1920000 over the whole span, the two patch
         # layers 98461/1600000 over [0.25, 0.75].
-        _, lay = patch_layout()
+        vspec, lay = patch_layout()
         st = interp_state(
-            lay,
+            vspec, lay,
             {
                 "v": lambda x: x,
                 "w": (lambda x: x**2 / 2, lambda x: x),
@@ -97,14 +98,14 @@ class TestStoredEnergy:
     def test_quadratic_scaling(self, rng):
         vspec, lay = patch_layout(Variant.PATCH_MT)
         x = rng.standard_normal(lay.n_dofs)
-        st = FieldState.from_vectors(lay, x, np.zeros_like(x))
-        st3 = FieldState.from_vectors(lay, 3.0 * x, np.zeros_like(x))
+        st = FieldState(vspec, lay, x, np.zeros_like(x))
+        st3 = FieldState(vspec, lay, 3.0 * x, np.zeros_like(x))
         assert stored_energy(st3) == pytest.approx(9.0 * stored_energy(st), rel=1e-12)
 
     def test_rigid_motions_store_nothing(self):
-        _, lay = single_layout(Variant.SINGLE_EB, Regime.FULL_MAGNETIC)
+        vspec, lay = single_layout(Variant.SINGLE_EB, Regime.FULL_MAGNETIC)
         rigid = interp_state(
-            lay,
+            vspec, lay,
             {
                 "v": lambda x: np.full_like(x, 2.0),
                 "w": (lambda x: 1.0 + 3.0 * x, lambda x: np.full_like(x, 3.0)),
@@ -113,9 +114,9 @@ class TestStoredEnergy:
         )
         assert stored_energy(rigid) == pytest.approx(0.0, abs=1e-13)
         # shear model: rotation w = c x with psi = -c kills both channels
-        _, laym = single_layout(Variant.SINGLE_MT, Regime.FULL_MAGNETIC)
+        vspecm, laym = single_layout(Variant.SINGLE_MT, Regime.FULL_MAGNETIC)
         rigid_mt = interp_state(
-            laym,
+            vspecm, laym,
             {"w": lambda x: 3.0 * x, "psi": lambda x: np.full_like(x, -3.0)},
         )
         assert stored_energy(rigid_mt) == pytest.approx(0.0, abs=1e-13)
@@ -126,12 +127,12 @@ class TestStoredEnergy:
         lay = build_layout(vspec, mesh)
         x = rng.standard_normal(lay.n_dofs)
         zero = np.zeros_like(x)
-        both = FieldState.from_vectors(lay, x, zero)
+        both = FieldState(vspec, lay, x, zero)
         mech_only = x.copy()
         mech_only[lay.dof_slice("q")] = 0.0
         q_only = x - mech_only
-        e_m = stored_energy(FieldState.from_vectors(lay, mech_only, zero))
-        e_q = stored_energy(FieldState.from_vectors(lay, q_only, zero))
+        e_m = stored_energy(FieldState(vspec, lay, mech_only, zero))
+        e_q = stored_energy(FieldState(vspec, lay, q_only, zero))
         assert stored_energy(both) == pytest.approx(e_m + e_q, rel=1e-13)
 
 
@@ -142,8 +143,8 @@ class TestKineticAndMagneticEnergy:
             rho=12.0, c11=2.0, c55=1.0, gamma31=1.0, gamma15=0.5,
             eps1=1.0, eps3=0.5, mu=3.0,
         )
-        _, lay = single_layout(Variant.SINGLE_MT, Regime.FULL_MAGNETIC, mat=heavy)
-        st = interp_state(lay, velocities={"psi": lambda x: np.ones_like(x)})
+        vspec, lay = single_layout(Variant.SINGLE_MT, Regime.FULL_MAGNETIC, mat=heavy)
+        st = interp_state(vspec, lay, velocities={"psi": lambda x: np.ones_like(x)})
         assert kinetic_energy(st) == pytest.approx(0.5, rel=1e-14)
         assert magnetic_energy(st) == 0.0
 
@@ -154,15 +155,15 @@ class TestKineticAndMagneticEnergy:
             rho=12.0, c11=2.0, c55=1.0, gamma31=1.0, gamma15=0.5,
             eps1=1.0, eps3=0.5, mu=3.0,
         )
-        _, lay = single_layout(Variant.SINGLE_MT, Regime.FULL_MAGNETIC, mat=heavy)
-        st = interp_state(lay, velocities={"q": lambda x: np.ones_like(x)})
+        vspec, lay = single_layout(Variant.SINGLE_MT, Regime.FULL_MAGNETIC, mat=heavy)
+        st = interp_state(vspec, lay, velocities={"q": lambda x: np.ones_like(x)})
         assert magnetic_energy(st) == pytest.approx(1.5, rel=1e-14)
         assert kinetic_energy(st) == pytest.approx(1.5, rel=1e-14)
 
     def test_electrostatic_regime_has_no_magnetic_energy(self, rng):
         vspec, lay = single_layout(Variant.SINGLE_EB, Regime.ELECTROSTATIC)
         x = rng.standard_normal(lay.n_dofs)
-        st = FieldState.from_vectors(lay, x, x)
+        st = FieldState(vspec, lay, x, x)
         assert magnetic_energy(st) == 0.0
 
 
@@ -178,13 +179,13 @@ class TestWorkRate:
         mesh = build_mesh(UNIT_GEO, 4)
         lay = build_layout(vspec, mesh)
         # qdot = x: end-to-end charge rate jump is 1, so power = -V * 1 = -2
-        st = interp_state(lay, velocities={"q": lambda x: x})
+        st = interp_state(vspec, lay, velocities={"q": lambda x: x})
         assert work_rate(st, t=0.0) == pytest.approx(-2.0, rel=1e-14)
 
     def test_zero_voltage_means_zero_power(self, rng):
         vspec, lay = patch_layout(Variant.PATCH_EB, Regime.FULL_MAGNETIC)
         x = rng.standard_normal(lay.n_dofs)
-        st = FieldState.from_vectors(lay, x, x)
+        st = FieldState(vspec, lay, x, x)
         assert work_rate(st, t=0.0) == 0.0
 
 
@@ -192,7 +193,7 @@ class TestPointwiseRecovery:
     def test_single_beam_kinematics_and_constitutive_law(self):
         vspec, lay = single_layout(Variant.SINGLE_EB, Regime.FULL_MAGNETIC)
         st = interp_state(
-            lay,
+            vspec, lay,
             {"v": lambda x: x, "w": (lambda x: x**2 / 2, lambda x: x), "q": lambda x: x},
             {"q": lambda x: x},
         )
@@ -212,7 +213,7 @@ class TestPointwiseRecovery:
         # sees E3 = 0 and the short-circuit stiffness T11 = alpha11 v'
         vspec, lay = single_layout(Variant.SINGLE_EB, Regime.ELECTROSTATIC)
         st = interp_state(
-            lay,
+            vspec, lay,
             {"v": lambda x: 3.0 * x, "w": (lambda x: x**2 / 2, lambda x: x)},
         )
         p = recover_pointwise(st, x=0.5, z=0.0)
@@ -223,7 +224,7 @@ class TestPointwiseRecovery:
     def test_shear_recovery(self):
         vspec, lay = single_layout(Variant.SINGLE_MT, Regime.FULL_MAGNETIC)
         st = interp_state(
-            lay,
+            vspec, lay,
             {"v": lambda x: x, "w": lambda x: 0.25 * x, "psi": lambda x: np.full_like(x, -0.5)},
         )
         p = recover_pointwise(st, x=0.5, z=0.3)
@@ -240,7 +241,7 @@ class TestPointwiseRecovery:
     def test_patch_layers_move_with_their_bond_line(self):
         vspec, lay = patch_layout()
         st = interp_state(
-            lay,
+            vspec, lay,
             {"v": lambda x: x, "w": (lambda x: x**2 / 2, lambda x: x)},
         )
         h0 = vspec.geometry.core_half_thickness
@@ -256,7 +257,7 @@ class TestPointwiseRecovery:
 
     def test_out_of_domain_points_rejected(self):
         vspec, lay = patch_layout()
-        st = interp_state(lay, {"v": lambda x: x})
+        st = interp_state(vspec, lay, {"v": lambda x: x})
         h0 = vspec.geometry.core_half_thickness
         h1 = vspec.geometry.patch_thickness
         with pytest.raises(OutOfDomain):
@@ -270,14 +271,14 @@ class TestPointwiseRecovery:
 class TestFieldEvaluation:
     def test_nodal_and_derivative_evaluation(self):
         _, lay = single_layout(Variant.SINGLE_EB, Regime.ELECTROSTATIC, n=8)
-        arrays = {
-            "v": interpolate_field(lay, "v", lambda x: 2.0 * x + 1.0),
-            "w": interpolate_field(lay, "w", lambda x: x**3, lambda x: 3.0 * x**2),
-        }
-        assert eval_field_at(lay, arrays, "v", 0.4375) == pytest.approx(1.875, rel=1e-14)
-        assert eval_field_at(lay, arrays, "v", 0.4375, deriv=1) == pytest.approx(2.0, rel=1e-14)
+        flat = np.concatenate([
+            interpolate_field(lay, "v", lambda x: 2.0 * x + 1.0),
+            interpolate_field(lay, "w", lambda x: x**3, lambda x: 3.0 * x**2),
+        ])
+        assert eval_field_at(lay, flat, "v", 0.4375) == pytest.approx(1.875, rel=1e-14)
+        assert eval_field_at(lay, flat, "v", 0.4375, deriv=1) == pytest.approx(2.0, rel=1e-14)
         # Hermite interpolation is exact for cubics, derivatives included
         for deriv, val in ((0, 0.3**3), (1, 3 * 0.3**2), (2, 6 * 0.3)):
-            assert eval_field_at(lay, arrays, "w", 0.3, deriv=deriv) == pytest.approx(
+            assert eval_field_at(lay, flat, "w", 0.3, deriv=deriv) == pytest.approx(
                 val, rel=1e-12
             )

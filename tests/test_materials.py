@@ -130,65 +130,6 @@ class TestSpecValidation:
         assert vspec.is_patch and vspec.is_mindlin
         assert vspec.n_signals == 2
 
-    def test_patch_variant_requires_patch_material(self):
-        with pytest.raises(MissingPatchMaterial):
-            ModelSpec(
-                variant=Variant.PATCH_EB,
-                regime=Regime.ELECTROSTATIC,
-                beam=BEAM,
-                geometry=PATCH_GEO,
-                voltages=(VoltageSignal.zero(), VoltageSignal.zero()),
-            )
-
-    def test_patch_variant_requires_patch_geometry(self):
-        with pytest.raises(InvalidGeometry):
-            ModelSpec(
-                variant=Variant.PATCH_EB,
-                regime=Regime.ELECTROSTATIC,
-                beam=BEAM,
-                patch=PATCH,
-                geometry=SINGLE_GEO,
-                voltages=(VoltageSignal.zero(), VoltageSignal.zero()),
-            )
-
-    def test_patch_interval_must_be_inside_beam(self):
-        bad = BeamGeometry(
-            length=1.0, core_half_thickness=0.05, patch_thickness=0.03,
-            patch_start=0.75, patch_end=0.25,
-        )
-        with pytest.raises(InvalidGeometry):
-            make_spec(Variant.PATCH_EB, Regime.ELECTROSTATIC, geometry=bad)
-
-    def test_voltage_arity_must_match_variant(self):
-        with pytest.raises(IllegalRegime):
-            make_spec(
-                Variant.PATCH_EB,
-                Regime.ELECTROSTATIC,
-                voltage=VoltageSignal.zero(),
-            )
-        with pytest.raises(IllegalRegime):
-            make_spec(
-                Variant.SINGLE_EB,
-                Regime.ELECTROSTATIC,
-                voltage=(VoltageSignal.zero(), VoltageSignal.zero()),
-            )
-
-    def test_single_variant_requires_thickness(self):
-        geo = BeamGeometry(length=1.0)
-        with pytest.raises(InvalidGeometry):
-            make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC, geometry=geo)
-
-    def test_fully_dynamic_regime_needs_positive_mu(self):
-        dead = MaterialParams(
-            rho=1.0, c11=1.0, c55=1.0, gamma31=0.1, gamma15=0.1,
-            eps1=1.0, eps3=1.0, mu=0.0,
-        )
-        with pytest.raises(NonPositiveParameter):
-            make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC, beam=dead)
-        # but the same material is fine once the charge is eliminated
-        vspec = make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC, beam=dead)
-        assert vspec.regime is Regime.ELECTROSTATIC
-
     def test_boundary_conditions_carried_through(self):
         vspec = make_spec(
             Variant.SINGLE_MT,
@@ -217,6 +158,8 @@ SPEC_VIOLATIONS = [
      MissingPatchMaterial, None, "patch_eb requires patch_material"),
     (Variant.PATCH_MT, Regime.ELECTROSTATIC, dict(geometry=SINGLE_GEO), InvalidGeometry,
      "core_half_thickness", "patch variant needs geometry field core_half_thickness"),
+    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(geometry=SINGLE_GEO), InvalidGeometry,
+     "core_half_thickness", "patch variant needs geometry field core_half_thickness"),
     (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(geometry=_geo(patch_end=None)),
      InvalidGeometry, "patch_end", "patch variant needs geometry field patch_end"),
     (Variant.PATCH_EB, Regime.ELECTROSTATIC,
@@ -240,6 +183,8 @@ SPEC_VIOLATIONS = [
      InvalidGeometry, "thickness", "single-beam variant needs geometry field thickness"),
     (Variant.SINGLE_EB, Regime.ELECTROSTATIC, dict(voltages=ZERO), IllegalRegime, None,
      ONE_MSG),
+    (Variant.SINGLE_EB, Regime.ELECTROSTATIC, dict(voltages=(ZERO, ZERO)), IllegalRegime,
+     None, ONE_MSG),
     (Variant.SINGLE_MT, Regime.ELECTROSTATIC, dict(voltages=(ZERO, ZERO)), IllegalRegime,
      None, ONE_MSG),
     (Variant.SINGLE_EB, Regime.ELECTROSTATIC, dict(voltages=(None,)), IllegalRegime, None,
@@ -269,3 +214,10 @@ def test_single_beam_ignores_a_patch_material():
     # The patch layer, though given, is not a single beam's charge-carrying layer.
     spec = ModelSpec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC, BEAM, SINGLE_GEO, patch=DEAD)
     assert spec.patch is DEAD and spec.voltages == (ZERO,)
+
+
+def test_electrostatic_regime_accepts_zero_mu():
+    # DEAD's mu = 0 is refused under the fully dynamic regime (a row above),
+    # but the same material is fine once the charge is eliminated.
+    vspec = make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC, beam=DEAD)
+    assert vspec.regime is Regime.ELECTROSTATIC

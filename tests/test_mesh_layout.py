@@ -199,33 +199,42 @@ class TestFieldState:
     def _layout(self, variant=Variant.SINGLE_EB, regime=Regime.FULL_MAGNETIC):
         vspec = make_spec(variant, regime)
         mesh = build_mesh(vspec.geometry, 4, patch=vspec.is_patch)
-        return build_layout(vspec, mesh)
+        return vspec, build_layout(vspec, mesh)
 
     def test_vector_roundtrip(self, rng):
-        lay = self._layout()
-        x = rng.standard_normal(lay.n_dofs)
-        v = rng.standard_normal(lay.n_dofs)
-        state = FieldState.from_vectors(lay, x, v)
+        vspec, lay = self._layout()
+        coeffs = {n: rng.standard_normal(f.count) for n, f in lay.fields.items()}
+        rates = {n: rng.standard_normal(f.count) for n, f in lay.fields.items()}
         # fields are numbered contiguously in layout order
-        x2 = np.concatenate([state.coeffs[n] for n in lay.fields])
-        v2 = np.concatenate([state.velocities[n] for n in lay.fields])
-        assert np.array_equal(x, x2) and np.array_equal(v, v2)
-        assert set(state.coeffs) == set(lay.fields)
+        state = FieldState(vspec, lay, np.concatenate(list(coeffs.values())),
+                           np.concatenate(list(rates.values())))
+        for name in lay.fields:
+            assert np.array_equal(state.x[lay.dof_slice(name)], coeffs[name])
+            assert np.array_equal(state.xdot[lay.dof_slice(name)], rates[name])
 
-    def test_missing_fields_zero_filled(self):
-        lay = self._layout()
-        state = FieldState(lay, coeffs={"v": np.ones(5)}, velocities={})
-        assert np.array_equal(state.coeffs["v"], np.ones(5))
-        assert np.array_equal(state.coeffs["w"], np.zeros(10))
-        assert np.array_equal(state.velocities["q"], np.zeros(5))
+    @pytest.mark.parametrize("variant,regime", ALL_COMBOS)
+    def test_system_state_zero_fills_constrained_dofs(self, variant, regime, rng):
+        clamped = BoundaryCondition.CLAMPED_FREE
+        sysm = build_system(make_spec(variant, regime, bc=clamped), 4)
+        x, v = rng.standard_normal((2, sysm.n_dofs))
+        state = sysm.state(x, v)
+        fixed = np.setdiff1d(np.arange(sysm.layout.n_dofs), sysm.free_dofs)
+        assert np.array_equal(fixed, sysm.layout.constrained_dofs(clamped))
+        assert len(fixed) > 0
+        for full, current in ((state.x, x), (state.xdot, v)):
+            assert np.all(full[fixed] == 0.0)
+            assert np.array_equal(full[sysm.free_dofs], current)
+        assert state.vspec is sysm.vspec and state.layout is sysm.layout
 
     def test_shape_mismatch_rejected(self):
-        lay = self._layout()
-        with pytest.raises(FieldShapeMismatch):
-            FieldState(lay, coeffs={"v": np.ones(4)}, velocities={})
+        vspec, lay = self._layout()
+        n = lay.n_dofs
+        for x, xdot in ((np.ones(n - 1), np.zeros(n)), (np.zeros(n), np.ones((n, 1)))):
+            with pytest.raises(FieldShapeMismatch):
+                FieldState(vspec, lay, x, xdot)
 
     def test_interpolation_of_smooth_functions(self):
-        lay = self._layout()
+        _, lay = self._layout()
         f = lambda x: np.sin(x)
         df = lambda x: np.cos(x)
         vv = interpolate_field(lay, "v", f)
