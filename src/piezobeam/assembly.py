@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse
 
-from .errors import MeshSpecMismatch, NotPositiveDefinite, SingularElectricBlock
+from .errors import InputError, NumericalFailure
 from .fem import GAUSS_FULL, GAUSS_REDUCED, endpoint_values, gauss_table
 from .forms import build_forms
 from .layout import CHAIN, FIELD_CLASS, DofLayout, FieldState, build_layout, interpolate_field
@@ -268,13 +268,13 @@ def assemble(vspec: ModelSpec, mesh: Mesh) -> SemiDiscreteSystem:
     """Build M, K, B on the given mesh (must match the spec's geometry)."""
     if vspec.is_patch:
         if mesh.patch_span is None:
-            raise MeshSpecMismatch("patch variant requires a mesh with a patch span")
+            raise InputError("patch variant requires a mesh with a patch span")
         left, right = mesh.region("patch")[1]
         a, b = vspec.geometry.patch_start, vspec.geometry.patch_end
         if abs(left - a) > 1e-12 or abs(right - b) > 1e-12:
-            raise MeshSpecMismatch("mesh patch span does not match the spec geometry")
+            raise InputError("mesh patch span does not match the spec geometry")
     if abs(mesh.length - vspec.geometry.length) > 1e-12:
-        raise MeshSpecMismatch("mesh length does not match the spec geometry")
+        raise InputError("mesh length does not match the spec geometry")
 
     layout = build_layout(vspec, mesh)
     forms = build_forms(vspec)
@@ -346,7 +346,7 @@ def reduce_electrostatic(system: SemiDiscreteSystem) -> SemiDiscreteSystem:
     assembles its own banded K instead.
     """
     if not len(system.class_dofs("charge")):
-        raise SingularElectricBlock("reduce_electrostatic needs a fully dynamic system")
+        raise InputError("reduce_electrostatic needs a fully dynamic system")
     mech, charge = _grounded_charge_split(system)
     K_mm = system.K[mech][:, mech]
     K_mq = system.K[mech][:, charge]
@@ -354,8 +354,8 @@ def reduce_electrostatic(system: SemiDiscreteSystem) -> SemiDiscreteSystem:
     B_q = system.B[charge]
     try:
         op = FactorizedOperator.build(K_qq, system.band_order(charge))
-    except NotPositiveDefinite as exc:
-        raise SingularElectricBlock(
+    except NumericalFailure as exc:
+        raise NumericalFailure(
             "charge-charge stiffness block is singular after grounding"
         ) from exc
     # The Schur complement of a charge chain is structurally dense over the

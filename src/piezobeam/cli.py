@@ -20,7 +20,7 @@ import scipy.sparse
 from . import __version__
 from .assembly import build_system
 from .config import RunConfig, config_digest, parse_config, resolved_dt
-from .errors import ConfigError, IllegalRegime, PiezobeamError
+from .errors import InputError, NumericalFailure
 from .forms import interpolation_row
 from .kernels import backend_name
 from .layout import FIELD_CLASS
@@ -44,7 +44,7 @@ def _load_config(path: str) -> RunConfig:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_config(text)
 
 
@@ -257,12 +257,12 @@ def main(argv=None) -> int:
         # errors; any ValueError after that is a numerical failure (numpy's
         # LinAlgError is one).
         if args.command == "modes" and args.n < 1:
-            raise ConfigError(f"number of modes must be >= 1, got {args.n}")
+            raise InputError(f"number of modes must be >= 1, got {args.n}")
         if args.command == "limit":
             try:
                 mus = _validated_mus(float(tok) for tok in args.mu.split(",") if tok.strip())
             except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+                raise InputError(str(exc)) from exc
         os.makedirs(args.out, exist_ok=True)
         if args.command == "simulate":
             return cmd_simulate(config, args.out, args.svg)
@@ -271,10 +271,10 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(config, args.out)
         return cmd_limit(config, args.out, args.svg, mus)
-    except (ConfigError, IllegalRegime, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PiezobeamError, ValueError) as exc:
+    except (NumericalFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

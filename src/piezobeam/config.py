@@ -19,15 +19,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    IllegalRegime,
-    InvalidParameter,
-    MissingPatchMaterial,
-    NonPositiveParameter,
-    ParseError,
-    UnitViolation,
-    UnknownKey,
-)
+from .errors import InputError
 from .materials import (
     BeamGeometry,
     BoundaryCondition,
@@ -86,7 +78,7 @@ def _tokenize(text: str):
                 continue
             section = line[1:-1].strip()
             if section not in SECTION_KEYS:
-                raise UnknownKey([(ln, f"unknown section [{section}]")])
+                raise InputError([(ln, f"unknown section [{section}]")])
             entries.setdefault(section, {})
             continue
         if "=" not in line:
@@ -98,13 +90,13 @@ def _tokenize(text: str):
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in SECTION_KEYS[section]:
-            raise UnknownKey([(ln, f"unknown key {key!r} in [{section}]")])
+            raise InputError([(ln, f"unknown key {key!r} in [{section}]")])
         if key in entries[section]:
             issues.append((ln, f"duplicate key {key!r} in [{section}]"))
             continue
         entries[section][key] = (ln, value)
     if issues:
-        raise ParseError(issues)
+        raise InputError(issues)
     return entries
 
 
@@ -123,7 +115,7 @@ def _typed(entries, section, key, conv, default=None):
     try:
         return conv(raw)
     except (ValueError, KeyError):
-        raise ParseError([(ln, f"bad value {raw!r} for {key} in [{section}]")])
+        raise InputError([(ln, f"bad value {raw!r} for {key} in [{section}]")])
 
 
 _VARIANTS = {v.value: v for v in Variant}
@@ -131,11 +123,11 @@ _REGIMES = {r.value: r for r in Regime}
 _BCS = {b.value: b for b in BoundaryCondition}
 
 
-def _anchored(entries, section: str, exc: InvalidParameter) -> UnitViolation:
-    """exc at the line of the key it names in [section]; line 0 when the
-    file does not set that key."""
+def _anchored(entries, section: str, exc: InputError) -> InputError:
+    """exc, which names a key, at the line of that key in [section]; line 0
+    when the file does not set that key."""
     ln = entries.get(section, {}).get(exc.key, (0, None))[0]
-    return UnitViolation([(ln, f"{exc.key} in [{section}]: {exc}")])
+    return InputError([(ln, f"{exc.key} in [{section}]: {exc}")])
 
 
 def _material(entries, section) -> MaterialParams | None:
@@ -144,47 +136,49 @@ def _material(entries, section) -> MaterialParams | None:
     kwargs = {k: _typed(entries, section, k, _real, 0.0) for k in _MATERIAL_KEYS}
     try:
         return MaterialParams(**kwargs)
-    except NonPositiveParameter as exc:
+    except InputError as exc:
         raise _anchored(entries, section, exc) from exc
 
 
 def _geometry(entries) -> BeamGeometry:
+    kwargs = {key: _typed(entries, "geometry", key, _real, 1.0 if key == "length" else None)
+              for key in SECTION_KEYS["geometry"]}
     try:
-        return BeamGeometry(**{key: _typed(entries, "geometry", key, _real,
-                                           1.0 if key == "length" else None)
-                               for key in SECTION_KEYS["geometry"]})
-    except NonPositiveParameter as exc:
+        return BeamGeometry(**kwargs)
+    except InputError as exc:
         raise _anchored(entries, "geometry", exc) from exc
 
 
 def _voltage(entries, section) -> VoltageSignal:
     if section not in entries:
         return VoltageSignal.zero()
-    return VoltageSignal(
-        kind=_typed(entries, section, "kind", str, "zero"),
-        amplitude=_typed(entries, section, "amplitude", _real, 0.0),
-        frequency=_typed(entries, section, "frequency", _real, 0.0),
-        step_time=_typed(entries, section, "step_time", _real, 0.0),
-    )
+    kwargs = dict(kind=_typed(entries, section, "kind", str, "zero"),
+                  amplitude=_typed(entries, section, "amplitude", _real, 0.0),
+                  frequency=_typed(entries, section, "frequency", _real, 0.0),
+                  step_time=_typed(entries, section, "step_time", _real, 0.0))
+    try:
+        return VoltageSignal(**kwargs)
+    except InputError as exc:
+        raise _anchored(entries, section, exc) from exc
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate configuration text.
 
-    Raises ParseError / UnknownKey with (line, message) pairs for textual
-    problems and UnitViolation for values that fail physical validity
-    (non-positive lengths, patch interval out of order, ...).
+    Raises InputError with (line, message) pairs, for textual problems and
+    for values that fail physical validity (non-positive lengths, patch
+    interval out of order, ...).
     """
     entries = _tokenize(text)
     for required in ("model", "material.beam", "geometry"):
         if required not in entries:
-            raise ParseError(f"missing required section [{required}]")
+            raise InputError(f"missing required section [{required}]")
 
     variant = _typed(entries, "model", "variant", _VARIANTS.__getitem__)
     regime = _typed(entries, "model", "regime", _REGIMES.__getitem__)
     bc = _typed(entries, "model", "bc", _BCS.__getitem__, BoundaryCondition.FREE_FREE)
     if variant is None or regime is None:
-        raise ParseError("[model] must set both 'variant' and 'regime'")
+        raise InputError("[model] must set both 'variant' and 'regime'")
 
     beam = _material(entries, "material.beam")
     patch = _material(entries, "material.patch")
@@ -192,26 +186,27 @@ def parse_config(text: str) -> RunConfig:
     if variant.is_patch:
         voltages = (_voltage(entries, "voltage.top"), _voltage(entries, "voltage.bottom"))
         if "voltage" in entries:
-            raise UnknownKey(
+            raise InputError(
                 "patch variants use [voltage.top]/[voltage.bottom], not [voltage]")
     else:
         voltages = (_voltage(entries, "voltage"),)
         for bad in ("voltage.top", "voltage.bottom"):
             if bad in entries:
-                raise UnknownKey(
+                raise InputError(
                     f"single-beam variants use [voltage], not [{bad}]")
     try:
         spec = ModelSpec(variant=variant, regime=regime, beam=beam, geometry=geometry,
                          mechanical_bc=bc, patch=patch, voltages=voltages)
-    except InvalidParameter as exc:
-        # ModelSpec checks geometry keys, and mu on the charge-carrying layer.
+    except InputError as exc:
+        # ModelSpec keys geometry fields, the patch material, and mu on the
+        # charge-carrying layer; its voltage errors name no key.
+        if exc.key is None:
+            raise
+        if exc.key == "patch":
+            raise InputError(f"missing required section [material.patch]: {exc}") from exc
         section = "geometry" if exc.key in SECTION_KEYS["geometry"] else \
             "material.patch" if variant.is_patch else "material.beam"
         raise _anchored(entries, section, exc) from exc
-    except IllegalRegime as exc:
-        raise UnitViolation(str(exc)) from exc
-    except MissingPatchMaterial as exc:
-        raise ParseError(f"missing required section [material.patch]: {exc}") from exc
 
     config = RunConfig(
         spec=spec,
@@ -237,7 +232,7 @@ def parse_config(text: str) -> RunConfig:
     issues = [(entries["solver"][key][0], f"{key} must be {need}, got {entries['solver'][key][1]}")
               for key, ok, need in checks if not ok]
     if issues:
-        raise UnitViolation(issues)
+        raise InputError(issues)
     return config
 
 

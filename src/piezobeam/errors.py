@@ -1,124 +1,32 @@
-"""Exception types shared across the package.
+"""The package's two exception types, one per CLI exit code.
 
-Every error raised by the public API derives from PiezobeamError, so callers
-(notably the CLI) can map failures onto exit codes without string matching.
+InputError (exit 2): the input lies outside the model's domain.  A
+configuration that does not parse or validate, a parameter that fails a
+validity check, a patch interval outside the beam, a request that does not
+fit the model (a mesh, layout, state or point that does not match it, or a
+scenario that never moves the beam).  It carries issues, a list of
+(line_number, message) pairs with line 0 when not tied to a line, and key,
+the parameter or config key it names, or None.
+
+NumericalFailure (exit 3): a computation on valid input failed.  A matrix
+that is not positive definite, a step matrix that does not factor, an
+eigenvalue iteration that does not converge, an energy ledger that does not
+balance or a state that overflows.  pivot is LAPACK's first leading minor
+that is not positive definite (1-based, in the band numbering), or None
+when the failure is not one pivot.
 """
 
 
-class PiezobeamError(Exception):
-    """Base class for all package errors."""
-
-
-# --- model definition -------------------------------------------------------
-
-class InvalidParameter(PiezobeamError):
-    """A model parameter fails a validity check; key names it."""
-
-    def __init__(self, message: str, key: str):
-        super().__init__(message)
-        self.key = key
-
-
-class NonPositiveParameter(InvalidParameter):
-    """A material or geometry parameter that must be positive is not."""
-
-
-class InvalidGeometry(InvalidParameter):
-    """Beam/patch geometry is inconsistent (e.g. patch outside the beam)."""
-
-
-class MissingPatchMaterial(PiezobeamError):
-    """A patch variant was requested without patch material parameters."""
-
-
-class IllegalRegime(PiezobeamError):
-    """Variant, regime and voltage data do not fit together."""
-
-
-class FieldShapeMismatch(PiezobeamError):
-    """Nodal field arrays do not match the degree-of-freedom layout."""
-
-
-class OutOfDomain(PiezobeamError):
-    """A pointwise evaluation was requested outside the beam domain."""
-
-
-# --- meshing / assembly -----------------------------------------------------
-
-class TooFewElements(PiezobeamError):
-    """Element count below the minimum for the requested variant."""
-
-
-class MeshSpecMismatch(PiezobeamError):
-    """Mesh was built for a different geometry than the one supplied."""
-
-
-class UnknownBc(PiezobeamError):
-    """Unsupported mechanical boundary condition identifier."""
-
-
-class SingularElectricBlock(PiezobeamError):
-    """Charge-charge stiffness block is singular after grounding."""
-
-
-# --- linear algebra / time stepping ----------------------------------------
-
-class NotPositiveDefinite(PiezobeamError):
-    """Matrix handed to the SPD solver is not positive definite; pivot is
-    LAPACK's first leading minor that is not (1-based, in the band
-    numbering), or None when the failure is not one pivot."""
-
-    def __init__(self, message: str, pivot: int | None = None):
-        super().__init__(message)
-        self.pivot = pivot
-
-
-class SingularStepMatrix(PiezobeamError):
-    """Implicit midpoint step matrix M + (dt^2/4) K is not factorizable."""
-
-
-class EnergyImbalance(PiezobeamError):
-    """A run's energy change misses the injected work by more than round-off."""
-
-
-class NonFiniteState(PiezobeamError):
-    """A run's state overflowed to a non-finite value."""
-
-
-class ConvergenceFailure(PiezobeamError):
-    """Eigenvalue solve did not converge, or found no gap at the zero modes."""
-
-
-class InsufficientMeshes(PiezobeamError):
-    """A convergence study needs at least three mesh resolutions."""
-
-
-# --- configuration ----------------------------------------------------------
-
-class ConfigError(PiezobeamError):
-    """Configuration file could not be parsed or validated.
-
-    Carries a list of (line_number, message) pairs; line_number may be 0
-    when the error is not tied to a specific line.
-    """
-
-    def __init__(self, issues):
+class InputError(Exception):
+    def __init__(self, issues, key: str | None = None):
         if isinstance(issues, str):
             issues = [(0, issues)]
         self.issues = list(issues)
-        text = "; ".join(
-            f"line {ln}: {msg}" if ln else msg for ln, msg in self.issues
-        )
-        super().__init__(text)
+        self.key = key
+        super().__init__("; ".join(f"line {ln}: {msg}" if ln else msg for ln, msg in self.issues))
 
 
-class ParseError(ConfigError):
-    """Syntactically malformed configuration text."""
-
-
-class UnknownKey(ConfigError):
-    """Configuration contains a key or section this package does not define."""
-
-
-class UnitViolation(ConfigError):
-    """Configuration value fails a physical validity check."""
+class NumericalFailure(Exception):
+    def __init__(self, message: str, pivot: int | None = None):
+        super().__init__(message)
+        self.pivot = pivot

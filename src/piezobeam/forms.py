@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomain, IllegalRegime
+from .errors import InputError
 from .fem import GAUSS_FULL, GAUSS_REDUCED, shape_table
 from .layout import DofLayout, FieldState
 from .materials import ModelSpec, Regime, Variant
@@ -245,7 +245,7 @@ def _shape_weights(layout: DofLayout, field: str, x: float, deriv: int):
     elems, (lo, hi) = layout.mesh.region(fd.region)
     nodes = layout.mesh.nodes
     if not (lo - 1e-12 <= x <= hi + 1e-12):
-        raise OutOfDomain(f"x={x} outside support [{lo}, {hi}] of field {field!r}")
+        raise InputError(f"x={x} outside support [{lo}, {hi}] of field {field!r}")
     e = int(np.clip(np.searchsorted(nodes, x, side="right") - 1, elems[0], elems[-1]))
     le = nodes[e + 1] - nodes[e]
     xi = np.array([(x - nodes[e]) / le])
@@ -319,7 +319,7 @@ def recover_pointwise(state: FieldState, x: float, z: float) -> PointwiseFields:
     full = vspec.regime == Regime.FULL_MAGNETIC
     geo = vspec.geometry
     if not (0.0 <= x <= geo.length):
-        raise OutOfDomain(f"x={x} outside [0, {geo.length}]")
+        raise InputError(f"x={x} outside [0, {geo.length}]")
 
     def ev(field, deriv=0, flat=state.x):
         return eval_field_at(layout, flat, field, x, deriv)
@@ -333,10 +333,10 @@ def recover_pointwise(state: FieldState, x: float, z: float) -> PointwiseFields:
         elif h0 < abs(z) <= h0 + h1 and a <= x <= b:
             layer = "top" if z > 0 else "bottom"
         else:
-            raise OutOfDomain(f"(x={x}, z={z}) lies outside core and patches")
+            raise InputError(f"(x={x}, z={z}) lies outside core and patches")
     else:
         if abs(z) > geo.thickness / 2.0:
-            raise OutOfDomain(f"|z|={abs(z)} exceeds half thickness")
+            raise InputError(f"|z|={abs(z)} exceeds half thickness")
         layer = "beam"
 
     if layer in ("beam", "core"):

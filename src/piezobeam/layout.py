@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldShapeMismatch, UnknownBc
+from .errors import InputError
 from .materials import BoundaryCondition, ModelSpec, Variant
 from .mesh import Mesh
 
@@ -132,7 +132,7 @@ class DofLayout:
         if bc == BoundaryCondition.FREE_FREE:
             return np.array([], dtype=int)
         if bc != BoundaryCondition.CLAMPED_FREE:
-            raise UnknownBc(f"unsupported boundary condition {bc!r}")
+            raise InputError(f"unsupported boundary condition {bc!r}")
         # Every non-charge dof at the left end node: values, and Hermite slopes too.
         return np.concatenate([np.arange(0)] + [
             f.offset + np.flatnonzero(self.node_positions(f.name) == self.mesh.nodes[0])
@@ -158,7 +158,8 @@ def build_layout(vspec: ModelSpec, mesh: Mesh) -> DofLayout:
 @dataclass
 class FieldState:
     """A discrete state of the spec's fields: x the nodal coefficients and
-    xdot their rates, both over the layout's full numbering."""
+    xdot their rates, both over the layout's full numbering, which must
+    number the spec's field plan."""
 
     vspec: ModelSpec
     layout: DofLayout
@@ -166,9 +167,13 @@ class FieldState:
     xdot: np.ndarray
 
     def __post_init__(self):
+        plan = [name for name, *_ in field_plan(self.vspec)]
+        if plan != list(self.layout.fields):
+            raise InputError(f"layout numbers fields {list(self.layout.fields)}, "
+                             f"not the spec's field plan {plan}")
         self.x, self.xdot = (np.asarray(a, dtype=float) for a in (self.x, self.xdot))
         if self.x.shape != (self.layout.n_dofs,) or self.xdot.shape != (self.layout.n_dofs,):
-            raise FieldShapeMismatch(f"state vectors must have shape ({self.layout.n_dofs},)")
+            raise InputError(f"state vectors must have shape ({self.layout.n_dofs},)")
 
 
 def interpolate_field(layout: DofLayout, name: str, f, df=None) -> np.ndarray:
@@ -176,7 +181,7 @@ def interpolate_field(layout: DofLayout, name: str, f, df=None) -> np.ndarray:
     spec = layout.fields[name]
     if spec.basis == "hermite":
         if df is None:
-            raise FieldShapeMismatch("Hermite interpolation needs the slope callable df")
+            raise InputError("Hermite interpolation needs the slope callable df")
         elems = layout.field_elements(name)
         nodes = layout.mesh.nodes[elems[0]: elems[-1] + 2]
         out = np.empty(2 * len(nodes))

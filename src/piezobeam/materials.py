@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IllegalRegime,
-    InvalidGeometry,
-    MissingPatchMaterial,
-    NonPositiveParameter,
-)
+from .errors import InputError
 
 
 class Variant(enum.Enum):
@@ -87,10 +82,9 @@ class MaterialParams:
     def __post_init__(self):
         for name in ("rho", "c11", "c55", "eps1", "eps3"):
             if not getattr(self, name) > 0.0:
-                raise NonPositiveParameter(f"{name} must be > 0, got {getattr(self, name)!r}",
-                                           name)
+                raise InputError(f"{name} must be > 0, got {getattr(self, name)!r}", name)
         if self.mu < 0.0:
-            raise NonPositiveParameter(f"mu must be >= 0, got {self.mu!r}", "mu")
+            raise InputError(f"mu must be >= 0, got {self.mu!r}", "mu")
 
     @property
     def beta1(self) -> float:
@@ -152,11 +146,11 @@ class BeamGeometry:
 
     def __post_init__(self):
         if not self.length > 0.0:
-            raise NonPositiveParameter(f"length must be > 0, got {self.length!r}", "length")
+            raise InputError(f"length must be > 0, got {self.length!r}", "length")
         for name in ("thickness", "core_half_thickness", "patch_thickness"):
             val = getattr(self, name)
             if val is not None and not val > 0.0:
-                raise NonPositiveParameter(f"{name} must be > 0, got {val!r}", name)
+                raise InputError(f"{name} must be > 0, got {val!r}", name)
 
 
 @dataclass(frozen=True)
@@ -176,7 +170,7 @@ class VoltageSignal:
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
-            raise IllegalRegime(f"unknown voltage kind {self.kind!r}")
+            raise InputError(f"unknown voltage kind {self.kind!r}", "kind")
 
     @classmethod
     def zero(cls) -> "VoltageSignal":
@@ -213,9 +207,8 @@ class ModelSpec:
 
     voltages is a tuple: one signal for single-beam variants, the (top,
     bottom) pair for patch variants.  patch is read for patch variants only.
-    Raises the most specific error for the first violation found:
-    InvalidGeometry, MissingPatchMaterial, IllegalRegime or
-    NonPositiveParameter.
+    Raises InputError for the first violation found, keyed by the geometry
+    field, "patch" or "mu" it names; a voltage error names no key.
     """
 
     variant: Variant
@@ -230,27 +223,26 @@ class ModelSpec:
         geo, voltages = self.geometry, self.voltages
         if self.is_patch:
             if self.patch is None:
-                raise MissingPatchMaterial(f"{self.variant.value} requires patch_material")
+                raise InputError(f"{self.variant.value} requires patch_material", "patch")
             for name in ("core_half_thickness", "patch_thickness", "patch_start", "patch_end"):
                 if getattr(geo, name) is None:
-                    raise InvalidGeometry(f"patch variant needs geometry field {name}", name)
+                    raise InputError(f"patch variant needs geometry field {name}", name)
             a, b = geo.patch_start, geo.patch_end
             if not (0.0 < a < b < geo.length):
-                raise InvalidGeometry(
+                raise InputError(
                     f"patch interval [{a}, {b}] must satisfy 0 < a < b < L={geo.length}",
                     "patch_end" if 0.0 < a < b else "patch_start")
             if isinstance(voltages, VoltageSignal):
-                raise IllegalRegime("patch variants take a (top, bottom) voltage pair")
+                raise InputError("patch variants take a (top, bottom) voltage pair")
         elif geo.thickness is None:
-            raise InvalidGeometry("single-beam variant needs geometry field thickness",
-                                  "thickness")
+            raise InputError("single-beam variant needs geometry field thickness", "thickness")
         if not (isinstance(voltages, tuple) and len(voltages) == (2 if self.is_patch else 1)
                 and all(isinstance(v, VoltageSignal) for v in voltages)):
-            raise IllegalRegime("patch voltage must be a pair of VoltageSignal" if self.is_patch
-                                else "single-beam variants take exactly one voltage signal")
+            raise InputError("patch voltage must be a pair of VoltageSignal" if self.is_patch
+                             else "single-beam variants take exactly one voltage signal")
         charge = self.patch if self.is_patch else self.beam
         if self.regime == Regime.FULL_MAGNETIC and not charge.mu > 0.0:
-            raise NonPositiveParameter(
+            raise InputError(
                 "fully dynamic regime requires mu > 0 on the charge-carrying layer", "mu")
 
     @property

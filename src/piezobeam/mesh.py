@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGeometry, TooFewElements
+from .errors import InputError
 from .materials import BeamGeometry
 
 
@@ -66,11 +66,10 @@ def build_mesh(geometry: BeamGeometry, n_elements: int, patch: bool = False) -> 
     L = geometry.length
     if patch:
         if n_elements < 4:
-            raise TooFewElements(f"patch mesh needs >= 4 elements, got {n_elements}")
+            raise InputError(f"patch mesh needs >= 4 elements, got {n_elements}")
         a, b = geometry.patch_start, geometry.patch_end
         if a is None or b is None or not (0.0 < a < b < L):
-            raise InvalidGeometry(f"patch interval [{a}, {b}] invalid for length {L}",
-                                  "patch_start")
+            raise InputError(f"patch interval [{a}, {b}] invalid for length {L}", "patch_start")
         counts = _apportion(n_elements, [a, b - a, L - b])
         pieces = [
             np.linspace(0.0, a, counts[0] + 1),
@@ -82,5 +81,5 @@ def build_mesh(geometry: BeamGeometry, n_elements: int, patch: bool = False) -> 
         ib = counts[0] + counts[1]
         return Mesh(nodes=nodes, patch_span=(ia, ib))
     if n_elements < 2:
-        raise TooFewElements(f"mesh needs >= 2 elements, got {n_elements}")
+        raise InputError(f"mesh needs >= 2 elements, got {n_elements}")
     return Mesh(nodes=np.linspace(0.0, L, n_elements + 1))

@@ -21,7 +21,7 @@ from .assembly import (
     build_system,
     with_mass,
 )
-from .errors import ConvergenceFailure, IllegalRegime, InsufficientMeshes, NotPositiveDefinite
+from .errors import InputError, NumericalFailure
 from .layout import FIELD_CLASS
 from .materials import (
     BoundaryCondition,
@@ -142,12 +142,12 @@ def check_single_beam_decoupling(vspec: ModelSpec, n_elements: int,
     variants, and bending shares no entry of M or K with stretching and
     charge, so from zero initial data the bending block is at rest: simulate
     never sweeps it, and the bending dofs remain bitwise zero.  Both facts
-    are checked, the second on a simulated trajectory.  IllegalRegime
+    are checked, the second on a simulated trajectory.  InputError
     when the beam never stretches (zero drive or no steps): a bending
     response of zero would then show nothing.
     """
     if vspec.is_patch:
-        raise IllegalRegime("decoupling check applies to single-beam variants only")
+        raise InputError("decoupling check applies to single-beam variants only")
     system = build_system(vspec, n_elements)
     b_rows = _peak(system.B[system.class_dofs("bending")])
     # The observer reads stretching and bending, at these positions of its rows.
@@ -166,7 +166,7 @@ def check_single_beam_decoupling(vspec: ModelSpec, n_elements: int,
     x_bend, v_bend = _peak(peak_x[at_bend]), _peak(peak_v[at_bend])
     stretch = _peak(peak_x[at_stretch])
     if stretch == 0.0:
-        raise IllegalRegime("the beam never stretches (zero drive or no steps)")
+        raise InputError("the beam never stretches (zero drive or no steps)")
 
     checks = (
         MetricCheck("input_map_bending_rows_max", b_rows, "N/V", 0.0, "below",
@@ -267,11 +267,11 @@ def check_patch_voltage_selectivity(vspec: ModelSpec, n_elements: int,
     leaves the quiet one at rest, so both dynamic ratios are exactly 0; a
     broken mirror steps unsplit, and its leak shows.  corrupt_sign flips one
     coupling block beforehand; the check must then fail (negative control).
-    IllegalRegime when a drive never moves its active class (zero drive or
+    InputError when a drive never moves its active class (zero drive or
     no steps): there is no scale to measure the leak against.
     """
     if not vspec.is_patch:
-        raise IllegalRegime("voltage selectivity applies to patch variants only")
+        raise InputError("voltage selectivity applies to patch variants only")
     setups = _selectivity_setup(vspec, n_elements, corrupt_sign)
     systems = [system for system, *_ in setups]  # one layout, two drives
     charged = "qT" in systems[0].layout.fields
@@ -296,7 +296,7 @@ def check_patch_voltage_selectivity(vspec: ModelSpec, n_elements: int,
     for m, (_, checks, quiet, active), peak, mism in zip(_DRIVES, setups, peaks, mismatch):
         scale, leak, qs = _peak(peak[active]), _peak(peak[quiet]), _peak(peak[top])
         if scale == 0.0:
-            raise IllegalRegime(f"the {m} drive never moves the beam (zero drive or no steps)")
+            raise InputError(f"the {m} drive never moves the beam (zero drive or no steps)")
         checks = checks + [
             MetricCheck("quiet_over_active_ratio", leak / scale, "1", 1e-12, "below",
                         "mirror-symmetric dynamics leave the odd class unexcited"),
@@ -336,11 +336,11 @@ def static_solution(system: SemiDiscreteSystem, volts) -> np.ndarray:
     x = np.zeros(system.n_dofs)
     try:
         x[keep] = solve_spd(K, rhs[keep], system.band_order(keep))
-    except NotPositiveDefinite as exc:
+    except NumericalFailure as exc:
         clamped = not np.isin(system.layout.constrained_dofs(BoundaryCondition.CLAMPED_FREE),
                               system.free_dofs).any()
         diag = K.diagonal()
-        raise NotPositiveDefinite(
+        raise NumericalFailure(
             f"static solution of the {'clamped' if clamped else 'free-free'} "
             f"{'fully dynamic' if full else 'electrostatic'} system: stiffness K on "
             f"{len(keep)} dofs{', one charge per field grounded,' if full else ''} whose "
@@ -383,11 +383,11 @@ def run_electrostatic_limit(vspec: ModelSpec, mus, n_elements: int,
     observer reads.  The static gap compares the two equilibria under
     constant unit voltages with the left end clamped (rigid motion
     removed).  Both regimes are assembled once (see _limit_systems).
-    IllegalRegime when the electrostatic model never moves (zero drive or
+    InputError when the electrostatic model never moves (zero drive or
     no steps): nothing to measure.
     """
     if vspec.regime != Regime.FULL_MAGNETIC:
-        raise IllegalRegime("the limit study starts from the fully dynamic regime")
+        raise InputError("the limit study starts from the fully dynamic regime")
     mus = _validated_mus(mus)
 
     systems, (sys_full, sys_red) = _limit_systems(vspec, mus, n_elements)
@@ -411,7 +411,7 @@ def run_electrostatic_limit(vspec: ModelSpec, mus, n_elements: int,
              observed=[None] + [mech] * len(mus))
     den, *nums = (float(np.sqrt(np.sum(np.concatenate(sums)))) for sums in squares)
     if den == 0.0:
-        raise IllegalRegime("the electrostatic model never moves (zero drive or no steps)")
+        raise InputError("the electrostatic model never moves (zero drive or no steps)")
     distances = [num / den for num in nums]
 
     ones = np.ones(vspec.n_signals)
@@ -469,7 +469,7 @@ def mode_frequency(vspec: ModelSpec, n_elements: int, kind: str,
         if len(hits) >= number:
             return float(hits[number - 1])
         if n_modes >= system.n_dofs:
-            raise ConvergenceFailure(
+            raise NumericalFailure(
                 f"fewer than {number} {kind} modes in the first {len(ms.omegas)}")
         n_modes *= 2
 
@@ -485,9 +485,9 @@ def run_convergence_study(vspec: ModelSpec, element_counts, kind: str,
     """
     counts = [int(c) for c in element_counts]
     if len(counts) < 3:
-        raise InsufficientMeshes("a convergence study needs at least 3 meshes")
+        raise InputError("a convergence study needs at least 3 meshes")
     if sorted(counts) != counts or len(set(counts)) != len(counts):
-        raise InsufficientMeshes("element counts must be strictly increasing")
+        raise InputError("element counts must be strictly increasing")
 
     omegas = [mode_frequency(vspec, n, kind, number) for n in counts]
     if reference is None:
@@ -533,7 +533,7 @@ def pulse_time_of_flight(vspec: ModelSpec, n_elements: int = 512) -> ScenarioRep
     axial and charge block alone and leaves bending at rest.
     """
     if vspec.is_patch or vspec.regime != Regime.FULL_MAGNETIC:
-        raise IllegalRegime("time of flight runs on a single fully dynamic beam")
+        raise InputError("time of flight runs on a single fully dynamic beam")
     system = build_system(vspec, n_elements)
     c_fast, c_slow = stretching_wave_speeds(vspec.beam)
     L = vspec.geometry.length

@@ -46,13 +46,7 @@ from scipy.sparse._sparsetools import (csr_has_canonical_format, csr_matvec, csr
                                        csr_row_index, csr_scale_columns, csr_scale_rows,
                                        csr_sort_indices, csr_sum_duplicates)
 
-from .errors import (
-    ConvergenceFailure,
-    EnergyImbalance,
-    NonFiniteState,
-    NotPositiveDefinite,
-    SingularStepMatrix,
-)
+from .errors import NumericalFailure
 from .kernels import cholesky_solve, midpoint_sweep
 from .layout import FIELD_CLASS
 
@@ -132,8 +126,8 @@ class FactorizedOperator:
         c times K's, added into zeros, so each entry is (0.0 + a) + c k,
         bitwise as scipy's A + c * K sums it; then the outer diagonals left
         all zero are trimmed, as scipy drops the zeros its sum makes.
-        NotPositiveDefinite names LAPACK's first leading minor that is not
-        positive definite."""
+        A failure raises NumericalFailure, whose pivot is LAPACK's first
+        leading minor that is not positive definite."""
         n = A.shape[0]
         at = None  # each dof's place in order
         if order is not None:
@@ -154,10 +148,10 @@ class FactorizedOperator:
             p -= 1
         L, info = dpbtrf(np.asfortranarray(ab[:p + 1]), lower=1, overwrite_ab=1)
         if info > 0:
-            raise NotPositiveDefinite(f"Cholesky factorization failed: leading minor {info} "
-                                      f"of {n} not positive definite", pivot=int(info))
+            raise NumericalFailure(f"Cholesky factorization failed: leading minor {info} "
+                                   f"of {n} not positive definite", pivot=int(info))
         if not np.all(np.isfinite(L[0])):
-            raise NotPositiveDefinite("Cholesky factorization produced a non-finite pivot")
+            raise NumericalFailure("Cholesky factorization produced a non-finite pivot")
         return cls(L=L, order=np.arange(n) if order is None else np.asarray(order))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -181,7 +175,7 @@ def solve_spd(A, b: np.ndarray, order=None) -> np.ndarray:
     follows the banded solve: the band ordering interleaves strongly coupled
     fields, whose elimination loses digits that a field-by-field ordering
     keeps, and the refined solution is accurate to round-off of x itself.
-    Raises NotPositiveDefinite when the factorization fails or the relative
+    Raises NumericalFailure when the factorization fails or the relative
     residual exceeds 1e-10.
     """
     op = FactorizedOperator.build(A, order)
@@ -192,7 +186,7 @@ def solve_spd(A, b: np.ndarray, order=None) -> np.ndarray:
     if nb > 0:
         res = np.linalg.norm(A @ x - b) / nb
         if not res <= 1e-10:
-            raise NotPositiveDefinite(f"SPD solve residual {res:.3e} too large")
+            raise NumericalFailure(f"SPD solve residual {res:.3e} too large")
     return x
 
 
@@ -222,7 +216,7 @@ def eigenmodes(M, K, n_modes: int, null: np.ndarray, order: np.ndarray) -> ModeS
     start vector (which keeps the result byte-stable) are projected
     M-orthogonally off span(null).  The shift sigma = -1e-6 mean(diag K) /
     mean(diag M) makes K - sigma M SPD although K is singular.
-    ConvergenceFailure when a column z of null has max|K z| > 64 eps max|K|
+    NumericalFailure when a column z of null has max|K z| > 64 eps max|K|
     max|z| (a wrong model), or when ARPACK hits its iteration cap (it names
     the range of K's diagonal, whose spread slows the iteration).
     """
@@ -231,7 +225,7 @@ def eigenmodes(M, K, n_modes: int, null: np.ndarray, order: np.ndarray) -> ModeS
     n, n_zero = null.shape
     bound = 64 * np.finfo(float).eps * abs(K).max() * np.abs(null).max(axis=0)
     if np.any(np.abs(K @ null).max(axis=0) > bound):
-        raise ConvergenceFailure("a rigid or gauge mode of the model is not in K's kernel")
+        raise NumericalFailure("a rigid or gauge mode of the model is not in K's kernel")
     R = scipy.linalg.cholesky(null.T @ (M @ null))
     Z = scipy.linalg.solve_triangular(R, null.T, trans="T").T
     k = min(n_modes, n - 1) - n_zero
@@ -262,8 +256,8 @@ def eigenmodes(M, K, n_modes: int, null: np.ndarray, order: np.ndarray) -> ModeS
                                                      matvec=lambda b: deflated(op.solve(b))),
             v0=deflated(np.random.default_rng(0).standard_normal(n)))
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise ConvergenceFailure(f"eigenvalue iteration did not converge: {exc}; K's diagonal "
-                                 f"spans {diag.min():.3g} to {diag.max():.3g}") from exc
+        raise NumericalFailure(f"eigenvalue iteration did not converge: {exc}; K's diagonal "
+                               f"spans {diag.min():.3g} to {diag.max():.3g}") from exc
     order = np.argsort(vals)
     omegas = np.sqrt(np.clip(vals[order], 0.0, None))
     return ModeSet(omegas=np.concatenate([np.zeros(n_zero), omegas]),
@@ -275,8 +269,8 @@ def step_operator(system: SemiDiscreteSystem, dt: float) -> FactorizedOperator:
     system's band_order, the one place the step matrix is formed."""
     try:
         return FactorizedOperator.build(system.M, system.band_order(), system.K, dt * dt / 4.0)
-    except NotPositiveDefinite as exc:
-        raise SingularStepMatrix(
+    except NumericalFailure as exc:
+        raise NumericalFailure(
             f"step matrix not positive definite for dt={dt}"
         ) from exc
 
@@ -515,10 +509,10 @@ def simulate(systems, x0s, v0s, dt: float, t_end: float, stride: int = 1,
     call, sized by what a chunk uses, and reused for every chunk; operators
     that systems share are checked and split once (see _split).
 
-    Raises NonFiniteState, naming the system and the steps, after the first
+    Raises NumericalFailure, naming the system and the steps, after the first
     chunk that leaves a non-finite state, before its rows are observed
     (numpy's overflow warnings are silenced: the error reports such a run),
-    and EnergyImbalance, naming the system, when its residual exceeds
+    and, naming the system, when its energy balance residual exceeds
     1e-8 * its max energy or is not finite (criterion 4): such runs come
     from step matrices that factor but are too ill-conditioned to solve.
     """
@@ -557,7 +551,7 @@ def simulate(systems, x0s, v0s, dt: float, t_end: float, stride: int = 1,
     for traj, where in zip(trajs, names):
         resid, scale = traj.balance
         if not resid <= 1e-8 * scale:  # NaN fails too
-            raise EnergyImbalance(
+            raise NumericalFailure(
                 f"{where}energy balance residual {resid:.3e} exceeds 1e-8 * max energy "
                 f"{scale:.3e}")
     return trajs
@@ -693,7 +687,7 @@ def _sweep_blocks(moving, parts, dt, n_steps, rec_steps, velocities, observe):
             if not finite.all():
                 j = np.searchsorted(ends, np.argmin(finite), side="right")
                 name = next(name for _, _, _, own, _, name in parts if j in own)
-                raise NonFiniteState(
+                raise NumericalFailure(
                     f"{name}state not finite after steps {a + 1}-{a + m} of {n_steps}")
         # Work increments dt * vbar . load, one dot product per step and
         # block, summed in step order after the previous total.  einsum

@@ -19,6 +19,7 @@ from piezobeam import __version__, cli, scenarios, solvers
 from piezobeam.assembly import build_system
 from piezobeam.cli import _probe_position, main
 from piezobeam.config import parse_config, resolved_dt
+from piezobeam.errors import InputError, NumericalFailure
 from piezobeam.forms import eval_field_at
 from piezobeam.layout import FIELD_CLASS
 from piezobeam.materials import BoundaryCondition, Regime, Variant
@@ -721,6 +722,31 @@ class TestErrorPaths:
             line = fh.read().splitlines().index(f"{key} = {value}") + 1
         assert f"error: line {line}: {key} in [{section}]: " in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
+
+    def test_unknown_voltage_kind_names_its_line(self, tmp_path, capsys):
+        cfg = shipped_with(tmp_path, "single_beam.ini", kind="sawtooth")
+        out = tmp_path / "run"
+        assert main(["simulate", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: line 24: kind in [voltage]: "
+                                           "unknown voltage kind 'sawtooth'\n")
+        assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("error, code, message", [
+        (InputError("x"), 2, "x"),
+        (InputError([(3, "y")]), 2, "line 3: y"),
+        (OSError("no space left"), 2, "no space left"),
+        (NumericalFailure("z"), 3, "z"),
+        (ValueError("bad shape"), 3, "bad shape"),
+        (np.linalg.LinAlgError("broke down"), 3, "broke down"),
+    ], ids=["input", "input-at-a-line", "os", "numerical", "value", "linalg"])
+    def test_each_error_class_maps_to_its_exit_code(
+            self, single_cfg, tmp_path, capsys, monkeypatch, error, code, message):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_simulate", failing)
+        assert main(["simulate", single_cfg, "--out", str(tmp_path / "run")]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unbalanced_run_exits_with_numerical_error(self, tmp_path, capsys):
         # A piezo-stiffened core modulus of 1e16 against a mass density of

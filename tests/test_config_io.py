@@ -15,7 +15,7 @@ from piezobeam.config import (
     resolved_dt,
     serialize_config,
 )
-from piezobeam.errors import ParseError, UnitViolation, UnknownKey
+from piezobeam.errors import InputError
 from piezobeam.materials import Regime, Variant
 from piezobeam.output import read_csv, svg_line_plot, write_csv, write_json
 
@@ -174,54 +174,67 @@ class TestParseErrors:
     def test_non_finite_value_rejected_at_its_line(self, section, key, value):
         base = SINGLE_INI if f"[{section}]" in SINGLE_INI else PATCH_INI
         text, line = with_value(base, section, key, value)
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InputError, match=rf"^line {line}: bad value '{value}' for {key} "
+                                             rf"in \[{section}\]$") as exc:
             parse_config(text)
         (ln, msg), = exc.value.issues
         assert ln == line and key in msg
 
     def test_unknown_key_reports_line_number(self):
         bad = SINGLE_INI.replace("rho = 1.0", "density = 1.0")
-        with pytest.raises(UnknownKey) as exc:
+        with pytest.raises(InputError, match=r"^line 7: unknown key 'density' in "
+                                             r"\[material\.beam\]$") as exc:
             parse_config(bad)
         (line, msg), = exc.value.issues
         assert "density" in msg
         assert SINGLE_INI.splitlines()[line - 1] == "rho = 1.0"
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(UnknownKey):
+        with pytest.raises(InputError, match=r"^line \d+: unknown section \[damping\]$"):
             parse_config(SINGLE_INI + "\n[damping]\nvalue = 1\n")
 
     def test_duplicate_key_rejected(self):
         bad = SINGLE_INI.replace("rho = 1.0", "rho = 1.0\nrho = 2.0")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match=r"^line 8: duplicate key 'rho' in "
+                                             r"\[material\.beam\]$"):
             parse_config(bad)
 
     def test_missing_required_section(self):
         truncated = SINGLE_INI.split("[geometry]")[0]
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match=r"^missing required section \[geometry\]$"):
             parse_config(truncated)
+        head, _, rest = PATCH_INI.partition("[material.patch]")
+        no_patch = head + "[geometry]" + rest.partition("[geometry]")[2]
+        with pytest.raises(InputError, match=r"^missing required section \[material\.patch\]: "
+                                             r"patch_mt requires patch_material$"):
+            parse_config(no_patch)
 
     def test_malformed_line_collects_issue(self):
         bad = SINGLE_INI.replace("rho = 1.0", "rho 1.0")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="^line 7: expected 'key = value', got 'rho 1.0'$"):
             parse_config(bad)
 
     def test_non_numeric_value(self):
         bad = SINGLE_INI.replace("rho = 1.0", "rho = heavy")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match=r"^line 7: bad value 'heavy' for rho in "
+                                             r"\[material\.beam\]$"):
             parse_config(bad)
 
     def test_wrong_voltage_section_for_variant(self):
         bad = SINGLE_INI.replace("[voltage]", "[voltage.top]")
-        with pytest.raises(UnknownKey):
+        with pytest.raises(InputError, match=r"^single-beam variants use \[voltage\], not "
+                                             r"\[voltage\.top\]$"):
             parse_config(bad)
 
-    def test_physical_validity_mapped_to_unit_violation(self):
+    def test_physical_validity_errors_name_their_line(self):
         swapped = PATCH_INI.replace("patch_start = 0.25", "patch_start = 0.9")
-        with pytest.raises(UnitViolation):
+        with pytest.raises(InputError, match=r"^line 30: patch_start in \[geometry\]: patch "
+                                             r"interval \[0\.9, 0\.75\] must satisfy "
+                                             r"0 < a < b < L=1\.0$"):
             parse_config(swapped)
         negative = SINGLE_INI.replace("rho = 1.0", "rho = -1.0")
-        with pytest.raises(UnitViolation):
+        with pytest.raises(InputError, match=r"^line 7: rho in \[material\.beam\]: rho must "
+                                             r"be > 0, got -1\.0$"):
             parse_config(negative)
         solver_cases = (
             (SINGLE_INI, "dt = 0.001", "dt = -0.001"),
@@ -233,13 +246,16 @@ class TestParseErrors:
         text, line = with_value(PATCH_INI.replace("regime = electrostatic",
                                                   "regime = full_magnetic"),
                                 "material.patch", "mu", "0.0")
-        with pytest.raises(UnitViolation) as exc:
+        with pytest.raises(InputError, match=rf"^line {line}: mu in \[material\.patch\]: "
+                                             r"fully dynamic regime requires mu > 0 on the "
+                                             r"charge-carrying layer$") as exc:
             parse_config(text)
         [(ln, msg)] = exc.value.issues
         assert ln == line and msg.startswith("mu in [material.patch]: ")
         for text, good, bad in solver_cases:
             line = text.splitlines().index(good) + 1
-            with pytest.raises(UnitViolation) as exc:
+            with pytest.raises(InputError,
+                               match=rf"^line {line}: {bad.split()[0]} must be ") as exc:
                 parse_config(text.replace(good, bad))
             [(ln, msg)] = exc.value.issues
             assert ln == line and msg.startswith(bad.split()[0] + " must be ")
@@ -253,7 +269,7 @@ class TestParseErrors:
         if ok:
             assert parse_config(text).t_end == float(t_end)
             return
-        with pytest.raises(UnitViolation) as exc:
+        with pytest.raises(InputError) as exc:
             parse_config(text)
         [(ln, msg)] = exc.value.issues
         assert ln == text.splitlines().index(f"t_end = {t_end}") + 1

@@ -8,7 +8,7 @@ comparisons hold to round-off.
 import numpy as np
 import pytest
 
-from piezobeam.errors import OutOfDomain
+from piezobeam.errors import InputError
 from piezobeam.forms import (
     eval_field_at,
     kinetic_energy,
@@ -260,11 +260,11 @@ class TestPointwiseRecovery:
         st = interp_state(vspec, lay, {"v": lambda x: x})
         h0 = vspec.geometry.core_half_thickness
         h1 = vspec.geometry.patch_thickness
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(InputError, match=r"^\(x=0\.5, z=\S+\) lies outside core and patches$"):
             recover_pointwise(st, 0.5, h0 + 2.0 * h1)   # above the top layer
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(InputError, match=r"^x=-0\.1 outside \[0, 1\.0\]$"):
             recover_pointwise(st, -0.1, 0.0)            # left of the beam
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(InputError, match=r"^\(x=0\.1, z=\S+\) lies outside core and patches$"):
             recover_pointwise(st, 0.1, h0 + 0.5 * h1)   # layer z outside the patch span
 
 

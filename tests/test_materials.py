@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from piezobeam.errors import (
-    IllegalRegime,
-    InvalidGeometry,
-    MissingPatchMaterial,
-    NonPositiveParameter,
-)
+from piezobeam.errors import InputError
 from piezobeam.materials import (
     BeamGeometry,
     BoundaryCondition,
@@ -75,8 +70,9 @@ class TestParameterValidation:
             eps1=1.0, eps3=1.0, mu=1.0,
         )
         kwargs[name] = 0.0
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(InputError, match=rf"^{name} must be > 0, got 0\.0$") as info:
             MaterialParams(**kwargs)
+        assert info.value.key == name
 
     def test_negative_mu_rejected_but_zero_allowed(self):
         kwargs = dict(
@@ -85,13 +81,13 @@ class TestParameterValidation:
         )
         assert MaterialParams(**kwargs).mu == 0.0
         kwargs["mu"] = -1.0
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(InputError, match=r"^mu must be >= 0, got -1\.0$"):
             MaterialParams(**kwargs)
 
     def test_geometry_positivity(self):
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(InputError, match=r"^length must be > 0, got 0\.0$"):
             BeamGeometry(length=0.0)
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(InputError, match=r"^thickness must be > 0, got -0\.1$"):
             BeamGeometry(length=1.0, thickness=-0.1)
 
 
@@ -115,8 +111,9 @@ class TestVoltageSignal:
         assert np.array_equal(VoltageSignal.constant(7.0)(np.zeros(3)), np.full(3, 7.0))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(IllegalRegime):
+        with pytest.raises(InputError, match="^unknown voltage kind 'sawtooth'$") as info:
             VoltageSignal(kind="sawtooth")
+        assert info.value.key == "kind"
 
 
 class TestSpecValidation:
@@ -151,63 +148,52 @@ def _geo(**fields):
     return BeamGeometry(**{**PATCH_GEO.__dict__, **fields})
 
 
-# (variant, regime, ModelSpec fields beyond the defaults, error, key, message):
-# every violation the spec's own checks catch, in the order they run.
+# (variant, regime, ModelSpec fields beyond the defaults, key, message): every
+# violation the spec's own checks catch, in the order they run.
 SPEC_VIOLATIONS = [
-    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(patch=None),
-     MissingPatchMaterial, None, "patch_eb requires patch_material"),
-    (Variant.PATCH_MT, Regime.ELECTROSTATIC, dict(geometry=SINGLE_GEO), InvalidGeometry,
-     "core_half_thickness", "patch variant needs geometry field core_half_thickness"),
-    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(geometry=SINGLE_GEO), InvalidGeometry,
-     "core_half_thickness", "patch variant needs geometry field core_half_thickness"),
-    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(geometry=_geo(patch_end=None)),
-     InvalidGeometry, "patch_end", "patch variant needs geometry field patch_end"),
+    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(patch=None), "patch",
+     "patch_eb requires patch_material"),
+    (Variant.PATCH_MT, Regime.ELECTROSTATIC, dict(geometry=SINGLE_GEO), "core_half_thickness",
+     "patch variant needs geometry field core_half_thickness"),
+    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(geometry=SINGLE_GEO), "core_half_thickness",
+     "patch variant needs geometry field core_half_thickness"),
+    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(geometry=_geo(patch_end=None)), "patch_end",
+     "patch variant needs geometry field patch_end"),
     (Variant.PATCH_EB, Regime.ELECTROSTATIC,
-     dict(geometry=_geo(patch_start=0.75, patch_end=0.25)), InvalidGeometry, "patch_start",
+     dict(geometry=_geo(patch_start=0.75, patch_end=0.25)), "patch_start",
      "patch interval [0.75, 0.25] must satisfy 0 < a < b < L=1.0"),
-    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(geometry=_geo(patch_end=1.5)),
-     InvalidGeometry, "patch_end", "patch interval [0.25, 1.5] must satisfy 0 < a < b < L=1.0"),
-    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(voltages=ZERO), IllegalRegime, None,
+    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(geometry=_geo(patch_end=1.5)), "patch_end",
+     "patch interval [0.25, 1.5] must satisfy 0 < a < b < L=1.0"),
+    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(voltages=ZERO), None,
      "patch variants take a (top, bottom) voltage pair"),
-    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(voltages=(ZERO,)), IllegalRegime, None,
-     PAIR_MSG),
-    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(voltages=(ZERO,) * 3), IllegalRegime, None,
-     PAIR_MSG),
-    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(voltages=[ZERO, ZERO]), IllegalRegime, None,
-     PAIR_MSG),
-    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(voltages=(ZERO, 1.0)), IllegalRegime, None,
-     PAIR_MSG),
-    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(voltages=None), IllegalRegime, None,
-     PAIR_MSG),
+    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(voltages=(ZERO,)), None, PAIR_MSG),
+    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(voltages=(ZERO,) * 3), None, PAIR_MSG),
+    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(voltages=[ZERO, ZERO]), None, PAIR_MSG),
+    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(voltages=(ZERO, 1.0)), None, PAIR_MSG),
+    (Variant.PATCH_EB, Regime.ELECTROSTATIC, dict(voltages=None), None, PAIR_MSG),
     (Variant.SINGLE_EB, Regime.ELECTROSTATIC, dict(geometry=BeamGeometry(length=1.0)),
-     InvalidGeometry, "thickness", "single-beam variant needs geometry field thickness"),
-    (Variant.SINGLE_EB, Regime.ELECTROSTATIC, dict(voltages=ZERO), IllegalRegime, None,
-     ONE_MSG),
-    (Variant.SINGLE_EB, Regime.ELECTROSTATIC, dict(voltages=(ZERO, ZERO)), IllegalRegime,
-     None, ONE_MSG),
-    (Variant.SINGLE_MT, Regime.ELECTROSTATIC, dict(voltages=(ZERO, ZERO)), IllegalRegime,
-     None, ONE_MSG),
-    (Variant.SINGLE_EB, Regime.ELECTROSTATIC, dict(voltages=(None,)), IllegalRegime, None,
-     ONE_MSG),
-    (Variant.SINGLE_EB, Regime.ELECTROSTATIC, dict(voltages=5), IllegalRegime, None, ONE_MSG),
-    (Variant.SINGLE_EB, Regime.FULL_MAGNETIC, dict(beam=DEAD), NonPositiveParameter, "mu",
-     MU_MSG),
-    (Variant.PATCH_EB, Regime.FULL_MAGNETIC, dict(patch=DEAD), NonPositiveParameter, "mu",
-     MU_MSG),
+     "thickness", "single-beam variant needs geometry field thickness"),
+    (Variant.SINGLE_EB, Regime.ELECTROSTATIC, dict(voltages=ZERO), None, ONE_MSG),
+    (Variant.SINGLE_EB, Regime.ELECTROSTATIC, dict(voltages=(ZERO, ZERO)), None, ONE_MSG),
+    (Variant.SINGLE_MT, Regime.ELECTROSTATIC, dict(voltages=(ZERO, ZERO)), None, ONE_MSG),
+    (Variant.SINGLE_EB, Regime.ELECTROSTATIC, dict(voltages=(None,)), None, ONE_MSG),
+    (Variant.SINGLE_EB, Regime.ELECTROSTATIC, dict(voltages=5), None, ONE_MSG),
+    (Variant.SINGLE_EB, Regime.FULL_MAGNETIC, dict(beam=DEAD), "mu", MU_MSG),
+    (Variant.PATCH_EB, Regime.FULL_MAGNETIC, dict(patch=DEAD), "mu", MU_MSG),
 ]
 
 
-@pytest.mark.parametrize("variant, regime, fields, error, key, message", SPEC_VIOLATIONS)
-def test_spec_checks_itself_on_construction(variant, regime, fields, error, key, message):
+@pytest.mark.parametrize("variant, regime, fields, key, message", SPEC_VIOLATIONS)
+def test_spec_checks_itself_on_construction(variant, regime, fields, key, message):
     patch = variant.is_patch
     kwargs = dict(variant=variant, regime=regime, beam=BEAM, patch=PATCH if patch else None,
                   geometry=PATCH_GEO if patch else SINGLE_GEO,
                   voltages=(ZERO, ZERO) if patch else (ZERO,))
-    with pytest.raises(error) as info:
+    with pytest.raises(InputError) as info:
         ModelSpec(**{**kwargs, **fields})
-    assert type(info.value) is error
+    assert type(info.value) is InputError
     assert str(info.value) == message
-    assert getattr(info.value, "key", None) == key
+    assert info.value.key == key
 
 
 def test_single_beam_ignores_a_patch_material():

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from piezobeam.errors import (
-    FieldShapeMismatch,
-    InvalidGeometry,
-    TooFewElements,
-    UnknownBc,
-)
+from piezobeam.errors import InputError
 from piezobeam.fem import GAUSS_FULL, GAUSS_REDUCED, endpoint_values, shape_table
 from piezobeam.assembly import build_system
+from piezobeam.forms import stored_energy
 from piezobeam.layout import FIELD_CLASS, FieldState, build_layout, interpolate_field
 from piezobeam.materials import BeamGeometry, BoundaryCondition, Regime, Variant
 from piezobeam.mesh import build_mesh
@@ -59,14 +55,16 @@ class TestMesh:
 
     def test_too_few_elements(self):
         geo = BeamGeometry(length=1.0, thickness=0.1)
-        with pytest.raises(TooFewElements):
+        with pytest.raises(InputError, match="^mesh needs >= 2 elements, got 1$"):
             build_mesh(geo, 1)
-        with pytest.raises(TooFewElements):
+        with pytest.raises(InputError, match="^patch mesh needs >= 4 elements, got 3$"):
             build_mesh(PATCH_GEO, 3, patch=True)
 
     def test_patch_mesh_requires_interval(self):
-        with pytest.raises(InvalidGeometry):
+        with pytest.raises(InputError, match=r"^patch interval \[None, None\] invalid for "
+                                             r"length 1\.0$") as info:
             build_mesh(BeamGeometry(length=1.0, thickness=0.1), 8, patch=True)
+        assert info.value.key == "patch_start"
 
 
 class TestShapeFunctions:
@@ -191,7 +189,7 @@ class TestDofLayout:
         vspec = make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC)
         mesh = build_mesh(vspec.geometry, 4)
         lay = build_layout(vspec, mesh)
-        with pytest.raises(UnknownBc):
+        with pytest.raises(InputError, match="^unsupported boundary condition 'pinned'$"):
             lay.constrained_dofs("pinned")
 
 
@@ -230,8 +228,21 @@ class TestFieldState:
         vspec, lay = self._layout()
         n = lay.n_dofs
         for x, xdot in ((np.ones(n - 1), np.zeros(n)), (np.zeros(n), np.ones((n, 1)))):
-            with pytest.raises(FieldShapeMismatch):
+            with pytest.raises(InputError, match=rf"^state vectors must have shape \({n},\)$"):
                 FieldState(vspec, lay, x, xdot)
+
+    def test_spec_of_another_field_plan_rejected(self):
+        # Read with the electrostatic spec, the fully dynamic layout's charge
+        # dofs would drop out of the stored energy: 8.504 in place of 10.877.
+        system = build_system(make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC), 8)
+        x = np.random.default_rng(0).standard_normal(36)
+        assert system.n_dofs == 36
+        own = FieldState(system.vspec, system.layout, x, x)
+        assert stored_energy(own) == pytest.approx(0.5 * x @ (system.K @ x), rel=1e-12)
+        assert stored_energy(own) == pytest.approx(10.877, abs=5e-4)
+        with pytest.raises(InputError, match=r"^layout numbers fields \['v', 'w', 'q'\], not "
+                                             r"the spec's field plan \['v', 'w'\]$"):
+            FieldState(make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC), system.layout, x, x)
 
     def test_interpolation_of_smooth_functions(self):
         _, lay = self._layout()
@@ -242,5 +253,5 @@ class TestFieldState:
         ww = interpolate_field(lay, "w", f, df)
         assert np.allclose(ww[0::2], np.sin(lay.node_positions("w")[0::2]))
         assert np.allclose(ww[1::2], np.cos(lay.node_positions("w")[1::2]))
-        with pytest.raises(FieldShapeMismatch):
+        with pytest.raises(InputError, match="^Hermite interpolation needs the slope callable df$"):
             interpolate_field(lay, "w", f)  # Hermite needs the derivative

@@ -10,7 +10,7 @@ import scipy.optimize
 
 from piezobeam import assembly, scenarios, solvers
 from piezobeam.assembly import build_system
-from piezobeam.errors import ConvergenceFailure, IllegalRegime, InsufficientMeshes
+from piezobeam.errors import InputError, NumericalFailure
 from piezobeam.materials import (
     BeamGeometry,
     BoundaryCondition,
@@ -70,7 +70,8 @@ class TestSingleBeamDecoupling:
 
     def test_rejects_patch_variants(self):
         vspec = make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC)
-        with pytest.raises(IllegalRegime):
+        with pytest.raises(InputError,
+                           match="^decoupling check applies to single-beam variants only$"):
             check_single_beam_decoupling(vspec, n_elements=8, dt=1e-3, t_end=0.1)
 
 
@@ -113,7 +114,8 @@ class TestPatchVoltageSelectivity:
 
     def test_rejects_single_beam(self):
         single = make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC)
-        with pytest.raises(IllegalRegime):
+        with pytest.raises(InputError,
+                           match="^voltage selectivity applies to patch variants only$"):
             check_patch_voltage_selectivity(single, 8, 1e-3, 0.1)
 
 
@@ -126,17 +128,22 @@ class TestRunOfNoSteps:
     def test_decoupling_check_refuses_it(self):
         vspec = make_spec(Variant.SINGLE_EB, Regime.FULL_MAGNETIC,
                           voltage=VoltageSignal.sinusoid(2.0, 5.0))
-        with pytest.raises(IllegalRegime, match="no steps"):
+        with pytest.raises(InputError,
+                           match=r"^the beam never stretches \(zero drive or no steps\)$"):
             check_single_beam_decoupling(vspec, 8, self.DT, self.T_END)
 
     def test_selectivity_check_refuses_it(self):
         vspec = make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC, voltage=sinusoid_pair())
-        with pytest.raises(IllegalRegime, match="no steps"):
+        with pytest.raises(InputError,
+                           match=r"^the \w+ drive never moves the beam "
+                                 r"\(zero drive or no steps\)$"):
             check_patch_voltage_selectivity(vspec, 8, self.DT, self.T_END)
 
     def test_limit_study_refuses_it(self):
         vspec = make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC, voltage=sinusoid_pair())
-        with pytest.raises(IllegalRegime, match="no steps"):
+        with pytest.raises(InputError,
+                           match=r"^the electrostatic model never moves "
+                                 r"\(zero drive or no steps\)$"):
             run_electrostatic_limit(vspec, (0.5, 0.05), 8, self.DT, self.T_END)
 
 
@@ -167,12 +174,15 @@ class TestElectrostaticLimit:
             beam=UNCOUPLED,
             voltage=VoltageSignal.sinusoid(1.0, 2.0),
         )
-        with pytest.raises(IllegalRegime, match="never moves"):
+        with pytest.raises(InputError,
+                           match=r"^the electrostatic model never moves "
+                                 r"\(zero drive or no steps\)$"):
             run_electrostatic_limit(vspec, mus=(0.1, 0.01), n_elements=6, dt=1e-3, t_end=0.2)
 
     def test_requires_fully_dynamic_regime(self):
         vspec = make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC)
-        with pytest.raises(IllegalRegime):
+        with pytest.raises(InputError,
+                           match="^the limit study starts from the fully dynamic regime$"):
             run_electrostatic_limit(vspec, mus=(0.1,), n_elements=6, dt=1e-3, t_end=0.1)
 
     def test_mu_list_validation(self):
@@ -394,7 +404,8 @@ class TestModalAnalysis:
 
     def test_mode_frequency_fails_once_every_mode_is_searched(self):
         vspec = make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC)
-        with pytest.raises(ConvergenceFailure):
+        with pytest.raises(NumericalFailure,
+                           match=r"^fewer than 1 charge modes in the first \d+$"):
             mode_frequency(vspec, 8, "charge", 1)
 
 
@@ -415,9 +426,9 @@ class TestConvergence:
 
     def test_needs_three_increasing_meshes(self):
         vspec = make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC)
-        with pytest.raises(InsufficientMeshes):
+        with pytest.raises(InputError, match="^a convergence study needs at least 3 meshes$"):
             run_convergence_study(vspec, (8, 16), kind="stretching")
-        with pytest.raises(InsufficientMeshes):
+        with pytest.raises(InputError, match="^element counts must be strictly increasing$"):
             run_convergence_study(vspec, (16, 8, 32), kind="stretching")
 
 
@@ -548,10 +559,12 @@ class TestWaveSpeeds:
 
     def test_requires_dynamic_charge_layer(self):
         patch = make_spec(Variant.PATCH_EB, Regime.FULL_MAGNETIC)
-        with pytest.raises(IllegalRegime):
+        with pytest.raises(InputError,
+                           match="^time of flight runs on a single fully dynamic beam$"):
             pulse_time_of_flight(patch, n_elements=64)
         electro = make_spec(Variant.SINGLE_EB, Regime.ELECTROSTATIC)
-        with pytest.raises(IllegalRegime):
+        with pytest.raises(InputError,
+                           match="^time of flight runs on a single fully dynamic beam$"):
             pulse_time_of_flight(electro, n_elements=64)
 
     @pytest.mark.parametrize("variant", [Variant.SINGLE_EB, Variant.SINGLE_MT])
